@@ -32,6 +32,7 @@
 package harvest
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -120,20 +121,39 @@ func Schedule() core.Schedule {
 
 const featureDims = 6
 
+// ValidateData's verdicts. The runtime counts rejections and drops the
+// error, and the censoring check alone rejects more than one sample in
+// ten, so they are preallocated sentinels rather than formatted values.
+var (
+	// ErrUsageRange rejects a usage reading outside [0, allocated cores].
+	ErrUsageRange = errors.New("harvest: usage outside [0, allocated cores]")
+	// ErrCensored rejects a sample taken while the primary VM used every
+	// core it was granted.
+	ErrCensored = errors.New("harvest: sample censored at full utilization")
+	// ErrFullAllocation rejects a sample at the VM's whole allocation.
+	ErrFullAllocation = errors.New("harvest: sample at full allocation")
+
+	errNoFeatures = errors.New("harvest: no features yet")
+)
+
 // Model is the learning half of SmartHarvest. The prediction type is
 // the number of cores the primary VM will need in the next epoch.
 type Model struct {
-	n   *node.Node
+	vm  *node.VM
 	cfg Config
 	cls *linear.CostSensitive
 
 	cores   int
 	samples []float64 // utils committed this epoch
-	// prevFeatures holds the feature vector of the last completed epoch
-	// so that this epoch's observed maximum can label it.
-	prevFeatures []float64
+	// feats is the last completed epoch's feature vector: Predict reads
+	// it, and the next UpdateModel labels it with that epoch's observed
+	// maximum before overwriting it.
+	feats        [featureDims]float64
 	haveFeatures bool
-	lastFeatures []float64
+	// sorted and costs are UpdateModel's scratch: the percentile sort
+	// buffer and the classifier's cost vector.
+	sorted []float64
+	costs  []float64
 
 	// underPreds is a ring of per-epoch 0/1 indicators: did the model's
 	// prediction for the epoch fall below the demand that materialized?
@@ -147,8 +167,10 @@ type Model struct {
 	failing      bool
 
 	corrupt func(*Sample)
-	broken  bool
-	violas  uint64
+	// corrupted is the copy of the current sample handed to corrupt.
+	corrupted Sample
+	broken    bool
+	violas    uint64
 }
 
 // NewModel builds the Model on n.
@@ -159,10 +181,11 @@ func NewModel(n *node.Node, cfg Config) (*Model, error) {
 	}
 	cores := vm.AllocatedCores()
 	return &Model{
-		n:          n,
+		vm:         vm,
 		cfg:        cfg,
 		cls:        linear.MustNewCostSensitive(cores+1, featureDims, cfg.LearningRate),
 		cores:      cores,
+		costs:      make([]float64, cores+1),
 		underPreds: stats.NewWindow(cfg.UnderPredWindow),
 	}, nil
 }
@@ -178,15 +201,22 @@ func (m *Model) Break(b bool) { m.broken = b }
 func (m *Model) Classifier() *linear.CostSensitive { return m.cls }
 
 // CollectData implements core.Model.
+//
+//sollint:hotpath
 func (m *Model) CollectData() (Sample, error) {
 	s := Sample{
-		Util:    m.n.CurrentUtil(m.cfg.PrimaryVM),
-		Granted: m.n.AvailableCores(m.cfg.PrimaryVM),
-		Unmet:   m.n.CurrentUnmet(m.cfg.PrimaryVM),
-		At:      m.n.Counters(m.cfg.PrimaryVM).At,
+		Util:    m.vm.CurrentUtil(),
+		Granted: m.vm.AvailableCores(),
+		Unmet:   m.vm.CurrentUnmet(),
+		At:      m.vm.Counters().At,
 	}
 	if m.corrupt != nil {
-		m.corrupt(&s)
+		// The corruptor works on a model-owned copy: taking s's own
+		// address for a call through a func value would move every
+		// sample to the heap, corruptor or not.
+		m.corrupted = s
+		m.corrupt(&m.corrupted)
+		return m.corrupted, nil
 	}
 	return s, nil
 }
@@ -195,25 +225,31 @@ func (m *Model) CollectData() (Sample, error) {
 // full-utilization discard: when the primary VM uses every granted
 // core, actual demand is censored and the sample would teach the model
 // to under-predict.
+//
+//sollint:hotpath
 func (m *Model) ValidateData(s Sample) error {
 	if s.Util < 0 || s.Util > float64(m.cores)+0.01 {
-		return fmt.Errorf("harvest: usage %.3f outside [0, %d]", s.Util, m.cores)
+		return ErrUsageRange
 	}
 	if s.Util >= float64(s.Granted)-1e-9 && s.Granted < m.cores {
-		return fmt.Errorf("harvest: sample censored at full utilization (%d granted)", s.Granted)
+		return ErrCensored
 	}
 	if s.Util >= float64(m.cores)-1e-9 {
-		return fmt.Errorf("harvest: sample at full allocation")
+		return ErrFullAllocation
 	}
 	return nil
 }
 
 // CommitData implements core.Model.
+//
+//sollint:hotpath
 func (m *Model) CommitData(t time.Time, s Sample) { m.samples = append(m.samples, s.Util) }
 
 // UpdateModel implements core.Model: label the previous epoch's
 // features with this epoch's observed maximum and take one
 // cost-sensitive learning step.
+//
+//sollint:hotpath
 func (m *Model) UpdateModel() {
 	if len(m.samples) == 0 {
 		return
@@ -226,8 +262,6 @@ func (m *Model) UpdateModel() {
 	if label < 0 {
 		label = 0
 	}
-	feats := m.features(m.samples)
-	m.samples = m.samples[:0]
 
 	// Score the prediction that targeted this epoch against what
 	// actually happened. This is the model-assessment signal: the
@@ -242,26 +276,28 @@ func (m *Model) UpdateModel() {
 	}
 
 	if m.haveFeatures {
-		costs := linear.AsymmetricCosts(m.cores+1, label, m.cfg.UnderCost, m.cfg.OverCost)
-		m.cls.Update(m.prevFeatures, costs)
+		linear.FillAsymmetricCosts(m.costs, label, m.cfg.UnderCost, m.cfg.OverCost)
+		m.cls.Update(m.feats[:], m.costs)
 	}
-	m.prevFeatures = feats
+	m.feats = m.features(m.samples)
 	m.haveFeatures = true
-	m.lastFeatures = feats
+	m.samples = m.samples[:0]
 }
 
 // Predict implements core.Model: the class with the lowest predicted
 // cost is the core demand forecast for the next 25 ms.
+//
+//sollint:hotpath
 func (m *Model) Predict() (core.Prediction[int], error) {
 	if m.broken {
 		m.lastPred = 0
 		m.haveLastPred = true
 		return core.Prediction[int]{Value: 0}, nil
 	}
-	if m.lastFeatures == nil {
-		return core.Prediction[int]{}, fmt.Errorf("harvest: no features yet")
+	if !m.haveFeatures {
+		return core.Prediction[int]{}, errNoFeatures
 	}
-	m.lastPred = m.cls.Predict(m.lastFeatures)
+	m.lastPred = m.cls.Predict(m.feats[:])
 	m.haveLastPred = true
 	return core.Prediction[int]{Value: m.lastPred}, nil
 }
@@ -304,7 +340,7 @@ func (m *Model) ScheduleViolations() uint64 { return m.violas }
 
 // features computes the distributional feature vector over one epoch's
 // usage samples, normalized by the core count.
-func (m *Model) features(utils []float64) []float64 {
+func (m *Model) features(utils []float64) [featureDims]float64 {
 	c := float64(m.cores)
 	nHalf := len(utils) / 2
 	trend := stats.Mean(utils[nHalf:]) - stats.Mean(utils[:nHalf])
@@ -312,10 +348,12 @@ func (m *Model) features(utils []float64) []float64 {
 	for _, u := range utils {
 		w.Add(u)
 	}
-	return []float64{
+	var p95 float64
+	p95, m.sorted = stats.PercentileBuf(m.sorted, utils, 95)
+	return [featureDims]float64{
 		w.Mean() / c,
 		stats.Max(utils) / c,
-		stats.Percentile(utils, 95) / c,
+		p95 / c,
 		w.StdDev() / c,
 		utils[len(utils)-1] / c,
 		trend / c,
@@ -324,8 +362,9 @@ func (m *Model) features(utils []float64) []float64 {
 
 // Actuator is the control half of SmartHarvest.
 type Actuator struct {
-	n   *node.Node
-	cfg Config
+	primary *node.VM
+	elastic *node.VM // nil without an ElasticVM
+	cfg     Config
 
 	cores    int
 	prevWait float64
@@ -344,11 +383,15 @@ func NewActuator(n *node.Node, cfg Config) (*Actuator, error) {
 	if vm == nil {
 		return nil, fmt.Errorf("harvest: unknown primary VM %q", cfg.PrimaryVM)
 	}
-	if cfg.ElasticVM != "" && n.VM(cfg.ElasticVM) == nil {
-		return nil, fmt.Errorf("harvest: unknown elastic VM %q", cfg.ElasticVM)
+	var elastic *node.VM
+	if cfg.ElasticVM != "" {
+		if elastic = n.VM(cfg.ElasticVM); elastic == nil {
+			return nil, fmt.Errorf("harvest: unknown elastic VM %q", cfg.ElasticVM)
+		}
 	}
 	return &Actuator{
-		n:       n,
+		primary: vm,
+		elastic: elastic,
 		cfg:     cfg,
 		cores:   vm.AllocatedCores(),
 		waits:   stats.NewWindow(cfg.WaitWindow),
@@ -376,11 +419,9 @@ func (a *Actuator) TakeAction(pred *core.Prediction[int]) {
 
 func (a *Actuator) apply(grant int) {
 	a.granted = grant
-	if err := a.n.SetAvailableCores(a.cfg.PrimaryVM, grant); err != nil {
-		panic(err) // VM verified at construction
-	}
-	if a.cfg.ElasticVM != "" {
-		_ = a.n.SetAvailableCores(a.cfg.ElasticVM, a.cores-grant)
+	a.primary.SetAvailableCores(grant)
+	if a.elastic != nil {
+		a.elastic.SetAvailableCores(a.cores - grant)
 	}
 }
 
@@ -390,7 +431,7 @@ func (a *Actuator) Granted() int { return a.granted }
 // AssessPerformance implements core.Actuator: track per-interval vCPU
 // wait and trigger when its P99 exceeds the threshold.
 func (a *Actuator) AssessPerformance() bool {
-	cur := a.n.WaitSeconds(a.cfg.PrimaryVM)
+	cur := a.primary.WaitSeconds()
 	if a.havePrev {
 		a.waits.Add((cur - a.prevWait) * 1000) // ms of core-wait this interval
 	}

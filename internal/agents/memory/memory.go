@@ -32,6 +32,7 @@
 package memory
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -47,9 +48,18 @@ import (
 // k = 0..5, i.e. 300 ms to 9.6 s.
 const NumArms = 6
 
+// ErrScanDriver is ValidateData's verdict on a tick whose scans hit a
+// driver error; the driver's own error stays readable in Tick.Err.
+// Preallocated: the runtime counts rejections and drops the error.
+var ErrScanDriver = errors.New("memory: scan driver error")
+
+var errNoRates = errors.New("memory: no rate estimates yet")
+
 // Tick is one base-tick collection (the Model's data type D): the scan
 // results of every region due this tick, including audit scans.
 type Tick struct {
+	// Scans aliases a buffer the Model reuses: it is valid until the
+	// next CollectData.
 	Scans []memsim.ScanResult
 	// Err carries a scanning-driver error; validation fails the sample.
 	Err error
@@ -145,6 +155,9 @@ type regionState struct {
 	scans        int
 	observedFrac float64 // sum of per-scan set fractions
 	cold         bool
+	// auditSlot indexes Model.auditFracs while the region is in this
+	// epoch's audit set, and is -1 otherwise.
+	auditSlot int
 }
 
 // Model is the learning half of SmartMemory.
@@ -156,13 +169,18 @@ type Model struct {
 	regions []regionState
 	ticks   int // tick index within the epoch
 
-	// audit state: regions scanned at max rate this epoch and the
-	// per-tick fractions they observed. auditList holds the same
-	// regions in ascending order for iteration — the missed-fraction
-	// fold sums floats, so visit order must not come from a map.
-	auditSet   map[int]bool
+	// audit state: auditList is the regions scanned at max rate this
+	// epoch, ascending, and auditFracs[i] the per-tick fractions
+	// auditList[i] observed (regionState.auditSlot maps back). The slot
+	// buffers outlive the epoch's audit set, so committing an audit scan
+	// allocates only until each slot has held one full epoch.
 	auditList  []int
-	auditFracs map[int][]float64
+	auditFracs [][]float64
+	// scans, perm and order are scratch for CollectData, pickAudit and
+	// classify.
+	scans []memsim.ScanResult
+	perm  []int
+	order rateOrder
 
 	rates     []float64 // latest per-region access-rate estimates
 	haveRates bool
@@ -197,14 +215,15 @@ func NewModel(mem *memsim.Memory, cfg Config) (*Model, error) {
 		cfg:        cfg,
 		rng:        rng,
 		regions:    make([]regionState, mem.Regions()),
-		auditFracs: make(map[int][]float64),
+		auditFracs: make([][]float64, int(float64(mem.Regions())*cfg.AuditFrac)),
 		rates:      make([]float64, mem.Regions()),
 		cover:      cfg.CoverageTarget,
 	}
 	for r := range m.regions {
 		m.regions[r] = regionState{
-			bandit: bandit.MustNew(NumArms, rng.Split()),
-			phase:  r,
+			bandit:    bandit.MustNew(NumArms, rng.Split()),
+			phase:     r,
+			auditSlot: -1,
 		}
 	}
 	m.pickAudit()
@@ -226,29 +245,33 @@ func (m *Model) Rates() []float64 { return m.rates }
 
 // pickAudit draws a fresh audit set of AuditFrac of the regions.
 func (m *Model) pickAudit() {
-	m.auditSet = make(map[int]bool)
-	n := int(float64(len(m.regions)) * m.cfg.AuditFrac)
-	perm := m.rng.Perm(len(m.regions))
-	m.auditList = append(m.auditList[:0], perm[:n]...)
-	sort.Ints(m.auditList)
 	for _, r := range m.auditList {
-		m.auditSet[r] = true
+		m.regions[r].auditSlot = -1
 	}
-	m.auditFracs = make(map[int][]float64)
+	m.perm = m.rng.PermInto(m.perm, len(m.regions))
+	m.auditList = append(m.auditList[:0], m.perm[:len(m.auditFracs)]...)
+	sort.Ints(m.auditList)
+	for i, r := range m.auditList {
+		m.regions[r].auditSlot = i
+		m.auditFracs[i] = m.auditFracs[i][:0]
+	}
 }
 
 // CollectData implements core.Model: perform every region scan due this
 // tick (per-region arm schedule plus max-rate audit scans) and return
 // the results.
+//
+//sollint:hotpath
 func (m *Model) CollectData() (Tick, error) {
 	now := m.mem.Snapshot().At
 	if !m.started {
 		m.started = true
 		m.startAt = now
 	}
-	t := Tick{At: now}
+	t := Tick{At: now, Scans: m.scans[:0]}
 	for r := range m.regions {
 		st := &m.regions[r]
+		audited := st.auditSlot >= 0
 		if st.cold {
 			// Cold regions are excluded from scanning, but an access to
 			// offloaded memory traverses the far-memory driver and is
@@ -257,41 +280,51 @@ func (m *Model) CollectData() (Tick, error) {
 			if last := m.mem.LastAccess(r); !last.IsZero() && now.Sub(last) < m.mem.Config().BaseTick*2 {
 				st.cold = false
 				st.arm = 0 // relearn from the maximum rate
-			} else if !m.auditSet[r] {
+			} else if !audited {
 				continue
 			}
 		}
 		every := 1 << st.arm
-		if !m.auditSet[r] && (m.ticks+st.phase)%every != 0 {
+		if !audited && (m.ticks+st.phase)%every != 0 {
 			continue
 		}
 		res, err := m.mem.Scan(r)
 		if err != nil {
 			// Surface the driver error; validation will discard the
 			// whole sample.
-			t.Err = fmt.Errorf("memory: scan driver: %w", err)
+			t.Err = err
 			continue
 		}
 		t.Scans = append(t.Scans, res)
 	}
+	m.scans = t.Scans
 	m.ticks++
 	return t, nil
 }
 
 // ValidateData implements core.Model: driver errors fail the sample.
-func (m *Model) ValidateData(t Tick) error { return t.Err }
+//
+//sollint:hotpath
+func (m *Model) ValidateData(t Tick) error {
+	if t.Err != nil {
+		return ErrScanDriver
+	}
+	return nil
+}
 
 // CommitData implements core.Model: fold scan results into the
 // per-region epoch accumulators.
+//
+//sollint:hotpath
 func (m *Model) CommitData(at time.Time, t Tick) {
 	pages := float64(m.mem.PagesPerRegion())
 	for _, s := range t.Scans {
 		frac := float64(s.SetPages) / pages
-		if m.auditSet[s.Region] {
-			m.auditFracs[s.Region] = append(m.auditFracs[s.Region], frac)
+		st := &m.regions[s.Region]
+		if st.auditSlot >= 0 {
+			m.auditFracs[st.auditSlot] = append(m.auditFracs[st.auditSlot], frac)
 			continue
 		}
-		st := &m.regions[s.Region]
 		st.scans++
 		st.observedFrac += frac
 	}
@@ -300,6 +333,8 @@ func (m *Model) CommitData(at time.Time, t Tick) {
 // UpdateModel implements core.Model: score each region's arm, update
 // its bandit, select next arms, refresh rate estimates, and run the
 // audit computation.
+//
+//sollint:hotpath
 func (m *Model) UpdateModel() {
 	now := m.mem.Snapshot().At
 	epochSec := float64(m.ticks) * m.mem.Config().BaseTick.Seconds()
@@ -320,16 +355,17 @@ func (m *Model) UpdateModel() {
 		st.cold = now.Sub(since) > m.cfg.ColdAfter
 
 		var f float64 // mean observed set fraction per scan
-		if m.auditSet[r] {
-			fr := m.auditFracs[r]
-			if len(fr) > 0 {
-				f = perGroupFrac(fr, 1<<st.arm)
-			}
-		} else if st.scans > 0 {
+		var audited []float64
+		if st.auditSlot >= 0 {
+			audited = m.auditFracs[st.auditSlot]
+		}
+		if len(audited) > 0 {
+			f = perGroupFrac(audited, 1<<st.arm)
+		} else if st.auditSlot < 0 && st.scans > 0 {
 			f = st.observedFrac / float64(st.scans)
 		}
 
-		if st.scans > 0 || (m.auditSet[r] && len(m.auditFracs[r]) > 0) {
+		if st.scans > 0 || len(audited) > 0 {
 			g := perTickFrac(f, st.arm)
 			m.rates[r] = g * pages / tickSec
 			st.bandit.Reward(st.arm, m.wellSampled(g, st.arm))
@@ -445,8 +481,8 @@ func perGroupFrac(fracs []float64, every int) float64 {
 // distinct page touches the model-recommended rates would have missed.
 func (m *Model) computeMissed() {
 	var atMax, atChosen float64
-	for _, r := range m.auditList {
-		fr := m.auditFracs[r]
+	for i, r := range m.auditList {
+		fr := m.auditFracs[i]
 		if len(fr) == 0 {
 			continue
 		}
@@ -475,7 +511,7 @@ func (m *Model) computeMissed() {
 // regions go to tier 2.
 func (m *Model) Predict() (core.Prediction[Placement], error) {
 	if !m.haveRates {
-		return core.Prediction[Placement]{}, fmt.Errorf("memory: no rate estimates yet")
+		return core.Prediction[Placement]{}, errNoRates
 	}
 	return core.Prediction[Placement]{Value: m.classify(m.cover)}, nil
 }
@@ -530,7 +566,7 @@ func (m *Model) classify(coverage float64) Placement {
 	tickSec := m.mem.Config().BaseTick.Seconds()
 	satRate := 0.90 * pages / tickSec
 
-	var idx []int
+	idx := m.order.idx[:0]
 	total := 0.0
 	for i := 0; i < n; i++ {
 		if m.rates[i] >= satRate {
@@ -539,22 +575,39 @@ func (m *Model) classify(coverage float64) Placement {
 		idx = append(idx, i)
 		total += m.rates[i]
 	}
-	sort.Slice(idx, func(a, b int) bool { return m.rates[idx[a]] > m.rates[idx[b]] })
+	m.order = rateOrder{idx: idx, rates: m.rates}
+	sort.Sort(&m.order)
+	// idx is scratch; the placement is handed to the Actuator loop, so
+	// the tail that goes to tier 2 is copied out.
+	hot := 0
+	if total != 0 {
+		cum := 0.0
+		for hot < len(idx) {
+			cum += m.rates[idx[hot]]
+			hot++
+			if cum >= coverage*total {
+				break
+			}
+		}
+	}
 	var tier2 []int
-	cum := 0.0
-	covered := false
-	for _, r := range idx {
-		if covered || total == 0 {
-			tier2 = append(tier2, r)
-			continue
-		}
-		cum += m.rates[r]
-		if cum >= coverage*total {
-			covered = true
-		}
+	if hot < len(idx) {
+		tier2 = append(tier2, idx[hot:]...)
 	}
 	return Placement{Tier2: tier2, Rates: m.ratesCopy()}
 }
+
+// rateOrder sorts region indices hottest-first by rate. It is
+// sort.Slice's comparison as a sort.Interface over model-owned storage,
+// so ranking an epoch's regions does not allocate.
+type rateOrder struct {
+	idx   []int
+	rates []float64
+}
+
+func (o *rateOrder) Len() int           { return len(o.idx) }
+func (o *rateOrder) Less(a, b int) bool { return o.rates[o.idx[a]] > o.rates[o.idx[b]] }
+func (o *rateOrder) Swap(a, b int)      { o.idx[a], o.idx[b] = o.idx[b], o.idx[a] }
 
 // AssessModel implements core.Model: failing while the audit says the
 // recommended rates miss more than MissedThreshold of accesses. A

@@ -30,6 +30,7 @@
 package overclock
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -120,10 +121,20 @@ type deltaRSample struct {
 	dr float64
 }
 
+// ValidateData's verdicts, preallocated: the runtime counts rejections
+// and drops the error.
+var (
+	// ErrIPSRange rejects an IPS reading outside [0, 1.05·MaxIPS].
+	ErrIPSRange = errors.New("overclock: IPS outside [0, max]")
+	// ErrAlphaRange rejects an α reading outside [0, 1].
+	ErrAlphaRange = errors.New("overclock: alpha outside [0, 1]")
+)
+
 // Model is the learning half of SmartOverclock. The prediction type is
 // the DVFS level to apply next epoch.
 type Model struct {
 	n   *node.Node
+	vm  *node.VM
 	cfg Config
 	rl  *qlearn.Learner
 	rng *stats.RNG
@@ -137,8 +148,10 @@ type Model struct {
 	deltaR  []deltaRSample
 	failing bool
 
-	// corrupt, when non-nil, mutates raw samples (fault injection).
-	corrupt func(*Sample)
+	// corrupt, when non-nil, mutates raw samples (fault injection);
+	// corrupted is the copy of the current sample handed to it.
+	corrupt   func(*Sample)
+	corrupted Sample
 	// broken forces the policy to always pick the highest frequency
 	// (the Figure 3 "inaccurate model" fault).
 	broken bool
@@ -147,6 +160,10 @@ type Model struct {
 	levels    int
 	nominal   int
 	ipsRef    float64
+	// maxIPS is ValidateData's upper range bound, 1.05·MaxIPS.
+	maxIPS float64
+	// freqCount is UpdateModel's per-level sample tally.
+	freqCount []int
 	violas    uint64
 }
 
@@ -175,13 +192,16 @@ func NewModel(n *node.Node, cfg Config) (*Model, error) {
 	}
 	nomGHz := n.Config().Frequencies.GHz[n.NominalLevel()]
 	return &Model{
-		n:       n,
-		cfg:     cfg,
-		rl:      rl,
-		rng:     stats.NewRNG(cfg.Seed ^ 0xa5a5a5a5),
-		levels:  levels,
-		nominal: n.NominalLevel(),
-		ipsRef:  float64(vm.AllocatedCores()) * nomGHz * n.Config().MaxIPC,
+		n:         n,
+		vm:        vm,
+		cfg:       cfg,
+		rl:        rl,
+		rng:       stats.NewRNG(cfg.Seed ^ 0xa5a5a5a5),
+		levels:    levels,
+		nominal:   n.NominalLevel(),
+		ipsRef:    float64(vm.AllocatedCores()) * nomGHz * n.Config().MaxIPC,
+		maxIPS:    n.MaxIPS(cfg.VM) * 1.05,
+		freqCount: make([]int, levels),
 	}, nil
 }
 
@@ -199,9 +219,11 @@ func (m *Model) Learner() *qlearn.Learner { return m.rl }
 
 // CollectData implements core.Model: it reads the VM's cumulative
 // counters and differences them against the previous reading.
+//
+//sollint:hotpath
 func (m *Model) CollectData() (Sample, error) {
-	cur := m.n.Counters(m.cfg.VM)
-	s := Sample{FreqLevel: m.n.FrequencyLevel(m.cfg.VM), At: cur.At}
+	cur := m.vm.Counters()
+	s := Sample{FreqLevel: m.vm.FrequencyLevel(), At: cur.At}
 	if m.havePrev {
 		s.IPS = cur.IPS(m.prev)
 		s.Alpha = cur.Alpha(m.prev)
@@ -209,7 +231,12 @@ func (m *Model) CollectData() (Sample, error) {
 	m.prev = cur
 	m.havePrev = true
 	if m.corrupt != nil {
-		m.corrupt(&s)
+		// The corruptor works on a model-owned copy: taking s's own
+		// address for a call through a func value would move every
+		// sample to the heap, corruptor or not.
+		m.corrupted = s
+		m.corrupt(&m.corrupted)
+		return m.corrupted, nil
 	}
 	return s, nil
 }
@@ -217,29 +244,35 @@ func (m *Model) CollectData() (Sample, error) {
 // ValidateData implements core.Model: range checks on IPS and α. These
 // are the checks that keep bad counter readings (Figure 2) out of the
 // policy.
+//
+//sollint:hotpath
 func (m *Model) ValidateData(s Sample) error {
-	maxIPS := m.n.MaxIPS(m.cfg.VM) * 1.05
-	if s.IPS < 0 || s.IPS > maxIPS {
-		return fmt.Errorf("overclock: IPS %.3f outside [0, %.3f]", s.IPS, maxIPS)
+	if s.IPS < 0 || s.IPS > m.maxIPS {
+		return ErrIPSRange
 	}
 	if s.Alpha < -0.01 || s.Alpha > 1.01 {
-		return fmt.Errorf("overclock: alpha %.3f outside [0, 1]", s.Alpha)
+		return ErrAlphaRange
 	}
 	return nil
 }
 
 // CommitData implements core.Model.
+//
+//sollint:hotpath
 func (m *Model) CommitData(t time.Time, s Sample) { m.samples = append(m.samples, s) }
 
 // UpdateModel implements core.Model: it computes the epoch's
 // state/reward and applies one Q-learning step for the frequency that
 // was actually in effect.
+//
+//sollint:hotpath
 func (m *Model) UpdateModel() {
 	if len(m.samples) == 0 {
 		return
 	}
 	var ips float64
-	freqCount := make([]int, m.levels)
+	freqCount := m.freqCount
+	clear(freqCount)
 	for _, s := range m.samples {
 		ips += s.IPS
 		freqCount[s.FreqLevel]++
@@ -276,6 +309,8 @@ func (m *Model) UpdateModel() {
 }
 
 // Predict implements core.Model: ε-greedy action for the next epoch.
+//
+//sollint:hotpath
 func (m *Model) Predict() (core.Prediction[int], error) {
 	if m.broken {
 		return core.Prediction[int]{Value: m.levels - 1}, nil
@@ -339,8 +374,7 @@ func (m *Model) freq(level int) float64 { return m.n.Config().Frequencies.GHz[le
 // stateOf buckets the frequency-invariant phase signal
 // IPS/(cores·f·maxIPC) into StateBuckets discrete states.
 func (m *Model) stateOf(ips float64, level int) int {
-	vm := m.n.VM(m.cfg.VM)
-	denom := float64(vm.AllocatedCores()) * m.freq(level) * m.n.Config().MaxIPC
+	denom := float64(m.vm.AllocatedCores()) * m.freq(level) * m.n.Config().MaxIPC
 	norm := 0.0
 	if denom > 0 {
 		norm = stats.Clamp(ips/denom, 0, 0.999)
@@ -366,6 +400,7 @@ func (m *Model) powerPenalty(level int) float64 {
 // Actuator is the control half of SmartOverclock.
 type Actuator struct {
 	n   *node.Node
+	vm  *node.VM
 	cfg Config
 
 	prev     node.CPUCounters
@@ -379,11 +414,13 @@ type Actuator struct {
 
 // NewActuator builds the Actuator for the VM named in cfg on n.
 func NewActuator(n *node.Node, cfg Config) (*Actuator, error) {
-	if n.VM(cfg.VM) == nil {
+	vm := n.VM(cfg.VM)
+	if vm == nil {
 		return nil, fmt.Errorf("overclock: unknown VM %q", cfg.VM)
 	}
 	return &Actuator{
 		n:          n,
+		vm:         vm,
 		cfg:        cfg,
 		alphas:     stats.NewWindow(cfg.AlphaWindow),
 		minSamples: cfg.AlphaWindow / 4,
@@ -414,7 +451,7 @@ func (a *Actuator) TakeAction(pred *core.Prediction[int]) {
 // the workload is in a sustained low-activity phase where overclocking
 // only wastes power.
 func (a *Actuator) AssessPerformance() bool {
-	cur := a.n.Counters(a.cfg.VM)
+	cur := a.vm.Counters()
 	if a.havePrev {
 		a.alphas.Add(cur.Alpha(a.prev))
 	}

@@ -26,6 +26,7 @@
 package sampler
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -36,10 +37,22 @@ import (
 	"sol/internal/telemetry"
 )
 
+// ErrCountRange is ValidateData's verdict on a negative or absurd
+// event count. Preallocated: the runtime counts rejections and drops
+// the error.
+var ErrCountRange = errors.New("sampler: event count out of range")
+
+// ChannelCount is the events observed on one sampled channel.
+type ChannelCount struct {
+	Channel, Count int
+}
+
 // Obs is one interval's sampling results (the Model's data type D).
 type Obs struct {
-	// Counts maps sampled channel -> events observed.
-	Counts map[int]int
+	// Counts holds one entry per sampled channel, in allocation order.
+	// It aliases a buffer the Model reuses: valid until the next
+	// CollectData.
+	Counts []ChannelCount
 	// AuditChannel and AuditCount are the per-epoch audit channel's
 	// reading (always sampled, outside the learned allocation).
 	AuditChannel int
@@ -100,10 +113,13 @@ type Model struct {
 	sweep       int
 	auditHits   int
 	auditTotal  int
-	allocHits   map[int]bool
 	epochCounts []int
 	failing     bool
 	broken      bool
+
+	// counts and draws are scratch for CollectData and Predict.
+	counts []ChannelCount
+	draws  drawOrder
 }
 
 // NewModel builds the Model over src.
@@ -118,7 +134,8 @@ func NewModel(src *telemetry.Source, cfg Config) (*Model, error) {
 		rng:         rng,
 		bandits:     make([]*bandit.Thompson, src.Channels()),
 		epochCounts: make([]int, src.Channels()),
-		allocHits:   make(map[int]bool),
+		counts:      make([]ChannelCount, 0, src.Config().Budget),
+		draws:       make(drawOrder, src.Channels()),
 	}
 	for i := range m.bandits {
 		// Two arms per channel: "worth sampling now" vs not; we only
@@ -150,8 +167,10 @@ func (m *Model) roundRobin(offset int) []int {
 
 // CollectData implements core.Model: sample the current allocation
 // plus the audit channel.
+//
+//sollint:hotpath
 func (m *Model) CollectData() (Obs, error) {
-	o := Obs{Counts: make(map[int]int, len(m.alloc)), AuditChannel: m.audit}
+	o := Obs{Counts: m.counts[:0], AuditChannel: m.audit}
 	for _, ch := range m.alloc {
 		if ch == m.audit {
 			continue // audited below at full rate
@@ -160,8 +179,9 @@ func (m *Model) CollectData() (Obs, error) {
 		if err != nil {
 			return Obs{}, err
 		}
-		o.Counts[ch] = n
+		o.Counts = append(o.Counts, ChannelCount{Channel: ch, Count: n})
 	}
+	m.counts = o.Counts
 	n, err := m.src.Sample(m.audit)
 	if err != nil {
 		return Obs{}, err
@@ -170,34 +190,27 @@ func (m *Model) CollectData() (Obs, error) {
 	return o, nil
 }
 
-// ValidateData implements core.Model: discard corrupted counts. With
-// several corrupt channels the reported offender is part of the run's
-// trace, so the scan visits channels in ascending order rather than
-// whatever order the map yields.
+// ValidateData implements core.Model: discard corrupted counts.
+//
+//sollint:hotpath
 func (m *Model) ValidateData(o Obs) error {
-	chans := make([]int, 0, len(o.Counts))
-	for ch := range o.Counts {
-		chans = append(chans, ch)
-	}
-	sort.Ints(chans)
-	for _, ch := range chans {
-		if n := o.Counts[ch]; n < 0 || n > 1e6 {
-			return fmt.Errorf("sampler: channel %d count %d out of range", ch, n)
+	for _, c := range o.Counts {
+		if c.Count < 0 || c.Count > 1e6 {
+			return ErrCountRange
 		}
 	}
 	if o.AuditCount < 0 || o.AuditCount > 1e6 {
-		return fmt.Errorf("sampler: audit count %d out of range", o.AuditCount)
+		return ErrCountRange
 	}
 	return nil
 }
 
 // CommitData implements core.Model.
+//
+//sollint:hotpath
 func (m *Model) CommitData(t time.Time, o Obs) {
-	for ch, n := range o.Counts {
-		m.epochCounts[ch] += n
-		if n > 0 {
-			m.allocHits[ch] = true
-		}
+	for _, c := range o.Counts {
+		m.epochCounts[c.Channel] += c.Count
 	}
 	m.epochCounts[o.AuditChannel] += o.AuditCount
 	m.auditTotal += o.AuditCount
@@ -216,6 +229,8 @@ func (m *Model) CommitData(t time.Time, o Obs) {
 // per-sample yield — a channel is "worth the budget" when each sample
 // returns at least one event — then decay toward the prior so bursts
 // can re-rank channels quickly.
+//
+//sollint:hotpath
 func (m *Model) UpdateModel() {
 	for ch := range m.bandits {
 		inAlloc := false
@@ -231,7 +246,6 @@ func (m *Model) UpdateModel() {
 		m.bandits[ch].Decay(m.cfg.Decay)
 		m.epochCounts[ch] = 0
 	}
-	m.allocHits = make(map[int]bool)
 }
 
 // Predict implements core.Model: draw from each channel's posterior
@@ -248,15 +262,11 @@ func (m *Model) Predict() (core.Prediction[Allocation], error) {
 		m.alloc = fixed
 		return core.Prediction[Allocation]{Value: Allocation{Channels: fixed}}, nil
 	}
-	type draw struct {
-		ch int
-		v  float64
-	}
-	draws := make([]draw, n)
+	draws := m.draws
 	for ch := 0; ch < n; ch++ {
 		draws[ch] = draw{ch: ch, v: m.bandits[ch].Posterior(0).Sample(m.rng)}
 	}
-	sort.Slice(draws, func(a, b int) bool { return draws[a].v > draws[b].v })
+	sort.Sort(&m.draws)
 	// Budget−1 exploitation slots plus one sweep slot that rotates over
 	// the remaining channels: sweeping is what notices a quiet channel
 	// beginning to burst, which pure posterior sampling starves out
@@ -274,6 +284,20 @@ func (m *Model) Predict() (core.Prediction[Allocation], error) {
 	m.nextAudit()
 	return core.Prediction[Allocation]{Value: Allocation{Channels: out}}, nil
 }
+
+// draw is one channel's posterior sample; drawOrder sorts draws highest
+// first. It is sort.Slice's comparison as a sort.Interface over
+// model-owned storage, so ranking the channels does not allocate.
+type draw struct {
+	ch int
+	v  float64
+}
+
+type drawOrder []draw
+
+func (d *drawOrder) Len() int           { return len(*d) }
+func (d *drawOrder) Less(a, b int) bool { return (*d)[a].v > (*d)[b].v }
+func (d *drawOrder) Swap(a, b int)      { (*d)[a], (*d)[b] = (*d)[b], (*d)[a] }
 
 func contains(xs []int, v int) bool {
 	for _, x := range xs {

@@ -34,13 +34,13 @@ func TestModelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ValidateData(Obs{Counts: map[int]int{0: -1}}); err == nil {
+	if err := m.ValidateData(Obs{Counts: []ChannelCount{{Channel: 0, Count: -1}}}); err == nil {
 		t.Fatal("negative count accepted")
 	}
 	if err := m.ValidateData(Obs{AuditCount: 2_000_000}); err == nil {
 		t.Fatal("absurd audit count accepted")
 	}
-	if err := m.ValidateData(Obs{Counts: map[int]int{0: 3}, AuditCount: 1}); err != nil {
+	if err := m.ValidateData(Obs{Counts: []ChannelCount{{Channel: 0, Count: 3}}, AuditCount: 1}); err != nil {
 		t.Fatalf("valid observation rejected: %v", err)
 	}
 }

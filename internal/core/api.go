@@ -63,15 +63,34 @@ func (p Prediction[P]) Issued() time.Time { return p.issued }
 // parameterized by the collected data type D and the prediction type P.
 // All methods are invoked from the Model control loop only, so
 // implementations need no internal locking against the runtime.
+//
+// CollectData, ValidateData and CommitData run once per sample — every
+// 50 µs for SmartHarvest — and are the runtime's hot path: an
+// implementation should do arithmetic there and nothing else. Two
+// rules of the contract exist to make that possible. Samples are
+// borrowed: the runtime is done with a D before it asks for the next
+// one. Predictions are owned: a P leaves the Model for good.
 type Model[D, P any] interface {
 	// CollectData reads one telemetry sample. Errors are counted and
 	// the sample is skipped; persistent errors eventually short-circuit
 	// the epoch into a default prediction.
+	//
+	// The returned D is only valid until the next CollectData: the
+	// runtime passes it to ValidateData and CommitData and then drops
+	// it, so a D may alias buffers the Model reuses for every sample.
+	// CommitData must copy out whatever it keeps.
 	CollectData() (D, error)
 
 	// ValidateData checks a single sample against the model's data
 	// assumptions (range checks, distributional checks). A non-nil
 	// error discards the sample before it can corrupt the model.
+	//
+	// The runtime counts the rejection (Stats.DataRejected) and drops
+	// the error: it is never rendered, logged or wrapped. Return
+	// preallocated sentinel errors, not freshly formatted ones:
+	// SmartHarvest's censoring check legitimately rejects one sample in
+	// seven, which at 50 µs sampling would be thousands of formatted
+	// messages per node-second that nobody reads.
 	ValidateData(d D) error
 
 	// CommitData incorporates a validated sample, stamped with the
@@ -84,6 +103,11 @@ type Model[D, P any] interface {
 
 	// Predict produces the epoch's prediction from the current model.
 	// An error short-circuits to DefaultPredict.
+	//
+	// The returned value crosses to the Actuator loop: it waits in the
+	// prediction queue (QueueCapacity deep) and the Actuator may keep
+	// it after TakeAction. Unlike a D it must not alias memory the
+	// Model will overwrite.
 	Predict() (Prediction[P], error)
 
 	// DefaultPredict returns the safe fallback used when the model

@@ -124,7 +124,7 @@ func Run[D, P any](clk clock.Clock, model Model[D, P], act Actuator[P], sched Sc
 	now := clk.Now()
 	r.stats.StartedAt = now
 	r.epochStart = now
-	r.scheduleCollect(now.Add(sched.DataCollectInterval))
+	r.scheduleCollect(now.Add(sched.DataCollectInterval), sched.DataCollectInterval)
 	r.scheduleActDeadline()
 	if sched.AssessActuatorInterval > 0 && !opts.DisableActuatorSafeguard {
 		r.scheduleAssess()
@@ -212,18 +212,18 @@ func (r *Runtime[D, P]) Health() Health {
 // --- Model loop ---
 
 // scheduleCollect arms the collect timer for the intended time,
-// applying any injected model delay. The timer and its closure are
-// created once; every later step re-arms them in place. Callers hold
-// r.mu.
-func (r *Runtime[D, P]) scheduleCollect(intended time.Time) {
-	at := intended
+// applying any injected model delay. d is how far intended lies from
+// the clock reading the caller took this step — every caller already
+// knows it, so arming costs no second clock read and no time.Time
+// arithmetic. The timer and its closure are created once; every later
+// step re-arms them in place. Callers hold r.mu.
+func (r *Runtime[D, P]) scheduleCollect(intended time.Time, d time.Duration) {
 	if r.opts.ModelDelay != nil {
-		if d := r.opts.ModelDelay(intended); d > 0 {
-			at = at.Add(d)
+		if extra := r.opts.ModelDelay(intended); extra > 0 {
+			d += extra
 		}
 	}
 	r.collectIntended = intended
-	d := at.Sub(r.clk.Now())
 	if r.collectTimer == nil {
 		r.collectTimer = r.clk.AfterFunc(d, r.collectStep)
 	} else {
@@ -239,7 +239,8 @@ func (r *Runtime[D, P]) collectStep() {
 	}
 	intended := r.collectIntended
 	now := r.clk.Now()
-	if late := now.Sub(intended); late > r.sched.latenessTolerance() {
+	late := now.Sub(intended)
+	if late > r.sched.latenessTolerance() {
 		r.stats.ScheduleViolations++
 		if h, ok := r.model.(ScheduleViolationHandler); ok {
 			h.OnScheduleViolation(intended, now)
@@ -270,7 +271,9 @@ func (r *Runtime[D, P]) collectStep() {
 	case now.Sub(r.epochStart) >= r.sched.MaxEpochTime:
 		r.finishEpoch(now, false)
 	default:
-		r.scheduleCollect(intended.Add(r.sched.DataCollectInterval))
+		// The next step stays on the intended grid: one interval after
+		// this step's intended time, however late this step ran.
+		r.scheduleCollect(intended.Add(r.sched.DataCollectInterval), r.sched.DataCollectInterval-late)
 	}
 }
 
@@ -334,7 +337,7 @@ func (r *Runtime[D, P]) finishEpoch(now time.Time, full bool) {
 	// Begin the next epoch immediately.
 	r.epochStart = now
 	r.validInEpoch = 0
-	r.scheduleCollect(now.Add(r.sched.DataCollectInterval))
+	r.scheduleCollect(now.Add(r.sched.DataCollectInterval), r.sched.DataCollectInterval)
 }
 
 func (r *Runtime[D, P]) defaultPrediction() Prediction[P] {

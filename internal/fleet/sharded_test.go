@@ -138,6 +138,32 @@ func TestHealthDetailIntoAllocs(t *testing.T) {
 	}
 }
 
+// TestStandardNodeSteadyStateAllocs pins what one warmed standard node
+// (overclock + harvest + memory at fleet cadences: ~2,000 samples and
+// ~41 learning epochs per simulated second) allocates per simulated
+// second. Before the agents' sample path was made allocation-free this
+// read ~1,380; what is left is amortised growth of the workload's
+// latency log and SmartMemory's per-epoch placement hand-off. The bound
+// is the measured 1.4 plus 10%.
+func TestStandardNodeSteadyStateAllocs(t *testing.T) {
+	c, err := NewCoordinator(Config{
+		Nodes:    1,
+		Duration: time.Hour,
+		Workers:  1,
+		Setup:    StandardNode(StandardNodeConfig{Seed: 1}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.StopAll()
+	c.StepFor(5 * time.Second)
+	const window = 10 * time.Second
+	perWindow := testing.AllocsPerRun(3, func() { c.StepFor(window) })
+	if perSecond := perWindow / window.Seconds(); perSecond > 1.55 {
+		t.Fatalf("warmed standard node allocates %.2f objects per node-second, want <= 1.55", perSecond)
+	}
+}
+
 // TestShardedRunSteppedUnchanged pins that RunStepped over a sharded
 // config keeps the classic fleet-wide-barrier semantics (every node at
 // every epoch) and its byte-identical-to-batch contract.

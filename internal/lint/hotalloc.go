@@ -13,7 +13,7 @@ import (
 // functions are the ones the benchmarks pin at 0 allocs/op — the
 // per-event clock heap, the per-epoch health polls, the safeguard
 // windows — and a single stray construct undoes that quietly until
-// the next benchmark run. Four shapes are flagged:
+// the next benchmark run. Five shapes are flagged:
 //
 //   - function literals that capture enclosing variables: the capture
 //     forces the variables (and usually the closure) onto the heap;
@@ -22,7 +22,14 @@ import (
 //     an interface type allocates unless inlining saves it;
 //   - append to a slice declared in-function with no capacity: growth
 //     reallocates per call. Appending to a caller-provided parameter
-//     or a struct field is the reuse idiom and stays silent.
+//     or a struct field is the reuse idiom and stays silent;
+//   - the address of a function-local passed to a call the compiler
+//     cannot see through — a func-typed value or an interface method:
+//     the local moves to the heap where it is declared, on every call,
+//     including the calls that never reach the dynamic one. A copy
+//     declared inside the branch that makes the call
+//     (`if f != nil { c := s; f(&c) }`) pays only when the branch runs
+//     and stays silent, as does the address of a field.
 var Hotalloc = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc:  "flag allocating constructs in functions marked //sollint:hotpath",
@@ -60,6 +67,7 @@ func checkHotFunc(pass *analysis.Pass, fd *ast.FuncDecl, report func(pos token.P
 				return true
 			}
 			checkBoxing(pass, fd, n, report)
+			checkEscapingAddr(pass, fd, n, report)
 		case *ast.AssignStmt:
 			checkBareAppend(pass, fd, n, report)
 		}
@@ -135,6 +143,78 @@ func checkBoxing(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, repo
 		report(arg.Pos(), "passing %s into an interface parameter boxes it in hot path %s; keep the hot path monomorphic, or annotate //sollint:allow hotalloc <why>",
 			types.TypeString(at.Type, types.RelativeTo(pass.Pkg)), fd.Name.Name)
 	}
+}
+
+// checkEscapingAddr flags `&x` arguments to dynamically dispatched
+// calls where x is a local (or parameter) that every call of fd
+// declares: escape analysis cannot follow the callee, so x is
+// heap-allocated at its declaration whether or not the call happens.
+func checkEscapingAddr(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, report func(pos token.Pos, format string, args ...any)) {
+	if !dynamicCall(pass, call) {
+		return
+	}
+	for _, arg := range call.Args {
+		addr, ok := ast.Unparen(arg).(*ast.UnaryExpr)
+		if !ok || addr.Op != token.AND {
+			continue
+		}
+		id, ok := ast.Unparen(addr.X).(*ast.Ident)
+		if !ok {
+			continue // &x.f, &x[i], &T{}: not a bare local
+		}
+		obj, ok := pass.TypesInfo.Uses[id].(*types.Var)
+		if !ok || obj.IsField() || obj.Pos() < fd.Pos() || obj.Pos() >= fd.End() {
+			continue // package-level: already static storage
+		}
+		if declaredInBranch(fd, obj) {
+			continue // the allocation is paid only when the branch runs
+		}
+		report(addr.Pos(), "address of %s passed to a dynamically dispatched call moves it to the heap on every call of hot path %s; hand the callee a copy made inside the branch that calls it, or annotate //sollint:allow hotalloc <why>",
+			obj.Name(), fd.Name.Name)
+	}
+}
+
+// dynamicCall reports whether the call goes through a func-typed value
+// (variable, parameter, field, element, call result) or an interface
+// method — anything but a declared function or concrete method.
+func dynamicCall(pass *analysis.Pass, call *ast.CallExpr) bool {
+	tv, ok := pass.TypesInfo.Types[call.Fun]
+	if !ok || tv.IsType() {
+		return false // conversion
+	}
+	if _, ok := tv.Type.Underlying().(*types.Signature); !ok {
+		return false // builtin
+	}
+	fn, ok := calleeObj(pass, call).(*types.Func)
+	if !ok {
+		return true // a value of function type
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
+// declaredInBranch reports whether obj's declaration sits inside the
+// body of an if, a switch or select case within fd — code that a call
+// of fd may skip. An if statement's own init clause runs
+// unconditionally and does not count.
+func declaredInBranch(fd *ast.FuncDecl, obj *types.Var) bool {
+	holds := func(n ast.Node) bool { return n != nil && n.Pos() <= obj.Pos() && obj.Pos() < n.End() }
+	inBranch := false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if n == nil || !holds(n) {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.CaseClause, *ast.CommClause:
+			inBranch = true
+		case *ast.IfStmt:
+			if holds(n.Body) || (n.Else != nil && holds(n.Else)) {
+				inBranch = true
+			}
+		}
+		return !inBranch
+	})
+	return inBranch
 }
 
 // checkBareAppend flags appends whose destination is declared inside

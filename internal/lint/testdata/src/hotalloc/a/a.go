@@ -94,3 +94,80 @@ func Flush(n int) {
 func Reset() {
 	_ = box(nil)
 }
+
+type reading struct {
+	v  float64
+	at int
+}
+
+type sink interface {
+	Observe(*reading)
+}
+
+type probe struct {
+	corrupt func(*reading)
+	out     sink
+	scratch reading
+}
+
+func settle(r *reading) { r.at++ }
+
+// Collect hands the address of its local to a func value and to an
+// interface method: the compiler cannot see the callees, so r lives on
+// the heap from its declaration on — every call, hooks installed or
+// not. The statically dispatched call keeps r on the stack.
+//
+//sollint:hotpath
+func (p *probe) Collect(v float64) reading {
+	r := reading{v: v}
+	settle(&r)
+	if p.corrupt != nil {
+		p.corrupt(&r) // want `address of r passed to a dynamically dispatched call moves it to the heap on every call of hot path Collect`
+	}
+	if p.out != nil {
+		p.out.Observe(&r) // want `address of r passed to a dynamically dispatched call moves it to the heap on every call of hot path Collect`
+	}
+	return r
+}
+
+// CollectGuarded copies inside the branch that makes the dynamic call,
+// or hands out the address of a field: r itself never escapes. Silent.
+//
+//sollint:hotpath
+func (p *probe) CollectGuarded(v float64) reading {
+	r := reading{v: v}
+	if p.corrupt != nil {
+		c := r
+		p.corrupt(&c)
+		return c
+	}
+	switch {
+	case p.out != nil:
+		c := r
+		p.out.Observe(&c)
+		return c
+	}
+	p.scratch = r
+	p.corrupt(&p.scratch)
+	return p.scratch
+}
+
+// CollectInit copies in the if statement's init clause, which runs
+// whether or not the branch does: c escapes on every call.
+//
+//sollint:hotpath
+func (p *probe) CollectInit(v float64) reading {
+	r := reading{v: v}
+	if c := r; p.corrupt != nil {
+		p.corrupt(&c) // want `address of c passed to a dynamically dispatched call moves it to the heap on every call of hot path CollectInit`
+		return c
+	}
+	return r
+}
+
+// CollectCold is Collect without the marker: silent.
+func (p *probe) CollectCold(v float64) reading {
+	r := reading{v: v}
+	p.corrupt(&r)
+	return r
+}

@@ -186,13 +186,22 @@ func (cs *CostSensitive) Reset() {
 // on the side of leaving cores with the primary VM.
 func AsymmetricCosts(classes, label int, under, over float64) []float64 {
 	costs := make([]float64, classes)
+	FillAsymmetricCosts(costs, label, under, over)
+	return costs
+}
+
+// FillAsymmetricCosts is AsymmetricCosts over len(costs) classes into
+// a caller-owned buffer, for a learner that builds one cost vector per
+// epoch.
+func FillAsymmetricCosts(costs []float64, label int, under, over float64) {
 	for c := range costs {
 		switch {
 		case c < label:
 			costs[c] = under * float64(label-c)
 		case c > label:
 			costs[c] = over * float64(c-label)
+		default:
+			costs[c] = 0
 		}
 	}
-	return costs
 }

@@ -191,6 +191,14 @@ func TestAsymmetricCosts(t *testing.T) {
 			t.Fatalf("AsymmetricCosts = %v, want %v", costs, want)
 		}
 	}
+	// Refilling a used buffer for another label leaves nothing behind.
+	FillAsymmetricCosts(costs, 4, 10, 1)
+	want = []float64{40, 30, 20, 10, 0}
+	for i := range want {
+		if costs[i] != want[i] {
+			t.Fatalf("FillAsymmetricCosts over a used buffer = %v, want %v", costs, want)
+		}
+	}
 }
 
 // Property: the true label always has zero cost and all other classes

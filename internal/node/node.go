@@ -189,6 +189,54 @@ func (v *VM) Name() string { return v.name }
 // AllocatedCores returns the VM's core allocation.
 func (v *VM) AllocatedCores() int { return v.allocated }
 
+// The accessors below are what an agent reads on every sample. Agents
+// resolve their *VM once at construction and go through the handle;
+// Node's name-keyed accessors wrap these same methods.
+
+// FrequencyLevel returns the VM's current DVFS level.
+//
+//sollint:hotpath
+func (v *VM) FrequencyLevel() int { return v.freqLevel }
+
+// AvailableCores returns the cores currently granted to the VM.
+//
+//sollint:hotpath
+func (v *VM) AvailableCores() int { return v.available }
+
+// SetAvailableCores grants the VM count of its allocated cores (the
+// rest are harvested). count is clamped to [0, allocated].
+func (v *VM) SetAvailableCores(count int) {
+	if count < 0 {
+		count = 0
+	}
+	if count > v.allocated {
+		count = v.allocated
+	}
+	v.available = count
+}
+
+// Counters returns the VM's cumulative counter snapshot.
+//
+//sollint:hotpath
+func (v *VM) Counters() CPUCounters { return v.counters }
+
+// CurrentUtil returns the VM's CPU usage (in cores) during the most
+// recent tick — the fine-grained usage signal SmartHarvest samples
+// every 50 µs.
+//
+//sollint:hotpath
+func (v *VM) CurrentUtil() float64 { return v.lastUtil }
+
+// CurrentUnmet returns the VM's unmet CPU demand (in cores) during the
+// most recent tick.
+//
+//sollint:hotpath
+func (v *VM) CurrentUnmet() float64 { return v.lastUnmet }
+
+// WaitSeconds returns the VM's cumulative vCPU wait (core-seconds of
+// unmet demand).
+func (v *VM) WaitSeconds() float64 { return v.waitSeconds }
+
 // Node is the simulated server.
 type Node struct {
 	cfg    Config
@@ -329,11 +377,11 @@ func (n *Node) SetFrequencyLevel(vmName string, level int) error {
 }
 
 // FrequencyLevel returns a VM's current DVFS level.
-func (n *Node) FrequencyLevel(vmName string) int { return n.byName[vmName].freqLevel }
+func (n *Node) FrequencyLevel(vmName string) int { return n.byName[vmName].FrequencyLevel() }
 
 // FrequencyGHz returns a VM's current frequency in GHz.
 func (n *Node) FrequencyGHz(vmName string) float64 {
-	return n.cfg.Frequencies.GHz[n.byName[vmName].freqLevel]
+	return n.cfg.Frequencies.GHz[n.byName[vmName].FrequencyLevel()]
 }
 
 // SetAvailableCores grants a VM count of its allocated cores (the rest
@@ -343,36 +391,29 @@ func (n *Node) SetAvailableCores(vmName string, count int) error {
 	if vm == nil {
 		return fmt.Errorf("node: unknown VM %q", vmName)
 	}
-	if count < 0 {
-		count = 0
-	}
-	if count > vm.allocated {
-		count = vm.allocated
-	}
-	vm.available = count
+	vm.SetAvailableCores(count)
 	return nil
 }
 
 // AvailableCores returns the cores currently granted to a VM.
-func (n *Node) AvailableCores(vmName string) int { return n.byName[vmName].available }
+func (n *Node) AvailableCores(vmName string) int { return n.byName[vmName].AvailableCores() }
 
 // --- Counters (what agents observe) ---
 
 // Counters returns the cumulative counter snapshot for a VM.
-func (n *Node) Counters(vmName string) CPUCounters { return n.byName[vmName].counters }
+func (n *Node) Counters(vmName string) CPUCounters { return n.byName[vmName].Counters() }
 
 // CurrentUtil returns the VM's CPU usage (in cores) during the most
-// recent tick — the fine-grained usage signal SmartHarvest samples
-// every 50 µs.
-func (n *Node) CurrentUtil(vmName string) float64 { return n.byName[vmName].lastUtil }
+// recent tick.
+func (n *Node) CurrentUtil(vmName string) float64 { return n.byName[vmName].CurrentUtil() }
 
 // CurrentUnmet returns the VM's unmet CPU demand (in cores) during the
 // most recent tick.
-func (n *Node) CurrentUnmet(vmName string) float64 { return n.byName[vmName].lastUnmet }
+func (n *Node) CurrentUnmet(vmName string) float64 { return n.byName[vmName].CurrentUnmet() }
 
 // WaitSeconds returns the cumulative vCPU wait (core-seconds of unmet
 // demand) for a VM.
-func (n *Node) WaitSeconds(vmName string) float64 { return n.byName[vmName].waitSeconds }
+func (n *Node) WaitSeconds(vmName string) float64 { return n.byName[vmName].WaitSeconds() }
 
 // EnergyJ returns the cumulative energy consumed by a VM's cores, in
 // the power model's watt-seconds.

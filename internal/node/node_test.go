@@ -324,3 +324,70 @@ func TestNodeWithObjectStore(t *testing.T) {
 		t.Fatalf("ObjectStore utilization = %v cores, want high load on 4", util)
 	}
 }
+
+// TestVMHandleMatchesNameAccessors: the name-keyed Node accessors are
+// wrappers over the VM handle agents resolve once, so both views must
+// agree, including the clamping of core grants.
+func TestVMHandleMatchesNameAccessors(t *testing.T) {
+	clk, n := newTestNode(t)
+	vm, err := n.AddVM("a", 4, &constantLoad{demand: 3, ipc: 1.5, stall: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.VM("a") != vm {
+		t.Fatal("VM lookup returned a different handle than AddVM")
+	}
+	n.Start()
+	vm.SetAvailableCores(2)
+	if err := n.SetFrequencyLevel("a", 1); err != nil {
+		t.Fatal(err)
+	}
+	clk.RunFor(time.Second)
+	if vm.CurrentUtil() != n.CurrentUtil("a") || vm.CurrentUtil() != 2 {
+		t.Fatalf("util: handle %v, by name %v, want 2", vm.CurrentUtil(), n.CurrentUtil("a"))
+	}
+	if vm.CurrentUnmet() != n.CurrentUnmet("a") || vm.CurrentUnmet() != 1 {
+		t.Fatalf("unmet: handle %v, by name %v, want 1", vm.CurrentUnmet(), n.CurrentUnmet("a"))
+	}
+	if vm.AvailableCores() != n.AvailableCores("a") || vm.AvailableCores() != 2 {
+		t.Fatalf("available: handle %d, by name %d, want 2", vm.AvailableCores(), n.AvailableCores("a"))
+	}
+	if vm.FrequencyLevel() != n.FrequencyLevel("a") || vm.FrequencyLevel() != 1 {
+		t.Fatalf("level: handle %d, by name %d, want 1", vm.FrequencyLevel(), n.FrequencyLevel("a"))
+	}
+	if vm.Counters() != n.Counters("a") || vm.Counters().Instructions == 0 {
+		t.Fatalf("counters: handle %+v, by name %+v", vm.Counters(), n.Counters("a"))
+	}
+	if vm.WaitSeconds() != n.WaitSeconds("a") || vm.WaitSeconds() == 0 {
+		t.Fatalf("wait: handle %v, by name %v, want > 0", vm.WaitSeconds(), n.WaitSeconds("a"))
+	}
+	vm.SetAvailableCores(99)
+	if vm.AvailableCores() != 4 {
+		t.Fatalf("grant of 99 clamped to %d, want 4", vm.AvailableCores())
+	}
+	vm.SetAvailableCores(-1)
+	if n.AvailableCores("a") != 0 {
+		t.Fatalf("grant of -1 clamped to %d, want 0", n.AvailableCores("a"))
+	}
+}
+
+// TestTickAllocs pins the substrate's share of a simulated event: one
+// node tick over its VMs, and an agent's reads through the VM handle,
+// allocate nothing.
+func TestTickAllocs(t *testing.T) {
+	clk, n := newTestNode(t)
+	vm, _ := n.AddVM("a", 4, &constantLoad{demand: 3, ipc: 1.5, stall: 0.2})
+	n.AddVM("b", 8, &constantLoad{util: 2, ipc: 1, stall: 0.5})
+	n.Start()
+	clk.RunFor(time.Second)
+	var sink float64
+	if avg := testing.AllocsPerRun(1000, func() {
+		clk.RunFor(n.Config().TickInterval)
+		sink += vm.CurrentUtil() + vm.CurrentUnmet() + vm.WaitSeconds() + vm.Counters().Instructions + float64(vm.AvailableCores())
+	}); avg != 0 {
+		t.Fatalf("node tick allocates %.1f times, want 0", avg)
+	}
+	if sink == 0 {
+		t.Fatal("handle read nothing")
+	}
+}

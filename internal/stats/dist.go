@@ -117,6 +117,24 @@ func sampleGamma(rng *RNG, shape float64) float64 {
 // rates the workload generators use per tick, Knuth's method is fine;
 // large rates fall back to a normal approximation.
 func Poisson(rng *RNG, lambda float64) int {
+	var p PoissonSampler
+	return p.Draw(rng, lambda)
+}
+
+// PoissonSampler is Poisson for a caller that draws every tick at a
+// rate that rarely changes: it remembers the last lambda and its Knuth
+// threshold exp(-lambda), so a repeated rate costs no math.Exp. The
+// RNG draws and the results are exactly Poisson's. Keep one next to
+// each RNG stream whose rate moves independently. The zero value is
+// ready to use.
+type PoissonSampler struct {
+	lambda, limit float64
+}
+
+// Draw returns one Poisson(lambda) sample from rng.
+//
+//sollint:hotpath
+func (s *PoissonSampler) Draw(rng *RNG, lambda float64) int {
 	if lambda <= 0 {
 		return 0
 	}
@@ -127,7 +145,10 @@ func Poisson(rng *RNG, lambda float64) int {
 		}
 		return int(x + 0.5)
 	}
-	l := math.Exp(-lambda)
+	if lambda != s.lambda {
+		s.lambda, s.limit = lambda, math.Exp(-lambda)
+	}
+	l := s.limit
 	k := 0
 	p := 1.0
 	for {

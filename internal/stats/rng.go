@@ -80,8 +80,15 @@ func (r *RNG) ExpFloat64() float64 {
 }
 
 // Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
+func (r *RNG) Perm(n int) []int { return r.PermInto(nil, n) }
+
+// PermInto is Perm writing into buf (grown when too short): the same
+// draws and the same permutation, without a fresh slice per call.
+func (r *RNG) PermInto(buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	p := buf[:n]
 	for i := range p {
 		j := r.Intn(i + 1)
 		p[i] = p[j]

@@ -92,6 +92,17 @@ func TestRNGPerm(t *testing.T) {
 		}
 		seen[v] = true
 	}
+	// PermInto over a dirty, reused buffer is the same permutation.
+	buf := []int{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7}
+	buf = NewRNG(5).PermInto(buf, 10)
+	if len(buf) != 10 {
+		t.Fatalf("PermInto returned %d elements, want 10", len(buf))
+	}
+	for i := range p {
+		if buf[i] != p[i] {
+			t.Fatalf("PermInto = %v, Perm = %v", buf, p)
+		}
+	}
 }
 
 func TestWelford(t *testing.T) {
@@ -195,6 +206,36 @@ func TestWindowPercentiles(t *testing.T) {
 	}
 	if out := NewWindow(4).Percentiles(nil, 50, 99); out[0] != 0 || out[1] != 0 {
 		t.Fatalf("empty-window Percentiles = %v, want zeros", out)
+	}
+}
+
+// TestPercentileBufMatchesPercentile: the caller-owned scratch changes
+// where the sorted copy lives, not the result, and leaves xs alone.
+func TestPercentileBufMatchesPercentile(t *testing.T) {
+	rng := NewRNG(9)
+	var buf []float64
+	for trial := 0; trial < 50; trial++ {
+		xs := make([]float64, rng.Intn(40)) // includes the empty slice
+		for i := range xs {
+			xs[i] = rng.Float64()
+		}
+		orig := append([]float64(nil), xs...)
+		for _, p := range []float64{0, 50, 95, 100} {
+			var got float64
+			got, buf = PercentileBuf(buf, xs, p)
+			if want := Percentile(xs, p); got != want {
+				t.Fatalf("trial %d p%v: PercentileBuf %v, Percentile %v", trial, p, got, want)
+			}
+		}
+		for i := range xs {
+			if xs[i] != orig[i] {
+				t.Fatal("PercentileBuf reordered its input")
+			}
+		}
+	}
+	xs := make([]float64, 25)
+	if avg := testing.AllocsPerRun(100, func() { _, buf = PercentileBuf(buf, xs, 95) }); avg != 0 {
+		t.Fatalf("PercentileBuf with a grown scratch allocates %.1f times, want 0", avg)
 	}
 }
 
@@ -413,6 +454,26 @@ func TestPoissonMean(t *testing.T) {
 		if math.Abs(w.Mean()-lambda)/lambda > 0.05 {
 			t.Fatalf("Poisson(%v) mean = %v", lambda, w.Mean())
 		}
+	}
+}
+
+// TestPoissonSamplerMatchesPoisson: the sampler only skips math.Exp
+// for a repeated rate; over a rate that holds, flips between two
+// values, crosses the normal-approximation threshold and goes
+// non-positive, it must consume the same RNG draws and return the same
+// counts as a fresh Poisson every time.
+func TestPoissonSamplerMatchesPoisson(t *testing.T) {
+	rates := []float64{0.35, 0.35, 0.35, 1.5, 0.35, 1.5, 1.5, 0, 12, 12, 64, 64.5, 64.5, -1, 0.35}
+	ref, rng := NewRNG(21), NewRNG(21)
+	var s PoissonSampler
+	for i := 0; i < 20000; i++ {
+		lambda := rates[(i/7)%len(rates)]
+		if want, got := Poisson(ref, lambda), s.Draw(rng, lambda); got != want {
+			t.Fatalf("draw %d at rate %v: sampler %d, Poisson %d", i, lambda, got, want)
+		}
+	}
+	if ref.Uint64() != rng.Uint64() {
+		t.Fatal("sampler consumed different RNG draws than Poisson")
 	}
 }
 

@@ -237,13 +237,20 @@ func percentileSorted(sorted []float64, p float64) float64 {
 // Percentile computes the p-th percentile of xs (not modified).
 // It returns 0 for an empty slice.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	tmp := make([]float64, len(xs))
-	copy(tmp, xs)
-	sort.Float64s(tmp)
-	return percentileSorted(tmp, p)
+	v, _ := PercentileBuf(nil, xs, p)
+	return v
+}
+
+// PercentileBuf is Percentile with a caller-owned sort scratch: xs is
+// copied into buf (grown when too short), sorted there, and the buffer
+// handed back for the next call, so a caller that queries every epoch
+// allocates only until the buffer has seen its largest input.
+//
+//sollint:hotpath
+func PercentileBuf(buf, xs []float64, p float64) (float64, []float64) {
+	buf = append(buf[:0], xs...)
+	sort.Float64s(buf)
+	return percentileSorted(buf, p), buf
 }
 
 // Mean returns the arithmetic mean of xs, 0 for an empty slice.

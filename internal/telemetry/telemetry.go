@@ -58,6 +58,9 @@ type channel struct {
 	bursting  bool
 	burstEnd  time.Time
 	nextBurst time.Time
+	// events draws the per-interval event counts; the rate only moves
+	// when a burst starts or ends.
+	events stats.PoissonSampler
 
 	// pending holds the current interval's events; they are lost at the
 	// next interval boundary if not sampled (fine-grained telemetry is
@@ -150,7 +153,7 @@ func (s *Source) step() {
 		}
 		// The previous interval's unsampled events are gone.
 		s.lostEvents += float64(ch.pending)
-		n := stats.Poisson(s.rng, rate*dt)
+		n := ch.events.Draw(s.rng, rate*dt)
 		ch.pending = n
 		s.totalEvents += float64(n)
 	}

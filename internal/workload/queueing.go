@@ -15,7 +15,10 @@ import (
 // reports; queued-but-unserved requests register as unmet demand, which
 // the node accounts as vCPU wait time.
 type queueServer struct {
-	rng        *stats.RNG
+	rng *stats.RNG
+	// arrivals draws the per-tick arrival counts from rng; the rate only
+	// moves when a modulated workload changes phase.
+	arrivals   stats.PoissonSampler
 	meanDemand float64 // core·GHz·seconds per request
 
 	queue     []request
@@ -37,7 +40,7 @@ func newQueueServer(rng *stats.RNG, meanDemand float64) *queueServer {
 // granted resources, and returns the usage for the tick.
 func (q *queueServer) step(now time.Time, dt time.Duration, res Resources, rate float64) Usage {
 	q.lastNow = now.Add(dt)
-	n := stats.Poisson(q.rng, rate*dt.Seconds())
+	n := q.arrivals.Draw(q.rng, rate*dt.Seconds())
 	for i := 0; i < n; i++ {
 		q.queue = append(q.queue, request{
 			arrived:   now,

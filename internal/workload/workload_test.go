@@ -299,3 +299,26 @@ func TestTraceNames(t *testing.T) {
 		t.Fatal("Regions() wrong")
 	}
 }
+
+// TestQueueServerStepAllocs pins the latency-critical workloads' tick
+// at amortised zero allocations: once the request queue and the latency
+// log have grown, a thousand 1 ms ticks of Poisson arrivals and service
+// allocate less than once on average.
+func TestQueueServerStepAllocs(t *testing.T) {
+	w := NewImageDNN(stats.NewRNG(1), 8, 1.5)
+	res := Resources{Cores: 8, FreqGHz: 1.5}
+	now := epoch
+	tick := func() {
+		w.Tick(now, time.Millisecond, res)
+		now = now.Add(time.Millisecond)
+	}
+	for i := 0; i < 20000; i++ {
+		tick()
+	}
+	if avg := testing.AllocsPerRun(1000, tick); avg != 0 {
+		t.Fatalf("workload tick allocates %.1f times, want 0 amortised", avg)
+	}
+	if w.Served() == 0 {
+		t.Fatal("no requests were served")
+	}
+}
