@@ -2,6 +2,7 @@ package memory
 
 import (
 	"errors"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -158,4 +159,30 @@ func TestRateOrderMatchesSortSlice(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRegionStateIsPointerFree keeps the regions slab out of the
+// collector's way: one regionState per 2 MB region is the model's
+// largest array, and a single pointer-bearing field anywhere inside it
+// makes every collection walk all of it on every node.
+func TestRegionStateIsPointerFree(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Bool,
+			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		default:
+			t.Errorf("%s is a %s (%s): it holds a pointer, so the regions slab would be scanned", path, ty.Kind(), ty)
+		}
+	}
+	walk("regionState", reflect.TypeOf(regionState{}))
 }

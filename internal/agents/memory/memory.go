@@ -146,11 +146,12 @@ func Schedule() core.Schedule {
 	}
 }
 
-// regionState is the per-region learning state.
+// regionState is the per-region learning state. It holds no pointers
+// — the region's bandit is Model.bandits.At(r) — so the collector never
+// walks the regions slab.
 type regionState struct {
-	bandit *bandit.Thompson
-	arm    int
-	phase  int // scan phase offset to stagger load
+	arm   int
+	phase int // scan phase offset to stagger load
 	// Epoch accumulators.
 	scans        int
 	observedFrac float64 // sum of per-scan set fractions
@@ -167,7 +168,8 @@ type Model struct {
 	rng *stats.RNG
 
 	regions []regionState
-	ticks   int // tick index within the epoch
+	bandits *bandit.Bank // one scan-interval bandit per region
+	ticks   int          // tick index within the epoch
 
 	// audit state: auditList is the regions scanned at max rate this
 	// epoch, ascending, and auditFracs[i] the per-tick fractions
@@ -210,21 +212,22 @@ func NewModel(mem *memsim.Memory, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("memory: CoverageTarget %v out of (0,1]", cfg.CoverageTarget)
 	}
 	rng := stats.NewRNG(cfg.Seed)
+	bandits, err := bandit.NewBank(mem.Regions(), NumArms, rng)
+	if err != nil {
+		return nil, err
+	}
 	m := &Model{
 		mem:        mem,
 		cfg:        cfg,
 		rng:        rng,
 		regions:    make([]regionState, mem.Regions()),
+		bandits:    bandits,
 		auditFracs: make([][]float64, int(float64(mem.Regions())*cfg.AuditFrac)),
 		rates:      make([]float64, mem.Regions()),
 		cover:      cfg.CoverageTarget,
 	}
 	for r := range m.regions {
-		m.regions[r] = regionState{
-			bandit:    bandit.MustNew(NumArms, rng.Split()),
-			phase:     r,
-			auditSlot: -1,
-		}
+		m.regions[r] = regionState{phase: r, auditSlot: -1}
 	}
 	m.pickAudit()
 	return m, nil
@@ -346,6 +349,7 @@ func (m *Model) UpdateModel() {
 
 	for r := range m.regions {
 		st := &m.regions[r]
+		b := m.bandits.At(r)
 		// Cold detection: untouched for ColdAfter (regions never
 		// touched count from agent start).
 		since := m.startAt
@@ -368,15 +372,15 @@ func (m *Model) UpdateModel() {
 		if st.scans > 0 || len(audited) > 0 {
 			g := perTickFrac(f, st.arm)
 			m.rates[r] = g * pages / tickSec
-			st.bandit.Reward(st.arm, m.wellSampled(g, st.arm))
+			b.Reward(st.arm, m.wellSampled(g, st.arm))
 		}
-		st.bandit.Decay(m.cfg.BanditDecay)
+		b.Decay(m.cfg.BanditDecay)
 
 		// Select the next epoch's arm.
 		if m.broken {
 			st.arm = NumArms - 1
 		} else {
-			st.arm = st.bandit.Select()
+			st.arm = b.Select()
 		}
 		st.scans = 0
 		st.observedFrac = 0

@@ -134,3 +134,39 @@ func TestCollectDataFollowsAllocation(t *testing.T) {
 		t.Fatalf("committed %d events, observed %d", committed, total)
 	}
 }
+
+// TestAllocationSequencePinned pins the model's draws: six epochs from
+// the default seed issue exactly the allocations and audit channels
+// recorded when each channel's bandit was built one by one from
+// successive rng.Split() draws. The bank must take the same draws from
+// the model's generator in the same order, or every later posterior
+// sample — and so every allocation — shifts.
+func TestAllocationSequencePinned(t *testing.T) {
+	want := []struct {
+		channels [4]int
+		audit    int
+	}{
+		{[4]int{15, 0, 4, 1}, 0},
+		{[4]int{6, 0, 12, 2}, 1},
+		{[4]int{5, 13, 0, 3}, 6},
+		{[4]int{12, 0, 4, 5}, 6},
+		{[4]int{8, 10, 12, 6}, 5},
+		{[4]int{11, 0, 12, 7}, 12},
+	}
+	clk, m := newTestModel(t)
+	for e, w := range want {
+		for i := 0; i < DefaultConfig().EpochIntervals; i++ {
+			if err := samplePath(clk, m); err != nil {
+				t.Fatalf("epoch %d interval %d rejected: %v", e, i, err)
+			}
+		}
+		m.UpdateModel()
+		p, err := m.Predict()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Value.Channels; len(got) != len(w.channels) || [4]int(got) != w.channels || m.audit != w.audit {
+			t.Fatalf("epoch %d: allocation %v audit %d, want %v audit %d", e, got, m.audit, w.channels, w.audit)
+		}
+	}
+}

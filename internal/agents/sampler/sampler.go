@@ -106,7 +106,9 @@ type Model struct {
 	cfg Config
 	rng *stats.RNG
 
-	bandits []*bandit.Thompson
+	// bandits holds one one-armed bandit per channel: only the posterior
+	// of arm 0 is used, as the channel's "worth sampling now" estimate.
+	bandits *bandit.Bank
 	alloc   []int // current allocation (what CollectData samples)
 
 	audit       int
@@ -128,19 +130,18 @@ func NewModel(src *telemetry.Source, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("sampler: EpochIntervals = %d", cfg.EpochIntervals)
 	}
 	rng := stats.NewRNG(cfg.Seed)
+	bandits, err := bandit.NewBank(src.Channels(), 1, rng)
+	if err != nil {
+		return nil, err
+	}
 	m := &Model{
 		src:         src,
 		cfg:         cfg,
 		rng:         rng,
-		bandits:     make([]*bandit.Thompson, src.Channels()),
+		bandits:     bandits,
 		epochCounts: make([]int, src.Channels()),
 		counts:      make([]ChannelCount, 0, src.Config().Budget),
 		draws:       make(drawOrder, src.Channels()),
-	}
-	for i := range m.bandits {
-		// Two arms per channel: "worth sampling now" vs not; we only
-		// use the posterior of arm 0 as the channel's value estimate.
-		m.bandits[i] = bandit.MustNew(1, rng.Split())
 	}
 	m.alloc = m.roundRobin(0)
 	m.audit = rng.Intn(src.Channels())
@@ -232,7 +233,8 @@ func (m *Model) CommitData(t time.Time, o Obs) {
 //
 //sollint:hotpath
 func (m *Model) UpdateModel() {
-	for ch := range m.bandits {
+	for ch := range m.epochCounts {
+		b := m.bandits.At(ch)
 		inAlloc := false
 		for _, a := range m.alloc {
 			if a == ch {
@@ -241,9 +243,9 @@ func (m *Model) UpdateModel() {
 		}
 		if inAlloc || ch == m.audit {
 			perSample := float64(m.epochCounts[ch]) / float64(m.cfg.EpochIntervals)
-			m.bandits[ch].Reward(0, perSample >= 1.0)
+			b.Reward(0, perSample >= 1.0)
 		}
-		m.bandits[ch].Decay(m.cfg.Decay)
+		b.Decay(m.cfg.Decay)
 		m.epochCounts[ch] = 0
 	}
 }
@@ -264,7 +266,7 @@ func (m *Model) Predict() (core.Prediction[Allocation], error) {
 	}
 	draws := m.draws
 	for ch := 0; ch < n; ch++ {
-		draws[ch] = draw{ch: ch, v: m.bandits[ch].Posterior(0).Sample(m.rng)}
+		draws[ch] = draw{ch: ch, v: m.bandits.At(ch).Posterior(0).Sample(m.rng)}
 	}
 	sort.Sort(&m.draws)
 	// Budget−1 exploitation slots plus one sweep slot that rotates over

@@ -183,16 +183,22 @@ func StandardNode(cfg StandardNodeConfig) NodeFunc {
 	if regions == 0 {
 		regions = 128
 	}
+	if regions < 1 {
+		err := fmt.Errorf("fleet: MemRegions = %d, must be >= 1", cfg.MemRegions)
+		return func(int, *clock.Virtual) (*Supervisor, error) { return nil, err }
+	}
+	// What depends on cfg alone is computed here, once, and read — never
+	// written — by every node the NodeFunc builds, on whichever worker
+	// builds it: the DVFS table inside ncfg and the SQL traces' Zipf
+	// weights.
+	ncfg := node.DefaultConfig()
+	// 1 ms ticks: fine enough for the coarsened harvest sampling,
+	// 10x coarser than the single-node harvest experiments.
+	ncfg.TickInterval = time.Millisecond
+	traces := workload.SQLTraces(regions)
 	return func(idx int, clk *clock.Virtual) (*Supervisor, error) {
-		if regions < 1 {
-			return nil, fmt.Errorf("fleet: MemRegions = %d, must be >= 1", cfg.MemRegions)
-		}
 		seed := cfg.nodeSeed(idx)
 
-		ncfg := node.DefaultConfig()
-		// 1 ms ticks: fine enough for the coarsened harvest sampling,
-		// 10x coarser than the single-node harvest experiments.
-		ncfg.TickInterval = time.Millisecond
 		n, err := node.New(clk, ncfg)
 		if err != nil {
 			return nil, err
@@ -242,7 +248,7 @@ func StandardNode(cfg StandardNodeConfig) NodeFunc {
 				// spare cores to keep vCPU wait off the primary (see
 				// HarvestVariant).
 			case memory.Kind:
-				tr := workload.NewSQLTrace(regions, seed+4)
+				tr := traces.New(seed + 4)
 				mem, merr := memsim.New(clk, memsim.DefaultConfig(regions), tr)
 				if merr != nil {
 					err = merr

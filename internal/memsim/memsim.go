@@ -121,19 +121,23 @@ func New(clk clock.Clock, cfg Config, trace workload.MemoryTrace) (*Memory, erro
 	if cfg.Tier1Capacity == 0 {
 		cfg.Tier1Capacity = cfg.Regions
 	}
+	// The five per-region float64 arrays share one backing slab: one
+	// object per Memory where there were five.
+	n := cfg.Regions
+	slab := make([]float64, 5*n)
 	m := &Memory{
 		cfg:            cfg,
 		clk:            clk,
 		rng:            stats.NewRNG(cfg.Seed),
 		trace:          trace,
-		rates:          make([]float64, cfg.Regions),
-		inTier1:        make([]bool, cfg.Regions),
-		tier1N:         cfg.Regions,
-		bitsSet:        make([]float64, cfg.Regions),
-		lastAccess:     make([]time.Time, cfg.Regions),
-		maxObserved:    make([]float64, cfg.Regions),
-		accesses:       make([]float64, cfg.Regions),
-		remoteByRegion: make([]float64, cfg.Regions),
+		rates:          slab[0*n : 1*n : 1*n],
+		inTier1:        make([]bool, n),
+		tier1N:         n,
+		bitsSet:        slab[1*n : 2*n : 2*n],
+		lastAccess:     make([]time.Time, n),
+		maxObserved:    slab[2*n : 3*n : 3*n],
+		accesses:       slab[3*n : 4*n : 4*n],
+		remoteByRegion: slab[4*n : 5*n : 5*n],
 	}
 	for r := range m.inTier1 {
 		m.inTier1[r] = true

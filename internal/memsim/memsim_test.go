@@ -317,3 +317,24 @@ func TestAccessorBasics(t *testing.T) {
 		t.Fatal("region 0 should start in tier 1")
 	}
 }
+
+// TestNewAllocs pins a Memory at five heap objects — the struct, its
+// generator, the tier and last-access arrays, and the one slab the five
+// per-region float64 arrays share — and checks the arrays, though
+// neighbours in the slab, cannot grow into each other.
+func TestNewAllocs(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	tr := &flatTrace{regions: 128, rate: 1000}
+	var m *Memory
+	if n := testing.AllocsPerRun(50, func() { m = MustNew(clk, DefaultConfig(128), tr) }); n != 5 {
+		t.Fatalf("New allocates %.0f objects, want 5", n)
+	}
+	for name, s := range map[string][]float64{
+		"rates": m.rates, "bitsSet": m.bitsSet, "maxObserved": m.maxObserved,
+		"accesses": m.accesses, "remoteByRegion": m.remoteByRegion,
+	} {
+		if len(s) != 128 || cap(s) != 128 {
+			t.Errorf("%s has len %d cap %d, want 128/128", name, len(s), cap(s))
+		}
+	}
+}

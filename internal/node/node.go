@@ -248,6 +248,9 @@ type Node struct {
 	ticks   uint64
 	started bool
 	onTick  []func(now time.Time)
+	// tickSec is cfg.TickInterval in seconds: every VM integrates over
+	// it on every tick, so it is converted once.
+	tickSec float64
 }
 
 // New creates a node on clk. Call AddVM to populate it and Start to
@@ -256,7 +259,7 @@ func New(clk clock.Clock, cfg Config) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Node{cfg: cfg, clk: clk, byName: make(map[string]*VM)}, nil
+	return &Node{cfg: cfg, tickSec: cfg.TickInterval.Seconds(), clk: clk, byName: make(map[string]*VM)}, nil
 }
 
 // MustNew is New but panics on error.
@@ -333,7 +336,7 @@ func (n *Node) tickVM(vm *VM, now time.Time, dt time.Duration) {
 	res := workload.Resources{Cores: float64(vm.available), FreqGHz: f}
 	u := vm.work.Tick(now, dt, res)
 
-	sec := dt.Seconds()
+	sec := n.tickSec
 	vm.lastUtil = u.Util
 	vm.lastUnmet = u.Unmet
 	// vCPU wait measures hypervisor-level core contention: vCPUs that

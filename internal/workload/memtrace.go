@@ -26,7 +26,7 @@ type ZipfTrace struct {
 	name      string
 	regions   int
 	totalRate float64
-	weights   []float64 // zipf weight by rank
+	weights   []float64 // zipf weight by rank; the family's, read-only
 	rankOf    []int     // region -> rank
 	// ShiftInterval rotates ShiftAmount regions' ranks; zero disables.
 	shiftInterval time.Duration
@@ -53,26 +53,50 @@ type ZipfTraceConfig struct {
 
 // NewZipfTrace builds a trace from cfg.
 func NewZipfTrace(cfg ZipfTraceConfig) *ZipfTrace {
+	return NewTraceFamily(cfg).New(cfg.Seed)
+}
+
+// TraceFamily is the part of a ZipfTrace fixed by its configuration
+// rather than its seed: the parameters and the Zipf rank-weight table.
+// A fleet builds one family and draws every node's trace from it; the
+// traces share the table, which nothing writes once NewTraceFamily has
+// returned, so they may live on different goroutines.
+type TraceFamily struct {
+	proto ZipfTrace // every trace starts as a copy; rankOf and rng are its own
+}
+
+// NewTraceFamily computes the family of cfg. cfg.Seed is ignored: each
+// trace brings its own to New.
+func NewTraceFamily(cfg ZipfTraceConfig) *TraceFamily {
 	if cfg.Regions <= 0 {
 		panic("workload: ZipfTrace with no regions")
 	}
-	rng := stats.NewRNG(cfg.Seed)
-	z := stats.NewZipf(rng.Split(), cfg.Regions, cfg.Skew)
+	// No generator: only the weights are read, nothing is drawn.
+	z := stats.NewZipf(nil, cfg.Regions, cfg.Skew)
 	weights := make([]float64, cfg.Regions)
 	for k := range weights {
 		weights[k] = z.Weight(k)
 	}
-	rankOf := rng.Perm(cfg.Regions) // random initial rank placement
-	return &ZipfTrace{
+	return &TraceFamily{proto: ZipfTrace{
 		name:          cfg.Name,
 		regions:       cfg.Regions,
 		totalRate:     cfg.TotalRate,
 		weights:       weights,
-		rankOf:        rankOf,
 		shiftInterval: cfg.ShiftInterval,
 		shiftAmount:   cfg.ShiftAmount,
-		rng:           rng,
-	}
+	}}
+}
+
+// New returns the family's trace for seed, which drives the initial
+// rank placement and the shifts.
+func (f *TraceFamily) New(seed uint64) *ZipfTrace {
+	z := f.proto
+	z.rng = stats.NewRNG(seed)
+	// Traces once split a generator off here for a Zipf sampler of their
+	// own; the draw stays so every seed keeps its placement and shifts.
+	z.rng.Uint64()
+	z.rankOf = z.rng.Perm(z.regions) // random initial rank placement
+	return &z
 }
 
 // Name implements MemoryTrace.
@@ -130,14 +154,19 @@ func NewObjectStoreTrace(regions int, seed uint64) *ZipfTrace {
 	})
 }
 
-// NewSQLTrace returns an OLTP-style trace: moderate skew (buffer pool)
-// with periodic churn from table scans.
-func NewSQLTrace(regions int, seed uint64) *ZipfTrace {
-	return NewZipfTrace(ZipfTraceConfig{
+// SQLTraces returns the family of OLTP-style traces: moderate skew
+// (buffer pool) with periodic churn from table scans.
+func SQLTraces(regions int) *TraceFamily {
+	return NewTraceFamily(ZipfTraceConfig{
 		Name: "SQL", Regions: regions, TotalRate: 140000,
 		Skew: 0.7, ShiftInterval: 30 * time.Second, ShiftAmount: regions / 16,
-		Seed: seed,
 	})
+}
+
+// NewSQLTrace returns one SQL trace; a fleet of them comes from one
+// SQLTraces family.
+func NewSQLTrace(regions int, seed uint64) *ZipfTrace {
+	return SQLTraces(regions).New(seed)
 }
 
 // NewSpecJBBTrace returns a Java-heap trace: flatter popularity and

@@ -40,7 +40,8 @@ func newQueueServer(rng *stats.RNG, meanDemand float64) *queueServer {
 // granted resources, and returns the usage for the tick.
 func (q *queueServer) step(now time.Time, dt time.Duration, res Resources, rate float64) Usage {
 	q.lastNow = now.Add(dt)
-	n := q.arrivals.Draw(q.rng, rate*dt.Seconds())
+	sec := dt.Seconds()
+	n := q.arrivals.Draw(q.rng, rate*sec)
 	for i := 0; i < n; i++ {
 		q.queue = append(q.queue, request{
 			arrived:   now,
@@ -53,7 +54,7 @@ func (q *queueServer) step(now time.Time, dt time.Duration, res Resources, rate 
 	if cores > len(q.queue) {
 		cores = len(q.queue)
 	}
-	perCore := res.FreqGHz * dt.Seconds()
+	perCore := res.FreqGHz * sec
 	busyCores := 0.0
 	finished := 0
 	for i := 0; i < cores; i++ {

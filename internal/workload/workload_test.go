@@ -257,6 +257,53 @@ func TestZipfTraceShifts(t *testing.T) {
 	}
 }
 
+// TestSharedZipfWeightsBitIdentical pins the family to the per-trace
+// construction it replaced. The reference below is that construction,
+// written out: a generator split off the seed's for a Zipf sampler of
+// the trace's own, weights read back as cdf[k]-cdf[k-1], then the rank
+// permutation. Every trace of a family must carry those weights bit for
+// bit — in one shared table — and that permutation, and sharing must
+// not couple traces: one stepped beside a sibling reads what it reads
+// stepped alone.
+func TestSharedZipfWeightsBitIdentical(t *testing.T) {
+	const regions = 128
+	fam := SQLTraces(regions)
+	var first *ZipfTrace
+	for _, seed := range []uint64{1, 7, 1_000_007, 1 << 40} {
+		rng := stats.NewRNG(seed)
+		z := stats.NewZipf(rng.Split(), regions, 0.7)
+		rankOf := rng.Perm(regions)
+
+		tr := fam.New(seed)
+		if first == nil {
+			first = tr
+		} else if &tr.weights[0] != &first.weights[0] {
+			t.Fatalf("seed %d: trace has a weight table of its own", seed)
+		}
+		for k := 0; k < regions; k++ {
+			if got, want := math.Float64bits(tr.weights[k]), math.Float64bits(z.Weight(k)); got != want {
+				t.Fatalf("seed %d rank %d: shared weight bits %#x, per-trace NewZipf %#x", seed, k, got, want)
+			}
+			if tr.rankOf[k] != rankOf[k] {
+				t.Fatalf("seed %d region %d: rank %d, per-trace construction %d", seed, k, tr.rankOf[k], rankOf[k])
+			}
+		}
+	}
+
+	a, sibling, alone := fam.New(11), fam.New(12), NewSQLTrace(regions, 11)
+	got, other, want := make([]float64, regions), make([]float64, regions), make([]float64, regions)
+	for at := epoch; at.Before(epoch.Add(5 * time.Minute)); at = at.Add(7 * time.Second) {
+		a.Rates(at, got)
+		sibling.Rates(at, other)
+		alone.Rates(at, want)
+		for r := range want {
+			if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
+				t.Fatalf("at +%v region %d: rate %v beside a sibling, %v alone", at.Sub(epoch), r, got[r], want[r])
+			}
+		}
+	}
+}
+
 func TestZipfTraceRatesLenPanics(t *testing.T) {
 	tr := NewSQLTrace(64, 1)
 	defer func() {
