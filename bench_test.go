@@ -219,13 +219,13 @@ func BenchmarkFleetStepped64(b *testing.B) {
 // The scenario both sides run: a fleet with a 1% canary cohort under
 // fine-grained observation (2 ms — actuation/tick granularity, for
 // studying a candidate's transient safety envelope) while the other
-// 99% of nodes just need to reach the horizon. The single-barrier
-// coordinator has one clock for everyone, so the whole fleet pays the
+// 99% of nodes just need to reach the horizon. A fleet-wide barrier
+// (RunStepped) has one clock for everyone, so the whole fleet pays the
 // canary's cadence: every node is visited every 2 ms, and at >= 1k
 // nodes each revisit restarts from cold cache. The sharded conductor
 // confines the cadence to the cohort and free-runs the rest to the
 // next alignment — identical simulated events, radically less
-// coordination. This is the structural gap that caps single-barrier
+// coordination. This is the structural gap that caps fleet-wide-barrier
 // fleet size (and on multi-core machines the shards also advance in
 // parallel; this container is single-core, so the numbers here are
 // pure coordination overhead, no parallelism).
@@ -239,7 +239,7 @@ func benchCohort(nodes int) []int {
 	return cohort
 }
 
-// benchSteppedCanary drives the classic single-barrier coordinator:
+// benchSteppedCanary drives the fleet through fleet-wide barriers:
 // every node advances at the observation cadence, the cohort's health
 // is read at every barrier.
 func benchSteppedCanary(b *testing.B, nodes int, dur, cadence time.Duration) {
@@ -369,71 +369,56 @@ func BenchmarkFleet10kSharded(b *testing.B) {
 	benchShardedCanary(b, 10000, 32, 250*time.Millisecond, 2*time.Millisecond, false, false)
 }
 
-// BenchmarkRollout32Sharded is BenchmarkRollout32 on the sharded
-// campaign engine (4 shards): per-shard cohorts, shard-local soak
-// observation, alignment only at gate boundaries. At the control
-// plane's coarse 5 s epochs the two engines are within noise — the
-// sharded one pays for its structure only where fine cadences would
-// otherwise serialize the fleet.
-func BenchmarkRollout32Sharded(b *testing.B) {
-	cfg, err := controlplane.NewScenario(controlplane.ScenarioSpec{
+// benchRollout32 runs a full healthy rollout campaign — canary to 100%
+// in four health-gated waves — over a 32-node fleet, once per
+// iteration. mut, if non-nil, adjusts each iteration's copy of the
+// scenario config.
+func benchRollout32(b *testing.B, mut func(*controlplane.Config)) {
+	b.Helper()
+	base, err := controlplane.NewScenario(controlplane.ScenarioSpec{
 		Scenario: controlplane.ScenarioHealthy,
 		Nodes:    32,
 		Duration: 45 * time.Second,
 		Interval: 5 * time.Second,
 		Kinds:    []string{"harvest"},
 		Seed:     1,
-		Shards:   4,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var events uint64
-	completed := true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		cfg := base
+		if mut != nil {
+			mut(&cfg)
+		}
 		rep, err := controlplane.Run(cfg)
-		if err != nil {
+		switch {
+		case err != nil:
 			b.Fatal(err)
+		case !rep.Completed:
+			b.Fatal("healthy rollout did not complete")
+		case cfg.Fleet.Profile && len(rep.WaveProfiles) == 0:
+			b.Fatal("profiled rollout recorded no wave profiles")
+		case cfg.Fleet.Trace && rep.Fleet.Trace == nil:
+			b.Fatal("traced rollout recorded no trace")
 		}
 		events += rep.Fleet.Events
-		completed = completed && rep.Completed
-	}
-	if !completed {
-		b.Fatal("sharded healthy rollout did not complete")
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkRollout32 runs a full healthy rollout campaign — canary to
-// 100% in four health-gated waves — over a 32-node lockstep fleet.
-func BenchmarkRollout32(b *testing.B) {
-	cfg, err := controlplane.NewScenario(controlplane.ScenarioSpec{
-		Scenario: controlplane.ScenarioHealthy,
-		Nodes:    32,
-		Duration: 45 * time.Second,
-		Interval: 5 * time.Second,
-		Kinds:    []string{"harvest"},
-		Seed:     1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var events uint64
-	completed := true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := controlplane.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += rep.Fleet.Events
-		completed = completed && rep.Completed
-	}
-	if !completed {
-		b.Fatal("healthy rollout did not complete")
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+// BenchmarkRollout32 is the rollout on one shard.
+func BenchmarkRollout32(b *testing.B) { benchRollout32(b, nil) }
+
+// BenchmarkRollout32Sharded is BenchmarkRollout32 on 4 shards:
+// per-shard cohorts, shard-local soak observation, alignment only at
+// gate boundaries. At the control plane's coarse 5 s epochs the shard
+// count is within noise — partitioning pays only where fine cadences
+// would otherwise serialize the fleet.
+func BenchmarkRollout32Sharded(b *testing.B) {
+	benchRollout32(b, func(c *controlplane.Config) { c.Fleet.Shards = 4 })
 }
 
 // BenchmarkRollout32Profiled is BenchmarkRollout32 with the fleet
@@ -443,36 +428,7 @@ func BenchmarkRollout32(b *testing.B) {
 // handful of times per simulated second, so this twin must be within
 // 2% (noise) of BenchmarkRollout32.
 func BenchmarkRollout32Profiled(b *testing.B) {
-	cfg, err := controlplane.NewScenario(controlplane.ScenarioSpec{
-		Scenario: controlplane.ScenarioHealthy,
-		Nodes:    32,
-		Duration: 45 * time.Second,
-		Interval: 5 * time.Second,
-		Kinds:    []string{"harvest"},
-		Seed:     1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg.Fleet.Profile = true
-	var events uint64
-	completed := true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := controlplane.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.WaveProfiles) == 0 {
-			b.Fatal("profiled rollout recorded no wave profiles")
-		}
-		events += rep.Fleet.Events
-		completed = completed && rep.Completed
-	}
-	if !completed {
-		b.Fatal("profiled healthy rollout did not complete")
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	benchRollout32(b, func(c *controlplane.Config) { c.Fleet.Profile = true })
 }
 
 // BenchmarkRollout32Traced is BenchmarkRollout32 with the flight
@@ -482,36 +438,7 @@ func BenchmarkRollout32Profiled(b *testing.B) {
 // simulated second, so this twin must be within 2% (noise) of
 // BenchmarkRollout32.
 func BenchmarkRollout32Traced(b *testing.B) {
-	cfg, err := controlplane.NewScenario(controlplane.ScenarioSpec{
-		Scenario: controlplane.ScenarioHealthy,
-		Nodes:    32,
-		Duration: 45 * time.Second,
-		Interval: 5 * time.Second,
-		Kinds:    []string{"harvest"},
-		Seed:     1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg.Fleet.Trace = true
-	var events uint64
-	completed := true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := controlplane.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Fleet.Trace == nil {
-			b.Fatal("traced rollout recorded no trace")
-		}
-		events += rep.Fleet.Events
-		completed = completed && rep.Completed
-	}
-	if !completed {
-		b.Fatal("traced healthy rollout did not complete")
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	benchRollout32(b, func(c *controlplane.Config) { c.Fleet.Trace = true })
 }
 
 // BenchmarkRollout32Robust is BenchmarkRollout32 with the full PR-7
@@ -522,44 +449,21 @@ func BenchmarkRollout32Traced(b *testing.B) {
 // stepping path skips all lifecycle bookkeeping when the fleet has no
 // lifecycle plan.
 func BenchmarkRollout32Robust(b *testing.B) {
-	cfg, err := controlplane.NewScenario(controlplane.ScenarioSpec{
-		Scenario: controlplane.ScenarioHealthy,
-		Nodes:    32,
-		Duration: 45 * time.Second,
-		Interval: 5 * time.Second,
-		Kinds:    []string{"harvest"},
-		Seed:     1,
+	benchRollout32(b, func(c *controlplane.Config) {
+		camp := *c.Campaign
+		camp.Quorum = 0.9
+		camp.MaxSoakExtends = 2
+		camp.DeployRetries = 2
+		camp.TolerateDown = -1
+		c.Campaign = &camp
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg.Campaign.Quorum = 0.9
-	cfg.Campaign.MaxSoakExtends = 2
-	cfg.Campaign.DeployRetries = 2
-	cfg.Campaign.TolerateDown = -1
-	var events uint64
-	completed := true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := controlplane.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += rep.Fleet.Events
-		completed = completed && rep.Completed
-	}
-	if !completed {
-		b.Fatal("robust-policy healthy rollout did not complete")
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkRolloutManifest32 is BenchmarkRollout32 driven from a
-// declarative JSON manifest: the campaign is parsed and its agent
-// specs are resolved against the kind registry at every deploy.
-// Events/s must stay within noise of the closure-built rollout — spec
-// resolution happens only at wave boundaries, never on the per-event
-// hot path.
+// declarative JSON manifest, parsed and turned into a config every
+// iteration. Events/s must stay within noise of BenchmarkRollout32 —
+// spec resolution happens only at wave boundaries, never on the
+// per-event hot path.
 func BenchmarkRolloutManifest32(b *testing.B) {
 	const manifest = `{
 		"nodes": 32, "duration": "45s", "interval": "5s",
@@ -572,29 +476,15 @@ func BenchmarkRolloutManifest32(b *testing.B) {
 			}}]
 		}
 	}`
-	var events uint64
-	completed := true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchRollout32(b, func(c *controlplane.Config) {
 		m, err := controlplane.ParseManifest([]byte(manifest))
+		if err == nil {
+			*c, err = m.Config()
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg, err := m.Config()
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := controlplane.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += rep.Fleet.Events
-		completed = completed && rep.Completed
-	}
-	if !completed {
-		b.Fatal("manifest rollout did not complete")
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	})
 }
 
 // --- Microbenchmarks: the runtime and learner hot paths ---

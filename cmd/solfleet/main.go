@@ -5,9 +5,9 @@
 // worker pool and the runtime counters are aggregated per agent kind
 // into a fleet-operator report.
 //
-// With -shards N the fleet runs on the sharded coordinator instead of
-// the streaming batch driver: the nodes are partitioned into N shards
-// that free-run independently to the horizon (one barrier each, at the
+// With -shards N the fleet runs on the Coordinator instead of the
+// streaming batch driver: the nodes are partitioned into N shards that
+// free-run independently to the horizon (one barrier each, at the
 // end), which keeps every node's state alive for mid-run control and
 // is the coordination structure that scales one-process simulation to
 // 10k-node fleets. The report is byte-identical either way.
@@ -22,12 +22,14 @@
 //
 // -profile attributes the run's wall time per shard (stepping,
 // free-running, align observers, barrier wait — see internal/obs) and
-// adds profile: lines to the report; with -shards it also enables
-// -tune, which consumes the finished profile to propose per-shard
-// worker allotments for the next run (the one sanctioned profile
-// feedback — worker widths never change simulation output). -metrics
-// writes the full report (+profile) as versioned JSON for BENCH and CI
-// to consume.
+// adds profile: lines to the report. Observation lives on the
+// Coordinator, so -profile or -trace without -shards runs as one shard
+// there and holds the whole fleet resident (~45 KB/node) instead of
+// streaming. With -shards, -profile also enables -tune, which consumes
+// the finished profile to propose per-shard worker allotments for the
+// next run (the one sanctioned profile feedback — worker widths never
+// change simulation output). -metrics writes the full report (+profile)
+// as versioned JSON for BENCH and CI to consume.
 package main
 
 import (
@@ -95,7 +97,7 @@ func main() {
 			"comma-separated agent kinds to co-locate on every node")
 		workers = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		shards  = flag.Int("shards", 0,
-			"run on the sharded coordinator with this many shards (0 = streaming batch driver)")
+			"run on the Coordinator with this many shards (0 = streaming batch driver; one shard if -profile or -trace)")
 		seed    = flag.Uint64("seed", 1, "fleet-wide workload seed")
 		regions = flag.Int("regions", 128, "tiered-memory regions per node (memory agent)")
 		detail  = flag.Bool("detail", false, "print full aggregated runtime counters per kind")

@@ -28,9 +28,11 @@
 //
 // -shards partitions the fleet coordination: each shard soaks and
 // observes its cohort slice on its own barrier, and the fleet aligns
-// only at gate boundaries (see internal/shard). -plan reviews a
-// manifest without running anything: it prints the resolved node-0
-// variant delta (baseline vs candidate) per target kind.
+// only at gate boundaries (see internal/shard). It is a pure scaling
+// knob: the default is one shard, and every count runs the same
+// campaign state machine. -plan reviews a manifest without running
+// anything: it prints the resolved node-0 variant delta (baseline vs
+// candidate) per target kind.
 //
 // -journal records every campaign decision to a crash-safe journal as
 // it is made; if the scheduler is killed, -resume continues the same
@@ -47,7 +49,7 @@
 //	solrollout -scenario fault-storm -waves 0.02,0.1,0.5,1 -soak 3
 //	solrollout -scenario crash-storm -expect complete
 //	solrollout -config manifest.json -expect rollback
-//	solrollout -config manifest.json -shards 8   # sharded coordination
+//	solrollout -config manifest.json -shards 8   # eight coordination shards
 //	solrollout -config manifest.json -plan       # dry-run review
 //	solrollout -journal run.journal -kill-after 2   # crash mid-campaign
 //	solrollout -journal run.journal -resume         # continue it
@@ -101,8 +103,8 @@ func main() {
 			"comma-separated agent kinds to co-locate on every node")
 		seed    = flag.Uint64("seed", 1, "fleet-wide workload and cohort-shuffle seed")
 		workers = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		shards  = flag.Int("shards", -1,
-			"coordination shards: 0 = classic single-barrier engine, N >= 1 = sharded conductor (-1 = manifest/default)")
+		shards  = flag.Int("shards", 0,
+			"coordination shards, a pure scaling knob (0 = the manifest's value, else one shard)")
 		plan = flag.Bool("plan", false,
 			"dry run: print the manifest's resolved per-kind variant delta (node 0) and exit without running the fleet")
 		expect = flag.String("expect", "",
@@ -143,6 +145,8 @@ func main() {
 		log.Fatalf("solrollout: -kill-after applies to the recording run, not -resume")
 	case *killAfter < 0:
 		log.Fatalf("solrollout: -kill-after %d, must be >= 0", *killAfter)
+	case *shards < 0:
+		log.Fatalf("solrollout: -shards %d, must be >= 0", *shards)
 	}
 
 	var cfg controlplane.Config
@@ -157,7 +161,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("solrollout: %v (in %s)", err, *config)
 		}
-		if *shards >= 0 {
+		if *shards > 0 {
 			m.Shards = *shards
 		}
 		if *plan {
@@ -201,9 +205,7 @@ func main() {
 			Kinds:      kinds,
 			Seed:       *seed,
 			Workers:    *workers,
-		}
-		if *shards >= 0 {
-			sc.Shards = *shards
+			Shards:     *shards,
 		}
 		// The fingerprint covers every flag that shapes campaign
 		// decisions. Workers are excluded on purpose: the worker pool

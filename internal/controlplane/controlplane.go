@@ -142,7 +142,7 @@ func (c *Campaign) UnmarshalJSON(b []byte) error {
 // variant to roll out and the baseline to roll back to, both as
 // declarative agent specs resolved on each node's environment — which
 // is what lets a campaign target substrate-backed kinds (memory,
-// sampler) that closure launches never could.
+// sampler) and be stored as a manifest.
 //
 //sollint:wire ManifestVersion
 type Target struct {
@@ -154,70 +154,17 @@ type Target struct {
 	// Nil means the environment baseline of the candidate's kind —
 	// exactly the variant the node launched at setup.
 	Baseline *spec.Agent `json:"baseline,omitempty"`
-
-	// Closure adapter (see ClosureTarget): pre-spec campaigns built
-	// launch closures by hand; they keep working, but cannot be
-	// serialized and cannot target substrate-backed kinds. The json:"-"
-	// tags keep the adapter explicitly off the wire.
-	closureKind         string                         `json:"-"`
-	closureCand         func(idx int) fleet.LaunchFunc `json:"-"`
-	closureBase         func(idx int) fleet.LaunchFunc `json:"-"`
-	closureCandDeadline time.Duration                  `json:"-"`
-	closureBaseDeadline time.Duration                  `json:"-"`
-}
-
-// Kind returns the agent kind the target redeploys.
-func (t Target) Kind() string {
-	if t.closureKind != "" {
-		return t.closureKind
-	}
-	return t.Candidate.Kind
-}
-
-// ClosureTarget adapts the closure-based launch shape to a campaign
-// target, for callers that build variants in code. candidate and
-// baseline take the node index so per-node parameterization survives
-// conversion; the deadlines are the variants' MaxActuationDelay for
-// compliance accounting (zero disables it). Closure targets cannot be
-// serialized into manifests — prefer declarative specs.
-func ClosureTarget(kind string, candidate, baseline func(idx int) fleet.LaunchFunc, candidateDeadline, baselineDeadline time.Duration) Target {
-	return Target{
-		closureKind:         kind,
-		closureCand:         candidate,
-		closureBase:         baseline,
-		closureCandDeadline: candidateDeadline,
-		closureBaseDeadline: baselineDeadline,
-	}
 }
 
 // compiledTarget is a target resolved into deploy operations.
 type compiledTarget struct {
 	kind    string
-	convert func(sup *fleet.Supervisor, member string, idx int) error
-	revert  func(sup *fleet.Supervisor, member string, idx int) error
+	convert func(sup *fleet.Supervisor, member string) error
+	revert  func(sup *fleet.Supervisor, member string) error
 }
 
 // compile validates the target and binds its deploy operations.
 func (t Target) compile() (compiledTarget, error) {
-	if t.closureKind != "" {
-		switch {
-		case t.closureCand == nil:
-			return compiledTarget{}, fmt.Errorf("controlplane: closure target %q has no candidate", t.closureKind)
-		case t.closureBase == nil:
-			return compiledTarget{}, fmt.Errorf("controlplane: closure target %q has no baseline", t.closureKind)
-		case t.closureCandDeadline < 0 || t.closureBaseDeadline < 0:
-			return compiledTarget{}, fmt.Errorf("controlplane: closure target %q has a negative deadline", t.closureKind)
-		}
-		return compiledTarget{
-			kind: t.closureKind,
-			convert: func(sup *fleet.Supervisor, member string, idx int) error {
-				return sup.Replace(member, t.closureCandDeadline, t.closureCand(idx))
-			},
-			revert: func(sup *fleet.Supervisor, member string, idx int) error {
-				return sup.Replace(member, t.closureBaseDeadline, t.closureBase(idx))
-			},
-		}, nil
-	}
 	cand := t.Candidate
 	if err := cand.Validate(); err != nil {
 		return compiledTarget{}, fmt.Errorf("controlplane: candidate: %w", err)
@@ -238,10 +185,10 @@ func (t Target) compile() (compiledTarget, error) {
 	}
 	return compiledTarget{
 		kind: cand.Kind,
-		convert: func(sup *fleet.Supervisor, member string, _ int) error {
+		convert: func(sup *fleet.Supervisor, member string) error {
 			return sup.ReplaceSpec(member, cand)
 		},
-		revert: func(sup *fleet.Supervisor, member string, _ int) error {
+		revert: func(sup *fleet.Supervisor, member string) error {
 			return sup.ReplaceSpec(member, base)
 		},
 	}, nil
@@ -251,7 +198,7 @@ func (t Target) compile() (compiledTarget, error) {
 func (c *Campaign) Kinds() []string {
 	out := make([]string, len(c.Targets))
 	for i, t := range c.Targets {
-		out[i] = t.Kind()
+		out[i] = t.Candidate.Kind
 	}
 	return out
 }
@@ -374,10 +321,10 @@ type CohortHealth struct {
 	NodesDark      int `json:"nodes_dark,omitempty"`
 }
 
-// add accumulates o into h, field-wise. The sharded campaign engine
-// sums per-shard cohort healths into the union the shared gate judges;
-// every field is a count, so the sum over shards equals the
-// single-pass aggregation over the whole cohort.
+// add accumulates o into h, field-wise. The campaign sums per-shard
+// cohort healths into the union the shared gate judges; every field is
+// a count, so the sum over shards equals a single-pass aggregation
+// over the whole cohort.
 func (h *CohortHealth) add(o CohortHealth) {
 	h.Agents += o.Agents
 	h.Halted += o.Halted

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"sol/internal/fleet"
 	"sol/internal/spec"
 	"sol/internal/taxonomy"
 )
@@ -313,14 +312,6 @@ func TestConfigValidation(t *testing.T) {
 		}},
 		{"duplicate target kind", func(c *Config) {
 			c.Campaign.Targets = append(c.Campaign.Targets, c.Campaign.Targets[0])
-		}},
-		{"closure target without baseline", func(c *Config) {
-			c.Campaign.Targets = []Target{ClosureTarget("harvest",
-				func(int) fleet.LaunchFunc { return nil }, nil, 0, 0)}
-		}},
-		{"closure target negative deadline", func(c *Config) {
-			launch := func(int) fleet.LaunchFunc { return nil }
-			c.Campaign.Targets = []Target{ClosureTarget("harvest", launch, launch, -time.Second, 0)}
 		}},
 		{"no soak", func(c *Config) { c.Campaign.SoakEpochs = 0 }},
 		{"no waves", func(c *Config) { c.Campaign.Waves = nil }},

@@ -191,11 +191,22 @@ func LoadJournal(path string) (JournalHeader, []WaveEvent, error) {
 // parsed, any torn tail is truncated away, and the returned Journal
 // appends after the last valid entry.
 func ResumeJournal(path string) (*Journal, JournalHeader, []WaveEvent, error) {
+	return resumeJournal(path, nil)
+}
+
+// resumeJournal is ResumeJournal with an accept hook: accept, when
+// non-nil, judges the parsed header before the file is opened for
+// writing, so a journal the caller refuses is left byte-identical —
+// torn tail included.
+func resumeJournal(path string, accept func(JournalHeader) error) (*Journal, JournalHeader, []WaveEvent, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, JournalHeader{}, nil, fmt.Errorf("controlplane: read journal: %w", err)
 	}
 	hdr, events, valid, err := parseJournal(data)
+	if err == nil && accept != nil {
+		err = accept(hdr)
+	}
 	if err != nil {
 		return nil, hdr, nil, err
 	}
@@ -222,24 +233,27 @@ func ResumeJournal(path string) (*Journal, JournalHeader, []WaveEvent, error) {
 // (trace and report) to the same campaign run uninterrupted.
 //
 // cfg must be the same configuration the journal was recorded under;
-// a campaign-name or fingerprint mismatch is refused up front, and
-// any behavioral divergence during replay aborts the run. fingerprint
-// is compared to the journal header's when both are non-empty.
+// a campaign-name or fingerprint mismatch is refused up front — before
+// the journal file is touched — and any behavioral divergence during
+// replay aborts the run. fingerprint is compared to the journal
+// header's when both are non-empty.
 func Resume(cfg Config, path, fingerprint string) (*Report, error) {
-	j, hdr, events, err := ResumeJournal(path)
+	if cfg.Campaign == nil {
+		return nil, fmt.Errorf("controlplane: resume requires a campaign")
+	}
+	j, _, events, err := resumeJournal(path, func(hdr JournalHeader) error {
+		if hdr.Campaign != cfg.Campaign.Name {
+			return fmt.Errorf("controlplane: journal records campaign %q, config runs %q", hdr.Campaign, cfg.Campaign.Name)
+		}
+		if fingerprint != "" && hdr.Fingerprint != "" && fingerprint != hdr.Fingerprint {
+			return fmt.Errorf("controlplane: journal fingerprint %s does not match configuration fingerprint %s", hdr.Fingerprint, fingerprint)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	defer j.Close()
-	if cfg.Campaign == nil {
-		return nil, fmt.Errorf("controlplane: resume requires a campaign")
-	}
-	if hdr.Campaign != cfg.Campaign.Name {
-		return nil, fmt.Errorf("controlplane: journal records campaign %q, config runs %q", hdr.Campaign, cfg.Campaign.Name)
-	}
-	if fingerprint != "" && hdr.Fingerprint != "" && fingerprint != hdr.Fingerprint {
-		return nil, fmt.Errorf("controlplane: journal fingerprint %s does not match configuration fingerprint %s", hdr.Fingerprint, fingerprint)
-	}
 	cfg.Journal = j
 	cfg.Replay = events
 	return Run(cfg)

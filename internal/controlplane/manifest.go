@@ -42,8 +42,7 @@ type Manifest struct {
 	Interval spec.Duration `json:"interval,omitempty"`
 	// Shards partitions the fleet coordination: each shard soaks and
 	// observes its cohort slice locally and the fleet aligns only at
-	// gate boundaries. 0 means the classic single-barrier engine; 1
-	// is the sharded engine with one shard (byte-identical traces).
+	// gate boundaries. A pure scaling knob: 0 means 1.
 	Shards int `json:"shards,omitempty"`
 	// Kinds is the per-node co-location; nil means
 	// fleet.StandardKinds.

@@ -8,8 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"sol/internal/agents/harvest"
-	"sol/internal/fleet"
 	"sol/internal/spec"
 )
 
@@ -70,82 +68,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if rep1.String() != rep2.String() {
 		t.Fatalf("round-tripped manifest rollout diverged:\n%s\nvs\n%s", rep1, rep2)
-	}
-}
-
-// TestManifestMatchesClosureCampaign is the API-redesign equivalence
-// bar: a campaign loaded from a JSON manifest produces a byte-identical
-// rollout trace to the same campaign hand-built from launch closures.
-func TestManifestMatchesClosureCampaign(t *testing.T) {
-	t.Parallel()
-	const manifestJSON = `{
-		"nodes": 8, "duration": "45s", "interval": "5s",
-		"kinds": ["harvest"], "seed": 1,
-		"campaign": {
-			"name": "buffer-3", "seed": 1,
-			"targets": [{"candidate": {
-				"kind": "harvest", "variant": "buffer-3",
-				"params": {"Config": {"SafetyBuffer": 3}}
-			}}]
-		}
-	}`
-	m, err := ParseManifest([]byte(manifestJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	declCfg, err := m.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The same campaign, the PR-3 way: hand-rolled closures over the
-	// fleet's per-node baseline variants.
-	std := fleet.StandardNodeConfig{Seed: 1, Kinds: []string{"harvest"}}
-	deadline := std.HarvestVariant(0).Schedule.MaxActuationDelay
-	closCfg := Config{
-		Fleet: fleet.Config{
-			Nodes:    8,
-			Duration: 45 * time.Second,
-			Setup:    fleet.StandardNode(std),
-			Start:    fleet.DefaultStart,
-		},
-		Interval: 5 * time.Second,
-		Campaign: &Campaign{
-			Name:       "buffer-3",
-			Waves:      DefaultWaves(),
-			SoakEpochs: DefaultSoakEpochs,
-			Gate:       DefaultGate(),
-			Seed:       1,
-			Targets: []Target{ClosureTarget(harvest.Kind,
-				func(idx int) fleet.LaunchFunc {
-					v := std.HarvestVariant(idx)
-					v.Name = "buffer-3"
-					v.Config.SafetyBuffer = 3
-					return fleet.LaunchHarvest(v, std.Options)
-				},
-				func(idx int) fleet.LaunchFunc {
-					return fleet.LaunchHarvest(std.HarvestVariant(idx), std.Options)
-				},
-				deadline, deadline)},
-		},
-	}
-
-	decl, err := Run(declCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clos, err := Run(closCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !decl.Completed {
-		t.Fatalf("manifest campaign did not complete:\n%s", decl)
-	}
-	if !reflect.DeepEqual(decl.Trace, clos.Trace) {
-		t.Fatalf("manifest and closure wave traces diverged:\n%+v\nvs\n%+v", decl.Trace, clos.Trace)
-	}
-	if decl.String() != clos.String() {
-		t.Fatalf("manifest and closure reports diverged:\n%s\nvs\n%s", decl, clos)
 	}
 }
 

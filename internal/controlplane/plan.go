@@ -38,7 +38,7 @@ func (m *Manifest) Plan() (string, error) {
 		colocated = fleet.StandardKinds
 	}
 	for _, tg := range camp.Targets {
-		kind := tg.Kind()
+		kind := tg.Candidate.Kind
 		found := false
 		for _, k := range colocated {
 			found = found || k == kind
@@ -77,9 +77,6 @@ func (m *Manifest) Plan() (string, error) {
 			camp.quorum()*100, camp.MaxSoakExtends, camp.DeployRetries, tolerate)
 	}
 	for _, tg := range camp.Targets {
-		if tg.closureKind != "" {
-			return "", fmt.Errorf("controlplane: closure target %q cannot be planned (no serializable params)", tg.closureKind)
-		}
 		kind := tg.Candidate.Kind
 		cand, err := resolveParams(tg.Candidate, env)
 		if err != nil {

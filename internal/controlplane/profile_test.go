@@ -21,7 +21,7 @@ func profiledScenario(t *testing.T, scenario string, shards, workers int) Config
 
 // stripProfiles detaches every wall-clock artifact from the report —
 // wave profiles and the fleet profile — and returns its rendering, the
-// projection the engines' byte-identity contracts cover.
+// projection the byte-identity contracts cover.
 func stripProfiles(rep *Report) string {
 	wp, fp := rep.WaveProfiles, rep.Fleet.Profile
 	rep.WaveProfiles, rep.Fleet.Profile = nil, nil
@@ -31,7 +31,7 @@ func stripProfiles(rep *Report) string {
 }
 
 // TestWaveProfiles pins the control plane's per-wave attribution on
-// both engines: one profile per settled gate decision (riding beside
+// one shard and several: one profile per settled gate decision (riding beside
 // the trace, never in it), each a delta with real span counts, the
 // simulation output unchanged by profiling, and the counts identical
 // across worker widths.

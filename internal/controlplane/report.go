@@ -110,10 +110,8 @@ const ReportVersion = 1
 type Report struct {
 	Nodes    int           `json:"nodes"`
 	Interval time.Duration `json:"interval_ns"`
-	// Shards is the coordination partition count of a sharded run; 0
-	// for the classic single-barrier engine. A one-shard sharded run
-	// renders identically to the classic engine — the two differ only
-	// in coordination structure, never in outcome.
+	// Shards is the conductor's partition count the run executed on: 1
+	// by default. String labels it only above 1.
 	Shards int `json:"shards,omitempty"`
 
 	// Campaign fields; Campaign is empty for a plain lockstep run.
@@ -150,8 +148,8 @@ type Report struct {
 	Stranded     int `json:"stranded,omitempty"`
 
 	// WaveProfiles attributes the run's wall time wave by wave when the
-	// fleet ran with Config.Fleet.Profile; empty otherwise. Both
-	// engines record one entry per settled wave.
+	// fleet ran with Config.Fleet.Profile; empty otherwise. One entry
+	// per settled wave.
 	WaveProfiles []WaveProfile `json:"wave_profiles,omitempty"`
 
 	// Fleet is the full fleet report at the horizon.

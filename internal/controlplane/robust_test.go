@@ -414,7 +414,9 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 
 // TestResumeRefusesMismatch: a journal resumed under the wrong
 // campaign, fingerprint, or seed must be refused, not silently
-// produce a franken-run.
+// produce a franken-run — and a resume refused on the header (wrong
+// name, wrong fingerprint) must leave the file byte-identical, torn
+// tail included: it is someone else's journal.
 func TestResumeRefusesMismatch(t *testing.T) {
 	t.Parallel()
 	sp := crashSpec(ScenarioCrashStormBad, 0)
@@ -428,6 +430,29 @@ func TestResumeRefusesMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
+	// A torn tail, the footprint of a crash mid-append.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"seq":99,"event":{"epo`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	untouched := func(what string) {
+		t.Helper()
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(after) != string(before) {
+			t.Fatalf("%s: refused resume rewrote the journal (%d -> %d bytes)", what, len(before), len(after))
+		}
+	}
 
 	fresh := func() Config {
 		c, err := NewScenario(sp)
@@ -442,9 +467,11 @@ func TestResumeRefusesMismatch(t *testing.T) {
 	if _, err := Resume(c, path, "fp"); err == nil || !strings.Contains(err.Error(), "other") {
 		t.Fatalf("campaign mismatch not refused: %v", err)
 	}
+	untouched("campaign mismatch")
 	if _, err := Resume(fresh(), path, "different-fp"); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("fingerprint mismatch not refused: %v", err)
 	}
+	untouched("fingerprint mismatch")
 	// A config that diverges behaviorally (different seed shuffles the
 	// cohort differently) is caught by replay verification.
 	div := sp

@@ -86,9 +86,8 @@ type ScenarioSpec struct {
 	Seed uint64
 	// Workers bounds the worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// Shards selects the sharded campaign engine: 0 is the classic
-	// single-barrier coordinator, >= 1 partitions the fleet into that
-	// many independently advancing shards (see internal/shard).
+	// Shards partitions the fleet into that many independently
+	// advancing shards (see internal/shard); 0 means 1.
 	Shards int
 }
 
@@ -139,8 +138,8 @@ func NewScenario(sc ScenarioSpec) (Config, error) {
 		}
 		if sc.Scenario == ScenarioCrashStorm {
 			// 20% of the fleet crashes permanently mid-way through wave
-			// 3's soak — off the epoch grid on purpose, so the drivers'
-			// exact-transition stepping is exercised, not just their
+			// 3's soak — off the epoch grid on purpose, so the fleet's
+			// exact-transition stepping is exercised, not just its
 			// epoch boundaries.
 			lifecycle = faults.Crash{
 				At:   time.Duration(2*soak)*interval + interval/2,

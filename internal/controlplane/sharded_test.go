@@ -8,7 +8,7 @@ import (
 )
 
 // shardedScenario builds a small scenario config with the given shard
-// count (0 = classic single-barrier engine).
+// count (0 and 1 are the same one-shard run).
 func shardedScenario(t *testing.T, scenario string, shards, workers int) Config {
 	t.Helper()
 	cfg, err := NewScenario(ScenarioSpec{
@@ -27,75 +27,35 @@ func shardedScenario(t *testing.T, scenario string, shards, workers int) Config 
 	return cfg
 }
 
-// TestShardedOneShardMatchesLegacy is the compatibility contract of
-// the sharded engine: with a single shard it must reproduce the
-// classic single-barrier engine's run byte for byte — same wave trace,
-// same verdict, same final fleet report — for every built-in scenario.
-// The two engines then differ only in coordination structure, which
-// is what licenses `-shards` as a pure scaling knob.
-func TestShardedOneShardMatchesLegacy(t *testing.T) {
-	t.Parallel()
-	for _, scenario := range Scenarios() {
-		legacy, err := Run(shardedScenario(t, scenario, 0, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded, err := Run(shardedScenario(t, scenario, 1, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if legacy.Shards != 0 || sharded.Shards != 1 {
-			t.Fatalf("%s: engine dispatch wrong: legacy Shards=%d, sharded Shards=%d",
-				scenario, legacy.Shards, sharded.Shards)
-		}
-		if !reflect.DeepEqual(legacy.Trace, sharded.Trace) {
-			t.Fatalf("%s: sharded trace diverged from legacy:\n%+v\nvs\n%+v",
-				scenario, legacy.Trace, sharded.Trace)
-		}
-		if !reflect.DeepEqual(legacy.Fleet, sharded.Fleet) {
-			t.Fatalf("%s: sharded fleet report diverged from legacy:\n%v\nvs\n%v",
-				scenario, legacy.Fleet, sharded.Fleet)
-		}
-		if legacy.String() != sharded.String() {
-			t.Fatalf("%s: rendered reports differ:\n%s\nvs\n%s", scenario, legacy, sharded)
-		}
-	}
-}
-
-// TestShardedMidCampaignHorizon pins the truncated-epoch edge: a
-// horizon that ends mid-soak must leave the sharded campaign
-// unresolved exactly like the legacy engine (neither completed nor
-// rolled back), with identical traces.
+// TestShardedMidCampaignHorizon pins the truncated-epoch edge on a
+// multi-shard fleet (TestScenarioGolden pins it byte for byte on one
+// shard): a horizon that ends mid-soak leaves the campaign unresolved —
+// neither completed nor rolled back — with every shard's canary
+// converted and the fleet run to the full, truncated horizon.
 func TestShardedMidCampaignHorizon(t *testing.T) {
 	t.Parallel()
-	mk := func(shards int) Config {
-		cfg := shardedScenario(t, ScenarioHealthy, shards, 0)
-		// 4 waves x 2 soak epochs need 8 epochs; 12.5s gives 3 (the
-		// last truncated), so the run ends mid-campaign.
-		cfg.Fleet.Duration = 12500 * time.Millisecond
-		return cfg
-	}
-	legacy, err := Run(mk(0))
+	cfg := shardedScenario(t, ScenarioHealthy, 3, 0)
+	// 4 waves x 2 soak epochs need 8 epochs; 12.5s gives 3 (the
+	// last truncated), so the run ends mid-campaign.
+	cfg.Fleet.Duration = 12500 * time.Millisecond
+	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := Run(mk(1))
-	if err != nil {
-		t.Fatal(err)
+	if rep.Completed || rep.RolledBack || rep.Halted {
+		t.Fatalf("run unexpectedly settled:\n%s", rep)
 	}
-	if legacy.Completed || legacy.RolledBack {
-		t.Fatalf("legacy run unexpectedly settled: %+v", legacy)
+	if last := rep.Trace[len(rep.Trace)-1]; last.Action != ActionConvert || last.Wave != 2 || last.Epoch != 2 {
+		t.Fatalf("last event = %+v, want wave 2's conversion at epoch 2", last)
 	}
-	if legacy.String() != sharded.String() {
-		t.Fatalf("mid-campaign reports differ:\n%s\nvs\n%s", legacy, sharded)
-	}
-	if !reflect.DeepEqual(legacy.Trace, sharded.Trace) {
-		t.Fatalf("mid-campaign traces differ:\n%+v\nvs\n%+v", legacy.Trace, sharded.Trace)
+	if rep.Converted != 3 || rep.Fleet.Duration != cfg.Fleet.Duration {
+		t.Fatalf("converted %d nodes over %v, want one per shard over %v:\n%s",
+			rep.Converted, rep.Fleet.Duration, cfg.Fleet.Duration, rep)
 	}
 }
 
-// TestShardedDeterminism pins the sharded engine's determinism
-// contract: for a fixed shard count, runs are byte-identical across
+// TestShardedDeterminism pins the determinism contract on a
+// multi-shard fleet: for a fixed shard count, runs are byte-identical across
 // repeats and worker widths.
 func TestShardedDeterminism(t *testing.T) {
 	t.Parallel()
@@ -141,9 +101,9 @@ func TestShardedPerShardCanary(t *testing.T) {
 	}
 }
 
-// TestShardedNoCampaign checks a campaign-less sharded run: one
+// TestShardedNoCampaign checks a campaign-less multi-shard run: one
 // free-running span to the horizon, with a fleet report identical to
-// the classic engine's.
+// the one-shard run's (which TestScenarioGolden pins).
 func TestShardedNoCampaign(t *testing.T) {
 	t.Parallel()
 	mk := func(shards int) Config {
@@ -152,18 +112,18 @@ func TestShardedNoCampaign(t *testing.T) {
 		cfg.Campaign = nil
 		return cfg
 	}
-	legacy, err := Run(mk(0))
+	one, err := Run(mk(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 3} {
-		sharded, err := Run(mk(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(legacy.Fleet, sharded.Fleet) {
-			t.Fatalf("shards=%d: no-campaign fleet report diverged:\n%v\nvs\n%v",
-				shards, legacy.Fleet, sharded.Fleet)
-		}
+	sharded, err := Run(mk(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Shards != 1 || sharded.Shards != 3 {
+		t.Fatalf("report shard counts = %d and %d, want 1 and 3", one.Shards, sharded.Shards)
+	}
+	if !reflect.DeepEqual(one.Fleet, sharded.Fleet) {
+		t.Fatalf("no-campaign fleet report diverged across shard counts:\n%v\nvs\n%v", one.Fleet, sharded.Fleet)
 	}
 }

@@ -57,7 +57,7 @@ func decisionKinds(evs []obs.Event) []obs.Event {
 
 // TestTraceDecisionsMatchWaveTrace: the conductor track of the flight
 // recorder is the wave trace, re-expressed — same decisions, same
-// order, same sim-times — on both campaign engines.
+// order, same sim-times — on one shard and several.
 func TestTraceDecisionsMatchWaveTrace(t *testing.T) {
 	t.Parallel()
 	for _, shards := range []int{0, 2} {
@@ -100,7 +100,7 @@ func TestTraceDecisionsMatchWaveTrace(t *testing.T) {
 
 // TestCampaignTraceDeterminism: campaign-level traces hold the same
 // byte-identity contract as raw fleet traces — identical across runs
-// and worker widths, on both engines.
+// and worker widths, on one shard and several.
 func TestCampaignTraceDeterminism(t *testing.T) {
 	t.Parallel()
 	for _, shards := range []int{0, 2} {

@@ -34,29 +34,31 @@ type Config struct {
 	Setup NodeFunc
 	// Workers bounds the worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// Shards partitions the fleet for the lockstep Coordinator: each
-	// shard gets its own barrier and worker allotment and advances
-	// independently between conductor alignments. 0 means 1 (the
-	// classic single-partition coordinator); the batch Run driver
-	// streams nodes and ignores it. See internal/shard.
+	// Shards partitions the fleet for the Coordinator: each shard gets
+	// its own barrier and worker allotment and advances independently
+	// between conductor alignments. 0 means 1. A pure scaling knob —
+	// output never depends on it — and an unobserved Run, which streams
+	// nodes and has no conductor, ignores it. See internal/shard.
 	Shards int
 	// Start is the virtual start time; the zero value means the
 	// repository-wide 2022-01-01 epoch.
 	Start time.Time
 	// Lifecycle, when non-nil, schedules node-level crash/restart/
 	// blackout faults over the horizon (see faults.NodePlan; times are
-	// elapsed since Start). Both drivers pause each node's clock at
-	// exactly the plan's transition instants and apply the state there
-	// — crash via Supervisor.Crash, recovery via spec-driven Restart —
-	// so fault runs stay byte-identical across drivers, worker counts,
-	// and shard counts. Nil means no lifecycle faults and costs
-	// nothing.
+	// elapsed since Start). Each node's clock pauses at exactly the
+	// plan's transition instants and the state is applied there — crash
+	// via Supervisor.Crash, recovery via spec-driven Restart — by the
+	// one stepper Run and the Coordinator share, so fault runs stay
+	// byte-identical across drivers, worker counts, and shard counts.
+	// Nil means no lifecycle faults and costs nothing.
 	Lifecycle faults.NodePlan
 	// Profile enables self-profiling: the run's wall time is attributed
 	// per shard into stepping / free-run / align / barrier-wait (see
 	// internal/obs) and published as Report.Profile. Diagnostic only —
 	// a profiled run produces byte-identical simulation output to an
 	// unprofiled one; when off, the hot path pays a single nil check.
+	// Observation lives on the Coordinator, so a Run that asks for it
+	// holds the whole fleet resident instead of streaming.
 	Profile bool
 	// Trace enables the flight recorder: per-shard rings of span /
 	// epoch / lifecycle events stamped with sim-time plus heap
@@ -108,10 +110,10 @@ func (c Config) start() time.Time {
 }
 
 // forEach is shard.ForEach: the shared worker-pool primitive both
-// fleet drivers (batch Run and the sharded lockstep Coordinator)
-// schedule through. Its channel handoff and WaitGroup supply the
-// happens-before edges that let lock-elided single-driver node clocks
-// migrate between worker goroutines across calls.
+// fleet drivers (streaming Run and the Coordinator) schedule through.
+// Its channel handoff and WaitGroup supply the happens-before edges
+// that let lock-elided single-driver node clocks migrate between worker
+// goroutines across calls.
 func forEach(n, workers int, fn func(idx int)) { shard.ForEach(n, workers, fn) }
 
 // KindStats aggregates one agent kind across the fleet.
@@ -222,18 +224,12 @@ type nodeState struct {
 }
 
 // nodeResult is one node's outcome, collected for deterministic
-// aggregation in index order. busyNS is the node's wall simulation
-// time when Config.Profile is set, 0 otherwise.
+// aggregation in index order.
 type nodeResult struct {
 	statuses []MemberStatus
 	state    nodeState
 	events   uint64
-	busyNS   int64
-	// trace holds the node's lifecycle events when Config.Trace is set
-	// with a lifecycle plan; merged into the batch driver's
-	// single-track trace in node-index order.
-	trace []obs.Event
-	err   error
+	err      error
 }
 
 // Run simulates the fleet: each node gets its own virtual clock,
@@ -244,12 +240,15 @@ type nodeResult struct {
 // deterministic and results merge in node-index order.
 //
 // Run is output-equivalent to RunStepped with interval = Duration
-// (tested), but deliberately remains a separate streaming driver: it
-// runs each node start-to-finish and releases its substrate before
-// the worker takes the next, so peak memory is bounded by the pool
-// width. The lockstep Coordinator must keep every node alive for the
-// whole run — the price of mid-horizon observation — which matters at
-// thousands of nodes.
+// (tested), and exists beside it for one reason: it streams. It runs
+// each node start-to-finish and releases its substrate before the
+// worker takes the next, so peak memory is bounded by the pool width
+// (tested). The Coordinator must keep every node alive for the whole
+// run — the price of mid-horizon observation, ~45 KB/node — which
+// matters at thousands of nodes. A streamed run is unobserved: a config
+// that asks for Profile or Trace runs as one observer-less span on the
+// Coordinator instead, the single place spans, lifecycle events, heap
+// samples and time attribution are produced.
 //
 // The first node error aborts the run (pending nodes are skipped) and
 // is returned with a nil report.
@@ -257,18 +256,18 @@ func Run(cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-
-	var wall0 int64
-	if cfg.Profile {
-		wall0 = obs.Now()
+	if cfg.Profile || cfg.Trace {
+		return RunStepped(cfg, cfg.Duration, nil)
 	}
+
+	life := lifecycle{plan: cfg.Lifecycle, start: cfg.start()}
 	results := make([]nodeResult, cfg.Nodes)
 	var abort atomic.Bool
 	forEach(cfg.Nodes, cfg.workers(), func(idx int) {
 		if abort.Load() {
 			return
 		}
-		results[idx] = runNode(cfg, idx)
+		results[idx] = runNode(cfg, life, idx)
 		if results[idx].err != nil {
 			abort.Store(true)
 		}
@@ -290,68 +289,7 @@ func Run(cfg Config) (*Report, error) {
 			states[i] = results[i].state
 		}
 	}
-	rep := aggregate(cfg.Nodes, cfg.Duration, cfg.start(), events, statuses, states)
-	if cfg.Profile {
-		rep.Profile = batchProfile(results, cfg.workers(), obs.Now()-wall0)
-	}
-	if cfg.Trace {
-		rep.Trace = batchTrace(cfg.Duration, results)
-	}
-	return rep, nil
-}
-
-// batchTrace builds the streaming driver's flight-recorder export: the
-// batch run is one logical shard running one free-run span, so the
-// trace is a single track — span begin at 0, the nodes' lifecycle
-// events merged in node-index order and stable-sorted by sim-time,
-// span end at the horizon — plus one end-of-run heap sample. The
-// sim-time fields are deterministic for the same reason the report is:
-// the events derive from the fault plan, the merge order from node
-// indexes.
-func batchTrace(dur time.Duration, results []nodeResult) *obs.Trace {
-	n := 2
-	for i := range results {
-		n += len(results[i].trace)
-	}
-	evs := make([]obs.Event, 0, n)
-	evs = append(evs, obs.Event{Kind: obs.EvSpanBegin, Track: 0, Node: -1, Wall: obs.Now()})
-	for i := range results {
-		evs = append(evs, results[i].trace...)
-	}
-	evs = append(evs, obs.Event{Kind: obs.EvSpanEnd, Track: 0, At: int64(dur), Node: -1, Wall: obs.Now()})
-	sort.SliceStable(evs, func(a, b int) bool { return evs[a].At < evs[b].At })
-	mw := obs.NewMemWatch(2)
-	mw.Sample(int64(dur))
-	return &obs.Trace{
-		Schema:  obs.TraceSchema,
-		Version: obs.TraceVersion,
-		Shards:  1,
-		Events:  evs,
-		Heap:    mw.Samples(),
-	}
-}
-
-// batchProfile builds the streaming driver's profile: the batch run is
-// one logical shard running one free-run span (each node advances
-// start-to-finish in a single visit), so busy time is the sum of the
-// nodes' wall simulation times — accumulated in node-index order, no
-// atomics — and barrier wait is the pool's idleness: the worker-
-// seconds the pool held minus the worker-seconds the nodes used.
-func batchProfile(results []nodeResult, workers int, wallNS int64) *obs.Profile {
-	var busy int64
-	for i := range results {
-		busy += results[i].busyNS
-	}
-	wait := int64(workers)*wallNS - busy
-	if wait < 0 {
-		wait = 0
-	}
-	return &obs.Profile{Shards: []obs.ShardProfile{{
-		Shard:     0,
-		Counts:    obs.ShardCounts{Spans: 1, FreeAdvances: len(results)},
-		FreeNS:    busy,
-		BarrierNS: wait,
-	}}}
+	return aggregate(cfg.Nodes, cfg.Duration, cfg.start(), events, statuses, states), nil
 }
 
 // aggregate merges per-node member snapshots into a fleet report, in
@@ -420,105 +358,31 @@ func aggregate(nodes int, dur time.Duration, start time.Time, events uint64, sta
 	return rep
 }
 
-// runNode simulates one node end to end on its own virtual clock. The
-// clock is single-driver (lock-elided): the node's whole simulation —
-// substrate ticks, agent loops, supervision — runs on this worker
-// goroutine, which is exactly the contract NewVirtualSingle requires.
-func runNode(cfg Config, idx int) nodeResult {
-	var t0 int64
-	if cfg.Profile {
-		t0 = obs.Now()
-	}
-	clk := clock.NewVirtualSingle(cfg.start())
-	sup, err := cfg.Setup(idx, clk)
+// runNode simulates one node end to end on its own virtual clock and
+// releases it: build, advance to the horizon (through the shared
+// lifecycle stepper), snapshot, stop.
+//
+//sollint:alignspan
+func runNode(cfg Config, life lifecycle, idx int) nodeResult {
+	n, err := buildNode(cfg, idx)
 	if err != nil {
 		return nodeResult{err: err}
 	}
-	if sup == nil {
-		return nodeResult{err: fmt.Errorf("setup returned no supervisor")}
+	if life.plan != nil {
+		life.apply(&n, idx, 0)
 	}
-	var trace []obs.Event
-	if cfg.Lifecycle == nil {
-		clk.RunFor(cfg.Duration)
-	} else {
-		var err error
-		trace, err = runNodeLifecycle(cfg, idx, clk, sup)
-		if err != nil {
-			sup.StopAll()
-			return nodeResult{err: err}
-		}
+	life.advance(&n, idx, cfg.Duration)
+	if n.lifeErr != nil {
+		n.sup.StopAll()
+		return nodeResult{err: n.lifeErr}
 	}
 	// Snapshot before StopAll so end-of-horizon safeguard state is
 	// observed, not post-cleanup state.
-	statuses := sup.Status()
-	state := nodeState{life: sup.Lifecycle(), restarts: sup.Restarts()}
-	sup.StopAll()
-	res := nodeResult{statuses: statuses, state: state, events: clk.Fired(), trace: trace}
-	if cfg.Profile {
-		res.busyNS = obs.Now() - t0
+	res := nodeResult{
+		statuses: n.sup.Status(),
+		state:    nodeState{life: n.sup.Lifecycle(), restarts: n.sup.Restarts()},
+		events:   n.clk.Fired(),
 	}
+	n.sup.StopAll()
 	return res
-}
-
-// runNodeLifecycle drives one node for cfg.Duration, pausing its clock
-// at exactly the lifecycle plan's transition instants to apply the
-// scheduled state — the same segmentation rule the lockstep
-// Coordinator uses (transitions landing exactly on a boundary belong
-// to the earlier advance), so the two drivers stay byte-identical
-// under faults.
-func runNodeLifecycle(cfg Config, idx int, clk *clock.Virtual, sup *Supervisor) ([]obs.Event, error) {
-	var lifeErr error
-	var trace []obs.Event
-	dark := false
-	apply := func(at time.Duration) {
-		st := cfg.Lifecycle.State(idx, at)
-		if nowDark := st == faults.NodeDark; nowDark != dark {
-			dark = nowDark
-			if cfg.Trace {
-				kind := obs.EvNodeLit
-				if nowDark {
-					kind = obs.EvNodeDark
-				}
-				trace = append(trace, obs.Event{Kind: kind, At: int64(at), Node: idx, Wall: obs.Now()})
-			}
-		}
-		if st == faults.NodeDown {
-			if cfg.Trace && sup.Lifecycle() == LifecycleUp {
-				trace = append(trace, obs.Event{Kind: obs.EvNodeDown, At: int64(at), Node: idx, Wall: obs.Now()})
-			}
-			sup.Crash()
-			return
-		}
-		if sup.Lifecycle() != LifecycleUp {
-			if err := sup.Restart(); err != nil {
-				if lifeErr == nil {
-					lifeErr = err
-				}
-				return
-			}
-			if cfg.Trace {
-				trace = append(trace, obs.Event{Kind: obs.EvNodeUp, At: int64(at), Node: idx, Wall: obs.Now()})
-			}
-		}
-	}
-	apply(0)
-	now, target := time.Duration(0), cfg.Duration
-	for {
-		next, ok := cfg.Lifecycle.Next(idx, now)
-		if !ok || next > target {
-			break
-		}
-		if next > now {
-			clk.RunFor(next - now)
-		}
-		now = next
-		apply(now)
-	}
-	if target > now {
-		clk.RunFor(target - now)
-	}
-	if lifeErr != nil {
-		return nil, lifeErr
-	}
-	return trace, nil
 }

@@ -3,10 +3,13 @@ package fleet
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"sol/internal/clock"
+	"sol/internal/core"
+	"sol/internal/node"
 )
 
 func TestFleetConfigValidation(t *testing.T) {
@@ -151,5 +154,78 @@ func TestFleetHeterogeneous(t *testing.T) {
 	}
 	if _, ok := rep.Kinds["sampler"]; !ok {
 		t.Fatal("sampler kind missing from aggregate")
+	}
+}
+
+// liveGauge counts nodes built and not yet cleaned up, and the most it
+// ever held.
+type liveGauge struct {
+	mu         sync.Mutex
+	live, peak int
+}
+
+func (g *liveGauge) add(d int) {
+	g.mu.Lock()
+	g.live += d
+	g.peak = max(g.peak, g.live)
+	g.mu.Unlock()
+}
+
+// liveActuator checks its node out of the gauge at CleanUp.
+type liveActuator struct {
+	testActuator
+	gauge *liveGauge
+}
+
+func (a *liveActuator) CleanUp() { a.gauge.add(-1) }
+
+// TestRunStreamsNodes pins the reason Run exists beside the
+// Coordinator: an unobserved run streams — build, run, release — so no
+// more nodes are ever alive than the pool has workers, while a run that
+// asks for observation holds the whole fleet resident on the
+// Coordinator.
+func TestRunStreamsNodes(t *testing.T) {
+	t.Parallel()
+	const nodes, workers = 24, 3
+	var g liveGauge
+	cfg := Config{
+		Nodes:    nodes,
+		Duration: time.Second,
+		Workers:  workers,
+		Setup: func(idx int, clk *clock.Virtual) (*Supervisor, error) {
+			g.add(1)
+			sup := NewSupervisor(clk, nil)
+			sched := core.Schedule{
+				DataPerEpoch: 4, DataCollectInterval: 50 * time.Millisecond,
+				MaxEpochTime: 400 * time.Millisecond, AssessModelEvery: 1,
+				MaxActuationDelay: 500 * time.Millisecond, AssessActuatorInterval: time.Second,
+			}
+			err := sup.Launch("gauge", "gauge", sched.MaxActuationDelay,
+				func(clk clock.Clock, _ *node.Node) (core.Handle, error) {
+					return core.Run[int, int](clk, &testModel{clk: clk, ttl: time.Second},
+						&liveActuator{testActuator: testActuator{clk: clk}, gauge: &g}, sched, core.Options{})
+				})
+			return sup, err
+		},
+	}
+	streamed, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.peak < 1 || g.peak > workers || g.live != 0 {
+		t.Fatalf("streaming run: %d nodes alive at peak, %d left alive; want at most the %d workers and 0", g.peak, g.live, workers)
+	}
+
+	g.peak = 0
+	cfg.Profile = true
+	resident, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.peak != nodes || g.live != 0 {
+		t.Fatalf("observed run: %d nodes resident at peak, %d left alive; want %d and 0", g.peak, g.live, nodes)
+	}
+	if got, want := stripProfile(resident), streamed.String(); got != want {
+		t.Fatalf("observed and streamed reports differ:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -84,9 +84,11 @@ func TestProfileCountsDeterministic(t *testing.T) {
 	}
 }
 
-// TestBatchProfile covers the streaming driver's single-shard profile:
-// one logical span, one free advance per node, busy time accumulated,
-// and the same no-feedback property as the stepped driver.
+// TestBatchProfile covers Run with Profile set: it executes as one
+// observer-less span on a one-shard Coordinator, so the profile is the
+// conductor's native one — one span, one free advance per node, busy
+// time accumulated — with the same no-feedback property as every
+// Coordinator run.
 func TestBatchProfile(t *testing.T) {
 	t.Parallel()
 	cfg := profiledFleetConfig(4, true)
@@ -107,7 +109,15 @@ func TestBatchProfile(t *testing.T) {
 	}
 	p := repOn.Profile
 	if p == nil || len(p.Shards) != 1 {
-		t.Fatalf("batch profile = %+v, want one logical shard", p)
+		t.Fatalf("batch profile = %+v, want one shard", p)
+	}
+	stepped, err := RunStepped(cfg, cfg.Duration, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p.Deterministic(), stepped.Profile.Deterministic()) {
+		t.Errorf("batch profile counts %+v differ from the one-span Coordinator run's %+v",
+			p.Deterministic(), stepped.Profile.Deterministic())
 	}
 	want := obs.ShardCounts{Spans: 1, FreeAdvances: cfg.Nodes}
 	if p.Shards[0].Counts != want {

@@ -165,7 +165,7 @@ func TestStandardNodeSteadyStateAllocs(t *testing.T) {
 }
 
 // TestShardedRunSteppedUnchanged pins that RunStepped over a sharded
-// config keeps the classic fleet-wide-barrier semantics (every node at
+// config keeps its fleet-wide-barrier semantics (every node at
 // every epoch) and its byte-identical-to-batch contract.
 func TestShardedRunSteppedUnchanged(t *testing.T) {
 	t.Parallel()

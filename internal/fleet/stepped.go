@@ -21,12 +21,14 @@ import (
 // (Run) cannot provide, and it is what the rollout control plane is
 // built on.
 //
-// With one shard (the default) StepFor/Drive behave exactly as the
-// classic single-barrier coordinator: every node advances to every
-// barrier. With more shards, StepFor is still a fleet-wide barrier
-// (one single-epoch span), while Span exposes the conductor's real
-// power: only the cells that need mid-span observation advance epoch
-// by epoch, everything else free-runs to the next alignment.
+// StepFor is a fleet-wide barrier (one free-running span: every node
+// advances to it, whatever the shard count), while Span exposes the
+// conductor's real power: only the cells that need mid-span observation
+// advance epoch by epoch, everything else free-runs to the next
+// alignment. The Coordinator is also the single place a run is
+// observed: spans, lifecycle events, heap samples (Config.Trace) and
+// wall-time attribution (Config.Profile) are produced by its conductor
+// and nowhere else.
 //
 // The result is exactly as deterministic as Run: the same config
 // driven to the same total horizon yields a byte-identical report,
@@ -35,31 +37,42 @@ import (
 // sliced is unobservable in the aggregate.
 type Coordinator struct {
 	cfg     Config
-	nodes   []steppedNode
+	nodes   []simNode
 	con     *shard.Conductor
 	stopped bool
-
-	// Lifecycle-fault machinery, all nil/unused when cfg.Lifecycle is
-	// nil. start caches cfg.start() for the hot advance path; dark[i]
-	// tracks whether node i is currently observability-dark (written
-	// only by that node's advancing worker, read only with the node
-	// quiescent); lifeErrs collects per-node restart failures, surfaced
-	// by Span and Drive at the next alignment.
-	start time.Time
-	plan  faults.NodePlan
-	//sollint:shardlocal
-	dark []bool
-	//sollint:shardlocal
-	lifeErrs []error
-
-	// rec caches the conductor's flight recorder (nil when tracing is
-	// off) for the hot advance path; every method is nil-safe.
-	rec *obs.Recorder
+	lifecycle
 }
 
-type steppedNode struct {
+// simNode is one simulated node: its clock, its supervisor, and its
+// lifecycle-fault state (unused without a plan).
+type simNode struct {
 	clk *clock.Virtual
 	sup *Supervisor
+	// dark is whether the node is currently observability-dark: written
+	// only by the worker advancing the node, read only with the node
+	// quiescent. lifeErr is the node's first restart failure, surfaced
+	// at the next alignment (Span, RunStepped) or at the end of a
+	// streaming run.
+	//
+	//sollint:shardlocal
+	dark bool
+	//sollint:shardlocal
+	lifeErr error
+}
+
+// lifecycle steps nodes under the fleet's lifecycle fault plan — the
+// one implementation of "advance this node by d, pausing at the plan's
+// transition instants" that the streaming driver (Run) and the
+// Coordinator share, which is what keeps fault runs byte-identical
+// across them. A nil plan means no faults and costs advance one nil
+// check.
+type lifecycle struct {
+	plan faults.NodePlan
+	// start is the virtual start instant plan times are elapsed from.
+	start time.Time
+	// rec is the conductor's flight recorder: nil when tracing is off
+	// and always nil on the streaming driver. Every method is nil-safe.
+	rec *obs.Recorder
 }
 
 // NewCoordinator builds every node of the fleet (in parallel on the
@@ -74,24 +87,14 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &Coordinator{cfg: cfg, nodes: make([]steppedNode, cfg.Nodes), start: cfg.start()}
-	if cfg.Lifecycle != nil {
-		c.plan = cfg.Lifecycle
-		c.dark = make([]bool, cfg.Nodes)
-		c.lifeErrs = make([]error, cfg.Nodes)
+	c := &Coordinator{
+		cfg:       cfg,
+		nodes:     make([]simNode, cfg.Nodes),
+		lifecycle: lifecycle{plan: cfg.Lifecycle, start: cfg.start()},
 	}
 	errs := make([]error, cfg.Nodes)
 	c.forEachNode(func(idx int) {
-		clk := clock.NewVirtualSingle(cfg.start())
-		sup, err := cfg.Setup(idx, clk)
-		if err == nil && sup == nil {
-			err = fmt.Errorf("setup returned no supervisor")
-		}
-		if err != nil {
-			errs[idx] = err
-			return
-		}
-		c.nodes[idx] = steppedNode{clk: clk, sup: sup}
+		c.nodes[idx], errs[idx] = buildNode(cfg, idx)
 	})
 	for idx, err := range errs {
 		if err != nil {
@@ -116,12 +119,29 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if c.plan != nil {
 		c.rec.EnableLifecycle()
 		// Apply the plan's initial state (a Crash at 0 downs its nodes
-		// before any time passes), exactly as the batch driver does.
-		// This runs after the conductor exists so the recorder sees the
-		// t=0 transitions.
-		c.forEachNode(func(idx int) { c.applyState(idx, 0) })
+		// before any time passes). This runs after the conductor exists
+		// so the recorder sees the t=0 transitions.
+		c.forEachNode(func(idx int) { c.apply(&c.nodes[idx], idx, 0) })
 	}
 	return c, nil
+}
+
+// buildNode builds node idx on a fresh clock at the virtual start
+// instant, without advancing time. The clock is single-driver
+// (lock-elided): the node's whole simulation — substrate ticks, agent
+// loops, supervision — only ever runs on the one worker goroutine that
+// is advancing it, which is exactly the contract NewVirtualSingle
+// requires.
+func buildNode(cfg Config, idx int) (simNode, error) {
+	clk := clock.NewVirtualSingle(cfg.start())
+	sup, err := cfg.Setup(idx, clk)
+	if err == nil && sup == nil {
+		err = fmt.Errorf("setup returned no supervisor")
+	}
+	if err != nil {
+		return simNode{}, err
+	}
+	return simNode{clk: clk, sup: sup}, nil
 }
 
 // forEachNode runs fn(idx) for every node index on the shared worker
@@ -131,74 +151,77 @@ func (c *Coordinator) forEachNode(fn func(idx int)) {
 }
 
 // advanceCell is the conductor's Advance binding: move node cell's
-// clock forward by d. Without a lifecycle plan it is a single RunFor;
-// with one, the advance is segmented at exactly the plan's transition
-// instants (boundary-inclusive: a transition landing on the advance's
-// end is applied by this advance, so every epoch/span slicing sees it
-// at the same instant) and the state is applied at each pause.
+// clock forward by d.
 //
 //sollint:hotpath
 func (c *Coordinator) advanceCell(cell int, d time.Duration) {
-	clk := c.nodes[cell].clk
-	if c.plan == nil {
-		clk.RunFor(d)
+	c.advance(&c.nodes[cell], cell, d)
+}
+
+// advance moves node idx's clock forward by d. Without a lifecycle plan
+// it is a single RunFor; with one, the advance is segmented at exactly
+// the plan's transition instants (boundary-inclusive: a transition
+// landing on the advance's end is applied by this advance, so every
+// epoch/span slicing sees it at the same instant) and the state is
+// applied at each pause.
+//
+//sollint:hotpath
+func (l *lifecycle) advance(n *simNode, idx int, d time.Duration) {
+	if l.plan == nil {
+		n.clk.RunFor(d)
 		return
 	}
-	now := clk.Now().Sub(c.start)
+	now := n.clk.Now().Sub(l.start)
 	target := now + d
 	for {
-		next, ok := c.plan.Next(cell, now)
+		next, ok := l.plan.Next(idx, now)
 		if !ok || next > target {
 			break
 		}
 		if next > now {
-			clk.RunFor(next - now)
+			n.clk.RunFor(next - now)
 		}
 		now = next
-		c.applyState(cell, now)
+		l.apply(n, idx, now)
 	}
 	if target > now {
-		clk.RunFor(target - now)
+		n.clk.RunFor(target - now)
 	}
 }
 
-// applyState applies the lifecycle plan's state for cell at elapsed
+// apply applies the lifecycle plan's state for node idx at elapsed
 // time at: crash a node scheduled down, restart a down node scheduled
-// up again, record the dark flag. Restart failures are remembered
-// per-node and surfaced at the next alignment; the transition itself
-// is idempotent, so merged plans naming spurious instants are
-// harmless.
+// up again, record the dark flag. The first restart failure is
+// remembered on the node; the transition itself is idempotent, so
+// merged plans naming spurious instants are harmless. Only edges reach
+// the recorder, not every idempotent re-application.
 //
 //sollint:hotpath
-func (c *Coordinator) applyState(cell int, at time.Duration) {
-	sup := c.nodes[cell].sup
-	st := c.plan.State(cell, at)
-	wasDark := c.dark[cell]
-	nowDark := st == faults.NodeDark
-	c.dark[cell] = nowDark
-	if nowDark != wasDark {
+func (l *lifecycle) apply(n *simNode, idx int, at time.Duration) {
+	st := l.plan.State(idx, at)
+	if nowDark := st == faults.NodeDark; nowDark != n.dark {
+		n.dark = nowDark
 		kind := obs.EvNodeLit
 		if nowDark {
 			kind = obs.EvNodeDark
 		}
-		c.rec.StageNode(cell, kind, int64(at))
+		l.rec.StageNode(idx, kind, int64(at))
 	}
 	if st == faults.NodeDown {
-		// Record only the edge, not every idempotent re-application.
-		if sup.Lifecycle() == LifecycleUp {
-			c.rec.StageNode(cell, obs.EvNodeDown, int64(at))
+		if n.sup.Lifecycle() == LifecycleUp {
+			l.rec.StageNode(idx, obs.EvNodeDown, int64(at))
 		}
-		sup.Crash()
+		n.sup.Crash()
 		return
 	}
-	if sup.Lifecycle() != LifecycleUp {
-		if err := sup.Restart(); err != nil {
-			if c.lifeErrs[cell] == nil {
-				c.lifeErrs[cell] = err
+	if n.sup.Lifecycle() != LifecycleUp {
+		if err := n.sup.Restart(); err != nil {
+			if n.lifeErr == nil {
+				n.lifeErr = err
 			}
 			return
 		}
-		c.rec.StageNode(cell, obs.EvNodeUp, int64(at))
+		l.rec.StageNode(idx, obs.EvNodeUp, int64(at))
 	}
 }
 
@@ -225,7 +248,7 @@ func (c *Coordinator) NodeDown(idx int) bool {
 //
 //sollint:hotpath
 //sollint:alignspan
-func (c *Coordinator) NodeDark(idx int) bool { return c.plan != nil && c.dark[idx] }
+func (c *Coordinator) NodeDark(idx int) bool { return c.plan != nil && c.nodes[idx].dark }
 
 // NodeTransitions reports whether the lifecycle plan schedules any
 // state change for node idx in (from, until] — the criterion for
@@ -243,14 +266,17 @@ func (c *Coordinator) NodeTransitions(idx int, from, until time.Duration) bool {
 }
 
 // LifecycleErr returns the first node's recorded restart failure, if
-// any — set when a spec-driven Restart failed. Span and Drive check it
-// automatically; callers using StepFor directly under a lifecycle plan
-// should poll it.
+// any — set when a spec-driven Restart failed. Span and RunStepped
+// check it automatically; callers using StepFor directly under a
+// lifecycle plan should poll it.
 //
 //sollint:alignspan
 func (c *Coordinator) LifecycleErr() error {
-	for idx, err := range c.lifeErrs {
-		if err != nil {
+	if c.plan == nil {
+		return nil
+	}
+	for idx := range c.nodes {
+		if err := c.nodes[idx].lifeErr; err != nil {
 			return fmt.Errorf("fleet: node %d: %w", idx, err)
 		}
 	}
@@ -343,34 +369,6 @@ func (c *Coordinator) Span(sp shard.Span) error {
 	return c.LifecycleErr()
 }
 
-// Drive advances the fleet from the current barrier to horizon in
-// fleet-wide lockstep epochs of interval, truncating the final epoch
-// so the elapsed time lands exactly on the horizon — the rule that
-// makes a stepped run's report byte-identical to a batch Run of the
-// same config. observe, if non-nil, runs after every epoch with the
-// fleet quiescent; its error aborts the drive and is returned.
-func (c *Coordinator) Drive(horizon, interval time.Duration, observe func(epoch int, step time.Duration) error) error {
-	if interval <= 0 {
-		return fmt.Errorf("fleet: stepped interval = %v, must be positive", interval)
-	}
-	for epoch := 1; c.Elapsed() < horizon; epoch++ {
-		step := interval
-		if remaining := horizon - c.Elapsed(); step > remaining {
-			step = remaining
-		}
-		c.StepFor(step)
-		if err := c.LifecycleErr(); err != nil {
-			return err
-		}
-		if observe != nil {
-			if err := observe(epoch, step); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Report aggregates the fleet at the current barrier, exactly as Run
 // reports a finished batch fleet; Duration is the time stepped so far.
 func (c *Coordinator) Report() *Report {
@@ -408,13 +406,13 @@ func (c *Coordinator) StopAll() {
 }
 
 // RunStepped simulates the fleet like Run but through a Coordinator in
-// lockstep epochs of interval. observe, if non-nil, runs after every
-// epoch with the fleet quiescent at the barrier; it may inspect any
-// supervisor and redeploy members. A non-nil error from observe aborts
-// the run and is returned. The final epoch is truncated so the total
-// horizon is exactly cfg.Duration, which makes a stepped run's report
-// directly comparable to — in fact, identical to — a batch Run of the
-// same config.
+// fleet-wide lockstep epochs of interval. observe, if non-nil, runs
+// after every epoch with the fleet quiescent at the barrier; it may
+// inspect any supervisor and redeploy members. A non-nil error from
+// observe aborts the run and is returned. The final epoch is truncated
+// so the total horizon is exactly cfg.Duration, which makes a stepped
+// run's report directly comparable to — in fact, identical to — a
+// batch Run of the same config.
 func RunStepped(cfg Config, interval time.Duration, observe func(epoch int, c *Coordinator) error) (*Report, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("fleet: stepped interval = %v, must be positive", interval)
@@ -424,14 +422,16 @@ func RunStepped(cfg Config, interval time.Duration, observe func(epoch int, c *C
 		return nil, err
 	}
 	defer c.StopAll()
-	err = c.Drive(cfg.Duration, interval, func(epoch int, _ time.Duration) error {
-		if observe == nil {
-			return nil
+	for epoch := 1; c.Elapsed() < cfg.Duration; epoch++ {
+		c.StepFor(min(interval, cfg.Duration-c.Elapsed()))
+		if err := c.LifecycleErr(); err != nil {
+			return nil, err
 		}
-		return observe(epoch, c)
-	})
-	if err != nil {
-		return nil, err
+		if observe != nil {
+			if err := observe(epoch, c); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return c.Report(), nil
 }

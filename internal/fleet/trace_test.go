@@ -53,9 +53,9 @@ func steppedTrace(t *testing.T, cfg Config, interval time.Duration) *Report {
 	return rep
 }
 
-// TestTraceDeterminism is the tentpole's byte-identity contract: the
-// trace's sim-time fields are identical across runs and worker widths
-// for a fixed shard count, on both drivers.
+// TestTraceDeterminism is the flight recorder's byte-identity
+// contract: the trace's sim-time fields are identical across runs and
+// worker widths for a fixed shard count, however the run is driven.
 func TestTraceDeterminism(t *testing.T) {
 	t.Parallel()
 	cfg := traceTestConfig()
@@ -110,23 +110,24 @@ func TestTraceDeterminism(t *testing.T) {
 			t.Fatalf("%d shards changed the lifecycle projection:\n%v\nvs\n%v", shards, got, baseLife)
 		}
 	}
-	// The batch driver agrees on the projection too (single track, same
-	// plan-derived events).
-	batchRep, err := Run(cfg)
+	// A traced Run is one free-running span on a one-shard Coordinator:
+	// a single track with the same plan-derived projection, and the
+	// trace is the conductor's own, byte for byte.
+	one := cfg
+	one.Shards = 0
+	batchRep, err := Run(one)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if batchRep.Trace.Shards != 1 {
+		t.Fatalf("traced Run recorded %d tracks, want 1", batchRep.Trace.Shards)
 	}
 	batchBytes := detBytes(t, batchRep.Trace)
 	if got := lifecycleProjection(t, batchBytes); !reflect.DeepEqual(got, baseLife) {
-		t.Fatalf("batch driver lifecycle projection differs:\n%v\nvs\n%v", got, baseLife)
+		t.Fatalf("traced Run lifecycle projection differs:\n%v\nvs\n%v", got, baseLife)
 	}
-	// And the batch trace itself is run-to-run byte-identical.
-	again, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(detBytes(t, again.Trace)) != string(batchBytes) {
-		t.Fatal("two identical batch runs produced different deterministic trace bytes")
+	if string(detBytes(t, steppedTrace(t, one, one.Duration).Trace)) != string(batchBytes) {
+		t.Fatal("traced Run and the one-span Coordinator run produced different deterministic trace bytes")
 	}
 }
 

@@ -166,8 +166,8 @@ type Event struct {
 const ringCap = 2048
 
 // stageCap bounds one cell's lifecycle staging between drains (one
-// span, or one whole batch run). A cell rarely transitions more than
-// twice per span; overflow is counted, not fatal.
+// span — a traced fleet.Run is a single one). A cell rarely transitions
+// more than twice per span; overflow is counted, not fatal.
 const stageCap = 8
 
 // ring is one track's event buffer. During a span it is written only

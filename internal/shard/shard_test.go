@@ -146,8 +146,8 @@ func TestSpanAccounting(t *testing.T) {
 
 // TestSpanEpochs pins the epoch grid a stepped span walks: 1-based
 // epochs, absolute barrier times, and a final epoch truncated to land
-// exactly on Until — the same rule the fleet's lockstep Drive uses, so
-// campaign traces agree between the two drivers.
+// exactly on Until — the same rule fleet.RunStepped uses, so the epoch
+// grid is one grid however a run is driven.
 func TestSpanEpochs(t *testing.T) {
 	t.Parallel()
 	type ep struct {
