@@ -21,10 +21,12 @@ import (
 	"sol/internal/core"
 	"sol/internal/experiments"
 	"sol/internal/fleet"
+	"sol/internal/memsim"
 	"sol/internal/ml/bandit"
 	"sol/internal/ml/linear"
 	"sol/internal/ml/qlearn"
 	"sol/internal/stats"
+	"sol/internal/workload"
 )
 
 // benchExperiment runs one experiment per iteration and reports the
@@ -603,6 +605,37 @@ func BenchmarkVirtualAfterFunc(b *testing.B) {
 	var tick func()
 	tick = func() { clk.AfterFunc(time.Millisecond, tick) }
 	clk.AfterFunc(time.Millisecond, tick)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clk.Step()
+	}
+}
+
+// BenchmarkQueueServerOverloaded is one 1 ms tick of an ObjectStore
+// already 100k requests deep and loaded at capacity — fig3's regime. A
+// tick serves at most 8 requests, so it must cost that, not the depth.
+func BenchmarkQueueServerOverloaded(b *testing.B) {
+	w := workload.NewObjectStore(stats.NewRNG(1), 8, 1.5, 1.0) // 400 requests/s
+	now := time.Unix(0, 0)
+	w.Tick(now, 250*time.Second, workload.Resources{}) // 100k arrivals, none served
+	now = now.Add(250 * time.Second)
+	res := workload.Resources{Cores: 8, FreqGHz: 1.5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Tick(now, time.Millisecond, res)
+		now = now.Add(time.Millisecond)
+	}
+}
+
+// BenchmarkMemsimTick is one 300 ms base tick of a standard node's
+// 128-region memory under the SQL trace, whose rates move only at a
+// shift every 30 s: the steady state the occupancy memo serves.
+func BenchmarkMemsimTick(b *testing.B) {
+	clk := clock.NewVirtualSingle(time.Unix(0, 0))
+	m := memsim.MustNew(clk, memsim.DefaultConfig(128), workload.NewSQLTrace(128, 1))
+	m.Start()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clk.Step()

@@ -130,6 +130,8 @@ type StaticPolicy struct {
 	ticks  int
 	fracs  []float64
 	scans  []int
+	rates  []float64 // place's per-epoch scratch, with order
+	order  []int
 	rng    *stats.RNG
 	ticker *clock.Timer
 }
@@ -146,6 +148,7 @@ func NewStaticPolicy(clk clock.Clock, mem *memsim.Memory, everyTicks int, covera
 		epoch:    epochTicks,
 		fracs:    make([]float64, mem.Regions()),
 		scans:    make([]int, mem.Regions()),
+		rates:    make([]float64, mem.Regions()),
 		rng:      stats.NewRNG(uint64(everyTicks) * 7919),
 	}
 }
@@ -182,9 +185,10 @@ func (s *StaticPolicy) tick() {
 // min-frequency baseline fail) and applies the placement.
 func (s *StaticPolicy) place() {
 	n := s.mem.Regions()
-	rates := make([]float64, n)
+	rates := s.rates
 	total := 0.0
 	for r := 0; r < n; r++ {
+		rates[r] = 0
 		if s.scans[r] > 0 {
 			rates[r] = s.fracs[r] / float64(s.scans[r])
 		}
@@ -195,7 +199,8 @@ func (s *StaticPolicy) place() {
 	// Rank by observed hit counts. Ties — which is what saturation
 	// produces — carry no ranking information, so they break randomly:
 	// the policy genuinely cannot tell saturated regions apart.
-	idx := s.rng.Perm(n)
+	s.order = s.rng.PermInto(s.order, n)
+	idx := s.order
 	sort.SliceStable(idx, func(a, b int) bool { return rates[idx[a]] > rates[idx[b]] })
 	cum := 0.0
 	covered := false

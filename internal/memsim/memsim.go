@@ -84,8 +84,17 @@ type Memory struct {
 	// access bit is currently set (continuous approximation of the
 	// random page-touch process).
 	bitsSet []float64
-	// lastAccess is when each region last saw meaningful traffic.
-	lastAccess []time.Time
+	// lastAccess is when each region last saw meaningful traffic, in
+	// nanoseconds after origin; 0 is never (the first tick is a whole
+	// BaseTick after origin).
+	lastAccess []uint64
+	origin     time.Time
+	// occA and occDistinct memoize tick's occupancy term per region:
+	// the bits of the last a = rate·dt and the distinct-page count it
+	// gave. A region's rate moves only at a trace shift, so most ticks
+	// skip the Pow.
+	occA        []uint64
+	occDistinct []float64
 	// maxObserved accumulates, per region, the distinct-page touches a
 	// maximum-rate scanner would have counted (ground truth for audit).
 	maxObserved []float64
@@ -121,10 +130,12 @@ func New(clk clock.Clock, cfg Config, trace workload.MemoryTrace) (*Memory, erro
 	if cfg.Tier1Capacity == 0 {
 		cfg.Tier1Capacity = cfg.Regions
 	}
-	// The five per-region float64 arrays share one backing slab: one
-	// object per Memory where there were five.
+	// The per-region arrays share two backing slabs, one per element
+	// type, both pointer-free; at 128 regions they fill the 6144- and
+	// 2048-byte size classes exactly.
 	n := cfg.Regions
-	slab := make([]float64, 5*n)
+	slab := make([]float64, 6*n)
+	words := make([]uint64, 2*n)
 	m := &Memory{
 		cfg:            cfg,
 		clk:            clk,
@@ -134,7 +145,10 @@ func New(clk clock.Clock, cfg Config, trace workload.MemoryTrace) (*Memory, erro
 		inTier1:        make([]bool, n),
 		tier1N:         n,
 		bitsSet:        slab[1*n : 2*n : 2*n],
-		lastAccess:     make([]time.Time, n),
+		lastAccess:     words[0*n : 1*n : 1*n],
+		origin:         clk.Now(),
+		occA:           words[1*n : 2*n : 2*n],
+		occDistinct:    slab[5*n : 6*n : 6*n],
 		maxObserved:    slab[2*n : 3*n : 3*n],
 		accesses:       slab[3*n : 4*n : 4*n],
 		remoteByRegion: slab[4*n : 5*n : 5*n],
@@ -177,6 +191,7 @@ func (m *Memory) tick() {
 	dt := m.cfg.BaseTick.Seconds()
 	m.trace.Rates(now, m.rates)
 	p := float64(m.cfg.PagesPerRegion)
+	sinceOrigin := uint64(now.Sub(m.origin))
 	for r, rate := range m.rates {
 		a := rate * dt
 		if a <= 0 {
@@ -190,11 +205,16 @@ func (m *Memory) tick() {
 			m.remoteByRegion[r] += a
 		}
 		if a >= 0.5 {
-			m.lastAccess[r] = now
+			m.lastAccess[r] = sinceOrigin
 		}
 		// Distinct pages touched by a accesses over p pages (expected
-		// occupancy of a random-allocation process).
-		distinct := p * (1 - math.Pow(1-1/p, a))
+		// occupancy of a random-allocation process). a > 0 here, so its
+		// bits never match a fresh region's zero key.
+		if key := math.Float64bits(a); key != m.occA[r] {
+			m.occA[r] = key
+			m.occDistinct[r] = p * (1 - math.Pow(1-1/p, a))
+		}
+		distinct := m.occDistinct[r]
 		m.maxObserved[r] += distinct
 		// Union the new touches into the standing access bits.
 		m.bitsSet[r] += (1 - m.bitsSet[r]) * (distinct / p)
@@ -313,7 +333,12 @@ func (c Counters) RemoteFraction(prev Counters) float64 {
 
 // LastAccess returns when region r last saw traffic (zero time if
 // never).
-func (m *Memory) LastAccess(r int) time.Time { return m.lastAccess[r] }
+func (m *Memory) LastAccess(r int) time.Time {
+	if m.lastAccess[r] == 0 {
+		return time.Time{}
+	}
+	return m.origin.Add(time.Duration(m.lastAccess[r]))
+}
 
 // MaxRateObserved returns the cumulative distinct-page touches that
 // maximum-rate scanning would have counted for region r. The agent may

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sol/internal/clock"
+	"sol/internal/stats"
 	"sol/internal/workload"
 )
 
@@ -243,17 +244,156 @@ func TestSetTierIdempotentNoMigration(t *testing.T) {
 	}
 }
 
+// TestLastAccessTracking: a region reads the zero time until its first
+// meaningful traffic and the exact time of its last hot tick after, on
+// a Memory whose origin is neither the Unix epoch nor the clock's.
 func TestLastAccessTracking(t *testing.T) {
-	clk, m := newMem(t, &twoTrace{regions: 4, hot: 1000, cold: 0})
+	clk := clock.NewVirtual(epoch)
+	clk.RunFor(1234567 * time.Microsecond)
+	tr := &twoTrace{regions: 4, hot: 0, cold: 0}
+	m := MustNew(clk, DefaultConfig(4), tr)
+	created := clk.Now()
 	m.Start()
 	clk.RunFor(2 * time.Second)
-	if m.LastAccess(0).IsZero() {
-		t.Fatal("hot region has no last-access time")
+	for r := 0; r < 4; r++ {
+		if last := m.LastAccess(r); last != (time.Time{}) {
+			t.Fatalf("untouched region %d has last-access time %v", r, last)
+		}
+	}
+	tr.hot = 1000
+	clk.RunFor(2 * time.Second)
+	tick := m.Config().BaseTick
+	lastTick := created.Add(time.Duration(m.Ticks()) * tick)
+	if last := m.LastAccess(0); last != lastTick {
+		t.Fatalf("hot region last accessed %v, want the last tick %v", last, lastTick)
+	}
+	tr.hot = 1 // 0.3 accesses a tick: below the half-access floor
+	clk.RunFor(2 * time.Second)
+	if last := m.LastAccess(0); last != lastTick {
+		t.Fatalf("cooled region last accessed %v, want it held at %v", last, lastTick)
 	}
 	if !m.LastAccess(1).IsZero() {
 		t.Fatal("untouched region has a last-access time")
 	}
 }
+
+// stepTrace redraws every region's rate every `every` calls: silent,
+// below the half-access floor, warm, and saturating regions, each held
+// long enough for the occupancy memo to hit and changed often enough
+// for it to miss — a third of the changes by a single ulp, since the
+// memo's key is every bit of a.
+type stepTrace struct {
+	every, calls int
+	rng          *stats.RNG
+	cur          []float64
+}
+
+func newStepTrace(regions, every int, seed uint64) *stepTrace {
+	return &stepTrace{every: every, rng: stats.NewRNG(seed), cur: make([]float64, regions)}
+}
+
+func (s *stepTrace) Name() string { return "step" }
+func (s *stepTrace) Regions() int { return len(s.cur) }
+func (s *stepTrace) Rates(now time.Time, out []float64) {
+	if s.calls%s.every == 0 {
+		levels := []float64{0, 0.9, 37.5, 1200, 1200, 90000}
+		for r := range s.cur {
+			if s.calls > 0 && s.rng.Bool(1.0/3) {
+				s.cur[r] = math.Nextafter(s.cur[r], math.Inf(1))
+			} else {
+				s.cur[r] = levels[s.rng.Intn(len(levels))] * (1 + s.rng.Float64())
+			}
+		}
+	}
+	s.calls++
+	copy(out, s.cur)
+}
+
+// TestTickMatchesDirectOccupancy holds the memoized tick to the direct
+// p·(1 − (1−1/p)^a) formula, evaluated per region per tick as tick did
+// before the memo, over 600 ticks of a trace that steps every 7 ticks
+// and of an activeFn-scaled oscillating trace: per-region and total
+// accounting bit-equal, and every scan equal to that of a twin Memory
+// whose memo is wiped before each tick.
+func TestTickMatchesDirectOccupancy(t *testing.T) {
+	const regions = 64
+	traces := map[string]func() workload.MemoryTrace{
+		"step": func() workload.MemoryTrace {
+			return newStepTrace(regions, 7, 11)
+		},
+		"oscillating": func() workload.MemoryTrace {
+			return workload.NewOscillatingTrace(regions, 4*time.Second, 3*time.Second, 5)
+		},
+	}
+	for name, mk := range traces {
+		clk, m := newMem(t, mk())
+		twinClk, twin := newMem(t, mk())
+		refTrace := mk()
+		for r := 0; r < regions; r += 3 {
+			for _, mem := range []*Memory{m, twin} {
+				if err := mem.SetTier(r, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		m.Start()
+		twin.Start()
+
+		p := float64(m.PagesPerRegion())
+		dt := m.Config().BaseTick.Seconds()
+		rates := make([]float64, regions)
+		accesses, maxObserved := make([]float64, regions), make([]float64, regions)
+		remoteBy, bitsSet := make([]float64, regions), make([]float64, regions)
+		local, remote := 0.0, 0.0
+		for tick := 0; tick < 600; tick++ {
+			for r := range twin.occA {
+				twin.occA[r] = 0
+			}
+			clk.RunFor(m.Config().BaseTick)
+			twinClk.RunFor(m.Config().BaseTick)
+
+			refTrace.Rates(clk.Now(), rates)
+			for r, rate := range rates {
+				a := rate * dt
+				if a <= 0 {
+					continue
+				}
+				accesses[r] += a
+				if m.InTier1(r) {
+					local += a
+				} else {
+					remote += a
+					remoteBy[r] += a
+				}
+				distinct := p * (1 - math.Pow(1-1/p, a))
+				maxObserved[r] += distinct
+				bitsSet[r] += (1 - bitsSet[r]) * (distinct / p)
+			}
+			for r := 0; r < regions; r++ {
+				if !sameBits(m.TrueAccesses(r), accesses[r]) || !sameBits(m.MaxRateObserved(r), maxObserved[r]) ||
+					!sameBits(m.RemoteAccesses(r), remoteBy[r]) || !sameBits(m.bitsSet[r], bitsSet[r]) {
+					t.Fatalf("%s tick %d region %d: accesses %v/%v maxObserved %v/%v remote %v/%v bitsSet %v/%v (memoized/direct)",
+						name, tick, r, m.TrueAccesses(r), accesses[r], m.MaxRateObserved(r), maxObserved[r],
+						m.RemoteAccesses(r), remoteBy[r], m.bitsSet[r], bitsSet[r])
+				}
+			}
+			// Scan a moving window, so regions are read at many ages.
+			for r := tick % 5; r < regions; r += 5 {
+				got, err := m.Scan(r)
+				want, twinErr := twin.Scan(r)
+				if err != nil || twinErr != nil || got != want {
+					t.Fatalf("%s tick %d: scan %+v (%v), twin %+v (%v)", name, tick, got, err, want, twinErr)
+				}
+				bitsSet[r] = 0
+			}
+			if got, want := m.Snapshot(), twin.Snapshot(); got != want || !sameBits(got.Local, local) || !sameBits(got.Remote, remote) {
+				t.Fatalf("%s tick %d: snapshot %+v, twin %+v, direct local %v remote %v", name, tick, got, want, local, remote)
+			}
+		}
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 func TestMaxRateObservedGroundTruth(t *testing.T) {
 	clk, m := newMem(t, &twoTrace{regions: 2, hot: 5000, cold: 10})
@@ -319,9 +459,9 @@ func TestAccessorBasics(t *testing.T) {
 }
 
 // TestNewAllocs pins a Memory at five heap objects — the struct, its
-// generator, the tier and last-access arrays, and the one slab the five
-// per-region float64 arrays share — and checks the arrays, though
-// neighbours in the slab, cannot grow into each other.
+// generator, the tier array, and the two slabs the per-region float64
+// and uint64 arrays share — and checks the arrays, though neighbours in
+// a slab, cannot grow into each other.
 func TestNewAllocs(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	tr := &flatTrace{regions: 128, rate: 1000}
@@ -331,8 +471,13 @@ func TestNewAllocs(t *testing.T) {
 	}
 	for name, s := range map[string][]float64{
 		"rates": m.rates, "bitsSet": m.bitsSet, "maxObserved": m.maxObserved,
-		"accesses": m.accesses, "remoteByRegion": m.remoteByRegion,
+		"accesses": m.accesses, "remoteByRegion": m.remoteByRegion, "occDistinct": m.occDistinct,
 	} {
+		if len(s) != 128 || cap(s) != 128 {
+			t.Errorf("%s has len %d cap %d, want 128/128", name, len(s), cap(s))
+		}
+	}
+	for name, s := range map[string][]uint64{"lastAccess": m.lastAccess, "occA": m.occA} {
 		if len(s) != 128 || cap(s) != 128 {
 			t.Errorf("%s has len %d cap %d, want 128/128", name, len(s), cap(s))
 		}

@@ -249,8 +249,16 @@ func Percentile(xs []float64, p float64) float64 {
 //sollint:hotpath
 func PercentileBuf(buf, xs []float64, p float64) (float64, []float64) {
 	buf = append(buf[:0], xs...)
-	sort.Float64s(buf)
-	return percentileSorted(buf, p), buf
+	return PercentileSort(buf, p), buf
+}
+
+// PercentileSort is Percentile for a caller that owns xs and does not
+// need its order: xs is sorted in place, nothing is copied.
+//
+//sollint:hotpath
+func PercentileSort(xs []float64, p float64) float64 {
+	sort.Float64s(xs)
+	return percentileSorted(xs, p)
 }
 
 // Mean returns the arithmetic mean of xs, 0 for an empty slice.
