@@ -29,6 +29,13 @@ type Virtual struct {
 	now    int64     // ns since start
 	seq    uint64
 	heap   []*event
+	// running is set while a callback runs, and firing is its event
+	// until the callback stops or re-arms it. The firing event keeps
+	// its heap slot — the root, since everything scheduled meanwhile
+	// orders after it — so re-arming it is one sift from where it
+	// stands, but it is not pending and Len does not count it.
+	running bool
+	firing  *event
 	// fired counts callbacks executed, for diagnostics and tests.
 	fired uint64
 }
@@ -37,12 +44,11 @@ type Virtual struct {
 // embedded in its Timer, so a timer's whole lifecycle — schedule, fire,
 // re-arm, stop — touches exactly one allocation.
 type event struct {
-	when    int64 // ns since clock start
-	seq     uint64
-	index   int   // heap position; -1 while not queued
-	period  int64 // >0: ticker interval in ns, re-armed after each fire
-	stopped bool
-	fn      func()
+	when   int64 // ns since clock start
+	seq    uint64
+	index  int   // heap position; -1 while not queued
+	period int64 // >0: ticker interval in ns, re-armed after each fire
+	fn     func()
 }
 
 // NewVirtual returns a Virtual clock whose current time is start. It is
@@ -139,17 +145,24 @@ func (v *Virtual) arm(e *event, d int64) {
 	v.push(e)
 }
 
+// claim reports whether e is pending: queued and not the event whose
+// callback is running. A firing event is released to the caller, who
+// stops or re-arms it, so the engine leaves it alone after the
+// callback. Callers hold the lock.
+func (v *Virtual) claim(e *event) bool {
+	if e == v.firing {
+		v.firing = nil
+		return false
+	}
+	return e.index >= 0
+}
+
 // stopTimer implements Timer.Stop for virtual timers.
 func (v *Virtual) stopTimer(t *Timer) bool {
 	v.lock()
 	e := &t.e
-	if e.stopped {
-		v.unlock()
-		return false
-	}
-	e.stopped = true
-	pending := e.index >= 0
-	if pending {
+	pending := v.claim(e)
+	if e.index >= 0 {
 		v.removeAt(e.index)
 	}
 	v.unlock()
@@ -157,22 +170,22 @@ func (v *Virtual) stopTimer(t *Timer) bool {
 }
 
 // resetTimer implements Timer.Reset for virtual timers: it re-arms the
-// event in place. A pending event is sifted to its new heap position;
-// a fired or stopped one is re-pushed. Either way the event gets a
-// fresh sequence number, so a Reset orders exactly like a brand-new
-// AfterFunc at the same instant.
+// event in place. A queued event — pending, or firing right now — is
+// sifted from its heap slot to its new position; a fired or stopped
+// one is re-pushed. Either way the event gets a fresh sequence number,
+// so a Reset orders exactly like a brand-new AfterFunc at the same
+// instant.
 func (v *Virtual) resetTimer(t *Timer, d time.Duration) bool {
 	if d < 0 {
 		d = 0
 	}
 	v.lock()
 	e := &t.e
-	e.stopped = false
+	pending := v.claim(e)
 	if e.period > 0 && d > 0 {
 		e.period = int64(d)
 	}
-	wasPending := e.index >= 0
-	if wasPending {
+	if e.index >= 0 {
 		e.when = v.now + int64(d)
 		e.seq = v.seq
 		v.seq++
@@ -181,15 +194,25 @@ func (v *Virtual) resetTimer(t *Timer, d time.Duration) bool {
 		v.arm(e, int64(d))
 	}
 	v.unlock()
-	return wasPending
+	return pending
 }
 
-// Len returns the number of pending events.
+// Len returns the number of pending events; a callback's own event is
+// not pending while it runs.
 func (v *Virtual) Len() int {
 	v.lock()
-	n := len(v.heap)
+	n := v.pending()
 	v.unlock()
 	return n
+}
+
+// pending counts the queued events that are not firing. Callers hold
+// the lock.
+func (v *Virtual) pending() int {
+	if v.firing != nil {
+		return len(v.heap) - 1
+	}
+	return len(v.heap)
 }
 
 // Fired returns the number of callbacks executed so far.
@@ -203,77 +226,82 @@ func (v *Virtual) Fired() uint64 {
 // Step executes the single earliest pending event, advancing the clock
 // to its timestamp. It reports whether an event was executed.
 //
+// A callback that drives its own clock (Run, RunFor, RunUntilIdle or
+// Step) panics: its event still holds the root of the heap, and the
+// (time, insertion-order) contract has no answer for a nested drive.
+//
 //sollint:hotpath
 func (v *Virtual) Step() bool {
 	v.lock()
+	v.enter()
 	if len(v.heap) == 0 {
 		v.unlock()
 		return false
 	}
-	e := v.pop()
-	if e.when > v.now {
-		v.now = e.when
-	}
-	v.fired++
-	// Whether an event is periodic is fixed at creation, but a ticker's
-	// period value can be rewritten by a concurrent Reset on the locked
-	// clock — classify under the lock, read the value in rearm (also
-	// under the lock).
-	periodic := e.period > 0
+	v.fire()
 	v.unlock()
-	e.fn()
-	if periodic {
-		v.lock()
-		v.rearm(e)
-		v.unlock()
-	}
 	return true
-}
-
-// rearm re-queues a fired ticker event one period after its scheduled
-// fire time — unless the callback stopped it or already re-armed it
-// via Reset. Callers hold the lock.
-//
-//sollint:hotpath
-func (v *Virtual) rearm(e *event) {
-	if e.stopped || e.index >= 0 {
-		return
-	}
-	e.when += e.period
-	e.seq = v.seq
-	v.seq++
-	v.push(e)
 }
 
 // Run executes events in order until the clock reaches deadline. Events
 // scheduled exactly at the deadline are executed; the clock's time is
 // set to deadline when Run returns. It returns the number of events
-// executed.
+// executed. Like Step, it panics when called from a callback.
 func (v *Virtual) Run(deadline time.Time) int {
 	v.lock()
+	v.enter()
 	dl := v.toNS(deadline)
 	n := 0
-	for {
-		if len(v.heap) == 0 || v.heap[0].when > dl {
-			if dl > v.now {
-				v.now = dl
-			}
-			v.unlock()
-			return n
-		}
-		e := v.pop()
-		if e.when > v.now {
-			v.now = e.when
-		}
-		v.fired++
-		periodic := e.period > 0
-		v.unlock()
-		e.fn()
-		v.lock()
-		if periodic {
-			v.rearm(e)
-		}
+	for len(v.heap) > 0 && v.heap[0].when <= dl {
+		v.fire()
 		n++
+	}
+	if dl > v.now {
+		v.now = dl
+	}
+	v.unlock()
+	return n
+}
+
+// enter refuses to drive the clock from inside a callback. Callers hold
+// the lock.
+func (v *Virtual) enter() {
+	if v.running {
+		v.unlock()
+		panic("clock: Run or Step called from a callback")
+	}
+}
+
+// fire runs the root event's callback with the event left in its heap
+// slot, then retires it in place: a ticker the callback did not stop or
+// reset moves one period on with a fresh sequence number, as if it had
+// re-scheduled itself as its last action — one sift down from the root;
+// an untouched one-shot is removed. Callers hold the lock, which is
+// released while the callback runs.
+//
+//sollint:hotpath
+func (v *Virtual) fire() {
+	e := v.heap[0]
+	if e.when > v.now {
+		v.now = e.when
+	}
+	v.fired++
+	v.running, v.firing = true, e
+	v.unlock()
+	e.fn()
+	v.lock()
+	v.running = false
+	if v.firing != e {
+		return // the callback stopped or reset its own event
+	}
+	v.firing = nil
+	if e.period > 0 {
+		e.when += e.period
+		e.seq = v.seq
+		v.seq++
+		v.down(e.index)
+	} else {
+		v.removeAt(e.index)
 	}
 }
 
@@ -296,7 +324,7 @@ func (v *Virtual) RunUntilIdle(maxEvents int) int {
 // String describes the clock state, for debugging.
 func (v *Virtual) String() string {
 	v.lock()
-	now, pending, fired := v.now, len(v.heap), v.fired
+	now, pending, fired := v.now, v.pending(), v.fired
 	v.unlock()
 	return fmt.Sprintf("virtual clock at %s, %d pending, %d fired",
 		v.fromNS(now).Format(time.RFC3339Nano), pending, fired)
@@ -327,26 +355,6 @@ func (v *Virtual) push(e *event) {
 	e.index = len(v.heap)
 	v.heap = append(v.heap, e)
 	v.up(e.index)
-}
-
-// pop removes and returns the earliest event.
-//
-//sollint:hotpath
-func (v *Virtual) pop() *event {
-	h := v.heap
-	last := len(h) - 1
-	e := h[0]
-	if last > 0 {
-		h[0] = h[last]
-		h[0].index = 0
-	}
-	h[last] = nil
-	v.heap = h[:last]
-	if last > 1 {
-		v.down(0)
-	}
-	e.index = -1
-	return e
 }
 
 // removeAt deletes the event at heap position i.

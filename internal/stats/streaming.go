@@ -218,20 +218,35 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
+	lo, hi, frac := PercentileRank(len(sorted), p)
+	return Lerp(sorted[lo], sorted[hi], frac)
+}
+
+// PercentileRank is the rank half of every percentile in this module:
+// the p-th percentile (p in [0, 100]) of n > 0 ascending observations x
+// is Lerp(x[lo], x[hi], frac). A caller holding its observations in a
+// form other than a sorted slice selects those two order statistics
+// itself and stays bit-identical to Percentile.
+func PercentileRank(n int, p float64) (lo, hi int, frac float64) {
 	if p <= 0 {
-		return sorted[0]
+		return 0, 0, 0
 	}
 	if p >= 100 {
-		return sorted[len(sorted)-1]
+		return n - 1, n - 1, 0
 	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
+	rank := p / 100 * float64(n-1)
+	lo = int(math.Floor(rank))
+	hi = int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
+}
+
+// Lerp interpolates between the order statistics PercentileRank names:
+// a itself at frac 0 (an exact rank), else a*(1-frac) + b*frac.
+func Lerp(a, b, frac float64) float64 {
+	if frac == 0 {
+		return a
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return a*(1-frac) + b*frac
 }
 
 // Percentile computes the p-th percentile of xs (not modified).
@@ -249,16 +264,8 @@ func Percentile(xs []float64, p float64) float64 {
 //sollint:hotpath
 func PercentileBuf(buf, xs []float64, p float64) (float64, []float64) {
 	buf = append(buf[:0], xs...)
-	return PercentileSort(buf, p), buf
-}
-
-// PercentileSort is Percentile for a caller that owns xs and does not
-// need its order: xs is sorted in place, nothing is copied.
-//
-//sollint:hotpath
-func PercentileSort(xs []float64, p float64) float64 {
-	sort.Float64s(xs)
-	return percentileSorted(xs, p)
+	sort.Float64s(buf)
+	return percentileSorted(buf, p), buf
 }
 
 // Mean returns the arithmetic mean of xs, 0 for an empty slice.

@@ -25,12 +25,20 @@ type queueServer struct {
 	// what it serves, not what it holds: service only touches the first
 	// `cores` live entries and retires finished ones by advancing head;
 	// the spent slots before head are reclaimed by push.
-	queue     []request
-	head      int
-	latencies []float64
-	// observed is the scratch p99 and meanLatency build their input in.
-	observed []float64
-	served   uint64
+	queue []request
+	head  int
+	// bins is the multiset of completed sojourns, one bin per distinct
+	// value, so it grows with the sojourn range seen, not with the
+	// number of requests served. It is a gap buffer: bins[:gapLo] and
+	// bins[gapHi:] hold the bins ascending by ns, and the gap sits where
+	// the last completion landed, since sojourns cluster. served is the
+	// multiset's total count and latSum the sum of its seconds in
+	// completion order — the left-to-right sum a log of every latency
+	// would have taken.
+	bins         []latBin
+	gapLo, gapHi int
+	latSum       float64
+	served       uint64
 	// lastNS is the end of the last tick, in Unix nanoseconds.
 	lastNS int64
 	// dt and sec cache dt.Seconds(): the tick length is fixed per node.
@@ -45,6 +53,12 @@ type queueServer struct {
 type request struct {
 	arrivedNS int64
 	remaining float64
+}
+
+// latBin counts the completed requests whose sojourn was exactly ns.
+type latBin struct {
+	ns int64
+	n  int
 }
 
 func newQueueServer(rng *stats.RNG, meanDemand float64) *queueServer {
@@ -81,8 +95,7 @@ func (q *queueServer) step(now time.Time, dt time.Duration, res Resources, rate 
 			if perCore > 0 {
 				busyCores += r.remaining / perCore
 			}
-			q.latencies = append(q.latencies, latencySeconds(r.arrivedNS, endNS))
-			q.served++
+			q.record(endNS - r.arrivedNS)
 			r.remaining = 0
 			finished++
 		} else {
@@ -133,34 +146,116 @@ func (q *queueServer) push(r request) {
 	q.queue = append(q.queue, r)
 }
 
-// latencySeconds is the sojourn from arrival to end, the float that
-// time.Time.Sub(...).Seconds() yields for the same two instants.
-func latencySeconds(arrivedNS, endNS int64) float64 {
-	return time.Duration(endNS - arrivedNS).Seconds()
+// sojournSeconds is a sojourn of ns nanoseconds as the float that
+// time.Time.Sub(...).Seconds() yields for its two instants. It is
+// monotone in ns, so ordering sojourns by ns orders their seconds.
+func sojournSeconds(ns int64) float64 { return time.Duration(ns).Seconds() }
+
+// record adds one completed request's sojourn to the multiset. The gap
+// walks from where the last completion landed to where ns belongs,
+// carrying each bin it passes across: a tick's completions share an end
+// and leave in FIFO order, so successive sojourns are equal or near,
+// and a new sojourn costs the distance walked, never a shift of the
+// bins beyond it.
+func (q *queueServer) record(ns int64) {
+	q.latSum += sojournSeconds(ns)
+	q.served++
+	b, lo, hi := q.bins, q.gapLo, q.gapHi
+	for lo > 0 && b[lo-1].ns >= ns {
+		lo--
+		hi--
+		b[hi] = b[lo]
+	}
+	for hi < len(b) && b[hi].ns < ns {
+		b[lo] = b[hi]
+		lo++
+		hi++
+	}
+	if hi < len(b) && b[hi].ns == ns {
+		b[hi].n++
+	} else {
+		if lo == hi {
+			b, hi = growGap(b, lo, hi)
+			q.bins = b
+		}
+		hi--
+		b[hi] = latBin{ns: ns, n: 1}
+	}
+	q.gapLo, q.gapHi = lo, hi
 }
 
-// observedLatencies rebuilds q.observed: completed-request latencies
-// plus the current sojourn age of every in-system request. Counting
-// in-flight ages matters under starvation: a policy that never
-// completes requests would otherwise report a spotless tail.
-func (q *queueServer) observedLatencies() []float64 {
-	if n := len(q.latencies) + q.depth(); cap(q.observed) < n {
-		q.observed = make([]float64, 0, n)
-	}
-	q.observed = append(q.observed[:0], q.latencies...)
-	for _, r := range q.queue[q.head:] {
-		q.observed = append(q.observed, latencySeconds(r.arrivedNS, q.lastNS))
-	}
-	return q.observed
+// growGap returns b in a backing array twice as long (16 at least),
+// with the bins after the gap moved to its end, and where they start.
+func growGap(b []latBin, lo, hi int) ([]latBin, int) {
+	nb := make([]latBin, max(2*len(b), 16))
+	copy(nb, b[:lo])
+	tail := len(nb) - (len(b) - hi)
+	copy(nb[tail:], b[hi:])
+	return nb, tail
 }
 
 // p99 returns the 99th-percentile latency in seconds over completed and
-// in-flight requests, 0 if none.
-func (q *queueServer) p99() float64 { return stats.PercentileSort(q.observedLatencies(), 99) }
+// in-flight requests, 0 if none. An in-flight request counts with its
+// current age: a policy that starves the server of cores would
+// otherwise report a spotless tail.
+func (q *queueServer) p99() float64 {
+	n := int(q.served) + q.depth()
+	if n == 0 {
+		return 0
+	}
+	lo, hi, frac := stats.PercentileRank(n, 99)
+	// Ranks counted from the top: the tail is a short walk down.
+	above, below := q.fromTop(n-1-hi, n-1-lo)
+	return stats.Lerp(sojournSeconds(below), sojournSeconds(above), frac)
+}
+
+// fromTop returns the a-th and b-th largest (0-based, a <= b) observed
+// sojourns in ns, merging the bins from the top with the in-flight ages
+// from the FIFO's head: arrivals only ever join the tail, so ages are
+// non-increasing along it. Neither side is copied or sorted.
+func (q *queueServer) fromTop(a, b int) (va, vb int64) {
+	live := q.queue[q.head:]
+	bins := q.bins
+	i, j := len(bins)-1, 0
+	va = -1
+	for pos := 0; ; {
+		if i == q.gapHi-1 {
+			i = q.gapLo - 1
+		}
+		var v int64
+		if j < len(live) && (i < 0 || q.lastNS-live[j].arrivedNS >= bins[i].ns) {
+			v = q.lastNS - live[j].arrivedNS
+			pos++
+			j++
+		} else {
+			v = bins[i].ns
+			pos += bins[i].n
+			i--
+		}
+		if va < 0 && a < pos {
+			va = v
+		}
+		if b < pos {
+			return va, v
+		}
+	}
+}
 
 // meanLatency returns the mean latency over completed and in-flight
-// requests.
-func (q *queueServer) meanLatency() float64 { return stats.Mean(q.observedLatencies()) }
+// requests: the completed sum extended by each in-flight age in FIFO
+// order, as one left-to-right sum over the whole observation would be.
+func (q *queueServer) meanLatency() float64 {
+	live := q.queue[q.head:]
+	n := int(q.served) + len(live)
+	if n == 0 {
+		return 0
+	}
+	sum := q.latSum
+	for _, r := range live {
+		sum += sojournSeconds(q.lastNS - r.arrivedNS)
+	}
+	return sum / float64(n)
+}
 
 // depth returns the current number of in-system requests.
 func (q *queueServer) depth() int { return len(q.queue) - q.head }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -109,6 +110,24 @@ func randomQueuePhases(rng *stats.RNG, n int) []queuePhase {
 	return out
 }
 
+// expandBins lists the multiset's sojourns in seconds, ascending, one
+// entry per completed request, after checking that it keeps exactly
+// one non-empty bin per distinct sojourn.
+func expandBins(t *testing.T, q *queueServer) []float64 {
+	t.Helper()
+	bins := append(append([]latBin(nil), q.bins[:q.gapLo]...), q.bins[q.gapHi:]...)
+	var out []float64
+	for i, b := range bins {
+		if b.n <= 0 || i > 0 && bins[i-1].ns >= b.ns {
+			t.Fatalf("bin %d of %d is {%d ns, %d}: bins must be non-empty and strictly ascending", i, len(bins), b.ns, b.n)
+		}
+		for k := 0; k < b.n; k++ {
+			out = append(out, sojournSeconds(b.ns))
+		}
+	}
+	return out
+}
+
 func sameFloats(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -125,8 +144,10 @@ func sameFloats(a, b []float64) bool {
 // reference over seeded random schedules that overload to a depth past
 // 50k in bursts larger than the backing array, drain to empty, and
 // starve the server of cores and of frequency: every tick's usage,
-// served count and depth, and at every phase boundary the latency log,
-// p99 and mean latency, must be bit-equal.
+// served count and depth must be bit-equal, and at every phase boundary
+// the sojourn multiset must expand to the reference's latency log
+// sorted, with p99 and mean latency bit-equal to the reference's sort
+// and left-to-right sum over log and in-flight ages.
 func TestQueueServerMatchesWholeQueueCompaction(t *testing.T) {
 	seeds := []uint64{1, 2, 3}
 	if testing.Short() {
@@ -169,8 +190,13 @@ func TestQueueServerMatchesWholeQueueCompaction(t *testing.T) {
 					drained = true
 				}
 			}
-			if !sameFloats(q.latencies, ref.latencies) {
-				t.Fatalf("seed %d phase %d: latency logs differ", seed, pi)
+			if q.served != uint64(len(ref.latencies)) {
+				t.Fatalf("seed %d phase %d: multiset counts %d, reference log %d", seed, pi, q.served, len(ref.latencies))
+			}
+			sortedLog := append([]float64(nil), ref.latencies...)
+			sort.Float64s(sortedLog)
+			if !sameFloats(expandBins(t, q), sortedLog) {
+				t.Fatalf("seed %d phase %d: sojourn multiset is not the reference log sorted", seed, pi)
 			}
 			observed := ref.observedLatencies()
 			if got, want := q.meanLatency(), stats.Mean(observed); math.Float64bits(got) != math.Float64bits(want) {
@@ -182,6 +208,73 @@ func TestQueueServerMatchesWholeQueueCompaction(t *testing.T) {
 		}
 		if maxDepth < 50000 || !drained {
 			t.Fatalf("seed %d: max depth %d, drained after it %v; the schedule must overload past 50k and drain", seed, maxDepth, drained)
+		}
+	}
+}
+
+// TestQueueServerLatencyEdgeCases sets the multiset and the FIFO
+// directly and checks p99 and meanLatency bit-equal to a sort and a
+// left-to-right sum over the same observations as one log: nothing
+// observed, nothing completed with requests in flight, exactly one
+// observation either way, all ties across both sides, and random
+// multisets whose sizes put the 99th percentile on and between ranks.
+func TestQueueServerLatencyEdgeCases(t *testing.T) {
+	const ms = int64(time.Millisecond)
+	repeat := func(ns int64, n int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = ns
+		}
+		return out
+	}
+	type scenario struct {
+		name string
+		done []int64 // completed sojourns, in completion order
+		ages []int64 // in-flight ages along the FIFO, non-increasing
+	}
+	cases := []scenario{
+		{"empty", nil, nil},
+		{"in flight only", nil, []int64{9 * ms, 4 * ms, 4 * ms, ms}},
+		{"one completion", []int64{3 * ms}, nil},
+		{"one in flight", nil, []int64{2 * ms}},
+		{"all ties", repeat(ms, 1000), repeat(ms, 10)},
+		{"ties across sides", []int64{5 * ms, 2 * ms, 5 * ms, 7 * ms}, []int64{7 * ms, 5 * ms, 2 * ms}},
+	}
+	rng := stats.NewRNG(17)
+	for i := 0; i < 300; i++ {
+		var sc scenario
+		sc.name = "random"
+		for n := rng.Intn(260); n > 0; n-- {
+			sc.done = append(sc.done, int64(1+rng.Intn(40))*ms/4)
+		}
+		for n := rng.Intn(60); n > 0; n-- {
+			sc.ages = append(sc.ages, int64(1+rng.Intn(60))*ms/4)
+		}
+		sort.Slice(sc.ages, func(a, b int) bool { return sc.ages[a] > sc.ages[b] })
+		cases = append(cases, sc)
+	}
+	for ci, sc := range cases {
+		q := newQueueServer(nil, 0)
+		q.lastNS = epoch.UnixNano()
+		var log []float64
+		for _, ns := range sc.done {
+			q.record(ns)
+			log = append(log, time.Duration(ns).Seconds())
+		}
+		done := append([]float64(nil), log...)
+		sort.Float64s(done)
+		if !sameFloats(expandBins(t, q), done) {
+			t.Fatalf("case %d (%s): sojourn multiset is not the completions sorted", ci, sc.name)
+		}
+		for _, age := range sc.ages {
+			q.push(request{arrivedNS: q.lastNS - age, remaining: 1})
+			log = append(log, time.Duration(age).Seconds())
+		}
+		if got, want := q.meanLatency(), stats.Mean(log); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("case %d (%s): mean latency %v, log %v", ci, sc.name, got, want)
+		}
+		if got, want := q.p99(), stats.Percentile(log, 99); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("case %d (%s): p99 %v, log %v", ci, sc.name, got, want)
 		}
 	}
 }

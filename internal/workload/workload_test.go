@@ -348,9 +348,11 @@ func TestTraceNames(t *testing.T) {
 }
 
 // TestQueueServerStepAllocs pins the latency-critical workloads' tick
-// at amortised zero allocations: once the request queue and the latency
-// log have grown, a thousand 1 ms ticks of Poisson arrivals and service
-// allocate less than once on average.
+// at amortised zero allocations: once the request queue and the sojourn
+// multiset have grown, a thousand 1 ms ticks of Poisson arrivals and
+// service allocate less than once on average. The multiset holds one
+// bin per distinct sojourn, so once the range has been seen it stops
+// growing however many requests complete.
 func TestQueueServerStepAllocs(t *testing.T) {
 	w := NewImageDNN(stats.NewRNG(1), 8, 1.5)
 	res := Resources{Cores: 8, FreqGHz: 1.5}
@@ -362,10 +364,17 @@ func TestQueueServerStepAllocs(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		tick()
 	}
+	bins, served := cap(w.q.bins), w.Served()
 	if avg := testing.AllocsPerRun(1000, tick); avg != 0 {
 		t.Fatalf("workload tick allocates %.1f times, want 0 amortised", avg)
 	}
-	if w.Served() == 0 {
+	if w.Served() == served {
 		t.Fatal("no requests were served")
+	}
+	for i := 0; i < 20000; i++ {
+		tick()
+	}
+	if cap(w.q.bins) != bins {
+		t.Fatalf("sojourn bins regrew %d -> %d over %d more completions", bins, cap(w.q.bins), w.Served()-served)
 	}
 }
