@@ -25,6 +25,7 @@ import (
 	"sol/internal/ml/bandit"
 	"sol/internal/ml/linear"
 	"sol/internal/ml/qlearn"
+	"sol/internal/shard"
 	"sol/internal/stats"
 	"sol/internal/workload"
 )
@@ -303,7 +304,7 @@ func benchShardedCanary(b *testing.B, nodes, shards int, dur, cadence time.Durat
 			s := con.ShardOf(idx)
 			byShard[s] = append(byShard[s], idx)
 		}
-		err = co.Span(ShardSpan{
+		err = co.Span(shard.Span{
 			Until:    dur,
 			Interval: cadence,
 			Stepped:  func(s int) []int { return byShard[s] },

@@ -8,9 +8,7 @@
 //	solagent -agent harvest   -duration 2m
 //	solagent -agent memory    -duration 30m
 //
-// By default the simulation runs on the virtual clock (instantly);
-// -realtime 1x..N attaches the same agent to the wall clock, pacing the
-// simulated node in real time (useful for watching safeguards live).
+// The simulation runs on the virtual clock, so it finishes instantly.
 package main
 
 import (

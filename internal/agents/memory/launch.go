@@ -27,12 +27,10 @@ type Agent struct {
 // them under the SOL runtime on clk with the paper-calibrated
 // Schedule.
 func Launch(clk clock.Clock, mem *memsim.Memory, cfg Config, opts core.Options) (*Agent, error) {
-	return LaunchScheduled(clk, mem, cfg, Schedule(), opts)
+	return start(clk, mem, cfg, Schedule(), opts)
 }
 
-// LaunchScheduled is Launch with an explicit SOL schedule, for callers
-// — such as the fleet supervisor — that co-locate many agents.
-func LaunchScheduled(clk clock.Clock, mem *memsim.Memory, cfg Config, sched core.Schedule, opts core.Options) (*Agent, error) {
+func start(clk clock.Clock, mem *memsim.Memory, cfg Config, sched core.Schedule, opts core.Options) (*Agent, error) {
 	m, err := NewModel(mem, cfg)
 	if err != nil {
 		return nil, err
@@ -52,68 +50,37 @@ func (a *Agent) Stop() { a.Runtime.Stop() }
 func (a *Agent) Handle() core.Handle { return a.Runtime }
 
 // Variant is a named, fully deployable parameterization of
-// SmartMemory: agent config plus SOL schedule. The fleet control
-// plane rolls variants out in health-gated waves and rolls them back
-// by relaunching the baseline variant.
-type Variant struct {
-	// Name labels the variant in rollout campaigns and reports.
-	Name     string
-	Config   Config
-	Schedule core.Schedule
-}
+// SmartMemory — the memory kind's spec params.
+type Variant = spec.Variant[Config]
 
 // DefaultVariant returns the paper-calibrated baseline variant.
 func DefaultVariant() Variant {
 	return Variant{Name: "baseline", Config: DefaultConfig(), Schedule: Schedule()}
 }
 
-// LaunchVariant launches the agent with v's parameterization over mem.
-func LaunchVariant(clk clock.Clock, mem *memsim.Memory, v Variant, opts core.Options) (*Agent, error) {
-	return LaunchScheduled(clk, mem, v.Config, v.Schedule, opts)
-}
-
-func init() { spec.Register(Kind, specBuilder{}) }
-
-// specBuilder resolves declarative agent specs for the memory kind;
-// Variant is the typed spec params. Launching requires a tiered-memory
-// substrate in the node environment — the substrate belongs to the
-// node, not the agent, which is what lets a redeploy (or rollback)
-// hand the successor the same memory state the predecessor managed.
-type specBuilder struct{}
-
-// NewParams returns the paper-calibrated defaults, reseeded from the
-// node's seed root with the standard-node offset when one is provided.
-func (specBuilder) NewParams(env spec.NodeEnv) any {
-	v := DefaultVariant()
-	if env.Seed != 0 {
-		v.Config.Seed = env.Seed + 4
-	}
-	return &v
-}
-
-func (specBuilder) Customize(params any, variant string, sched *core.Schedule) {
-	v := params.(*Variant)
-	if variant != "" {
-		v.Name = variant
-	}
-	if sched != nil {
-		v.Schedule = *sched
-	}
-}
-
-func (specBuilder) Schedule(params any) core.Schedule {
-	return params.(*Variant).Schedule
-}
-
-func (specBuilder) Launch(env spec.NodeEnv, params any) (core.Handle, error) {
-	if env.Mem == nil {
-		return nil, fmt.Errorf("memory: spec launch needs a tiered-memory substrate in the environment")
-	}
-	ag, err := LaunchVariant(env.Clock, env.Mem, *params.(*Variant), env.Options)
-	if err != nil {
-		return nil, err
-	}
-	return ag.Handle(), nil
+// The memory kind's defaults are the paper calibration, reseeded from
+// the node's seed root with the standard-node offset when one is
+// provided. Launching requires a tiered-memory substrate in the node
+// environment — the substrate belongs to the node, not the agent, which
+// is what lets a redeploy (or rollback) hand the successor the same
+// memory state the predecessor managed.
+func init() {
+	spec.Register(Kind, func(env spec.NodeEnv) Variant {
+		v := DefaultVariant()
+		if env.Seed != 0 {
+			v.Config.Seed = env.Seed + 4
+		}
+		return v
+	}, func(env spec.NodeEnv, v Variant) (core.Handle, error) {
+		if env.Mem == nil {
+			return nil, fmt.Errorf("memory: spec launch needs a tiered-memory substrate in the environment")
+		}
+		ag, err := start(env.Clock, env.Mem, v.Config, v.Schedule, env.Options)
+		if err != nil {
+			return nil, err
+		}
+		return ag.Handle(), nil
+	})
 }
 
 // StaticPolicy is the non-learning baseline of Figure 7: it scans every

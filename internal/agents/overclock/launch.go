@@ -25,13 +25,10 @@ type Agent struct {
 // customizes runtime behaviour (fault injection, safeguard ablation);
 // pass core.Options{} for production behaviour.
 func Launch(clk clock.Clock, n *node.Node, cfg Config, opts core.Options) (*Agent, error) {
-	return LaunchScheduled(clk, n, cfg, Schedule(), opts)
+	return start(clk, n, cfg, Schedule(), opts)
 }
 
-// LaunchScheduled is Launch with an explicit SOL schedule, for callers
-// — such as the fleet supervisor — that co-locate many agents and
-// need different sampling rates than the single-agent calibration.
-func LaunchScheduled(clk clock.Clock, n *node.Node, cfg Config, sched core.Schedule, opts core.Options) (*Agent, error) {
+func start(clk clock.Clock, n *node.Node, cfg Config, sched core.Schedule, opts core.Options) (*Agent, error) {
 	m, err := NewModel(n, cfg)
 	if err != nil {
 		return nil, err
@@ -54,64 +51,32 @@ func (a *Agent) Stop() { a.Runtime.Stop() }
 func (a *Agent) Handle() core.Handle { return a.Runtime }
 
 // Variant is a named, fully deployable parameterization of
-// SmartOverclock: agent config plus SOL schedule. The fleet control
-// plane rolls variants out in health-gated waves and rolls them back
-// by relaunching the baseline variant.
-type Variant struct {
-	// Name labels the variant in rollout campaigns and reports.
-	Name     string
-	Config   Config
-	Schedule core.Schedule
-}
+// SmartOverclock — the overclock kind's spec params.
+type Variant = spec.Variant[Config]
 
 // DefaultVariant returns the paper-calibrated baseline variant for vm.
 func DefaultVariant(vm string) Variant {
 	return Variant{Name: "baseline", Config: DefaultConfig(vm), Schedule: Schedule()}
 }
 
-// LaunchVariant launches the agent with v's parameterization.
-func LaunchVariant(clk clock.Clock, n *node.Node, v Variant, opts core.Options) (*Agent, error) {
-	return LaunchScheduled(clk, n, v.Config, v.Schedule, opts)
-}
-
-func init() { spec.Register(Kind, specBuilder{}) }
-
-// specBuilder resolves declarative agent specs for the overclock kind;
-// Variant is the typed spec params.
-type specBuilder struct{}
-
-// NewParams returns the canonical defaults: the paper calibration on
-// the conventional "batch" VM, reseeded from the node's seed root with
-// the standard-node offset when one is provided.
-func (specBuilder) NewParams(env spec.NodeEnv) any {
-	v := DefaultVariant("batch")
-	if env.Seed != 0 {
-		v.Config.Seed = env.Seed + 2
-	}
-	return &v
-}
-
-func (specBuilder) Customize(params any, variant string, sched *core.Schedule) {
-	v := params.(*Variant)
-	if variant != "" {
-		v.Name = variant
-	}
-	if sched != nil {
-		v.Schedule = *sched
-	}
-}
-
-func (specBuilder) Schedule(params any) core.Schedule {
-	return params.(*Variant).Schedule
-}
-
-func (specBuilder) Launch(env spec.NodeEnv, params any) (core.Handle, error) {
-	if env.Node == nil {
-		return nil, fmt.Errorf("overclock: spec launch needs a node in the environment")
-	}
-	ag, err := LaunchVariant(env.Clock, env.Node, *params.(*Variant), env.Options)
-	if err != nil {
-		return nil, err
-	}
-	return ag.Handle(), nil
+// The overclock kind's defaults are the paper calibration on the
+// conventional "batch" VM, reseeded from the node's seed root with the
+// standard-node offset when one is provided.
+func init() {
+	spec.Register(Kind, func(env spec.NodeEnv) Variant {
+		v := DefaultVariant("batch")
+		if env.Seed != 0 {
+			v.Config.Seed = env.Seed + 2
+		}
+		return v
+	}, func(env spec.NodeEnv, v Variant) (core.Handle, error) {
+		if env.Node == nil {
+			return nil, fmt.Errorf("overclock: spec launch needs a node in the environment")
+		}
+		ag, err := start(env.Clock, env.Node, v.Config, v.Schedule, env.Options)
+		if err != nil {
+			return nil, err
+		}
+		return ag.Handle(), nil
+	})
 }

@@ -24,12 +24,10 @@ type Agent struct {
 // them under the SOL runtime on clk with the paper-calibrated
 // Schedule.
 func Launch(clk clock.Clock, src *telemetry.Source, cfg Config, opts core.Options) (*Agent, error) {
-	return LaunchScheduled(clk, src, cfg, Schedule(), opts)
+	return start(clk, src, cfg, Schedule(), opts)
 }
 
-// LaunchScheduled is Launch with an explicit SOL schedule, for callers
-// — such as the fleet supervisor — that co-locate many agents.
-func LaunchScheduled(clk clock.Clock, src *telemetry.Source, cfg Config, sched core.Schedule, opts core.Options) (*Agent, error) {
+func start(clk clock.Clock, src *telemetry.Source, cfg Config, sched core.Schedule, opts core.Options) (*Agent, error) {
 	m, err := NewModel(src, cfg)
 	if err != nil {
 		return nil, err
@@ -49,65 +47,34 @@ func (a *Agent) Stop() { a.Runtime.Stop() }
 func (a *Agent) Handle() core.Handle { return a.Runtime }
 
 // Variant is a named, fully deployable parameterization of
-// SmartSampler: agent config plus SOL schedule. The fleet control
-// plane rolls variants out in health-gated waves and rolls them back
-// by relaunching the baseline variant.
-type Variant struct {
-	// Name labels the variant in rollout campaigns and reports.
-	Name     string
-	Config   Config
-	Schedule core.Schedule
-}
+// SmartSampler — the sampler kind's spec params.
+type Variant = spec.Variant[Config]
 
 // DefaultVariant returns the standard baseline variant.
 func DefaultVariant() Variant {
 	return Variant{Name: "baseline", Config: DefaultConfig(), Schedule: Schedule()}
 }
 
-// LaunchVariant launches the agent with v's parameterization over src.
-func LaunchVariant(clk clock.Clock, src *telemetry.Source, v Variant, opts core.Options) (*Agent, error) {
-	return LaunchScheduled(clk, src, v.Config, v.Schedule, opts)
-}
-
-func init() { spec.Register(Kind, specBuilder{}) }
-
-// specBuilder resolves declarative agent specs for the sampler kind;
-// Variant is the typed spec params. Launching requires a telemetry
-// substrate in the node environment, so a redeploy hands the successor
-// the same source — and sampling history — the predecessor tuned.
-type specBuilder struct{}
-
-// NewParams returns the standard defaults, reseeded from the node's
-// seed root with the standard-node offset when one is provided.
-func (specBuilder) NewParams(env spec.NodeEnv) any {
-	v := DefaultVariant()
-	if env.Seed != 0 {
-		v.Config.Seed = env.Seed + 5
-	}
-	return &v
-}
-
-func (specBuilder) Customize(params any, variant string, sched *core.Schedule) {
-	v := params.(*Variant)
-	if variant != "" {
-		v.Name = variant
-	}
-	if sched != nil {
-		v.Schedule = *sched
-	}
-}
-
-func (specBuilder) Schedule(params any) core.Schedule {
-	return params.(*Variant).Schedule
-}
-
-func (specBuilder) Launch(env spec.NodeEnv, params any) (core.Handle, error) {
-	if env.Telemetry == nil {
-		return nil, fmt.Errorf("sampler: spec launch needs a telemetry substrate in the environment")
-	}
-	ag, err := LaunchVariant(env.Clock, env.Telemetry, *params.(*Variant), env.Options)
-	if err != nil {
-		return nil, err
-	}
-	return ag.Handle(), nil
+// The sampler kind's defaults are the standard calibration, reseeded
+// from the node's seed root with the standard-node offset when one is
+// provided. Launching requires a telemetry substrate in the node
+// environment, so a redeploy hands the successor the same source — and
+// sampling history — the predecessor tuned.
+func init() {
+	spec.Register(Kind, func(env spec.NodeEnv) Variant {
+		v := DefaultVariant()
+		if env.Seed != 0 {
+			v.Config.Seed = env.Seed + 5
+		}
+		return v
+	}, func(env spec.NodeEnv, v Variant) (core.Handle, error) {
+		if env.Telemetry == nil {
+			return nil, fmt.Errorf("sampler: spec launch needs a telemetry substrate in the environment")
+		}
+		ag, err := start(env.Clock, env.Telemetry, v.Config, v.Schedule, env.Options)
+		if err != nil {
+			return nil, err
+		}
+		return ag.Handle(), nil
+	})
 }

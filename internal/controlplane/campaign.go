@@ -68,9 +68,9 @@ func Run(cfg Config) (*Report, error) {
 	// A campaign for a kind no node runs would pass every gate
 	// vacuously and report "completed"; refuse it instead.
 	for _, tg := range st.targets {
-		if !kindPresent(co, tg.kind) {
+		if !kindPresent(co, tg.candidate.Kind) {
 			return nil, fmt.Errorf("controlplane: campaign %q targets kind %q, but no node runs it",
-				cfg.Campaign.Name, tg.kind)
+				cfg.Campaign.Name, tg.candidate.Kind)
 		}
 	}
 	// The canary converts in every shard at the virtual start instant,
@@ -259,7 +259,7 @@ func newCampaign(camp *Campaign, co *fleet.Coordinator, journal *Journal, replay
 	}
 	kinds := make(map[string]bool, len(targets))
 	for _, tg := range targets {
-		kinds[tg.kind] = true
+		kinds[tg.candidate.Kind] = true
 	}
 	con := co.Conductor()
 	shards := make([]shardCohort, con.Shards())
@@ -557,15 +557,15 @@ func (c *campaign) onEpoch(sh, _ int, _, step time.Duration) {
 func (c *campaign) deploy(sh, node int, revert bool) error {
 	sup := c.co.Supervisor(node)
 	for _, tg := range c.targets {
-		op := tg.convert
+		a := tg.candidate
 		if revert {
-			op = tg.revert
+			a = tg.baseline
 		}
 		for _, m := range sup.Members() {
-			if m.Kind != tg.kind {
+			if m.Kind != a.Kind {
 				continue
 			}
-			if err := op(sup, m.Name); err != nil {
+			if err := sup.ReplaceSpec(m.Name, a); err != nil {
 				return err
 			}
 			c.shards[sh].prev[memberKey{node, m.Name}] = 0

@@ -156,25 +156,31 @@ type Target struct {
 	Baseline *spec.Agent `json:"baseline,omitempty"`
 }
 
-// compiledTarget is a target resolved into deploy operations.
+// compiledTarget is a validated target: the specs conversion and
+// rollback deploy with Supervisor.ReplaceSpec.
 type compiledTarget struct {
-	kind    string
-	convert func(sup *fleet.Supervisor, member string) error
-	revert  func(sup *fleet.Supervisor, member string) error
+	candidate, baseline spec.Agent
 }
 
-// compile validates the target and binds its deploy operations.
+// baseline returns the spec rollback deploys: Baseline, with an empty
+// kind defaulting to the candidate's, or else the environment baseline
+// of the candidate's kind.
+func (t Target) baseline() spec.Agent {
+	if t.Baseline == nil {
+		return spec.Agent{Kind: t.Candidate.Kind}
+	}
+	base := *t.Baseline
+	if base.Kind == "" {
+		base.Kind = t.Candidate.Kind
+	}
+	return base
+}
+
+// compile validates the target's candidate and baseline specs.
 func (t Target) compile() (compiledTarget, error) {
-	cand := t.Candidate
+	cand, base := t.Candidate, t.baseline()
 	if err := cand.Validate(); err != nil {
 		return compiledTarget{}, fmt.Errorf("controlplane: candidate: %w", err)
-	}
-	base := spec.Agent{Kind: cand.Kind}
-	if t.Baseline != nil {
-		base = *t.Baseline
-		if base.Kind == "" {
-			base.Kind = cand.Kind
-		}
 	}
 	if base.Kind != cand.Kind {
 		return compiledTarget{}, fmt.Errorf("controlplane: target kind %q has a %q baseline; candidate and baseline must redeploy the same kind",
@@ -183,15 +189,7 @@ func (t Target) compile() (compiledTarget, error) {
 	if err := base.Validate(); err != nil {
 		return compiledTarget{}, fmt.Errorf("controlplane: baseline: %w", err)
 	}
-	return compiledTarget{
-		kind: cand.Kind,
-		convert: func(sup *fleet.Supervisor, member string) error {
-			return sup.ReplaceSpec(member, cand)
-		},
-		revert: func(sup *fleet.Supervisor, member string) error {
-			return sup.ReplaceSpec(member, base)
-		},
-	}, nil
+	return compiledTarget{candidate: cand, baseline: base}, nil
 }
 
 // Kinds returns the campaign's target kinds, in target order.
@@ -203,7 +201,7 @@ func (c *Campaign) Kinds() []string {
 	return out
 }
 
-// compile validates every target and binds the deploy operations.
+// compile validates every target.
 func (c *Campaign) compile() ([]compiledTarget, error) {
 	targets := make([]compiledTarget, len(c.Targets))
 	seen := make(map[string]bool, len(c.Targets))
@@ -212,10 +210,11 @@ func (c *Campaign) compile() ([]compiledTarget, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w (campaign %q)", err, c.Name)
 		}
-		if seen[ct.kind] {
-			return nil, fmt.Errorf("controlplane: campaign %q targets kind %q twice", c.Name, ct.kind)
+		kind := ct.candidate.Kind
+		if seen[kind] {
+			return nil, fmt.Errorf("controlplane: campaign %q targets kind %q twice", c.Name, kind)
 		}
-		seen[ct.kind] = true
+		seen[kind] = true
 		targets[i] = ct
 	}
 	return targets, nil

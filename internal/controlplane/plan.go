@@ -82,14 +82,7 @@ func (m *Manifest) Plan() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		baseSpec := spec.Agent{Kind: kind}
-		if tg.Baseline != nil {
-			baseSpec = *tg.Baseline
-			if baseSpec.Kind == "" {
-				baseSpec.Kind = kind
-			}
-		}
-		base, err := resolveParams(baseSpec, env)
+		base, err := resolveParams(tg.baseline(), env)
 		if err != nil {
 			return "", err
 		}

@@ -3,13 +3,12 @@ package fleet
 import (
 	"errors"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
 	"sol/internal/clock"
 	"sol/internal/core"
-	"sol/internal/node"
+	"sol/internal/spec"
 )
 
 func TestFleetConfigValidation(t *testing.T) {
@@ -157,28 +156,6 @@ func TestFleetHeterogeneous(t *testing.T) {
 	}
 }
 
-// liveGauge counts nodes built and not yet cleaned up, and the most it
-// ever held.
-type liveGauge struct {
-	mu         sync.Mutex
-	live, peak int
-}
-
-func (g *liveGauge) add(d int) {
-	g.mu.Lock()
-	g.live += d
-	g.peak = max(g.peak, g.live)
-	g.mu.Unlock()
-}
-
-// liveActuator checks its node out of the gauge at CleanUp.
-type liveActuator struct {
-	testActuator
-	gauge *liveGauge
-}
-
-func (a *liveActuator) CleanUp() { a.gauge.add(-1) }
-
 // TestRunStreamsNodes pins the reason Run exists beside the
 // Coordinator: an unobserved run streams — build, run, release — so no
 // more nodes are ever alive than the pool has workers, while a run that
@@ -187,25 +164,24 @@ func (a *liveActuator) CleanUp() { a.gauge.add(-1) }
 func TestRunStreamsNodes(t *testing.T) {
 	t.Parallel()
 	const nodes, workers = 24, 3
-	var g liveGauge
+	// Every node runs one synthetic agent, checked into the log at
+	// launch and out at CleanUp: the log's live count is the nodes alive.
+	g := newLaunchLog(t)
+	a := testAgent(t, spec.Variant[testConfig]{
+		Config: testConfig{TTL: time.Second, Log: g.name},
+		Schedule: core.Schedule{
+			DataPerEpoch: 4, DataCollectInterval: 50 * time.Millisecond,
+			MaxEpochTime: 400 * time.Millisecond, AssessModelEvery: 1,
+			MaxActuationDelay: 500 * time.Millisecond, AssessActuatorInterval: time.Second,
+		},
+	})
 	cfg := Config{
 		Nodes:    nodes,
 		Duration: time.Second,
 		Workers:  workers,
 		Setup: func(idx int, clk *clock.Virtual) (*Supervisor, error) {
-			g.add(1)
 			sup := NewSupervisor(clk, nil)
-			sched := core.Schedule{
-				DataPerEpoch: 4, DataCollectInterval: 50 * time.Millisecond,
-				MaxEpochTime: 400 * time.Millisecond, AssessModelEvery: 1,
-				MaxActuationDelay: 500 * time.Millisecond, AssessActuatorInterval: time.Second,
-			}
-			err := sup.Launch("gauge", "gauge", sched.MaxActuationDelay,
-				func(clk clock.Clock, _ *node.Node) (core.Handle, error) {
-					return core.Run[int, int](clk, &testModel{clk: clk, ttl: time.Second},
-						&liveActuator{testActuator: testActuator{clk: clk}, gauge: &g}, sched, core.Options{})
-				})
-			return sup, err
+			return sup, sup.LaunchSpec("gauge", a)
 		},
 	}
 	streamed, err := Run(cfg)

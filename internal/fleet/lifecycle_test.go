@@ -93,23 +93,53 @@ func TestSupervisorCrashRestart(t *testing.T) {
 	}
 }
 
-// TestSupervisorRestartRequiresSpecs: members launched from bare
-// closures carry no spec to relaunch from, so Restart must fail
-// loudly rather than silently resurrect half a node.
+// TestSupervisorRestartRequiresSpecs: Restart relaunches from recorded
+// specs onto a live supervisor; a stopped one has nothing to restart.
 func TestSupervisorRestartRequiresSpecs(t *testing.T) {
 	t.Parallel()
-	clk := clock.NewVirtual(testEpoch)
-	sup := closureSupervisor(t, clk)
-	defer sup.StopAll()
-	sup.Crash()
-	if err := sup.Restart(); err == nil || !strings.Contains(err.Error(), "spec") {
-		t.Fatalf("restart of a closure-launched member: %v, want a spec error", err)
-	}
-	// Restart on a stopped supervisor errors too.
-	sup2 := closureSupervisor(t, clk)
-	sup2.StopAll()
-	if err := sup2.Restart(); err == nil {
+	sup := colocate(t, clock.NewVirtual(testEpoch), "")
+	sup.StopAll()
+	if err := sup.Restart(); err == nil {
 		t.Fatal("restart of a stopped supervisor accepted")
+	}
+}
+
+// TestSupervisorRestartFailureStopsRelaunched: when a relaunch fails
+// partway, the members that attempt already relaunched are stopped
+// again, so a retried Restart — which relaunches every member — cannot
+// overwrite their live handles and leak them out of StopAll's reach.
+func TestSupervisorRestartFailureStopsRelaunched(t *testing.T) {
+	t.Parallel()
+	clk := clock.NewVirtual(testEpoch)
+	sup := NewSupervisor(clk, nil)
+	// Attempts 1 and 2 are the initial launches, 3 and 4 the first
+	// restart's: the second member's relaunch fails.
+	log := newLaunchLog(t)
+	a := testAgent(t, spec.Variant[testConfig]{Config: testConfig{TTL: time.Second, Log: log.name, FailAttempt: 4}, Schedule: testSchedule})
+	for _, name := range []string{"first", "second"} {
+		if err := sup.LaunchSpec(name, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.RunFor(time.Second)
+	sup.Crash()
+	if err := sup.Restart(); err == nil {
+		t.Fatal("restart with a failing relaunch succeeded")
+	}
+	if got := sup.Lifecycle(); got != LifecycleRestarting {
+		t.Fatalf("lifecycle after a failed restart = %s, want restarting", got)
+	}
+	clk.RunFor(time.Second)
+	if err := sup.Restart(); err != nil {
+		t.Fatalf("retried restart: %v", err)
+	}
+	clk.RunFor(time.Second)
+	sup.StopAll()
+	if n := len(log.launched()); n != 5 {
+		t.Fatalf("%d agents launched, want 5 (2 + 1 before the failure + 2 on retry)", n)
+	}
+	if n := log.leaked(); n != 0 {
+		t.Fatalf("%d of 5 agents never ran CleanUp", n)
 	}
 }
 
@@ -260,15 +290,4 @@ func TestLifecycleReportRendering(t *testing.T) {
 		t.Fatalf("down nodes' agents still deadline-judged: eligible %d, clean %d",
 			ks.DeadlineEligible, clean.Kinds["harvest"].DeadlineEligible)
 	}
-}
-
-// closureSupervisor builds a supervisor whose members are launched
-// from closures — the pre-spec launch path Restart cannot serve.
-func closureSupervisor(t *testing.T, clk *clock.Virtual) *Supervisor {
-	t.Helper()
-	sup, _, err := colocate(clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sup
 }

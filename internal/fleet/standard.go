@@ -144,30 +144,6 @@ func (cfg StandardNodeConfig) BaselineEnv(idx int) spec.NodeEnv {
 	}
 }
 
-// LaunchOverclock adapts a SmartOverclock variant to a supervisor
-// LaunchFunc, for Launch and Replace.
-func LaunchOverclock(v overclock.Variant, opts core.Options) LaunchFunc {
-	return func(clk clock.Clock, n *node.Node) (core.Handle, error) {
-		ag, err := overclock.LaunchVariant(clk, n, v, opts)
-		if err != nil {
-			return nil, err
-		}
-		return ag.Handle(), nil
-	}
-}
-
-// LaunchHarvest adapts a SmartHarvest variant to a supervisor
-// LaunchFunc, for Launch and Replace.
-func LaunchHarvest(v harvest.Variant, opts core.Options) LaunchFunc {
-	return func(clk clock.Clock, n *node.Node) (core.Handle, error) {
-		ag, err := harvest.LaunchVariant(clk, n, v, opts)
-		if err != nil {
-			return nil, err
-		}
-		return ag.Handle(), nil
-	}
-}
-
 // StandardNode returns a NodeFunc that builds one production-shaped
 // node: a simulated server with a latency-critical primary VM, an
 // elastic harvest VM, and a batch VM, plus a tiered-memory simulator
@@ -227,18 +203,12 @@ func StandardNode(cfg StandardNodeConfig) NodeFunc {
 		// Every agent is constructed from a declarative spec resolved
 		// against the node environment below. Substrates (tiered
 		// memory, telemetry) are created here and handed to the env —
-		// not built inside launch closures — so the supervisor can
+		// not built by the agents' launches — so the supervisor can
 		// redeploy any kind later (Supervisor.ReplaceSpec) with the
 		// substrate, and its accumulated state, surviving the swap.
 		sup := NewSupervisor(clk, n)
-		env := spec.NodeEnv{
-			Clock:     clk,
-			Node:      n,
-			NodeIndex: idx,
-			Seed:      seed,
-			Options:   cfg.Options,
-			Base:      cfg.baseParams(idx),
-		}
+		env := cfg.BaselineEnv(idx)
+		env.Clock, env.Node = clk, n
 		for _, kind := range kinds {
 			var err error
 			switch kind {

@@ -305,10 +305,6 @@ func (c *Coordinator) Profiling() bool { return c.con.Profiling() }
 // quiescent (between spans) — the same contract as Report.
 func (c *Coordinator) Profile() *obs.Profile { return c.con.Profile() }
 
-// Tracing reports whether the conductor's flight recorder is on
-// (Config.Trace).
-func (c *Coordinator) Tracing() bool { return c.rec.Enabled() }
-
 // Recorder returns the conductor's flight recorder (nil when tracing
 // is off), for callers that record their own events — the control
 // plane hangs campaign decisions on it. Every method is nil-safe.

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"sync"
@@ -9,7 +10,7 @@ import (
 
 	"sol/internal/clock"
 	"sol/internal/core"
-	"sol/internal/node"
+	"sol/internal/spec"
 )
 
 // TestSteppedMatchesBatch is the lockstep driver's core contract: the
@@ -88,66 +89,51 @@ func TestSteppedObserveBarriers(t *testing.T) {
 // non-compliant.
 func TestSteppedReplaceDeadlineWindow(t *testing.T) {
 	t.Parallel()
-	sched := core.Schedule{
-		DataPerEpoch: 4, DataCollectInterval: 100 * time.Millisecond,
-		MaxEpochTime: 800 * time.Millisecond, AssessModelEvery: 1,
-		MaxActuationDelay: 500 * time.Millisecond, AssessActuatorInterval: time.Second,
-	}
-	launch := func(clk clock.Clock, _ *node.Node) (core.Handle, error) {
-		return core.Run[int, int](clk, &testModel{clk: clk, ttl: time.Second}, &testActuator{clk: clk}, sched, core.Options{})
-	}
+	a := testAgent(t, spec.Variant[testConfig]{Config: testConfig{TTL: time.Second}, Schedule: testSchedule})
 	cfg := Config{
 		Nodes:    1,
 		Duration: 30 * time.Second,
 		Setup: func(idx int, clk *clock.Virtual) (*Supervisor, error) {
 			sup := NewSupervisor(clk, nil)
-			return sup, sup.Launch("agent", "agent", sched.MaxActuationDelay, launch)
+			return sup, sup.LaunchSpec("agent", a)
 		},
 	}
 	rep, err := RunStepped(cfg, 5*time.Second, func(epoch int, c *Coordinator) error {
 		if epoch == 3 { // t=15s: redeploy with half the horizon left
-			return c.Supervisor(0).Replace("agent", sched.MaxActuationDelay, launch)
+			return c.Supervisor(0).ReplaceSpec("agent", a)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ks := rep.Kinds["agent"]
+	ks := rep.Kinds[testKind]
 	if ks == nil || ks.DeadlineEligible != 1 {
 		t.Fatalf("replaced agent not deadline-eligible: %+v", rep)
 	}
 	if ks.DeadlineMet != 1 {
 		t.Fatalf("replaced agent judged against the full-horizon floor: %d actions vs floor %d over its 15s lifetime (report: %+v)",
-			ks.Stats.Actions, (MemberStatus{MaxActuationDelay: sched.MaxActuationDelay}).DeadlineFloor(15*time.Second), ks)
+			ks.Stats.Actions, (MemberStatus{MaxActuationDelay: testSchedule.MaxActuationDelay}).DeadlineFloor(15*time.Second), ks)
 	}
 }
 
-// TestSupervisorReplaceConcurrent hammers Replace for the same member
-// from several goroutines on the real clock: replacements must
+// TestSupervisorReplaceConcurrent hammers ReplaceSpec for the same
+// member from several goroutines on the real clock: replacements must
 // serialize so that every agent ever launched is eventually stopped
-// (by the next Replace or by StopAll) — a lost race here would leak a
-// live agent invisible to StopAll.
+// (by the next ReplaceSpec or by StopAll) — a lost race here would leak
+// a live agent invisible to StopAll.
 func TestSupervisorReplaceConcurrent(t *testing.T) {
 	t.Parallel()
-	clk := clock.NewReal()
-	sup := NewSupervisor(clk, nil)
-	sched := core.Schedule{
-		DataPerEpoch: 2, DataCollectInterval: 5 * time.Millisecond,
-		MaxEpochTime: 50 * time.Millisecond, MaxActuationDelay: 20 * time.Millisecond,
-	}
-	var mu sync.Mutex
-	var acts []*testActuator
-	mk := func() LaunchFunc {
-		return func(clk clock.Clock, _ *node.Node) (core.Handle, error) {
-			a := &testActuator{clk: clk}
-			mu.Lock()
-			acts = append(acts, a)
-			mu.Unlock()
-			return core.Run[int, int](clk, &testModel{clk: clk, ttl: 100 * time.Millisecond}, a, sched, core.Options{})
-		}
-	}
-	if err := sup.Launch("k", "x", sched.MaxActuationDelay, mk()); err != nil {
+	sup := NewSupervisor(clock.NewReal(), nil)
+	log := newLaunchLog(t)
+	a := testAgent(t, spec.Variant[testConfig]{
+		Config: testConfig{TTL: 100 * time.Millisecond, Log: log.name},
+		Schedule: core.Schedule{
+			DataPerEpoch: 2, DataCollectInterval: 5 * time.Millisecond,
+			MaxEpochTime: 50 * time.Millisecond, MaxActuationDelay: 20 * time.Millisecond,
+		},
+	})
+	if err := sup.LaunchSpec("x", a); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -156,7 +142,7 @@ func TestSupervisorReplaceConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 5; j++ {
-				if err := sup.Replace("x", sched.MaxActuationDelay, mk()); err != nil {
+				if err := sup.ReplaceSpec("x", a); err != nil {
 					t.Error(err)
 					return
 				}
@@ -165,18 +151,11 @@ func TestSupervisorReplaceConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	sup.StopAll()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(acts) != 21 {
-		t.Fatalf("launched %d agents, want 21 (1 + 4x5 replacements)", len(acts))
+	if n := len(log.launched()); n != 21 {
+		t.Fatalf("launched %d agents, want 21 (1 + 4x5 replacements)", n)
 	}
-	for i, a := range acts {
-		a.mu.Lock()
-		cleaned := a.cleanups
-		a.mu.Unlock()
-		if cleaned == 0 {
-			t.Fatalf("agent %d of %d leaked: CleanUp never ran", i, len(acts))
-		}
+	if n := log.leaked(); n != 0 {
+		t.Fatalf("%d of 21 agents leaked: CleanUp never ran", n)
 	}
 }
 
@@ -208,10 +187,8 @@ func TestCoordinatorSetupError(t *testing.T) {
 func TestSupervisorReplace(t *testing.T) {
 	t.Parallel()
 	clk := clock.NewVirtual(testEpoch)
-	sup, acts, err := colocate(clk)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := newLaunchLog(t)
+	sup := colocate(t, clk, log.name)
 	defer sup.StopAll()
 	clk.RunFor(5 * time.Second)
 
@@ -221,26 +198,26 @@ func TestSupervisorReplace(t *testing.T) {
 	}
 
 	// Replace "fast" with a slower variant of itself.
-	repl := &testActuator{clk: clk}
-	sched := core.Schedule{
-		DataPerEpoch: 4, DataCollectInterval: 100 * time.Millisecond,
-		MaxEpochTime: 800 * time.Millisecond, AssessModelEvery: 1,
-		MaxActuationDelay: time.Second, AssessActuatorInterval: time.Second,
-	}
-	err = sup.Replace("fast", sched.MaxActuationDelay,
-		func(clk clock.Clock, _ *node.Node) (core.Handle, error) {
-			return core.Run[int, int](clk, &testModel{clk: clk, ttl: time.Second}, repl, sched, core.Options{})
-		})
+	err := sup.ReplaceSpec("fast", testAgent(t, spec.Variant[testConfig]{
+		Config: testConfig{TTL: time.Second, Log: log.name},
+		Schedule: core.Schedule{
+			DataPerEpoch: 4, DataCollectInterval: 100 * time.Millisecond,
+			MaxEpochTime: 800 * time.Millisecond, AssessModelEvery: 1,
+			MaxActuationDelay: time.Second, AssessActuatorInterval: time.Second,
+		},
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acts["fast"].cleanups == 0 {
+	acts := log.launched()
+	fast, repl := acts[0], acts[len(acts)-1]
+	if fast.cleanups == 0 {
 		t.Fatal("replaced member's CleanUp never ran")
 	}
 
 	clk.RunFor(5 * time.Second)
 	after := sup.Status()
-	if after[0].Name != "fast" || after[0].Kind != "fast" {
+	if after[0].Name != "fast" || after[0].Kind != testKind {
 		t.Fatalf("replacement lost attach position or identity: %+v", after[0])
 	}
 	if after[0].MaxActuationDelay != time.Second {
@@ -260,17 +237,23 @@ func TestSupervisorReplace(t *testing.T) {
 		t.Fatal("replacement actuator never acted")
 	}
 
-	// Error paths: unknown member; stopped supervisor.
-	if err := sup.Replace("nope", 0, func(clock.Clock, *node.Node) (core.Handle, error) {
-		t.Fatal("launch called for unknown member")
-		return nil, nil
-	}); err == nil {
+	// Error paths: unknown member; params that do not resolve, which
+	// must leave the running member untouched; stopped supervisor.
+	launches := len(log.launched())
+	if err := sup.ReplaceSpec("nope", spec.Agent{Kind: testKind}); err == nil {
 		t.Fatal("replace of unknown member accepted")
 	}
+	if err := sup.ReplaceSpec("fast", spec.Agent{Kind: testKind, Params: json.RawMessage(`{"Typo": 1}`)}); err == nil {
+		t.Fatal("replace with undecodable params accepted")
+	}
+	if repl.cleanups != 0 {
+		t.Fatal("a refused replace stopped the running member")
+	}
+	if n := len(log.launched()); n != launches {
+		t.Fatalf("refused replaces launched %d agents", n-launches)
+	}
 	sup.StopAll()
-	if err := sup.Replace("fast", 0, func(clock.Clock, *node.Node) (core.Handle, error) {
-		return nil, nil
-	}); err == nil {
+	if err := sup.ReplaceSpec("fast", spec.Agent{Kind: testKind}); err == nil {
 		t.Fatal("replace on stopped supervisor accepted")
 	}
 }

@@ -36,12 +36,9 @@ type Member struct {
 	// SOL schedule. The supervisor uses it to report deadline
 	// compliance; zero disables that accounting for the member.
 	MaxActuationDelay time.Duration
-	// Spec, when non-nil, is the declarative agent spec this member
-	// was last launched from — LaunchSpec and ReplaceSpec record it,
-	// closure launches (Attach, Launch, Replace) leave it nil. It is
-	// what a crashed node's spec-driven Restart relaunches; a member
-	// without a spec cannot survive a crash.
-	Spec *spec.Agent
+	// Spec is the declarative agent spec the member was last launched
+	// from — what a crashed node's Restart relaunches.
+	Spec spec.Agent
 }
 
 // LifecycleState is a supervisor's node-level availability: the state
@@ -120,17 +117,16 @@ type Supervisor struct {
 
 	mu       sync.Mutex
 	members  []Member
-	byName   map[string]int
 	env      spec.NodeEnv
 	stopped  bool
 	life     LifecycleState
 	restarts int
 
-	// replaceMu serializes Replace calls end to end. Replace must drop
-	// mu around the old agent's Stop and the new launch (both run
-	// agent code), and without this two concurrent Replaces of the
-	// same member would each install a handle — the loser's agent
-	// leaking alive, unreachable by StopAll.
+	// replaceMu serializes deploys (LaunchSpec, ReplaceSpec, Crash,
+	// Restart) end to end. A deploy must drop mu around agent Stops and
+	// launches (both run agent code), and without this two concurrent
+	// ReplaceSpecs of the same member would each install a handle — the
+	// loser's agent leaking alive, unreachable by StopAll.
 	replaceMu sync.Mutex
 }
 
@@ -138,7 +134,8 @@ type Supervisor struct {
 // node the agents manage; it may be nil for supervisors whose agents
 // run against other substrates (tiered memory, telemetry sources).
 func NewSupervisor(clk clock.Clock, n *node.Node) *Supervisor {
-	return &Supervisor{clk: clk, n: n, byName: make(map[string]int)}
+	// Sized for every kind, so a standard node's members never regrow.
+	return &Supervisor{clk: clk, n: n, members: make([]Member, 0, len(AllKinds))}
 }
 
 // Clock returns the shared clock.
@@ -173,120 +170,133 @@ func (s *Supervisor) Env() spec.NodeEnv {
 	return env
 }
 
-// Attach registers an already-running agent with the supervisor.
-func (s *Supervisor) Attach(m Member) error {
-	if m.Kind == "" {
-		return fmt.Errorf("fleet: member %q has no kind", m.Name)
-	}
-	if m.Name == "" {
-		return fmt.Errorf("fleet: %s member has no name", m.Kind)
-	}
-	if m.Handle == nil {
-		return fmt.Errorf("fleet: member %q has no handle", m.Name)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return fmt.Errorf("fleet: supervisor is stopped")
-	}
-	if _, dup := s.byName[m.Name]; dup {
-		return fmt.Errorf("fleet: duplicate member %q", m.Name)
-	}
-	s.byName[m.Name] = len(s.members)
-	s.members = append(s.members, m)
-	return nil
-}
-
-// LaunchFunc builds and starts one agent on the supervisor's clock and
-// node, returning its type-erased handle.
-type LaunchFunc func(clk clock.Clock, n *node.Node) (core.Handle, error)
-
-// Launch starts an agent via launch and attaches it under kind/name.
-// deadline is the agent's MaxActuationDelay, for deadline-compliance
-// reporting. If attaching fails the freshly launched agent is stopped.
-func (s *Supervisor) Launch(kind, name string, deadline time.Duration, launch LaunchFunc) error {
-	h, err := launch(s.clk, s.n)
-	if err != nil {
-		return fmt.Errorf("fleet: launch %s/%s: %w", kind, name, err)
-	}
-	if err := s.Attach(Member{Kind: kind, Name: name, Handle: h, MaxActuationDelay: deadline}); err != nil {
-		h.Stop()
-		return err
-	}
-	return nil
-}
-
 // LaunchSpec resolves the declarative agent spec a against the kind
 // registry, launches it on the supervisor's node environment, and
 // attaches it under a.Kind/name. The member's actuation deadline comes
-// from the resolved params' schedule — specs carry their own deadline,
-// closures cannot.
+// from the resolved params' schedule. Specs are the only way onto a
+// supervisor: a member's spec is what ReplaceSpec swaps and what
+// Restart relaunches after a crash.
 func (s *Supervisor) LaunchSpec(name string, a spec.Agent) error {
-	r, err := spec.Resolve(a)
+	if name == "" {
+		return fmt.Errorf("fleet: %s member has no name", a.Kind)
+	}
+	s.replaceMu.Lock()
+	defer s.replaceMu.Unlock()
+	s.mu.Lock()
+	err := s.deployableLocked("launch", name)
+	if err == nil && s.indexLocked(name) >= 0 {
+		err = fmt.Errorf("fleet: duplicate member %q", name)
+	}
+	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	h, deadline, err := r.Launch(s.Env())
+	b, err := spec.Bind(a, s.Env())
+	if err != nil {
+		return err
+	}
+	h, deadline, err := b.Launch()
 	if err != nil {
 		return fmt.Errorf("fleet: launch %s/%s: %w", a.Kind, name, err)
 	}
-	if err := s.Attach(Member{Kind: a.Kind, Name: name, Handle: h, MaxActuationDelay: deadline, Spec: &a}); err != nil {
+	s.mu.Lock()
+	if s.stopped {
+		// StopAll won the race; the new agent must not outlive it.
+		s.mu.Unlock()
 		h.Stop()
-		return err
+		return fmt.Errorf("fleet: supervisor stopped during launch of %q", name)
 	}
+	s.members = append(s.members, Member{Kind: a.Kind, Name: name, Handle: h, MaxActuationDelay: deadline, Spec: a})
+	s.mu.Unlock()
 	return nil
 }
 
 // ReplaceSpec redeploys the member named name from a declarative
-// agent spec, resolved against the supervisor's node environment.
-// Unlike the closure form of Replace, this works for every registered
-// kind: the environment carries the substrate handles (tiered memory,
-// telemetry), so substrate-backed agents can be rolled out and rolled
-// back like any other — the substrate itself survives the redeploy.
-// The spec's kind must match the member's: Replace keeps the member's
-// kind label, and a mismatched agent under it would corrupt every
-// kind-keyed view (fleet aggregation, cohort health).
+// agent spec, resolved against the supervisor's node environment: the
+// running agent is stopped (its Actuator's CleanUp restores a clean
+// substrate), then its successor launches at the same virtual instant,
+// keeping the member's kind, name, and attach position. This is the
+// control plane's rollout/rollback primitive — convert a node to a
+// candidate variant, or revert it to baseline — and it works for every
+// registered kind: the environment carries the substrate handles
+// (tiered memory, telemetry), so the substrate survives the redeploy.
+//
+// The spec's kind must match the member's: the member keeps its kind
+// label, and a mismatched agent under it would corrupt every kind-keyed
+// view (fleet aggregation, cohort health). A spec whose params do not
+// resolve is refused before the running agent is touched. If the launch
+// itself fails, the member stays attached with its stopped handle
+// (counters frozen, safeguards clear) and the error is returned; the
+// node is then agent-less for that kind, which callers must treat as a
+// failed deployment, not a healthy node.
 func (s *Supervisor) ReplaceSpec(name string, a spec.Agent) error {
-	r, err := spec.Resolve(a)
+	s.replaceMu.Lock()
+	defer s.replaceMu.Unlock()
+	s.mu.Lock()
+	idx := s.indexLocked(name)
+	err := s.deployableLocked("replace", name)
+	switch {
+	case err != nil:
+	case idx < 0:
+		err = fmt.Errorf("fleet: no member %q to replace", name)
+	case s.members[idx].Kind != a.Kind:
+		err = fmt.Errorf("fleet: member %s/%s cannot be replaced by a %q spec", s.members[idx].Kind, name, a.Kind)
+	}
+	var old Member
+	if err == nil {
+		old = s.members[idx]
+	}
+	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	kind, found := "", false
-	for _, m := range s.Members() {
-		if m.Name == name {
-			kind, found = m.Kind, true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("fleet: no member %q to replace", name)
-	}
-	if kind != a.Kind {
-		return fmt.Errorf("fleet: member %s/%s cannot be replaced by a %q spec", kind, name, a.Kind)
-	}
-	env := s.Env()
-	deadline, err := r.Deadline(env)
+	b, err := spec.Bind(a, s.Env())
 	if err != nil {
 		return err
 	}
-	if err := s.Replace(name, deadline, func(clock.Clock, *node.Node) (core.Handle, error) {
-		h, _, err := r.Launch(env)
-		return h, err
-	}); err != nil {
-		return err
+
+	// Stop first so CleanUp hands the replacement a clean substrate; no
+	// virtual time passes between the stop and the relaunch.
+	old.Handle.Stop()
+	h, deadline, err := b.Launch()
+	if err != nil {
+		return fmt.Errorf("fleet: replace %s/%s: %w", old.Kind, name, err)
 	}
-	s.setSpec(name, &a)
+	s.mu.Lock()
+	if s.stopped {
+		// StopAll won the race; the replacement must not outlive it.
+		s.mu.Unlock()
+		h.Stop()
+		return fmt.Errorf("fleet: supervisor stopped during replace of %q", name)
+	}
+	m := &s.members[idx]
+	m.Handle, m.MaxActuationDelay, m.Spec = h, deadline, a
+	s.mu.Unlock()
 	return nil
 }
 
-// setSpec records (or clears, with nil) the declarative spec behind
-// the named member, if it still exists.
-func (s *Supervisor) setSpec(name string, a *spec.Agent) {
-	s.mu.Lock()
-	if idx, ok := s.byName[name]; ok {
-		s.members[idx].Spec = a
+// deployableLocked reports why member name cannot be deployed (verb:
+// launched or replaced) now: a stopped supervisor, or a node that is
+// not up.
+func (s *Supervisor) deployableLocked(verb, name string) error {
+	if s.stopped {
+		return fmt.Errorf("fleet: supervisor is stopped")
 	}
-	s.mu.Unlock()
+	if s.life != LifecycleUp {
+		return fmt.Errorf("fleet: cannot %s %q on a %s node", verb, name, s.life)
+	}
+	return nil
+}
+
+// indexLocked returns the attach position of the member named name, or
+// -1. A node has a handful of members, so a scan beats a map.
+func (s *Supervisor) indexLocked(name string) int {
+	for i := range s.members {
+		if s.members[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Members returns a copy of the member list, in attach order.
@@ -380,69 +390,12 @@ func (s *Supervisor) HealthDetailInto(dst []MemberHealth) []MemberHealth {
 	return dst
 }
 
-// Replace redeploys the member named name: the running agent is
-// stopped (its Actuator's CleanUp restores a clean substrate), then
-// launch builds its successor at the same virtual instant, keeping the
-// member's kind, name, and attach position. deadline is the
-// replacement's MaxActuationDelay. This is the control plane's
-// rollout/rollback primitive — convert a node to a candidate variant,
-// or revert it to baseline.
-//
-// If launch fails the member stays attached with its stopped handle
-// (counters frozen, safeguards clear) and the error is returned; the
-// node is then agent-less for that kind, which callers must treat as a
-// failed deployment, not a healthy node.
-func (s *Supervisor) Replace(name string, deadline time.Duration, launch LaunchFunc) error {
-	s.replaceMu.Lock()
-	defer s.replaceMu.Unlock()
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return fmt.Errorf("fleet: supervisor is stopped")
-	}
-	if s.life != LifecycleUp {
-		life := s.life
-		s.mu.Unlock()
-		return fmt.Errorf("fleet: cannot replace %q on a %s node", name, life)
-	}
-	idx, ok := s.byName[name]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("fleet: no member %q to replace", name)
-	}
-	old := s.members[idx]
-	s.mu.Unlock()
-
-	// Stop first so CleanUp hands the replacement a clean substrate; no
-	// virtual time passes between the stop and the relaunch.
-	old.Handle.Stop()
-	h, err := launch(s.clk, s.n)
-	if err != nil {
-		return fmt.Errorf("fleet: replace %s/%s: %w", old.Kind, name, err)
-	}
-	s.mu.Lock()
-	if s.stopped {
-		// StopAll won the race; the replacement must not outlive it.
-		s.mu.Unlock()
-		h.Stop()
-		return fmt.Errorf("fleet: supervisor stopped during replace of %q", name)
-	}
-	s.members[idx].Handle = h
-	s.members[idx].MaxActuationDelay = deadline
-	// The closure launch is opaque; whatever spec the member had no
-	// longer describes what is running. ReplaceSpec re-records it.
-	s.members[idx].Spec = nil
-	s.mu.Unlock()
-	return nil
-}
-
 // Crash stops every member in place — the node's agent stack dies, the
 // watchdog runs each Actuator's CleanUp — and marks the node Down. The
 // substrates and the clock keep advancing underneath; that surviving
 // state is what Restart resumes onto. Unlike StopAll this is not
-// terminal: the supervisor refuses Replace while down but accepts a
-// spec-driven Restart. Crashing a stopped or already-down node is a
-// no-op.
+// terminal: the supervisor refuses deploys while down but accepts a
+// Restart. Crashing a stopped or already-down node is a no-op.
 func (s *Supervisor) Crash() {
 	s.replaceMu.Lock()
 	defer s.replaceMu.Unlock()
@@ -467,9 +420,9 @@ func (s *Supervisor) Crash() {
 // marks the node Up. Members keep their kind, name, and attach
 // position; counters restart from zero (it is a new agent process) but
 // the substrates retain whatever state they reached while the node was
-// down. A member without a recorded spec cannot be relaunched: the
-// node stays Restarting and an error is returned — as it is if any
-// relaunch fails partway, leaving earlier members running.
+// down. If a relaunch fails, the members this attempt already
+// relaunched are stopped again, the node stays Restarting, and the
+// error is returned; a later Restart retries every member.
 func (s *Supervisor) Restart() error {
 	s.replaceMu.Lock()
 	defer s.replaceMu.Unlock()
@@ -490,15 +443,13 @@ func (s *Supervisor) Restart() error {
 	env := s.Env()
 	for i := range members {
 		m := &members[i]
-		if m.Spec == nil {
-			return fmt.Errorf("fleet: cannot restart %s/%s: not spec-launched", m.Kind, m.Name)
-		}
-		r, err := spec.Resolve(*m.Spec)
+		h, deadline, err := spec.Launch(m.Spec, env)
 		if err != nil {
-			return fmt.Errorf("fleet: restart %s/%s: %w", m.Kind, m.Name, err)
-		}
-		h, deadline, err := r.Launch(env)
-		if err != nil {
+			// The retry relaunches these too; left running, their
+			// handles would be overwritten out of StopAll's reach.
+			for j := i - 1; j >= 0; j-- {
+				members[j].Handle.Stop()
+			}
 			return fmt.Errorf("fleet: restart %s/%s: %w", m.Kind, m.Name, err)
 		}
 		s.mu.Lock()
@@ -507,11 +458,10 @@ func (s *Supervisor) Restart() error {
 			h.Stop()
 			return fmt.Errorf("fleet: supervisor stopped during restart")
 		}
-		if idx, ok := s.byName[m.Name]; ok {
-			s.members[idx].Handle = h
-			s.members[idx].MaxActuationDelay = deadline
-		}
+		s.members[i].Handle = h
+		s.members[i].MaxActuationDelay = deadline
 		s.mu.Unlock()
+		m.Handle = h
 	}
 
 	s.mu.Lock()

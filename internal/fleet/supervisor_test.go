@@ -1,14 +1,17 @@
 package fleet
 
 import (
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sol/internal/clock"
 	"sol/internal/core"
-	"sol/internal/node"
+	"sol/internal/spec"
 )
 
 var testEpoch = time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -47,6 +50,7 @@ type testActuator struct {
 	clk      clock.Clock
 	badFrom  time.Time // AssessPerformance fails in [badFrom, badTo)
 	badTo    time.Time
+	log      *launchLog // checked out of at CleanUp; nil when unlogged
 	mu       sync.Mutex
 	actions  int
 	cleanups int
@@ -74,10 +78,140 @@ func (a *testActuator) CleanUp() {
 	a.mu.Lock()
 	a.cleanups++
 	a.mu.Unlock()
+	if a.log != nil {
+		a.log.checkOut()
+	}
+}
+
+// testKind is the synthetic agent kind the supervisor tests deploy: a
+// testModel/testActuator pair configured by testConfig.
+const testKind = "fleet-test"
+
+// testConfig parameterizes one synthetic agent.
+type testConfig struct {
+	// TTL is every prediction's lifetime.
+	TTL time.Duration
+	// FailModelFrom makes AssessModel fail from this epoch on (0 never).
+	FailModelFrom int
+	// BadFrom and BadTo, offsets from testEpoch, bound the window in
+	// which AssessPerformance fails; a zero BadTo means no window.
+	BadFrom, BadTo time.Duration
+	// Log names the launchLog this agent's launches are recorded in
+	// (empty: not recorded).
+	Log string
+	// FailAttempt makes the Log's launch attempt with this number,
+	// counting from 1, fail (0: none fails).
+	FailAttempt int
+}
+
+// testSchedule is the synthetic kind's default schedule.
+var testSchedule = core.Schedule{
+	DataPerEpoch: 4, DataCollectInterval: 100 * time.Millisecond,
+	MaxEpochTime: 800 * time.Millisecond, AssessModelEvery: 1,
+	MaxActuationDelay: 500 * time.Millisecond, AssessActuatorInterval: time.Second,
+}
+
+func init() {
+	spec.Register(testKind, func(spec.NodeEnv) spec.Variant[testConfig] {
+		return spec.Variant[testConfig]{Name: "baseline", Config: testConfig{TTL: time.Second}, Schedule: testSchedule}
+	}, func(env spec.NodeEnv, v spec.Variant[testConfig]) (core.Handle, error) {
+		c := v.Config
+		a := &testActuator{clk: env.Clock}
+		if c.BadTo > 0 {
+			a.badFrom, a.badTo = testEpoch.Add(c.BadFrom), testEpoch.Add(c.BadTo)
+		}
+		if c.Log != "" {
+			l, ok := launchLogs.Load(c.Log)
+			if !ok {
+				return nil, fmt.Errorf("no launch log %q", c.Log)
+			}
+			a.log = l.(*launchLog)
+			if err := a.log.checkIn(a, c.FailAttempt); err != nil {
+				return nil, err
+			}
+		}
+		m := &testModel{clk: env.Clock, ttl: c.TTL, failFrom: c.FailModelFrom}
+		return core.Run[int, int](env.Clock, m, a, v.Schedule, env.Options)
+	})
+}
+
+// testAgent returns the spec deploying exactly v on the synthetic kind.
+func testAgent(t testing.TB, v spec.Variant[testConfig]) spec.Agent {
+	t.Helper()
+	params, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec.Agent{Kind: testKind, Params: params}
+}
+
+// launchLog records every synthetic agent launched under one Log name
+// and how many of them are live — launched, CleanUp not yet run.
+type launchLog struct {
+	name       string
+	mu         sync.Mutex
+	attempts   int
+	acts       []*testActuator
+	live, peak int
+}
+
+var (
+	launchLogs sync.Map // Log name -> *launchLog
+	logSeq     atomic.Int64
+)
+
+// newLaunchLog returns an empty launch log registered, for the test's
+// lifetime, under a name no other test run shares.
+func newLaunchLog(t testing.TB) *launchLog {
+	l := &launchLog{name: fmt.Sprintf("%s#%d", t.Name(), logSeq.Add(1))}
+	launchLogs.Store(l.name, l)
+	t.Cleanup(func() { launchLogs.Delete(l.name) })
+	return l
+}
+
+// checkIn records a launch attempt, failing it if it is attempt
+// number failAttempt.
+func (l *launchLog) checkIn(a *testActuator, failAttempt int) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.attempts++
+	if l.attempts == failAttempt {
+		return fmt.Errorf("launch attempt %d fails by design", l.attempts)
+	}
+	l.acts = append(l.acts, a)
+	l.live++
+	l.peak = max(l.peak, l.live)
+	return nil
+}
+
+func (l *launchLog) checkOut() {
+	l.mu.Lock()
+	l.live--
+	l.mu.Unlock()
+}
+
+// launched returns the actuators launched so far, in launch order.
+func (l *launchLog) launched() []*testActuator {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]*testActuator(nil), l.acts...)
+}
+
+// leaked returns how many launched agents never ran CleanUp.
+func (l *launchLog) leaked() int {
+	n := 0
+	for _, a := range l.launched() {
+		a.mu.Lock()
+		if a.cleanups == 0 {
+			n++
+		}
+		a.mu.Unlock()
+	}
+	return n
 }
 
 // colocate builds a supervisor with three heterogeneous synthetic
-// agents on one virtual clock:
+// agents on one virtual clock, logged under log:
 //
 //   - fast: 50 ms collections, 500 ms actuation deadline, healthy.
 //   - flaky-act: its actuator safeguard fails between t=10s and
@@ -85,60 +219,44 @@ func (a *testActuator) CleanUp() {
 //   - flaky-model: its model fails assessment from epoch 8 on, so its
 //     predictions are intercepted but its actuator keeps acting on
 //     defaults.
-func colocate(clk clock.Clock) (*Supervisor, map[string]*testActuator, error) {
+func colocate(t testing.TB, clk clock.Clock, log string) *Supervisor {
+	t.Helper()
 	sup := NewSupervisor(clk, nil)
-	acts := make(map[string]*testActuator)
-
-	type spec struct {
-		name  string
-		sched core.Schedule
-		m     *testModel
-		a     *testActuator
-	}
-	specs := []spec{
-		{
-			name: "fast",
-			sched: core.Schedule{
+	members := []struct {
+		name string
+		v    spec.Variant[testConfig]
+	}{
+		{"fast", spec.Variant[testConfig]{
+			Config: testConfig{TTL: time.Second, Log: log},
+			Schedule: core.Schedule{
 				DataPerEpoch: 4, DataCollectInterval: 50 * time.Millisecond,
 				MaxEpochTime: 400 * time.Millisecond, AssessModelEvery: 1,
 				MaxActuationDelay: 500 * time.Millisecond, AssessActuatorInterval: time.Second,
 			},
-			m: &testModel{clk: clk, ttl: time.Second},
-			a: &testActuator{clk: clk},
-		},
-		{
-			name: "flaky-act",
-			sched: core.Schedule{
+		}},
+		{"flaky-act", spec.Variant[testConfig]{
+			Config: testConfig{TTL: 2 * time.Second, BadFrom: 10 * time.Second, BadTo: 20 * time.Second, Log: log},
+			Schedule: core.Schedule{
 				DataPerEpoch: 5, DataCollectInterval: 100 * time.Millisecond,
 				MaxEpochTime: time.Second, AssessModelEvery: 1,
 				MaxActuationDelay: time.Second, AssessActuatorInterval: time.Second,
 			},
-			m: &testModel{clk: clk, ttl: 2 * time.Second},
-			a: &testActuator{clk: clk, badFrom: testEpoch.Add(10 * time.Second), badTo: testEpoch.Add(20 * time.Second)},
-		},
-		{
-			name: "flaky-model",
-			sched: core.Schedule{
+		}},
+		{"flaky-model", spec.Variant[testConfig]{
+			Config: testConfig{TTL: 4 * time.Second, FailModelFrom: 8, Log: log},
+			Schedule: core.Schedule{
 				DataPerEpoch: 5, DataCollectInterval: 200 * time.Millisecond,
 				MaxEpochTime: 2 * time.Second, AssessModelEvery: 1,
 				MaxActuationDelay: 2 * time.Second, AssessActuatorInterval: 2 * time.Second,
 			},
-			m: &testModel{clk: clk, ttl: 4 * time.Second, failFrom: 8},
-			a: &testActuator{clk: clk},
-		},
+		}},
 	}
-	for _, s := range specs {
-		s := s
-		acts[s.name] = s.a
-		err := sup.Launch(s.name, s.name, s.sched.MaxActuationDelay,
-			func(clk clock.Clock, _ *node.Node) (core.Handle, error) {
-				return core.Run[int, int](clk, s.m, s.a, s.sched, core.Options{})
-			})
-		if err != nil {
-			return nil, nil, err
+	for _, m := range members {
+		if err := sup.LaunchSpec(m.name, testAgent(t, m.v)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return sup, acts, nil
+	return sup
 }
 
 // TestSupervisorColocatedDeadlines is the deterministic virtual-clock
@@ -149,10 +267,7 @@ func colocate(clk clock.Clock) (*Supervisor, map[string]*testActuator, error) {
 func TestSupervisorColocatedDeadlines(t *testing.T) {
 	t.Parallel()
 	clk := clock.NewVirtual(testEpoch)
-	sup, _, err := colocate(clk)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sup := colocate(t, clk, "")
 	defer sup.StopAll()
 
 	// Mid-run (t=15s): flaky-act's safeguard window is active, so it
@@ -222,10 +337,7 @@ func TestSupervisorDeterminism(t *testing.T) {
 	t.Parallel()
 	run := func() []MemberStatus {
 		clk := clock.NewVirtual(testEpoch)
-		sup, _, err := colocate(clk)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sup := colocate(t, clk, "")
 		clk.RunFor(20 * time.Second)
 		st := sup.Status()
 		sup.StopAll()
@@ -267,34 +379,41 @@ func TestSupervisorStandardNode(t *testing.T) {
 	}
 }
 
-// TestSupervisorAttachErrors covers the attach/launch error paths.
+// TestSupervisorAttachErrors covers the LaunchSpec error paths: a spec
+// with no kind or an unregistered one, a duplicate member name, and a
+// stopped supervisor.
 func TestSupervisorAttachErrors(t *testing.T) {
 	t.Parallel()
 	clk := clock.NewVirtual(testEpoch)
 	sup := NewSupervisor(clk, nil)
-	h := core.MustRun[int, int](clk, &testModel{clk: clk, ttl: time.Second}, &testActuator{clk: clk}, core.Schedule{
-		DataPerEpoch: 1, DataCollectInterval: time.Second,
-		MaxEpochTime: time.Second, MaxActuationDelay: time.Second,
-	}, core.Options{})
-	if err := sup.Attach(Member{Name: "x", Handle: h}); err == nil {
-		t.Fatal("attach without kind accepted")
+	if err := sup.LaunchSpec("x", spec.Agent{}); err == nil {
+		t.Fatal("spec without kind accepted")
 	}
-	if err := sup.Attach(Member{Kind: "k", Handle: h}); err == nil {
-		t.Fatal("attach without name accepted")
+	if err := sup.LaunchSpec("x", spec.Agent{Kind: "no-such-kind"}); err == nil {
+		t.Fatal("unregistered kind accepted")
 	}
-	if err := sup.Attach(Member{Kind: "k", Name: "x"}); err == nil {
-		t.Fatal("attach without handle accepted")
+	log := newLaunchLog(t)
+	a := testAgent(t, spec.Variant[testConfig]{Config: testConfig{TTL: time.Second, Log: log.name}, Schedule: testSchedule})
+	if err := sup.LaunchSpec("", a); err == nil {
+		t.Fatal("member without name accepted")
 	}
-	if err := sup.Attach(Member{Kind: "k", Name: "x", Handle: h}); err != nil {
-		t.Fatalf("valid attach rejected: %v", err)
+	if err := sup.LaunchSpec("x", a); err != nil {
+		t.Fatalf("valid launch rejected: %v", err)
 	}
-	if err := sup.Attach(Member{Kind: "k", Name: "x", Handle: h}); err == nil {
+	if err := sup.LaunchSpec("x", a); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
 	sup.StopAll()
 	sup.StopAll() // idempotent
-	if err := sup.Attach(Member{Kind: "k", Name: "y", Handle: h}); err == nil {
-		t.Fatal("attach after StopAll accepted")
+	if err := sup.LaunchSpec("y", a); err == nil {
+		t.Fatal("launch after StopAll accepted")
+	}
+	// The refused launches never started an agent.
+	if n := len(log.launched()); n != 1 {
+		t.Fatalf("%d agents launched, want only the one accepted", n)
+	}
+	if n := log.leaked(); n != 0 {
+		t.Fatalf("%d agents outlived StopAll", n)
 	}
 }
 
@@ -305,19 +424,16 @@ func TestSupervisorRealClock(t *testing.T) {
 	t.Parallel()
 	clk := clock.NewReal()
 	sup := NewSupervisor(clk, nil)
-	for _, name := range []string{"a", "b", "c"} {
-		m := &testModel{clk: clk, ttl: 100 * time.Millisecond}
-		a := &testActuator{clk: clk}
-		sched := core.Schedule{
+	a := testAgent(t, spec.Variant[testConfig]{
+		Config: testConfig{TTL: 100 * time.Millisecond},
+		Schedule: core.Schedule{
 			DataPerEpoch: 2, DataCollectInterval: 5 * time.Millisecond,
 			MaxEpochTime: 50 * time.Millisecond, AssessModelEvery: 1,
 			MaxActuationDelay: 20 * time.Millisecond, AssessActuatorInterval: 25 * time.Millisecond,
-		}
-		err := sup.Launch("test", name, sched.MaxActuationDelay,
-			func(clk clock.Clock, _ *node.Node) (core.Handle, error) {
-				return core.Run[int, int](clk, m, a, sched, core.Options{})
-			})
-		if err != nil {
+		},
+	})
+	for _, name := range []string{"a", "b", "c"} {
+		if err := sup.LaunchSpec(name, a); err != nil {
 			t.Fatal(err)
 		}
 	}

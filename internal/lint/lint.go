@@ -9,9 +9,9 @@
 //     scenarios they happen to cover.
 //   - zero-allocation hot paths: the per-event clock engine, the
 //     per-epoch health polls, and the safeguard windows are kept off
-//     the heap deliberately (see BENCH_PR5.json for what GC pressure
-//     costs at 10k nodes); a stray fmt call or captured closure undoes
-//     them quietly.
+//     the heap deliberately (see the PR 5 entry of CHANGES.md for what
+//     GC pressure costs at 10k nodes); a stray fmt call or captured
+//     closure undoes them quietly.
 //
 // Since PR 9 two more structural contracts are machine-checked:
 //

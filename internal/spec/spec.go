@@ -1,8 +1,8 @@
 // Package spec makes agent deployment declarative: an agent is
 // described by a serializable Agent value — which kind, which variant,
-// which parameter overrides — instead of a hand-rolled launch closure,
-// and constructed by resolving that value against a registry of
-// per-kind builders on the node it lands on.
+// which parameter overrides — and constructed by resolving that value
+// against a registry of kinds, each a default Variant and a launch, on
+// the node it lands on. It is the only way onto a fleet supervisor.
 //
 // The paper's CleanUp contract ("callable at any time, by anyone")
 // extends naturally to deployment: the people who operate a fleet are
@@ -13,10 +13,8 @@
 // declaratively-specified compute units to nodes the same way: a spec
 // travels, a registry at the node turns it into running code.
 //
-// Resolution happens at deploy time only (launch, replace, rollback);
-// nothing on the per-event hot path touches the registry, so a fleet
-// built from specs simulates exactly as fast as one built from
-// closures.
+// Resolution happens at deploy time only (launch, replace, rollback,
+// restart); nothing on the per-event hot path touches the registry.
 package spec
 
 import (
@@ -81,7 +79,7 @@ func (a Agent) Validate() error {
 	if err != nil {
 		return err
 	}
-	if err := r.b.Schedule(p).Validate(); err != nil {
+	if err := p.schedule().Validate(); err != nil {
 		return fmt.Errorf("spec: %s schedule: %w", a.Kind, err)
 	}
 	return nil
@@ -111,52 +109,97 @@ type NodeEnv struct {
 	// ablation); spec-level Options flags overlay it at launch.
 	Options core.Options
 	// Base, when non-nil, returns a fresh pointer to the environment's
-	// baseline params for kind (e.g. the fleet's per-node default
-	// variant), or nil when the environment has no opinion. Spec
-	// Params overlay whatever Base returns.
+	// baseline params for kind — a *Variant of the kind's config, e.g.
+	// the fleet's per-node default variant — or nil when the
+	// environment has no opinion. Spec Params overlay whatever Base
+	// returns.
 	Base func(kind string) any
 }
 
-// Builder constructs one registered agent kind from its typed params.
-// Implementations live in the agent packages; params is always the
-// pointer returned by NewParams or NodeEnv.Base (the kind's Variant).
-type Builder interface {
-	// NewParams returns a pointer to the kind's params populated with
-	// canonical defaults for env (reseeded from env.Seed when set).
-	NewParams(env NodeEnv) any
-	// Customize applies the spec-level overrides: a non-empty variant
-	// name and, when sched is non-nil, a full schedule replacement.
-	Customize(params any, variant string, sched *core.Schedule)
-	// Schedule returns the params' SOL schedule — the source of the
-	// member's actuation deadline, and what load-time validation
-	// checks.
-	Schedule(params any) core.Schedule
-	// Launch builds and starts the agent on env with params.
-	Launch(env NodeEnv, params any) (core.Handle, error)
+// Variant is a named, fully deployable parameterization of one agent
+// kind: its config plus SOL schedule. It is every kind's typed spec
+// params — Agent.Params overlays it field by field — and what the fleet
+// control plane rolls out in health-gated waves and rolls back by
+// relaunching the baseline variant.
+type Variant[C any] struct {
+	// Name labels the variant in rollout campaigns and reports.
+	Name     string
+	Config   C
+	Schedule core.Schedule
+}
+
+// customize applies the spec-level overrides: a non-empty variant name
+// and, when sched is non-nil, a full schedule replacement.
+func (v *Variant[C]) customize(name string, sched *core.Schedule) {
+	if name != "" {
+		v.Name = name
+	}
+	if sched != nil {
+		v.Schedule = *sched
+	}
+}
+
+// schedule returns the variant's SOL schedule — the source of the
+// member's actuation deadline, and what load-time validation checks.
+func (v *Variant[C]) schedule() core.Schedule { return v.Schedule }
+
+// variant is a *Variant[C] with its config type erased.
+type variant interface {
+	customize(name string, sched *core.Schedule)
+	schedule() core.Schedule
+}
+
+// builder is a registered kind with its config type erased. The
+// variant handed to launch is always the kind's own *Variant[C]: its
+// defaults, or what NodeEnv.Base returned for the kind.
+type builder interface {
+	// defaults returns a fresh *Variant[C] holding the kind's defaults
+	// for env.
+	defaults(env NodeEnv) variant
+	// launch builds and starts the agent from p on env.
+	launch(env NodeEnv, p variant) (core.Handle, error)
+}
+
+// kind is one registration: what Register was given.
+type kind[C any] struct {
+	newVariant func(NodeEnv) Variant[C]
+	start      func(NodeEnv, Variant[C]) (core.Handle, error)
+}
+
+func (k kind[C]) defaults(env NodeEnv) variant {
+	v := k.newVariant(env)
+	return &v
+}
+
+func (k kind[C]) launch(env NodeEnv, p variant) (core.Handle, error) {
+	return k.start(env, *p.(*Variant[C]))
 }
 
 var (
 	regMu    sync.RWMutex
-	registry = make(map[string]Builder)
+	registry = make(map[string]builder)
 )
 
-// Register installs the builder for kind. Agent packages call it from
-// init, so importing an agent makes its kind resolvable. It panics on
-// an empty kind or a duplicate registration — both are programmer
-// errors, not runtime conditions.
-func Register(kind string, b Builder) {
-	if kind == "" {
+// Register installs agent kind name: defaults returns its canonical
+// variant for a node environment (reseeded from env.Seed when that is
+// non-zero), and launch builds and starts the agent from a resolved
+// variant. Agent packages call it from init, so importing an agent makes
+// its kind resolvable. It panics on an empty name, a nil function, or a
+// duplicate registration — all programmer errors, not runtime
+// conditions.
+func Register[C any](name string, defaults func(NodeEnv) Variant[C], launch func(NodeEnv, Variant[C]) (core.Handle, error)) {
+	if name == "" {
 		panic("spec: Register with empty kind")
 	}
-	if b == nil {
-		panic("spec: Register " + kind + " with nil builder")
+	if defaults == nil || launch == nil {
+		panic("spec: Register " + name + " with a nil function")
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
-	if _, dup := registry[kind]; dup {
-		panic("spec: duplicate Register of kind " + kind)
+	if _, dup := registry[name]; dup {
+		panic("spec: duplicate Register of kind " + name)
 	}
-	registry[kind] = b
+	registry[name] = kind[C]{newVariant: defaults, start: launch}
 }
 
 // Kinds returns the registered kinds, sorted.
@@ -187,36 +230,54 @@ func Resolve(a Agent) (Resolved, error) {
 	return Resolved{spec: a, b: b}, nil
 }
 
-// Launch resolves and launches a on env in one step, returning the
-// running agent's handle and its actuation deadline.
-func Launch(a Agent, env NodeEnv) (core.Handle, time.Duration, error) {
+// Bind resolves a against the registry and computes its final params
+// on env: everything that can fail before any agent code runs. The
+// returned Bound launches the agent; a redeploy binds its successor
+// before stopping the running agent.
+func Bind(a Agent, env NodeEnv) (Bound, error) {
 	r, err := Resolve(a)
+	if err != nil {
+		return Bound{}, err
+	}
+	p, err := r.params(env)
+	if err != nil {
+		return Bound{}, err
+	}
+	if a.Options != nil {
+		env.Options = a.Options.Apply(env.Options)
+	}
+	return Bound{r: r, env: env, p: p}, nil
+}
+
+// Launch binds a on env and launches it, returning the running agent's
+// handle and its actuation deadline.
+func Launch(a Agent, env NodeEnv) (core.Handle, time.Duration, error) {
+	b, err := Bind(a, env)
 	if err != nil {
 		return nil, 0, err
 	}
-	return r.Launch(env)
+	return b.Launch()
 }
 
-// Resolved is a spec bound to its builder, ready to launch on any
-// node environment.
+// Resolved is a spec bound to its kind's registration, ready to resolve
+// params on any node environment.
 type Resolved struct {
 	spec Agent
-	b    Builder
+	b    builder
 }
-
-// Spec returns the bound spec.
-func (r Resolved) Spec() Agent { return r.spec }
 
 // params computes the final typed params for env: the environment
 // baseline (or registered defaults), overlaid with the spec's Params,
 // then the spec-level variant-name and schedule overrides.
-func (r Resolved) params(env NodeEnv) (any, error) {
-	var p any
+func (r Resolved) params(env NodeEnv) (variant, error) {
+	var p variant
 	if env.Base != nil {
-		p = env.Base(r.spec.Kind)
+		if base := env.Base(r.spec.Kind); base != nil {
+			p = base.(variant)
+		}
 	}
 	if p == nil {
-		p = r.b.NewParams(env)
+		p = r.b.defaults(env)
 	}
 	if len(r.spec.Params) > 0 {
 		dec := json.NewDecoder(bytes.NewReader(r.spec.Params))
@@ -235,9 +296,7 @@ func (r Resolved) params(env NodeEnv) (any, error) {
 		s := r.spec.Schedule.Core()
 		sched = &s
 	}
-	if r.spec.Variant != "" || sched != nil {
-		r.b.Customize(p, r.spec.Variant, sched)
-	}
+	p.customize(r.spec.Variant, sched)
 	return p, nil
 }
 
@@ -246,29 +305,21 @@ func (r Resolved) params(env NodeEnv) (any, error) {
 // for diffing what a spec would deploy.
 func (r Resolved) Params(env NodeEnv) (any, error) { return r.params(env) }
 
-// Deadline returns the MaxActuationDelay the spec resolves to on env.
-func (r Resolved) Deadline(env NodeEnv) (time.Duration, error) {
-	p, err := r.params(env)
-	if err != nil {
-		return 0, err
-	}
-	return r.b.Schedule(p).MaxActuationDelay, nil
+// Bound is a spec resolved on one node environment, its params final
+// and the spec-level Options flags overlaid onto the environment's (the
+// environment's hook fields are preserved).
+type Bound struct {
+	r   Resolved
+	env NodeEnv
+	p   variant
 }
 
-// Launch builds and starts the agent on env, returning its handle and
-// actuation deadline. Spec-level Options flags overlay env.Options;
-// the environment's hook fields are preserved.
-func (r Resolved) Launch(env NodeEnv) (core.Handle, time.Duration, error) {
-	p, err := r.params(env)
+// Launch builds and starts the agent, returning its handle and
+// actuation deadline.
+func (b Bound) Launch() (core.Handle, time.Duration, error) {
+	h, err := b.r.b.launch(b.env, b.p)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("spec: launch %s: %w", b.r.spec.Kind, err)
 	}
-	if r.spec.Options != nil {
-		env.Options = r.spec.Options.Apply(env.Options)
-	}
-	h, err := r.b.Launch(env, p)
-	if err != nil {
-		return nil, 0, fmt.Errorf("spec: launch %s: %w", r.spec.Kind, err)
-	}
-	return h, r.b.Schedule(p).MaxActuationDelay, nil
+	return h, b.p.schedule().MaxActuationDelay, nil
 }

@@ -2,6 +2,8 @@ package spec_test
 
 import (
 	"encoding/json"
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"sol/internal/agents/sampler"
 	"sol/internal/clock"
 	"sol/internal/core"
+	"sol/internal/fleet"
 	"sol/internal/spec"
 	"sol/internal/telemetry"
 )
@@ -154,9 +157,6 @@ func TestResolveParams(t *testing.T) {
 	if v.Schedule.MaxActuationDelay != 200*time.Millisecond {
 		t.Fatalf("schedule override not applied: %+v", v.Schedule)
 	}
-	if d, err := r.Deadline(env); err != nil || d != 200*time.Millisecond {
-		t.Fatalf("Deadline = %v, %v; want 200ms", d, err)
-	}
 
 	// Unknown params fields are author typos, not extensions.
 	r, err = spec.Resolve(spec.Agent{Kind: harvest.Kind, Params: json.RawMessage(`{"SafetyBufer": 2}`)})
@@ -213,6 +213,57 @@ func TestAgentJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip drifted:\n%+v\nvs\n%+v", in, out)
+	}
+}
+
+// TestResolvedParamsGolden pins the params an empty spec resolves to
+// for every built-in kind, on node 0 of a Seed-0 fleet and node 5 of a
+// Seed-7 fleet, with the fleet's per-node baseline (NodeEnv.Base) and
+// without it. Without a baseline the registered defaults apply, reseeded
+// from NodeEnv.Seed only when it is non-zero — which node 0 of a Seed-0
+// fleet is not. The golden was captured before the four kinds' builders
+// were folded into one generic one.
+func TestResolvedParamsGolden(t *testing.T) {
+	t.Parallel()
+	got := make(map[string]json.RawMessage)
+	for _, kind := range []string{overclock.Kind, harvest.Kind, memory.Kind, sampler.Kind} {
+		for _, at := range []struct {
+			seed uint64
+			node int
+		}{{0, 0}, {7, 5}} {
+			base := fleet.StandardNodeConfig{Seed: at.seed}.BaselineEnv(at.node)
+			bare := base
+			bare.Base = nil
+			for _, c := range []struct {
+				name string
+				env  spec.NodeEnv
+			}{{"base", base}, {"defaults", bare}} {
+				r, err := spec.Resolve(spec.Agent{Kind: kind})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := r.Params(c.env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := json.Marshal(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[fmt.Sprintf("%s seed=%d node=%d %s", kind, at.seed, at.node, c.name)] = raw
+			}
+		}
+	}
+	out, err := json.MarshalIndent(got, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/params.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(append(out, '\n')) != string(want) {
+		t.Fatalf("resolved params drifted from testdata/params.golden.json; got:\n%s", out)
 	}
 }
 

@@ -32,8 +32,6 @@ import (
 
 	"sol/internal/clock"
 	"sol/internal/core"
-	"sol/internal/obs"
-	"sol/internal/shard"
 	"sol/internal/spec"
 
 	// The built-in agent kinds register their spec builders on import,
@@ -87,31 +85,6 @@ type (
 	// NodeEnv is the per-node environment (clock, substrates, seeds)
 	// agent specs resolve against.
 	NodeEnv = spec.NodeEnv
-	// KindBuilder constructs one registered agent kind from its typed
-	// spec params; agent packages implement it and RegisterKind it.
-	KindBuilder = spec.Builder
-
-	// ShardConfig partitions a cell-indexed simulation into
-	// independently advancing shards driven by a worker budget; the
-	// conductor aligns them only at span boundaries. This is the
-	// coordination primitive the 10k-node fleet simulator runs on,
-	// exposed for custom fleet-scale harnesses.
-	ShardConfig = shard.Config
-	// ShardConductor owns the shards of one simulation and runs spans.
-	ShardConductor = shard.Conductor
-	// ShardSpan is one aligned stretch of simulated time: stepped
-	// cells advance epoch by epoch under observation, the rest
-	// free-run to the next alignment.
-	ShardSpan = shard.Span
-
-	// Profile is the conductor's self-profile: per-shard wall-time
-	// attribution (stepping vs free-run vs align vs barrier-wait) with
-	// deterministic counts and diagnostic-only wall fields. Produced by
-	// shard.Conductor.Profile / fleet.Report.Profile when
-	// fleet.Config.Profile (or shard.Config.Profile) is set.
-	Profile = obs.Profile
-	// ShardTimeProfile is one shard's slice of a Profile.
-	ShardTimeProfile = obs.ShardProfile
 )
 
 // Run starts an agent's Model and Actuator control loops on clk
@@ -140,11 +113,6 @@ func NewVirtualClockSingle(start time.Time) *VirtualClock { return clock.NewVirt
 // nodes.
 func NewRealClock() Clock { return clock.NewReal() }
 
-// RegisterKind installs a builder for an agent kind, making it
-// resolvable from declarative specs (campaign manifests, LaunchSpec).
-// The four built-in agents register themselves on import.
-func RegisterKind(kind string, b KindBuilder) { spec.Register(kind, b) }
-
 // RegisteredKinds lists the resolvable agent kinds, sorted.
 func RegisteredKinds() []string { return spec.Kinds() }
 
@@ -154,7 +122,3 @@ func RegisteredKinds() []string { return spec.Kinds() }
 func LaunchSpec(a AgentSpec, env NodeEnv) (core.Handle, time.Duration, error) {
 	return spec.Launch(a, env)
 }
-
-// NewShardConductor partitions cfg's cells into shards and returns the
-// conductor that drives them (see ShardConfig and ShardSpan).
-func NewShardConductor(cfg ShardConfig) (*ShardConductor, error) { return shard.New(cfg) }
