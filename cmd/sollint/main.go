@@ -1,7 +1,5 @@
 // Command sollint runs the sol static-analysis suite (see
-// internal/lint) over Go packages. It speaks two protocols:
-//
-// Standalone, for humans and CI:
+// internal/lint) over Go packages:
 //
 //	go run ./cmd/sollint ./...
 //
@@ -9,16 +7,6 @@
 // -tests=false), applies every analyzer, prints findings as
 // file:line:col: [analyzer] message (or as a JSON array with -json),
 // and exits 1 if there were any.
-//
-// Vet tool, for go vet integration:
-//
-//	go build -o bin/sollint ./cmd/sollint
-//	go vet -vettool=$(pwd)/bin/sollint ./...
-//
-// in which the go command invokes the binary once per package with a
-// .cfg file describing sources and export data, per the x/tools
-// unitchecker protocol (-V=full version handshake, -flags probe,
-// exit 2 on findings).
 //
 // It also maintains the wire-format lock the wirestable analyzer
 // compares against:
@@ -32,15 +20,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
 	"log"
 	"os"
 	"os/exec"
@@ -58,25 +40,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sollint: ")
 
-	// The go command probes vet tools before use: -V=full must print a
-	// "name version ..." line it hashes into the build cache key, and
-	// -flags must list the tool's flags as JSON (none to expose here).
-	// Folding the wirelock hash into the version string keys go vet's
-	// result cache on the lock contents, so regenerating the lock
-	// invalidates cached wirestable results.
-	if len(os.Args) == 2 {
-		switch os.Args[1] {
-		case "-V=full", "--V=full":
-			fmt.Printf("sollint version v1+wirelock-%s\n", wirelock.Hash())
-			return
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-
 	tests := flag.Bool("tests", true, "also lint _test.go files and external test packages")
-	jsonOut := flag.Bool("json", false, "print findings as a JSON array (standalone mode only)")
+	jsonOut := flag.Bool("json", false, "print findings as a JSON array")
 	lockMode := flag.Bool("wirelock", false, "check internal/lint/wirelock/wirelock.json against the tree instead of linting")
 	lockUpdate := flag.Bool("update", false, "with -wirelock: rewrite the lock instead of comparing")
 	flag.Parse()
@@ -84,13 +49,10 @@ func main() {
 	if *lockMode {
 		os.Exit(wirelockMode(*lockUpdate))
 	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitCheck(args[0]))
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	os.Exit(standalone(args, *tests, *jsonOut))
+	os.Exit(lintPatterns(args, *tests, *jsonOut))
 }
 
 // finding is one diagnostic resolved to a printable position.
@@ -101,17 +63,17 @@ type finding struct {
 }
 
 // runSuite applies every analyzer to one type-checked package.
-func runSuite(fset *token.FileSet, files []*ast.File, tpkg *types.Package, info *types.Info) []finding {
+func runSuite(pkg *load.Package) []finding {
 	var out []finding
 	for _, a := range lint.Suite() {
 		pass := &analysis.Pass{
 			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       tpkg,
-			TypesInfo: info,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.Info,
 			Report: func(d analysis.Diagnostic) {
-				out = append(out, finding{pos: fset.Position(d.Pos), analyzer: a.Name, msg: d.Message})
+				out = append(out, finding{pos: pkg.Fset.Position(d.Pos), analyzer: a.Name, msg: d.Message})
 			},
 		}
 		if _, err := a.Run(pass); err != nil {
@@ -139,8 +101,8 @@ func sortFindings(fs []finding) {
 	})
 }
 
-// standalone expands patterns, lints every match, and prints findings.
-func standalone(patterns []string, tests, jsonOut bool) int {
+// lintPatterns expands patterns, lints every match, and prints findings.
+func lintPatterns(patterns []string, tests, jsonOut bool) int {
 	l := load.New()
 	l.Tests = tests
 	pkgs, err := l.Patterns(patterns...)
@@ -149,7 +111,7 @@ func standalone(patterns []string, tests, jsonOut bool) int {
 	}
 	var all []finding
 	for _, pkg := range pkgs {
-		all = append(all, runSuite(pkg.Fset, pkg.Files, pkg.Types, pkg.Info)...)
+		all = append(all, runSuite(pkg)...)
 	}
 	sortFindings(all)
 	if jsonOut {
@@ -229,93 +191,4 @@ func wirelockPath() string {
 		log.Fatalf("locating wirelock package: %v", err)
 	}
 	return filepath.Join(strings.TrimSpace(string(out)), "wirelock.json")
-}
-
-// vetConfig is the per-package JSON the go command hands a vet tool,
-// per the unitchecker protocol.
-type vetConfig struct {
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitCheck lints one package described by a go vet .cfg file.
-func unitCheck(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		log.Fatalf("%s: %v", cfgPath, err)
-	}
-	// The go command requires the facts file to exist after the run;
-	// sollint's analyzers are intraprocedural, so it is always empty.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	files := make([]*ast.File, 0, len(cfg.GoFiles))
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			log.Fatal(err)
-		}
-		files = append(files, f)
-	}
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-	conf := types.Config{Importer: imp, GoVersion: cfg.GoVersion}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		log.Fatalf("typechecking %s: %v", cfg.ImportPath, err)
-	}
-
-	findings := runSuite(fset, files, tpkg, info)
-	sortFindings(findings)
-	for _, f := range findings {
-		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", f.pos, f.analyzer, f.msg)
-	}
-	if len(findings) > 0 {
-		return 2
-	}
-	return 0
 }

@@ -161,7 +161,15 @@ func main() {
 		if err != nil {
 			log.Fatalf("solrollout: %v (in %s)", err, *config)
 		}
+		// The fingerprint is the manifest's bytes, so a journal recorded
+		// from a manifest resumes from the same file. An override that
+		// changes the effective shard count changes the campaign's cohort
+		// partitioning, so it is folded in; one that restates the
+		// manifest's count (0 and 1 are both one shard) is not.
 		if *shards > 0 {
+			if *shards != max(m.Shards, 1) {
+				fingerprint = fnvHex(fmt.Sprintf("%s|shards|%d", raw, *shards))
+			}
 			m.Shards = *shards
 		}
 		if *plan {

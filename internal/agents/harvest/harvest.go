@@ -201,8 +201,6 @@ func (m *Model) Break(b bool) { m.broken = b }
 func (m *Model) Classifier() *linear.CostSensitive { return m.cls }
 
 // CollectData implements core.Model.
-//
-//sollint:hotpath
 func (m *Model) CollectData() (Sample, error) {
 	s := Sample{
 		Util:    m.vm.CurrentUtil(),
@@ -225,8 +223,6 @@ func (m *Model) CollectData() (Sample, error) {
 // full-utilization discard: when the primary VM uses every granted
 // core, actual demand is censored and the sample would teach the model
 // to under-predict.
-//
-//sollint:hotpath
 func (m *Model) ValidateData(s Sample) error {
 	if s.Util < 0 || s.Util > float64(m.cores)+0.01 {
 		return ErrUsageRange
@@ -241,15 +237,11 @@ func (m *Model) ValidateData(s Sample) error {
 }
 
 // CommitData implements core.Model.
-//
-//sollint:hotpath
 func (m *Model) CommitData(t time.Time, s Sample) { m.samples = append(m.samples, s.Util) }
 
 // UpdateModel implements core.Model: label the previous epoch's
 // features with this epoch's observed maximum and take one
 // cost-sensitive learning step.
-//
-//sollint:hotpath
 func (m *Model) UpdateModel() {
 	if len(m.samples) == 0 {
 		return
@@ -286,8 +278,6 @@ func (m *Model) UpdateModel() {
 
 // Predict implements core.Model: the class with the lowest predicted
 // cost is the core demand forecast for the next 25 ms.
-//
-//sollint:hotpath
 func (m *Model) Predict() (core.Prediction[int], error) {
 	if m.broken {
 		m.lastPred = 0

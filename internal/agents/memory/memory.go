@@ -263,8 +263,6 @@ func (m *Model) pickAudit() {
 // CollectData implements core.Model: perform every region scan due this
 // tick (per-region arm schedule plus max-rate audit scans) and return
 // the results.
-//
-//sollint:hotpath
 func (m *Model) CollectData() (Tick, error) {
 	now := m.mem.Snapshot().At
 	if !m.started {
@@ -306,8 +304,6 @@ func (m *Model) CollectData() (Tick, error) {
 }
 
 // ValidateData implements core.Model: driver errors fail the sample.
-//
-//sollint:hotpath
 func (m *Model) ValidateData(t Tick) error {
 	if t.Err != nil {
 		return ErrScanDriver
@@ -317,8 +313,6 @@ func (m *Model) ValidateData(t Tick) error {
 
 // CommitData implements core.Model: fold scan results into the
 // per-region epoch accumulators.
-//
-//sollint:hotpath
 func (m *Model) CommitData(at time.Time, t Tick) {
 	pages := float64(m.mem.PagesPerRegion())
 	for _, s := range t.Scans {
@@ -336,8 +330,6 @@ func (m *Model) CommitData(at time.Time, t Tick) {
 // UpdateModel implements core.Model: score each region's arm, update
 // its bandit, select next arms, refresh rate estimates, and run the
 // audit computation.
-//
-//sollint:hotpath
 func (m *Model) UpdateModel() {
 	now := m.mem.Snapshot().At
 	epochSec := float64(m.ticks) * m.mem.Config().BaseTick.Seconds()

@@ -219,8 +219,6 @@ func (m *Model) Learner() *qlearn.Learner { return m.rl }
 
 // CollectData implements core.Model: it reads the VM's cumulative
 // counters and differences them against the previous reading.
-//
-//sollint:hotpath
 func (m *Model) CollectData() (Sample, error) {
 	cur := m.vm.Counters()
 	s := Sample{FreqLevel: m.vm.FrequencyLevel(), At: cur.At}
@@ -244,8 +242,6 @@ func (m *Model) CollectData() (Sample, error) {
 // ValidateData implements core.Model: range checks on IPS and α. These
 // are the checks that keep bad counter readings (Figure 2) out of the
 // policy.
-//
-//sollint:hotpath
 func (m *Model) ValidateData(s Sample) error {
 	if s.IPS < 0 || s.IPS > m.maxIPS {
 		return ErrIPSRange
@@ -257,15 +253,11 @@ func (m *Model) ValidateData(s Sample) error {
 }
 
 // CommitData implements core.Model.
-//
-//sollint:hotpath
 func (m *Model) CommitData(t time.Time, s Sample) { m.samples = append(m.samples, s) }
 
 // UpdateModel implements core.Model: it computes the epoch's
 // state/reward and applies one Q-learning step for the frequency that
 // was actually in effect.
-//
-//sollint:hotpath
 func (m *Model) UpdateModel() {
 	if len(m.samples) == 0 {
 		return
@@ -309,8 +301,6 @@ func (m *Model) UpdateModel() {
 }
 
 // Predict implements core.Model: ε-greedy action for the next epoch.
-//
-//sollint:hotpath
 func (m *Model) Predict() (core.Prediction[int], error) {
 	if m.broken {
 		return core.Prediction[int]{Value: m.levels - 1}, nil

@@ -168,8 +168,6 @@ func (m *Model) roundRobin(offset int) []int {
 
 // CollectData implements core.Model: sample the current allocation
 // plus the audit channel.
-//
-//sollint:hotpath
 func (m *Model) CollectData() (Obs, error) {
 	o := Obs{Counts: m.counts[:0], AuditChannel: m.audit}
 	for _, ch := range m.alloc {
@@ -192,8 +190,6 @@ func (m *Model) CollectData() (Obs, error) {
 }
 
 // ValidateData implements core.Model: discard corrupted counts.
-//
-//sollint:hotpath
 func (m *Model) ValidateData(o Obs) error {
 	for _, c := range o.Counts {
 		if c.Count < 0 || c.Count > 1e6 {
@@ -207,8 +203,6 @@ func (m *Model) ValidateData(o Obs) error {
 }
 
 // CommitData implements core.Model.
-//
-//sollint:hotpath
 func (m *Model) CommitData(t time.Time, o Obs) {
 	for _, c := range o.Counts {
 		m.epochCounts[c.Channel] += c.Count
@@ -230,8 +224,6 @@ func (m *Model) CommitData(t time.Time, o Obs) {
 // per-sample yield — a channel is "worth the budget" when each sample
 // returns at least one event — then decay toward the prior so bursts
 // can re-rank channels quickly.
-//
-//sollint:hotpath
 func (m *Model) UpdateModel() {
 	for ch := range m.epochCounts {
 		b := m.bandits.At(ch)

@@ -51,7 +51,7 @@ type Timer struct {
 	rmu     sync.Mutex // guards rt/rnext for ticker re-arm
 	rt      *time.Timer
 	rperiod time.Duration // ticker period; 0 for one-shot
-	rnext   time.Time     //sollint:allow clockhygiene real-backed ticker re-arm needs the wall-clock fire time
+	rnext   time.Time     // real-backed ticker re-arm needs the wall-clock fire time
 	rstop   atomic.Bool   // suppresses ticker re-arm after Stop
 }
 

@@ -270,8 +270,9 @@ func TestSingleDriverMatchesLocked(t *testing.T) {
 }
 
 // TestTickerAllocs is the zero-allocation regression test for the
-// engine's steady-state hot path: driving tickers and Reset loops must
-// not allocate, on either the single-driver or the locked clock.
+// engine's steady-state hot path: driving tickers, Reset loops and a
+// re-armed one-shot, by window (RunFor) or one event at a time (Step),
+// must not allocate, on either the single-driver or the locked clock.
 func TestTickerAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -286,9 +287,12 @@ func TestTickerAllocs(t *testing.T) {
 			v.Tick(7*time.Millisecond, func() {})
 			var tm *Timer
 			tm = v.AfterFunc(3*time.Millisecond, func() { tm.Reset(3 * time.Millisecond) })
+			once := v.AfterFunc(time.Millisecond, func() {})
 			v.RunFor(100 * time.Millisecond) // warm up heap capacity
 			if avg := testing.AllocsPerRun(100, func() {
 				v.RunFor(10 * time.Millisecond)
+				v.Step()
+				once.Reset(time.Millisecond) // fired and dequeued: re-armed
 			}); avg != 0 {
 				t.Fatalf("steady-state ticker loop allocates %.1f allocs per 10ms window, want 0", avg)
 			}

@@ -25,7 +25,7 @@ import (
 type Virtual struct {
 	mu     sync.Mutex
 	single bool      // lock-elided single-driver mode; see NewVirtualSingle
-	start  time.Time //sollint:allow clockhygiene the epoch anchor; everything else is int64 ns since it
+	start  time.Time // the epoch anchor; everything else is int64 ns since it
 	now    int64     // ns since start
 	seq    uint64
 	heap   []*event
@@ -82,8 +82,6 @@ func (v *Virtual) unlock() {
 }
 
 // toNS converts an absolute time to the clock's internal timebase.
-//
-//sollint:allow clockhygiene this IS the boundary conversion into int64 ns
 func (v *Virtual) toNS(t time.Time) int64 { return t.Sub(v.start).Nanoseconds() }
 
 // fromNS converts the internal timebase back to an absolute time.
@@ -136,8 +134,6 @@ func (v *Virtual) Tick(d time.Duration, f func()) *Timer {
 
 // arm queues e to fire d nanoseconds from now with a fresh sequence
 // number. Callers hold the lock.
-//
-//sollint:hotpath
 func (v *Virtual) arm(e *event, d int64) {
 	e.when = v.now + d
 	e.seq = v.seq
@@ -229,8 +225,6 @@ func (v *Virtual) Fired() uint64 {
 // A callback that drives its own clock (Run, RunFor, RunUntilIdle or
 // Step) panics: its event still holds the root of the heap, and the
 // (time, insertion-order) contract has no answer for a nested drive.
-//
-//sollint:hotpath
 func (v *Virtual) Step() bool {
 	v.lock()
 	v.enter()
@@ -278,8 +272,6 @@ func (v *Virtual) enter() {
 // re-scheduled itself as its last action — one sift down from the root;
 // an untouched one-shot is removed. Callers hold the lock, which is
 // released while the callback runs.
-//
-//sollint:hotpath
 func (v *Virtual) fire() {
 	e := v.heap[0]
 	if e.when > v.now {
@@ -350,7 +342,6 @@ func (v *Virtual) swap(i, j int) {
 	h[j].index = j
 }
 
-//sollint:hotpath
 func (v *Virtual) push(e *event) {
 	e.index = len(v.heap)
 	v.heap = append(v.heap, e)
@@ -358,8 +349,6 @@ func (v *Virtual) push(e *event) {
 }
 
 // removeAt deletes the event at heap position i.
-//
-//sollint:hotpath
 func (v *Virtual) removeAt(i int) {
 	h := v.heap
 	last := len(h) - 1
@@ -377,15 +366,12 @@ func (v *Virtual) removeAt(i int) {
 }
 
 // fix restores heap order for a node whose key changed in place.
-//
-//sollint:hotpath
 func (v *Virtual) fix(i int) {
 	if !v.down(i) {
 		v.up(i)
 	}
 }
 
-//sollint:hotpath
 func (v *Virtual) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -398,8 +384,6 @@ func (v *Virtual) up(i int) {
 }
 
 // down sifts node i toward the leaves; it reports whether i moved.
-//
-//sollint:hotpath
 func (v *Virtual) down(i int) bool {
 	start := i
 	n := len(v.heap)

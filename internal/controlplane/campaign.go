@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
 	"sol/internal/fleet"
@@ -34,8 +35,6 @@ import (
 //
 // Determinism contract: identical configs produce byte-identical wave
 // traces and reports (Report.String), whatever the worker-pool width.
-//
-//sollint:alignspan
 func Run(cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -153,8 +152,6 @@ func shardSeed(campaignSeed uint64, s int) uint64 {
 // it. Each shard canaries locally — every wave targets at least one
 // node per shard — so a candidate is exposed to every partition's
 // workload mix from the first wave.
-//
-//sollint:shardlocal
 type shardCohort struct {
 	// order is the shard's nodes, shuffled; nodes are targeted in this
 	// order, so order[:targeted] is the cohort the campaign has tried to
@@ -205,10 +202,7 @@ type campaign struct {
 	// spanFrom/spanUntil bound the span being launched (elapsed virtual
 	// time); written on the conductor goroutine before each Span, read
 	// by the shards' stepped-set filters during it.
-	//
-	//sollint:shardlocal
-	spanFrom time.Duration
-	//sollint:shardlocal
+	spanFrom  time.Duration
 	spanUntil time.Duration
 
 	// The wave machine and verdict.
@@ -251,7 +245,6 @@ type campaign struct {
 	rec *obs.Recorder
 }
 
-//sollint:alignspan
 func newCampaign(camp *Campaign, co *fleet.Coordinator, journal *Journal, replay []WaveEvent) (*campaign, error) {
 	targets, err := camp.compile()
 	if err != nil {
@@ -321,8 +314,8 @@ func (c *campaign) emit(ev WaveEvent) {
 	}
 	if c.replayed < len(c.replay) {
 		if want := c.replay[c.replayed]; ev != want {
-			c.jerr = fmt.Errorf("controlplane: journal diverges at entry %d: recorded %s (wave %d, epoch %d), this run produced %s (wave %d, epoch %d) — the journal does not match this configuration",
-				c.replayed, want.Action, want.Wave, want.Epoch, ev.Action, ev.Wave, ev.Epoch)
+			c.jerr = fmt.Errorf("controlplane: journal diverges at entry %d (%s, wave %d, epoch %d): %s — the journal does not match this configuration",
+				c.replayed, want.Action, want.Wave, want.Epoch, fieldDiff("", reflect.ValueOf(want), reflect.ValueOf(ev)))
 			return
 		}
 		c.replayed++
@@ -333,6 +326,26 @@ func (c *campaign) emit(ev WaveEvent) {
 			c.jerr = err
 		}
 	}
+}
+
+// fieldDiff names the first field in which two values of one struct
+// type differ, descending into nested structs ("Health.NodesDown"),
+// with the recorded value a and the reproduced value b.
+func fieldDiff(prefix string, a, b reflect.Value) string {
+	for i := 0; i < a.NumField(); i++ {
+		name := prefix + a.Type().Field(i).Name
+		fa, fb := a.Field(i), b.Field(i)
+		if fa.Kind() == reflect.Struct {
+			if d := fieldDiff(name+".", fa, fb); d != "" {
+				return d
+			}
+			continue
+		}
+		if !fa.Equal(fb) {
+			return fmt.Sprintf("recorded %s %v, this run produced %v", name, fa, fb)
+		}
+	}
+	return ""
 }
 
 // replayDone verifies the whole recorded prefix was consumed — a
@@ -520,8 +533,6 @@ func (c *campaign) fill(rep *Report) {
 // poll can read them safely while their clocks free-run. Down nodes
 // that do transition mid-span stay stepped so the change lands on the
 // shared epoch grid.
-//
-//sollint:hotpath
 func (c *campaign) stepped(sh int) []int {
 	sc := &c.shards[sh]
 	base := sc.order[:sc.targeted]
@@ -543,8 +554,6 @@ func (c *campaign) stepped(sh int) []int {
 // deltas fresh) on the shard's own goroutine. Nothing fleet-wide is
 // touched — this is the "no global lock in steady state" half of the
 // design.
-//
-//sollint:hotpath
 func (c *campaign) onEpoch(sh, _ int, _, step time.Duration) {
 	sc := &c.shards[sh]
 	sc.health = cohortHealthOver(c.co, c.kinds, sc.order[:sc.targeted], c.conv, sc.prev, step, &sc.scratch)
@@ -712,8 +721,6 @@ func (c *campaign) judge(epoch int) error {
 // conversion is still deferred (conv[n] false) have nothing of the
 // candidate to report. All three are counted so the quorum and
 // tolerate-down policies can judge attendance itself.
-//
-//sollint:hotpath
 func cohortHealthOver(co *fleet.Coordinator, kinds map[string]bool, nodes []int, conv []bool, prev map[memberKey]uint64, step time.Duration, scratch *[]fleet.MemberHealth) CohortHealth {
 	var h CohortHealth
 	for _, nodeIdx := range nodes {

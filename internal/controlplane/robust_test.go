@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -493,6 +494,43 @@ func TestResumeRefusesMismatch(t *testing.T) {
 	}
 	if _, err := Resume(c3, path, ""); err == nil || !strings.Contains(err.Error(), "recorded events") {
 		t.Fatalf("journal overrun not detected: %v", err)
+	}
+}
+
+// TestJournalDivergenceNamesField: a journal whose one entry differs
+// from the re-derived decision in a single field is refused with that
+// field and both of its values named — the two sides of a divergence
+// can otherwise render identically (same action, wave and epoch).
+func TestJournalDivergenceNamesField(t *testing.T) {
+	t.Parallel()
+	sp := crashSpec(ScenarioCrashStormBad, 4)
+	cfg, err := NewScenario(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := rep.Trace[0]
+	recorded.Converted++
+	path := filepath.Join(t.TempDir(), "run.journal")
+	j, err := CreateJournal(path, cfg.Campaign.Name, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(recorded); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	cfg, err = NewScenario(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Resume(cfg, path, "")
+	want := fmt.Sprintf("recorded Converted %d, this run produced %d", recorded.Converted, rep.Trace[0].Converted)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("divergence error = %v, want it to contain %q", err, want)
 	}
 }
 

@@ -33,7 +33,6 @@ func newPredQueue[P any](capacity int) *predQueue[P] {
 	return &predQueue[P]{buf: make([]Prediction[P], capacity)}
 }
 
-//sollint:hotpath
 func (q *predQueue[P]) push(p Prediction[P]) {
 	if q.n == len(q.buf) {
 		q.head++
@@ -58,8 +57,6 @@ func (q *predQueue[P]) len() int { return q.n }
 // qualifies. Skipped-over and expired entries are counted. The returned
 // pointer aliases the queue's scratch slot and is only valid until the
 // next takeFreshest call.
-//
-//sollint:hotpath
 func (q *predQueue[P]) takeFreshest(now time.Time) *Prediction[P] {
 	var out *Prediction[P]
 	for i := q.n - 1; i >= 0; i-- {

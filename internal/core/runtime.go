@@ -191,8 +191,6 @@ func (r *Runtime[D, P]) ModelAssessmentFailing() bool {
 // acquisition — the cheap read path fleet monitors poll between
 // lockstep epochs instead of Stats+Halted+ModelAssessmentFailing
 // (three acquisitions and a full counter copy).
-//
-//sollint:hotpath
 func (r *Runtime[D, P]) Health() Health {
 	r.mu.Lock()
 	defer r.mu.Unlock()

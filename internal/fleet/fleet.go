@@ -361,8 +361,6 @@ func aggregate(nodes int, dur time.Duration, start time.Time, events uint64, sta
 // runNode simulates one node end to end on its own virtual clock and
 // releases it: build, advance to the horizon (through the shared
 // lifecycle stepper), snapshot, stop.
-//
-//sollint:alignspan
 func runNode(cfg Config, life lifecycle, idx int) nodeResult {
 	n, err := buildNode(cfg, idx)
 	if err != nil {

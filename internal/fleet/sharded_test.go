@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sol/internal/faults"
 	"sol/internal/shard"
 )
 
@@ -107,35 +108,62 @@ func TestShardedSpanMatchesBatch(t *testing.T) {
 	}
 }
 
+// quietPlan is a lifecycle plan that names an instant every period but
+// never changes any node's state: under it every advance takes the
+// plan's segmented path and applies the (unchanged) state at each
+// instant, which is what the lifecycle cases of the alloc guards below
+// need inside their measured window.
+type quietPlan struct{ period time.Duration }
+
+func (quietPlan) State(int, time.Duration) faults.NodeState { return faults.NodeUp }
+
+func (p quietPlan) Next(_ int, after time.Duration) (time.Duration, bool) {
+	return (after/p.period + 1) * p.period, true
+}
+
 // TestHealthDetailIntoAllocs pins the control plane's per-epoch cohort
 // poll at zero allocations once the scratch buffer has grown: at
 // gigabyte-scale fleet heaps, a single GC mark triggered by polling
-// garbage costs more than the epochs being observed.
+// garbage costs more than the epochs being observed. The poll is the
+// one cohortHealthOver makes — the node's fault state, then its member
+// health — with and without a lifecycle plan.
 func TestHealthDetailIntoAllocs(t *testing.T) {
-	cfg := Config{
-		Nodes:    1,
-		Duration: time.Second,
-		Setup:    StandardNode(StandardNodeConfig{Seed: 1}),
-	}
-	c, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.StopAll()
-	c.StepFor(time.Second)
-	sup := c.Supervisor(0)
-	scratch := sup.HealthDetailInto(nil) // grow once
-	if len(scratch) != 3 {
-		t.Fatalf("standard node has %d members, want 3", len(scratch))
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		scratch = sup.HealthDetailInto(scratch)
-	})
-	if allocs != 0 {
-		t.Fatalf("HealthDetailInto allocates %.1f per poll, want 0", allocs)
-	}
-	if got := sup.HealthDetail(); !reflect.DeepEqual(got, scratch) {
-		t.Fatalf("HealthDetailInto diverged from HealthDetail:\n%+v\nvs\n%+v", scratch, got)
+	for _, plan := range []faults.NodePlan{nil, quietPlan{time.Millisecond}} {
+		cfg := Config{
+			Nodes:     1,
+			Duration:  time.Second,
+			Setup:     StandardNode(StandardNodeConfig{Seed: 1}),
+			Lifecycle: plan,
+		}
+		c, err := NewCoordinator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.StopAll()
+		c.StepFor(time.Second)
+		sup := c.Supervisor(0)
+		scratch := sup.HealthDetailInto(nil) // grow once
+		if len(scratch) != 3 {
+			t.Fatalf("standard node has %d members, want 3", len(scratch))
+		}
+		polled := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			now := c.Elapsed()
+			if c.NodeDown(0) && !c.NodeTransitions(0, now, now+time.Second) {
+				return
+			}
+			if !c.NodeDark(0) {
+				scratch = sup.HealthDetailInto(scratch)
+				polled++
+			}
+			_ = c.Events()
+		})
+		if allocs != 0 || polled == 0 {
+			t.Fatalf("plan %v: HealthDetailInto poll allocates %.1f per poll over %d polls, want 0", plan, allocs, polled)
+		}
+		if got := sup.HealthDetail(); !reflect.DeepEqual(got, scratch) {
+			t.Fatalf("HealthDetailInto diverged from HealthDetail:\n%+v\nvs\n%+v", scratch, got)
+		}
 	}
 }
 
@@ -145,23 +173,28 @@ func TestHealthDetailIntoAllocs(t *testing.T) {
 // second. Before the agents' sample path was made allocation-free this
 // read ~1,380; what is left is SmartMemory's per-epoch placement
 // hand-off. The bound is the 1.4 measured while the workload still kept
-// a growing latency log, plus 10%.
+// a growing latency log, plus 10%. The lifecycle case steps the node
+// through a plan instant every millisecond, so an allocation in the
+// lifecycle stepping path would add at least 1,000 per node-second.
 func TestStandardNodeSteadyStateAllocs(t *testing.T) {
-	c, err := NewCoordinator(Config{
-		Nodes:    1,
-		Duration: time.Hour,
-		Workers:  1,
-		Setup:    StandardNode(StandardNodeConfig{Seed: 1}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.StopAll()
-	c.StepFor(5 * time.Second)
-	const window = 10 * time.Second
-	perWindow := testing.AllocsPerRun(3, func() { c.StepFor(window) })
-	if perSecond := perWindow / window.Seconds(); perSecond > 1.55 {
-		t.Fatalf("warmed standard node allocates %.2f objects per node-second, want <= 1.55", perSecond)
+	for _, plan := range []faults.NodePlan{nil, quietPlan{time.Millisecond}} {
+		c, err := NewCoordinator(Config{
+			Nodes:     1,
+			Duration:  time.Hour,
+			Workers:   1,
+			Setup:     StandardNode(StandardNodeConfig{Seed: 1}),
+			Lifecycle: plan,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.StopAll()
+		c.StepFor(5 * time.Second)
+		const window = 10 * time.Second
+		perWindow := testing.AllocsPerRun(3, func() { c.StepFor(window) })
+		if perSecond := perWindow / window.Seconds(); perSecond > 1.55 {
+			t.Fatalf("plan %v: warmed standard node allocates %.2f objects per node-second, want <= 1.55", plan, perSecond)
+		}
 	}
 }
 

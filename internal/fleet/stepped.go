@@ -53,10 +53,7 @@ type simNode struct {
 	// quiescent. lifeErr is the node's first restart failure, surfaced
 	// at the next alignment (Span, RunStepped) or at the end of a
 	// streaming run.
-	//
-	//sollint:shardlocal
-	dark bool
-	//sollint:shardlocal
+	dark    bool
 	lifeErr error
 }
 
@@ -81,8 +78,6 @@ type lifecycle struct {
 // is the default horizon RunStepped drives; Coordinator itself steps
 // freely. The first setup error stops the already-built nodes and is
 // returned.
-//
-//sollint:alignspan
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -152,8 +147,6 @@ func (c *Coordinator) forEachNode(fn func(idx int)) {
 
 // advanceCell is the conductor's Advance binding: move node cell's
 // clock forward by d.
-//
-//sollint:hotpath
 func (c *Coordinator) advanceCell(cell int, d time.Duration) {
 	c.advance(&c.nodes[cell], cell, d)
 }
@@ -164,8 +157,6 @@ func (c *Coordinator) advanceCell(cell int, d time.Duration) {
 // landing on the advance's end is applied by this advance, so every
 // epoch/span slicing sees it at the same instant) and the state is
 // applied at each pause.
-//
-//sollint:hotpath
 func (l *lifecycle) advance(n *simNode, idx int, d time.Duration) {
 	if l.plan == nil {
 		n.clk.RunFor(d)
@@ -195,8 +186,6 @@ func (l *lifecycle) advance(n *simNode, idx int, d time.Duration) {
 // remembered on the node; the transition itself is idempotent, so
 // merged plans naming spurious instants are harmless. Only edges reach
 // the recorder, not every idempotent re-application.
-//
-//sollint:hotpath
 func (l *lifecycle) apply(n *simNode, idx int, at time.Duration) {
 	st := l.plan.State(idx, at)
 	if nowDark := st == faults.NodeDark; nowDark != n.dark {
@@ -228,16 +217,12 @@ func (l *lifecycle) apply(n *simNode, idx int, at time.Duration) {
 // HasLifecycle reports whether a lifecycle fault plan is configured —
 // the cheap guard that lets fault-aware callers keep their fault-free
 // fast paths allocation- and branch-identical to before.
-//
-//sollint:hotpath
 func (c *Coordinator) HasLifecycle() bool { return c.plan != nil }
 
 // NodeDown reports whether node idx's agent stack is currently not up
 // (crashed and not yet successfully restarted). Down nodes cannot be
 // observed or redeployed; the control plane skips them and judges the
 // cohort by quorum.
-//
-//sollint:hotpath
 func (c *Coordinator) NodeDown(idx int) bool {
 	return c.plan != nil && c.nodes[idx].sup.Lifecycle() != LifecycleUp
 }
@@ -245,9 +230,6 @@ func (c *Coordinator) NodeDown(idx int) bool {
 // NodeDark reports whether node idx is currently observability-dark:
 // its agents run but health reports are unavailable. Only read with
 // the node quiescent (at a barrier, or from its shard's OnEpoch).
-//
-//sollint:hotpath
-//sollint:alignspan
 func (c *Coordinator) NodeDark(idx int) bool { return c.plan != nil && c.nodes[idx].dark }
 
 // NodeTransitions reports whether the lifecycle plan schedules any
@@ -255,8 +237,6 @@ func (c *Coordinator) NodeDark(idx int) bool { return c.plan != nil && c.nodes[i
 // whether a down node must still be stepped through a span (its state
 // may change mid-span) or can be skipped entirely (constant state, so
 // reading it mid-span is safe even while its clock free-runs).
-//
-//sollint:hotpath
 func (c *Coordinator) NodeTransitions(idx int, from, until time.Duration) bool {
 	if c.plan == nil {
 		return false
@@ -269,8 +249,6 @@ func (c *Coordinator) NodeTransitions(idx int, from, until time.Duration) bool {
 // any — set when a spec-driven Restart failed. Span and RunStepped
 // check it automatically; callers using StepFor directly under a
 // lifecycle plan should poll it.
-//
-//sollint:alignspan
 func (c *Coordinator) LifecycleErr() error {
 	if c.plan == nil {
 		return nil
@@ -323,13 +301,9 @@ func (c *Coordinator) Supervisor(idx int) *Supervisor { return c.nodes[idx].sup 
 
 // Elapsed returns the total virtual time the aligned fleet has
 // stepped so far.
-//
-//sollint:hotpath
 func (c *Coordinator) Elapsed() time.Duration { return c.con.Aligned() }
 
 // Events returns the total virtual-clock callbacks fired fleet-wide.
-//
-//sollint:hotpath
 func (c *Coordinator) Events() uint64 {
 	var n uint64
 	for i := range c.nodes {
@@ -341,8 +315,6 @@ func (c *Coordinator) Events() uint64 {
 // StepFor advances every node's clock by d and returns once the whole
 // fleet has reached the new barrier — a single free-running span, so
 // each shard visits each of its nodes exactly once.
-//
-//sollint:hotpath
 func (c *Coordinator) StepFor(d time.Duration) {
 	if d <= 0 || c.stopped {
 		return

@@ -372,8 +372,6 @@ func (s *Supervisor) HealthDetail() []MemberHealth {
 // member-table lock: runtimes never call back into their supervisor,
 // so no lock cycle exists, and each Health call is itself a single
 // cheap snapshot.
-//
-//sollint:hotpath
 func (s *Supervisor) HealthDetailInto(dst []MemberHealth) []MemberHealth {
 	dst = dst[:0]
 	s.mu.Lock()
@@ -472,8 +470,6 @@ func (s *Supervisor) Restart() error {
 }
 
 // Lifecycle returns the node's current availability state.
-//
-//sollint:hotpath
 func (s *Supervisor) Lifecycle() LifecycleState {
 	s.mu.Lock()
 	life := s.life

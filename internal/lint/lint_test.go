@@ -31,16 +31,6 @@ func TestMaporder(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Maporder, "maporder/a")
 }
 
-func TestHotalloc(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Hotalloc, "hotalloc/a")
-}
-
-func TestClockhygiene(t *testing.T) {
-	restore := lint.SetScope(lint.Scope{HygienePaths: []string{"hygienedemo"}})
-	defer restore()
-	analysistest.Run(t, "testdata", lint.Clockhygiene, "hygienedemo")
-}
-
 // TestDirectives drives the meta-analyzer directly: its findings sit
 // on comment lines, where // want expectations cannot.
 func TestDirectives(t *testing.T) {
@@ -64,13 +54,11 @@ func TestDirectives(t *testing.T) {
 	}
 	wantSubstrings := []string{
 		"needs analyzer names and a justification",
-		"//sollint:hotpath must precede a function declaration",
 		"//sollint:wire must name one version constant",
 		"//sollint:wire must name one version constant",
 		"//sollint:wire must name one version constant",
-		"//sollint:shardlocal must precede a struct type or field declaration",
-		"//sollint:alignspan must precede a function declaration",
 		`unknown analyzer "wallclock"`,
+		`unknown analyzer "hotalloc"`,
 	}
 	if len(got) != len(wantSubstrings) {
 		t.Fatalf("got %d diagnostics, want %d:\n%s", len(got), len(wantSubstrings), strings.Join(got, "\n"))
@@ -170,12 +158,6 @@ func TestWirelockDeterminism(t *testing.T) {
 	if !bytes.Equal(a, c) {
 		t.Fatalf("Parse∘Marshal is not the identity:\n%s\n---\n%s", a, c)
 	}
-}
-
-func TestShardspan(t *testing.T) {
-	restore := lint.SetScope(lint.Scope{SpanAPIs: []string{"shardspan/a.Span", "shardspan/a.Config"}})
-	defer restore()
-	analysistest.Run(t, "testdata", lint.Shardspan, "shardspan/a")
 }
 
 // TestEncodeJSON pins the -json output shape byte for byte: two-space

@@ -8,14 +8,8 @@ const missingJustification = 1
 //sollint:allow wallclock typo of a known analyzer name
 const unknownName = 2
 
-//sollint:hotpath
-var notAFunction int
-
 //sollint:allow maporder a well-formed allow produces no finding
 const wellFormed = 3
-
-//sollint:hotpath
-func properlyMarked() {}
 
 //sollint:wire
 type wireNoConst struct{ A int }
@@ -26,22 +20,10 @@ type wireTwoArgs struct{ A int }
 //sollint:wire SomeVersion
 var wireNotAStruct int
 
-//sollint:shardlocal
-const shardlocalNotAField = 4
+//sollint:allow hotalloc a retired analyzer is unknown, so its allows are stale
+const retiredName = 4
 
-//sollint:alignspan
-type alignspanNotAFunc struct{}
-
-// Well-formed forms of the three PR-9 directives produce no finding.
+// A well-formed wire registration produces no finding.
 
 //sollint:wire DirVersion
-type wireWellFormed struct {
-	//sollint:shardlocal
-	A int
-}
-
-//sollint:shardlocal
-type shardlocalWellFormed struct{ B int }
-
-//sollint:alignspan
-func alignspanWellFormed() {}
+type wireWellFormed struct{ A int }

@@ -22,9 +22,7 @@ package wirelock
 
 import (
 	"bytes"
-	"crypto/sha256"
 	_ "embed"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -80,15 +78,6 @@ var embedded []byte
 
 // Embedded returns the raw lock bytes compiled into this binary.
 func Embedded() []byte { return embedded }
-
-// Hash returns a short content hash of the embedded lock. The sollint
-// vet-tool handshake folds it into the version string, so go vet's
-// result cache keys on the lock contents and a regenerated lock
-// invalidates stale cached findings.
-func Hash() string {
-	sum := sha256.Sum256(embedded)
-	return hex.EncodeToString(sum[:6])
-}
 
 // Current parses the lock compiled into this binary.
 func Current() (*File, error) { return Parse(embedded) }

@@ -194,13 +194,9 @@ func (v *VM) AllocatedCores() int { return v.allocated }
 // Node's name-keyed accessors wrap these same methods.
 
 // FrequencyLevel returns the VM's current DVFS level.
-//
-//sollint:hotpath
 func (v *VM) FrequencyLevel() int { return v.freqLevel }
 
 // AvailableCores returns the cores currently granted to the VM.
-//
-//sollint:hotpath
 func (v *VM) AvailableCores() int { return v.available }
 
 // SetAvailableCores grants the VM count of its allocated cores (the
@@ -216,21 +212,15 @@ func (v *VM) SetAvailableCores(count int) {
 }
 
 // Counters returns the VM's cumulative counter snapshot.
-//
-//sollint:hotpath
 func (v *VM) Counters() CPUCounters { return v.counters }
 
 // CurrentUtil returns the VM's CPU usage (in cores) during the most
 // recent tick — the fine-grained usage signal SmartHarvest samples
 // every 50 µs.
-//
-//sollint:hotpath
 func (v *VM) CurrentUtil() float64 { return v.lastUtil }
 
 // CurrentUnmet returns the VM's unmet CPU demand (in cores) during the
 // most recent tick.
-//
-//sollint:hotpath
 func (v *VM) CurrentUnmet() float64 { return v.lastUnmet }
 
 // WaitSeconds returns the VM's cumulative vCPU wait (core-seconds of

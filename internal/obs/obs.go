@@ -59,8 +59,6 @@ var processStart = time.Now()
 // Now returns monotonic wall nanoseconds since process start — the
 // profiler's clock. Only ever used for diagnostic attribution; never
 // for simulation decisions.
-//
-//sollint:hotpath
 func Now() int64 { return int64(time.Since(processStart)) }
 
 // Phase is one attribution bucket of a shard's wall time.

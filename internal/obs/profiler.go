@@ -5,8 +5,6 @@ package obs
 // reads it only after the span barrier. The pad keeps adjacent shards'
 // slots off each other's cache lines so the single-writer discipline
 // also means no false sharing.
-//
-//sollint:shardlocal
 type shardAcc struct {
 	counts ShardCounts
 	times  [NumPhases]int64
@@ -25,11 +23,8 @@ type Profiler struct {
 	// completed, and the accumulated between-spans (fleet alignment)
 	// time. Only touched by BeginSpan/EndSpan, which run with no span
 	// in flight.
-	//
-	//sollint:shardlocal
 	lastAlign int64
-	//sollint:shardlocal
-	alignNS int64
+	alignNS   int64
 }
 
 // NewProfiler returns an enabled profiler for a conductor of the given
@@ -42,14 +37,10 @@ func NewProfiler(shards int) *Profiler {
 }
 
 // Enabled reports whether the profiler is collecting.
-//
-//sollint:hotpath
 func (p *Profiler) Enabled() bool { return p != nil }
 
 // Start returns a phase-start token (0 when disabled) to pass to the
 // next Record call.
-//
-//sollint:hotpath
 func (p *Profiler) Start() int64 {
 	if p == nil {
 		return 0
@@ -60,9 +51,6 @@ func (p *Profiler) Start() int64 {
 // RecordFree charges the time since the token to the shard's free-run
 // phase and counts cells single-call advances. It returns a fresh
 // token so consecutive phases chain without re-reading the clock.
-//
-//sollint:hotpath
-//sollint:alignspan
 func (p *Profiler) RecordFree(shard, cells int, since int64) int64 {
 	if p == nil {
 		return 0
@@ -76,9 +64,6 @@ func (p *Profiler) RecordFree(shard, cells int, since int64) int64 {
 
 // RecordStep charges the time since the token to the shard's stepping
 // phase, counting one epoch of cells stepped advances.
-//
-//sollint:hotpath
-//sollint:alignspan
 func (p *Profiler) RecordStep(shard, cells int, since int64) int64 {
 	if p == nil {
 		return 0
@@ -93,9 +78,6 @@ func (p *Profiler) RecordStep(shard, cells int, since int64) int64 {
 
 // RecordAlign charges the time since the token to the shard's align
 // phase — the caller's OnEpoch observer.
-//
-//sollint:hotpath
-//sollint:alignspan
 func (p *Profiler) RecordAlign(shard int, since int64) {
 	if p == nil {
 		return
@@ -107,9 +89,6 @@ func (p *Profiler) RecordAlign(shard int, since int64) {
 // SpanEnd marks the shard finished with the current span: it counts
 // the span and stamps the finish instant EndSpan turns into barrier
 // wait. Called on the shard's goroutine as its last act of the span.
-//
-//sollint:hotpath
-//sollint:alignspan
 func (p *Profiler) SpanEnd(shard int) {
 	if p == nil {
 		return
@@ -122,9 +101,6 @@ func (p *Profiler) SpanEnd(shard int) {
 // BeginSpan runs on the conductor goroutine as a span launches: the
 // gap since the previous span's barrier is fleet-alignment work
 // (deploys, gate judgements) and accrues to ConductorAlignNS.
-//
-//sollint:hotpath
-//sollint:alignspan
 func (p *Profiler) BeginSpan() {
 	if p == nil {
 		return
@@ -138,9 +114,6 @@ func (p *Profiler) BeginSpan() {
 // shard's finished-to-barrier gap is its wait for the rest of the
 // fleet. The WaitGroup edge of the barrier orders the shards' writes
 // before these reads.
-//
-//sollint:hotpath
-//sollint:alignspan
 func (p *Profiler) EndSpan() {
 	if p == nil {
 		return
@@ -159,8 +132,6 @@ func (p *Profiler) EndSpan() {
 // Snapshot copies the accumulated attribution into a Profile. Nil when
 // disabled. Only call with the fleet quiescent (between spans) — the
 // same contract as every other aligned-fleet read.
-//
-//sollint:alignspan
 func (p *Profiler) Snapshot() *Profile {
 	if p == nil {
 		return nil

@@ -173,8 +173,6 @@ const stageCap = 8
 // ring is one track's event buffer. During a span it is written only
 // by the goroutine that owns the track; the pad keeps neighbouring
 // tracks' write cursors off each other's cache lines.
-//
-//sollint:shardlocal
 type ring struct {
 	buf     []Event
 	n       int // total events ever appended; n mod cap is the write slot
@@ -182,7 +180,6 @@ type ring struct {
 	_       [40]byte
 }
 
-//sollint:hotpath
 func (r *ring) append(ev Event) {
 	if r.n >= len(r.buf) {
 		r.dropped++
@@ -206,8 +203,6 @@ func (r *ring) unroll(dst []Event) []Event {
 // shard's goroutine at span end (or by Snapshot with the fleet
 // aligned). No pad — stages are touched once per transition, not per
 // event-loop iteration, and a fleet of cells could not afford one.
-//
-//sollint:shardlocal
 type cellStage struct {
 	n       int32
 	dropped int32
@@ -232,8 +227,6 @@ type Recorder struct {
 // NewRecorder returns an enabled recorder for a conductor whose shard
 // s owns cells [bounds[s], bounds[s+1]) — the same bounds slice the
 // conductor partitions with. len(bounds)-1 is the shard count.
-//
-//sollint:alignspan
 func NewRecorder(bounds []int) *Recorder {
 	shards := len(bounds) - 1
 	if shards < 1 {
@@ -252,8 +245,6 @@ func NewRecorder(bounds []int) *Recorder {
 }
 
 // Enabled reports whether the recorder is collecting.
-//
-//sollint:hotpath
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Shards returns the recorder's shard-track count (0 when disabled).
@@ -277,9 +268,6 @@ func (r *Recorder) EnableLifecycle() {
 // SpanBegin records the start of shard's stretch of a conductor span,
 // on the shard's goroutine. at is the span's aligned start instant in
 // elapsed sim nanoseconds.
-//
-//sollint:hotpath
-//sollint:alignspan
 func (r *Recorder) SpanBegin(shard int, at int64) {
 	if r == nil {
 		return
@@ -289,9 +277,6 @@ func (r *Recorder) SpanBegin(shard int, at int64) {
 
 // Epoch records one stepped-epoch barrier of shard, on the shard's
 // goroutine. epoch is 1-based within the span.
-//
-//sollint:hotpath
-//sollint:alignspan
 func (r *Recorder) Epoch(shard int, at int64, epoch int) {
 	if r == nil {
 		return
@@ -304,9 +289,6 @@ func (r *Recorder) Epoch(shard int, at int64, epoch int) {
 // goroutine owns both sides, and the ring receives the cells in index
 // order, each cell's events in time order, so the drained sequence is
 // deterministic.
-//
-//sollint:hotpath
-//sollint:alignspan
 func (r *Recorder) SpanEnd(shard int, at int64) {
 	if r == nil {
 		return
@@ -318,9 +300,6 @@ func (r *Recorder) SpanEnd(shard int, at int64) {
 }
 
 // drain moves cells [lo, hi)'s staged events into track's ring.
-//
-//sollint:hotpath
-//sollint:alignspan
 func (r *Recorder) drain(track, lo, hi int) {
 	rg := &r.rings[track]
 	for c := lo; c < hi; c++ {
@@ -340,9 +319,6 @@ func (r *Recorder) drain(track, lo, hi int) {
 // exclusive ownership is the advance contract — at the transition's
 // sim-time instant. The event reaches the owning shard's track at the
 // next drain (span end or snapshot).
-//
-//sollint:hotpath
-//sollint:alignspan
 func (r *Recorder) StageNode(cell int, kind EventKind, at int64) {
 	if r == nil || r.stages == nil {
 		return
@@ -359,9 +335,6 @@ func (r *Recorder) StageNode(cell int, kind EventKind, at int64) {
 // Decision records a campaign wave decision on the conductor track,
 // with the fleet aligned: kind is one of the wave-decision kinds, arg
 // the targeted cohort size.
-//
-//sollint:hotpath
-//sollint:alignspan
 func (r *Recorder) Decision(kind EventKind, at int64, wave, epoch int, arg int64) {
 	if r == nil {
 		return
@@ -375,9 +348,6 @@ func (r *Recorder) Decision(kind EventKind, at int64, wave, epoch int, arg int64
 
 // Deploy records a deploy-scheduling event (defer or landed retry) on
 // the conductor track, with the fleet aligned.
-//
-//sollint:hotpath
-//sollint:alignspan
 func (r *Recorder) Deploy(kind EventKind, at int64, epoch, node int, arg int64) {
 	if r == nil {
 		return
@@ -393,8 +363,6 @@ func (r *Recorder) Deploy(kind EventKind, at int64, epoch, node int, arg int64) 
 // on the conductor goroutine (see MemWatch). The sampling schedule —
 // one sample per conductor span, plus one at snapshot — is
 // deterministic; the measured values are diagnostic only.
-//
-//sollint:alignspan
 func (r *Recorder) SampleHeap(at int64) {
 	if r == nil {
 		return
@@ -409,8 +377,6 @@ func (r *Recorder) SampleHeap(at int64) {
 // then conductor. One final heap sample is taken at the aligned
 // instant. Nil when disabled. Only call with the fleet quiescent —
 // the same contract as the profiler's Snapshot.
-//
-//sollint:alignspan
 func (r *Recorder) Snapshot(at int64) *Trace {
 	if r == nil {
 		return nil

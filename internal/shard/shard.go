@@ -176,13 +176,10 @@ type Conductor struct {
 	bounds  []int // len nShards+1; shard s owns cells [bounds[s], bounds[s+1])
 	// aligned and allot are conductor-goroutine state: written only with
 	// the fleet quiescent (between Runs, or at Run's closing barrier).
-	//
-	//sollint:shardlocal
 	aligned time.Duration
 	prof    *obs.Profiler // nil when Config.Profile is off
 	rec     *obs.Recorder // nil when Config.Trace is off
-	//sollint:shardlocal
-	allot []int // per-shard worker override (SetAllotments); nil = even spread
+	allot   []int         // per-shard worker override (SetAllotments); nil = even spread
 }
 
 // New validates cfg and partitions its cells into contiguous shards of
@@ -213,8 +210,6 @@ func (c *Conductor) Recorder() *obs.Recorder { return c.rec }
 
 // Trace snapshots the accumulated flight-recorder events, or nil when
 // tracing is off. Only call between Run calls (fleet aligned).
-//
-//sollint:alignspan
 func (c *Conductor) Trace() *obs.Trace { return c.rec.Snapshot(int64(c.aligned)) }
 
 // Profiling reports whether the conductor's self-profiler is on.
@@ -229,8 +224,6 @@ func (c *Conductor) Profile() *obs.Profile { return c.prof.Snapshot() }
 // >= 1 and len(a) must equal the shard count. Worker widths never
 // change what the simulation computes — only how fast — so retuning
 // allotments between runs is determinism-safe by construction.
-//
-//sollint:alignspan
 func (c *Conductor) SetAllotments(a []int) error {
 	if len(a) != c.nShards {
 		return fmt.Errorf("shard: %d allotments for %d shards", len(a), c.nShards)
@@ -284,8 +277,6 @@ func (c *Conductor) ShardOf(cell int) int {
 
 // Aligned returns the elapsed simulated time every cell has reached —
 // the conductor's current barrier.
-//
-//sollint:alignspan
 func (c *Conductor) Aligned() time.Duration { return c.aligned }
 
 // shardWorkers returns shard s's worker allotment: an explicit
@@ -315,8 +306,6 @@ func (c *Conductor) shardWorkers(s int) int {
 // OnEpoch fired at every local barrier. Nothing global is taken
 // between the span's start and its end — this is the "healthy
 // steady-state epochs never take a fleet-wide lock" contract.
-//
-//sollint:alignspan
 func (c *Conductor) Run(sp Span) error {
 	switch {
 	case sp.Until < c.aligned:

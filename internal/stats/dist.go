@@ -132,8 +132,6 @@ type PoissonSampler struct {
 }
 
 // Draw returns one Poisson(lambda) sample from rng.
-//
-//sollint:hotpath
 func (s *PoissonSampler) Draw(rng *RNG, lambda float64) int {
 	if lambda <= 0 {
 		return 0

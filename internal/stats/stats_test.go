@@ -240,10 +240,11 @@ func TestPercentileBufMatchesPercentile(t *testing.T) {
 }
 
 // TestWindowPercentileAllocs is the regression test for the reusable
-// scratch buffer: safeguard-style percentile queries must not allocate
-// in steady state.
+// scratch buffer: safeguard-style percentile queries, and the window and
+// EWMA updates beside them, must not allocate in steady state.
 func TestWindowPercentileAllocs(t *testing.T) {
 	w := NewWindow(512)
+	e := NewEWMA(0.2)
 	rng := NewRNG(3)
 	for i := 0; i < 512; i++ {
 		w.Add(rng.Float64())
@@ -252,6 +253,7 @@ func TestWindowPercentileAllocs(t *testing.T) {
 	buf := make([]float64, 0, 2)
 	if avg := testing.AllocsPerRun(100, func() {
 		w.Add(rng.Float64())
+		e.Add(w.Max())
 		_ = w.Percentile(99)
 		buf = w.Percentiles(buf[:0], 90, 99)
 	}); avg != 0 {

@@ -14,8 +14,6 @@ type Welford struct {
 }
 
 // Add incorporates one observation.
-//
-//sollint:hotpath
 func (w *Welford) Add(x float64) {
 	w.n++
 	d := x - w.mean
@@ -61,8 +59,6 @@ func NewEWMA(alpha float64) *EWMA {
 }
 
 // Add incorporates one observation.
-//
-//sollint:hotpath
 func (e *EWMA) Add(x float64) {
 	if !e.init {
 		e.value = x
@@ -105,8 +101,6 @@ func NewWindow(capacity int) *Window {
 }
 
 // Add appends an observation, evicting the oldest if full.
-//
-//sollint:hotpath
 func (w *Window) Add(x float64) {
 	w.buf[w.next] = x
 	w.next++
@@ -140,8 +134,6 @@ func (w *Window) Reset() {
 // sorts it ascending, and returns it. It returns nil when the window
 // is empty. The scratch is reused across queries — no allocation after
 // the first call.
-//
-//sollint:hotpath
 func (w *Window) sorted() []float64 {
 	n := w.Len()
 	if n == 0 {
@@ -159,8 +151,6 @@ func (w *Window) sorted() []float64 {
 // Percentile returns the p-th percentile (p in [0, 100]) of the stored
 // observations using nearest-rank interpolation. It returns 0 when the
 // window is empty.
-//
-//sollint:hotpath
 func (w *Window) Percentile(p float64) float64 {
 	return percentileSorted(w.sorted(), p)
 }
@@ -170,8 +160,6 @@ func (w *Window) Percentile(p float64) float64 {
 // allocates one). Safeguards that read multiple quantiles of the same
 // signal — e.g. a P90 trigger alongside a P99 log line — pay for a
 // single sorted copy instead of one per query.
-//
-//sollint:hotpath
 func (w *Window) Percentiles(dst []float64, ps ...float64) []float64 {
 	tmp := w.sorted()
 	for _, p := range ps {
@@ -181,8 +169,6 @@ func (w *Window) Percentiles(dst []float64, ps ...float64) []float64 {
 }
 
 // Mean returns the mean of the stored observations, 0 when empty.
-//
-//sollint:hotpath
 func (w *Window) Mean() float64 {
 	n := w.Len()
 	if n == 0 {
@@ -196,8 +182,6 @@ func (w *Window) Mean() float64 {
 }
 
 // Max returns the maximum stored observation, 0 when empty.
-//
-//sollint:hotpath
 func (w *Window) Max() float64 {
 	n := w.Len()
 	if n == 0 {
@@ -260,8 +244,6 @@ func Percentile(xs []float64, p float64) float64 {
 // copied into buf (grown when too short), sorted there, and the buffer
 // handed back for the next call, so a caller that queries every epoch
 // allocates only until the buffer has seen its largest input.
-//
-//sollint:hotpath
 func PercentileBuf(buf, xs []float64, p float64) (float64, []float64) {
 	buf = append(buf[:0], xs...)
 	sort.Float64s(buf)
