@@ -617,15 +617,16 @@ func BenchmarkVirtualAfterFunc(b *testing.B) {
 // tick serves at most 8 requests, so it must cost that, not the depth.
 func BenchmarkQueueServerOverloaded(b *testing.B) {
 	w := workload.NewObjectStore(stats.NewRNG(1), 8, 1.5, 1.0) // 400 requests/s
-	now := time.Unix(0, 0)
-	w.Tick(now, 250*time.Second, workload.Resources{}) // 100k arrivals, none served
-	now = now.Add(250 * time.Second)
+	clk := clock.NewVirtualSingle(time.Unix(0, 0))
+	long := workload.Step{Clock: clk, Len: int64(250 * time.Second), Sec: (250 * time.Second).Seconds()}
+	w.Tick(long, workload.Resources{}) // 100k arrivals, none served
+	st := workload.Step{Clock: clk, Now: long.Len, Len: int64(time.Millisecond), Sec: time.Millisecond.Seconds()}
 	res := workload.Resources{Cores: 8, FreqGHz: 1.5}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Tick(now, time.Millisecond, res)
-		now = now.Add(time.Millisecond)
+		w.Tick(st, res)
+		st.Now += st.Len
 	}
 }
 
@@ -637,10 +638,10 @@ func BenchmarkQueueServerOverloaded(b *testing.B) {
 func BenchmarkQueueServerP99(b *testing.B) {
 	// 240 requests/s against the ~315/s that 10 ms ticks retire.
 	w := workload.NewObjectStore(stats.NewRNG(1), 8, 1.5, 0.6)
-	now := time.Unix(0, 0)
+	st := workload.Step{Clock: clock.NewVirtualSingle(time.Unix(0, 0)), Len: int64(10 * time.Millisecond), Sec: (10 * time.Millisecond).Seconds()}
 	tick := func(res workload.Resources) {
-		w.Tick(now, 10*time.Millisecond, res)
-		now = now.Add(10 * time.Millisecond)
+		w.Tick(st, res)
+		st.Now += st.Len
 	}
 	for w.Served() < 1_000_000 {
 		tick(workload.Resources{Cores: 8, FreqGHz: 1.5})

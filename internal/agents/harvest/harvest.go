@@ -51,8 +51,6 @@ type Sample struct {
 	Granted int
 	// Unmet is unmet demand in cores (demand the VM could not run).
 	Unmet float64
-	// At is the reading time.
-	At time.Time
 }
 
 // Config tunes the agent.
@@ -150,10 +148,10 @@ type Model struct {
 	// maximum before overwriting it.
 	feats        [featureDims]float64
 	haveFeatures bool
-	// sorted and costs are UpdateModel's scratch: the percentile sort
-	// buffer and the classifier's cost vector.
-	sorted []float64
-	costs  []float64
+	// scratch and costs are UpdateModel's scratch: the percentile
+	// selection buffer and the classifier's cost vector.
+	scratch []float64
+	costs   []float64
 
 	// underPreds is a ring of per-epoch 0/1 indicators: did the model's
 	// prediction for the epoch fall below the demand that materialized?
@@ -206,7 +204,6 @@ func (m *Model) CollectData() (Sample, error) {
 		Util:    m.vm.CurrentUtil(),
 		Granted: m.vm.AvailableCores(),
 		Unmet:   m.vm.CurrentUnmet(),
-		At:      m.vm.Counters().At,
 	}
 	if m.corrupt != nil {
 		// The corruptor works on a model-owned copy: taking s's own
@@ -339,7 +336,7 @@ func (m *Model) features(utils []float64) [featureDims]float64 {
 		w.Add(u)
 	}
 	var p95 float64
-	p95, m.sorted = stats.PercentileBuf(m.sorted, utils, 95)
+	p95, m.scratch = stats.PercentileBuf(m.scratch, utils, 95)
 	return [featureDims]float64{
 		w.Mean() / c,
 		stats.Max(utils) / c,

@@ -19,20 +19,20 @@ type steppedLoad struct {
 	low, high    float64
 	phase        time.Duration
 	started      bool
-	next         time.Time
+	next         int64 // ns on the node clock's timebase
 	inHigh       bool
 	demandOffset float64
 }
 
 func (s *steppedLoad) Name() string { return "stepped" }
-func (s *steppedLoad) Tick(now time.Time, dt time.Duration, res workload.Resources) workload.Usage {
+func (s *steppedLoad) Tick(st workload.Step, res workload.Resources) workload.Usage {
 	if !s.started {
 		s.started = true
-		s.next = now.Add(s.phase)
+		s.next = st.Now + int64(s.phase)
 	}
-	if !now.Before(s.next) {
+	if st.Now >= s.next {
 		s.inHigh = !s.inHigh
-		s.next = now.Add(s.phase)
+		s.next = st.Now + int64(s.phase)
 	}
 	demand := s.low
 	if s.inHigh {

@@ -39,7 +39,7 @@ func launch(t *testing.T, clk *clock.Virtual, n *node.Node, opts core.Options) *
 type busyWork struct{}
 
 func (busyWork) Name() string { return "busy" }
-func (busyWork) Tick(now time.Time, dt time.Duration, res workload.Resources) workload.Usage {
+func (busyWork) Tick(_ workload.Step, res workload.Resources) workload.Usage {
 	return workload.Usage{Util: res.Cores, IPC: 1.5, StallFrac: 0.1}
 }
 
@@ -47,7 +47,7 @@ func (busyWork) Tick(now time.Time, dt time.Duration, res workload.Resources) wo
 type idleWork struct{}
 
 func (idleWork) Name() string { return "idle" }
-func (idleWork) Tick(now time.Time, dt time.Duration, res workload.Resources) workload.Usage {
+func (idleWork) Tick(_ workload.Step, res workload.Resources) workload.Usage {
 	return workload.Usage{Util: 0.02, IPC: 0.5, StallFrac: 0.5}
 }
 

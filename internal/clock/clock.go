@@ -26,6 +26,15 @@ import (
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
+	// NowNS returns the current time as nanoseconds since the clock's
+	// anchor instant. It is the read the per-event path takes: lateness,
+	// epoch ages and grid points are integer arithmetic on it, and a
+	// time.Time is built with At only where one leaves that path.
+	NowNS() int64
+	// At returns the instant ns nanoseconds after the clock's anchor,
+	// carrying the anchor's Location and monotonic reading. On a
+	// Virtual clock At(NowNS()) == Now().
+	At(ns int64) time.Time
 	// AfterFunc schedules f to run at Now()+d. If d <= 0 the callback
 	// runs at the current time (virtual) or as soon as possible (real).
 	// The returned Timer can cancel the callback with Stop or re-arm it

@@ -246,6 +246,59 @@ func TestRealTimerStop(t *testing.T) {
 	}
 }
 
+// TestRealNowNSMonotonic: Real's nanosecond read counts from the
+// monotonic clock, never from time.Now().UnixNano(). The wall clock
+// can be stepped by NTP or an operator at any moment, and the runtime
+// would report a step as schedule lateness or a negative epoch age. So
+// 10k reads never decrease, and each one, turned back into a time.Time
+// with At, lies between the time.Now() readings that bracket it: the
+// comparison is monotonic, since both sides carry a monotonic reading.
+func TestRealNowNSMonotonic(t *testing.T) {
+	r := NewReal()
+	prev := r.NowNS()
+	if prev < 0 {
+		t.Fatalf("first NowNS = %d, want >= 0", prev)
+	}
+	for i := 0; i < 10000; i++ {
+		before := time.Now()
+		ns := r.NowNS()
+		after := time.Now()
+		if ns < prev {
+			t.Fatalf("read %d: NowNS went back from %d to %d", i, prev, ns)
+		}
+		prev = ns
+		if at := r.At(ns); at.Before(before) || at.After(after) {
+			t.Fatalf("read %d: At(NowNS()) = %v outside the time.Now() bracket [%v, %v]", i, at, before, after)
+		}
+	}
+	// The wall component tracks Now too, within a slack that only an
+	// actual wall-clock step during the test could exceed.
+	if d := r.At(r.NowNS()).Sub(r.Now().Round(0)); d < -time.Second || d > time.Second {
+		t.Fatalf("At(NowNS()) is %v off Now()'s wall time", d)
+	}
+}
+
+// TestVirtualNowNS: Virtual's nanosecond read is its internal time,
+// and At turns it back into exactly Now().
+func TestVirtualNowNS(t *testing.T) {
+	v := NewVirtualSingle(epoch)
+	check := func(want time.Duration) {
+		t.Helper()
+		if got := v.NowNS(); got != int64(want) {
+			t.Fatalf("NowNS = %d, want %d", got, want)
+		}
+		if v.At(v.NowNS()) != v.Now() {
+			t.Fatalf("At(NowNS()) = %v, Now() = %v", v.At(v.NowNS()), v.Now())
+		}
+	}
+	check(0)
+	v.AfterFunc(1500*time.Microsecond, func() {})
+	v.Step()
+	check(1500 * time.Microsecond)
+	v.Run(epoch.Add(time.Second))
+	check(time.Second)
+}
+
 func TestVirtualAfterFuncNilPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -84,15 +84,21 @@ func (v *Virtual) unlock() {
 // toNS converts an absolute time to the clock's internal timebase.
 func (v *Virtual) toNS(t time.Time) int64 { return t.Sub(v.start).Nanoseconds() }
 
-// fromNS converts the internal timebase back to an absolute time.
-func (v *Virtual) fromNS(ns int64) time.Time { return v.start.Add(time.Duration(ns)) }
+// At converts the internal timebase back to an absolute time: the
+// start instant plus ns, so the result keeps start's Location and
+// monotonic reading.
+func (v *Virtual) At(ns int64) time.Time { return v.start.Add(time.Duration(ns)) }
 
 // Now returns the clock's current virtual time.
-func (v *Virtual) Now() time.Time {
+func (v *Virtual) Now() time.Time { return v.At(v.NowNS()) }
+
+// NowNS returns the clock's current virtual time as nanoseconds since
+// its start instant: the internal reading itself, no conversion.
+func (v *Virtual) NowNS() int64 {
 	v.lock()
 	ns := v.now
 	v.unlock()
-	return v.fromNS(ns)
+	return ns
 }
 
 // AfterFunc schedules f at Now()+d. Negative d is treated as zero.
@@ -319,7 +325,7 @@ func (v *Virtual) String() string {
 	now, pending, fired := v.now, v.pending(), v.fired
 	v.unlock()
 	return fmt.Sprintf("virtual clock at %s, %d pending, %d fired",
-		v.fromNS(now).Format(time.RFC3339Nano), pending, fired)
+		v.At(now).Format(time.RFC3339Nano), pending, fired)
 }
 
 // --- event heap: a plain binary min-heap on (when, seq) ---

@@ -85,13 +85,16 @@ type Runtime[D, P any] struct {
 	// Model-loop state. The collect timer is created once and re-armed
 	// with Reset for every subsequent step; collectIntended carries the
 	// step's intended time to the callback (the scheduled time may
-	// differ when a ModelDelay fault is injected).
-	epochStart      time.Time
+	// differ when a ModelDelay fault is injected). Both instants are
+	// nanoseconds on the clock's timebase (Clock.NowNS), so lateness,
+	// epoch age and the next grid point are integer arithmetic; a
+	// time.Time is built with Clock.At only for the hooks that take one.
+	epochStart      int64
 	validInEpoch    int
 	epochIndex      int
 	assessBad       bool
 	collectTimer    *clock.Timer
-	collectIntended time.Time
+	collectIntended int64
 
 	// Actuator-loop state. One timer serves both firing reasons; the
 	// actDeadline flag records whether the pending firing is the
@@ -121,10 +124,10 @@ func Run[D, P any](clk clock.Clock, model Model[D, P], act Actuator[P], sched Sc
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := clk.Now()
-	r.stats.StartedAt = now
+	now := clk.NowNS()
+	r.stats.StartedAt = clk.At(now)
 	r.epochStart = now
-	r.scheduleCollect(now.Add(sched.DataCollectInterval), sched.DataCollectInterval)
+	r.scheduleCollect(now+int64(sched.DataCollectInterval), sched.DataCollectInterval)
 	r.scheduleActDeadline()
 	if sched.AssessActuatorInterval > 0 && !opts.DisableActuatorSafeguard {
 		r.scheduleAssess()
@@ -209,15 +212,15 @@ func (r *Runtime[D, P]) Health() Health {
 
 // --- Model loop ---
 
-// scheduleCollect arms the collect timer for the intended time,
-// applying any injected model delay. d is how far intended lies from
-// the clock reading the caller took this step — every caller already
-// knows it, so arming costs no second clock read and no time.Time
-// arithmetic. The timer and its closure are created once; every later
-// step re-arms them in place. Callers hold r.mu.
-func (r *Runtime[D, P]) scheduleCollect(intended time.Time, d time.Duration) {
+// scheduleCollect arms the collect timer for the intended time (ns on
+// the clock's timebase), applying any injected model delay. d is how
+// far intended lies from the clock reading the caller took this step —
+// every caller already knows it, so arming costs no second clock read.
+// The timer and its closure are created once; every later step re-arms
+// them in place. Callers hold r.mu.
+func (r *Runtime[D, P]) scheduleCollect(intended int64, d time.Duration) {
 	if r.opts.ModelDelay != nil {
-		if extra := r.opts.ModelDelay(intended); extra > 0 {
+		if extra := r.opts.ModelDelay(r.clk.At(intended)); extra > 0 {
 			d += extra
 		}
 	}
@@ -236,12 +239,12 @@ func (r *Runtime[D, P]) collectStep() {
 		return
 	}
 	intended := r.collectIntended
-	now := r.clk.Now()
-	late := now.Sub(intended)
+	now := r.clk.NowNS()
+	late := time.Duration(now - intended)
 	if late > r.sched.latenessTolerance() {
 		r.stats.ScheduleViolations++
 		if h, ok := r.model.(ScheduleViolationHandler); ok {
-			h.OnScheduleViolation(intended, now)
+			h.OnScheduleViolation(r.clk.At(intended), r.clk.At(now))
 		}
 	}
 
@@ -251,13 +254,13 @@ func (r *Runtime[D, P]) collectStep() {
 	case err != nil:
 		r.stats.CollectErrors++
 	case r.opts.DisableDataValidation:
-		r.model.CommitData(now, d)
+		r.model.CommitData(r.clk.At(now), d)
 		r.validInEpoch++
 	default:
 		if verr := r.model.ValidateData(d); verr != nil {
 			r.stats.DataRejected++
 		} else {
-			r.model.CommitData(now, d)
+			r.model.CommitData(r.clk.At(now), d)
 			r.stats.DataCommitted++
 			r.validInEpoch++
 		}
@@ -266,19 +269,20 @@ func (r *Runtime[D, P]) collectStep() {
 	switch {
 	case r.validInEpoch >= r.sched.DataPerEpoch:
 		r.finishEpoch(now, true)
-	case now.Sub(r.epochStart) >= r.sched.MaxEpochTime:
+	case time.Duration(now-r.epochStart) >= r.sched.MaxEpochTime:
 		r.finishEpoch(now, false)
 	default:
 		// The next step stays on the intended grid: one interval after
 		// this step's intended time, however late this step ran.
-		r.scheduleCollect(intended.Add(r.sched.DataCollectInterval), r.sched.DataCollectInterval-late)
+		r.scheduleCollect(intended+int64(r.sched.DataCollectInterval), r.sched.DataCollectInterval-late)
 	}
 }
 
-// finishEpoch closes the current learning epoch, producing and queueing
-// exactly one prediction, then begins the next epoch. Callers hold
-// r.mu.
-func (r *Runtime[D, P]) finishEpoch(now time.Time, full bool) {
+// finishEpoch closes the current learning epoch at nowNS (the clock's
+// timebase), producing and queueing exactly one prediction, then begins
+// the next epoch. Callers hold r.mu.
+func (r *Runtime[D, P]) finishEpoch(nowNS int64, full bool) {
+	now := r.clk.At(nowNS)
 	r.epochIndex++
 	info := EpochInfo{Index: r.epochIndex, At: now, Full: full}
 
@@ -333,9 +337,9 @@ func (r *Runtime[D, P]) finishEpoch(now time.Time, full bool) {
 	r.wakeActuatorLocked()
 
 	// Begin the next epoch immediately.
-	r.epochStart = now
+	r.epochStart = nowNS
 	r.validInEpoch = 0
-	r.scheduleCollect(now.Add(r.sched.DataCollectInterval), r.sched.DataCollectInterval)
+	r.scheduleCollect(nowNS+int64(r.sched.DataCollectInterval), r.sched.DataCollectInterval)
 }
 
 func (r *Runtime[D, P]) defaultPrediction() Prediction[P] {

@@ -138,7 +138,8 @@ type CPUCounters struct {
 	StalledCycles float64
 	// TotalCycles counts all cycles on all allocated cores.
 	TotalCycles float64
-	// At is the snapshot time.
+	// At is the snapshot time: the node clock's time.Time for the VM's
+	// last tick, built when the snapshot is read (VM.Counters).
 	At time.Time
 }
 
@@ -171,7 +172,11 @@ type VM struct {
 	freqLevel int
 	work      workload.CPUWorkload
 
+	// counters holds the cumulative counters; their At stays zero, and
+	// atNS — ns on clk's timebase — stands for it until Counters reads.
 	counters CPUCounters
+	clk      clock.Clock
+	atNS     int64
 	// waitSeconds accumulates core-seconds of unmet CPU demand — the
 	// hypervisor's vCPU wait counter that SmartHarvest's actuator
 	// safeguard monitors.
@@ -212,7 +217,11 @@ func (v *VM) SetAvailableCores(count int) {
 }
 
 // Counters returns the VM's cumulative counter snapshot.
-func (v *VM) Counters() CPUCounters { return v.counters }
+func (v *VM) Counters() CPUCounters {
+	c := v.counters
+	c.At = v.clk.At(v.atNS)
+	return c
+}
 
 // CurrentUtil returns the VM's CPU usage (in cores) during the most
 // recent tick — the fine-grained usage signal SmartHarvest samples
@@ -238,9 +247,10 @@ type Node struct {
 	ticks   uint64
 	started bool
 	onTick  []func(now time.Time)
-	// tickSec is cfg.TickInterval in seconds: every VM integrates over
-	// it on every tick, so it is converted once.
-	tickSec float64
+	// step is the tick every workload sees. Its length in ns and in
+	// seconds (every VM integrates over the latter) are fixed at New;
+	// tick only moves step.Now.
+	step workload.Step
 }
 
 // New creates a node on clk. Call AddVM to populate it and Start to
@@ -249,7 +259,8 @@ func New(clk clock.Clock, cfg Config) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Node{cfg: cfg, tickSec: cfg.TickInterval.Seconds(), clk: clk, byName: make(map[string]*VM)}, nil
+	step := workload.Step{Clock: clk, Len: int64(cfg.TickInterval), Sec: cfg.TickInterval.Seconds()}
+	return &Node{cfg: cfg, step: step, clk: clk, byName: make(map[string]*VM)}, nil
 }
 
 // MustNew is New but panics on error.
@@ -279,8 +290,9 @@ func (n *Node) AddVM(name string, cores int, work workload.CPUWorkload) (*VM, er
 		available: cores,
 		freqLevel: n.cfg.NominalLevel,
 		work:      work,
+		clk:       n.clk,
+		atNS:      n.clk.NowNS(),
 	}
-	vm.counters.At = n.clk.Now()
 	n.vms = append(n.vms, vm)
 	n.byName[name] = vm
 	return vm, nil
@@ -308,25 +320,30 @@ func (n *Node) Stop() {
 	n.started = false
 }
 
+// tick reads the clock once, in ns; a time.Time is built only for
+// OnTick callbacks, when there are any.
 func (n *Node) tick() {
-	now := n.clk.Now()
-	dt := n.cfg.TickInterval
+	now := n.clk.NowNS()
+	n.step.Now = now
 	for _, vm := range n.vms {
-		n.tickVM(vm, now, dt)
+		n.tickVM(vm)
 	}
 	n.ticks++
-	for _, f := range n.onTick {
-		f(now)
+	if len(n.onTick) > 0 {
+		at := n.clk.At(now)
+		for _, f := range n.onTick {
+			f(at)
+		}
 	}
 }
 
-func (n *Node) tickVM(vm *VM, now time.Time, dt time.Duration) {
+func (n *Node) tickVM(vm *VM) {
 	f := n.cfg.Frequencies.GHz[vm.freqLevel]
 	v := n.cfg.Frequencies.Voltages[vm.freqLevel]
 	res := workload.Resources{Cores: float64(vm.available), FreqGHz: f}
-	u := vm.work.Tick(now, dt, res)
+	u := vm.work.Tick(n.step, res)
 
-	sec := n.tickSec
+	sec := n.step.Sec
 	vm.lastUtil = u.Util
 	vm.lastUnmet = u.Unmet
 	// vCPU wait measures hypervisor-level core contention: vCPUs that
@@ -345,7 +362,7 @@ func (n *Node) tickVM(vm *VM, now time.Time, dt time.Duration) {
 	vm.counters.UnhaltedCycles += unhalted
 	vm.counters.StalledCycles += stalled
 	vm.counters.TotalCycles += float64(vm.allocated) * sec * f
-	vm.counters.At = now
+	vm.atNS = n.step.Now
 
 	vm.energy += n.cfg.Power.Power(vm.allocated, u.Util, f, v) * sec
 }

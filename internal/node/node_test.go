@@ -19,7 +19,7 @@ type constantLoad struct {
 }
 
 func (c *constantLoad) Name() string { return "constant" }
-func (c *constantLoad) Tick(now time.Time, dt time.Duration, res workload.Resources) workload.Usage {
+func (c *constantLoad) Tick(_ workload.Step, res workload.Resources) workload.Usage {
 	util := c.util
 	if c.demand > 0 {
 		util = math.Min(c.demand, res.Cores)

@@ -15,7 +15,7 @@ import (
 type randomLoad struct{ rng *stats.RNG }
 
 func (r *randomLoad) Name() string { return "random" }
-func (r *randomLoad) Tick(now time.Time, dt time.Duration, res workload.Resources) workload.Usage {
+func (r *randomLoad) Tick(_ workload.Step, res workload.Resources) workload.Usage {
 	u := r.rng.Float64() * res.Cores
 	return workload.Usage{
 		Util:      u,

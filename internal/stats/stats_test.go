@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -209,29 +210,69 @@ func TestWindowPercentiles(t *testing.T) {
 	}
 }
 
-// TestPercentileBufMatchesPercentile: the caller-owned scratch changes
-// where the sorted copy lives, not the result, and leaves xs alone.
+// sortedPercentile is the reference every selecting percentile must
+// reproduce bit for bit: a sorted copy of xs, then the order statistics
+// PercentileRank names, interpolated by Lerp.
+func sortedPercentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	lo, hi, frac := PercentileRank(len(s), p)
+	return Lerp(s[lo], s[hi], frac)
+}
+
+// TestPercentileBufMatchesPercentile: Percentile, PercentileBuf and
+// Window.Percentile select rather than sort, and must equal the sorted
+// reference bit for bit at every size from 1 to 257 — across the
+// insertion-sort cutoff and many partition rounds — on inputs drawn
+// from a continuum, from a handful of values (runs of ties), and with
+// NaNs, which sort.Float64s orders first. The caller-owned scratch
+// changes where the copy lives, not the result, and xs is left alone.
 func TestPercentileBufMatchesPercentile(t *testing.T) {
 	rng := NewRNG(9)
+	ps := []float64{0, 1, 50, 90, 95, 99, 100}
+	draws := map[string]func() float64{
+		"continuous": rng.Float64,
+		"ties":       func() float64 { return float64(rng.Intn(4)) / 2 },
+		"nan":        func() float64 { return []float64{math.NaN(), 1, 2, 3}[rng.Intn(4)] },
+	}
 	var buf []float64
-	for trial := 0; trial < 50; trial++ {
-		xs := make([]float64, rng.Intn(40)) // includes the empty slice
-		for i := range xs {
-			xs[i] = rng.Float64()
-		}
-		orig := append([]float64(nil), xs...)
-		for _, p := range []float64{0, 50, 95, 100} {
-			var got float64
-			got, buf = PercentileBuf(buf, xs, p)
-			if want := Percentile(xs, p); got != want {
-				t.Fatalf("trial %d p%v: PercentileBuf %v, Percentile %v", trial, p, got, want)
+	for _, name := range []string{"continuous", "ties", "nan"} {
+		draw := draws[name]
+		for n := 1; n <= 257; n++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = draw()
+			}
+			if name == "ties" && n%2 == 0 {
+				sort.Float64s(xs) // presorted runs: the classic quickselect worst case
+			}
+			orig := append([]float64(nil), xs...)
+			w := NewWindow(n)
+			for _, x := range xs {
+				w.Add(x)
+			}
+			for _, p := range ps {
+				want := math.Float64bits(sortedPercentile(xs, p))
+				var got float64
+				got, buf = PercentileBuf(buf, xs, p)
+				for what, v := range map[string]float64{"PercentileBuf": got, "Percentile": Percentile(xs, p), "Window.Percentile": w.Percentile(p)} {
+					if math.Float64bits(v) != want {
+						t.Fatalf("%s n=%d p%v: %s %v, sorted reference %v", name, n, p, what, v, math.Float64frombits(want))
+					}
+				}
+			}
+			for i := range xs {
+				if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+					t.Fatalf("%s n=%d: Percentile reordered its input", name, n)
+				}
 			}
 		}
-		for i := range xs {
-			if xs[i] != orig[i] {
-				t.Fatal("PercentileBuf reordered its input")
-			}
-		}
+	}
+	if Percentile(nil, 50) != 0 {
+		t.Fatal("Percentile of an empty slice is not 0")
 	}
 	xs := make([]float64, 25)
 	if avg := testing.AllocsPerRun(100, func() { _, buf = PercentileBuf(buf, xs, 95) }); avg != 0 {

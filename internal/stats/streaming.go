@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -78,17 +79,17 @@ func (e *EWMA) Initialized() bool { return e.init }
 // supporting exact percentile queries. The SOL safeguards track signals
 // like "P90 of α over the last 100 seconds" and "P99 vCPU wait time";
 // window sizes in those uses are small (hundreds to a few thousand
-// samples), so an O(n log n) sort per query is plenty fast and exact,
-// which matters for reproducing thresholds. Queries sort into a scratch
-// buffer owned by the window, so the steady-state safeguard path —
-// assessed every interval by every agent in a fleet — does not
+// samples), so a selection over a copy per query is plenty fast and
+// exact, which matters for reproducing thresholds. Queries work in a
+// scratch buffer owned by the window, so the steady-state safeguard
+// path — assessed every interval by every agent in a fleet — does not
 // allocate.
 type Window struct {
 	buf  []float64
 	next int
 	full bool
-	// scratch holds the sorted copy used by percentile queries; lazily
-	// sized to capacity on first use.
+	// scratch holds the copy percentile queries reorder; lazily sized
+	// to capacity on first use.
 	scratch []float64
 }
 
@@ -130,11 +131,10 @@ func (w *Window) Reset() {
 	w.full = false
 }
 
-// sorted copies the stored observations into the scratch buffer,
-// sorts it ascending, and returns it. It returns nil when the window
-// is empty. The scratch is reused across queries — no allocation after
-// the first call.
-func (w *Window) sorted() []float64 {
+// snapshot copies the stored observations into the scratch buffer and
+// returns it, nil when the window is empty. The scratch is reused
+// across queries — no allocation after the first call.
+func (w *Window) snapshot() []float64 {
 	n := w.Len()
 	if n == 0 {
 		return nil
@@ -144,15 +144,14 @@ func (w *Window) sorted() []float64 {
 	}
 	tmp := w.scratch[:n]
 	copy(tmp, w.buf[:n])
-	sort.Float64s(tmp)
 	return tmp
 }
 
 // Percentile returns the p-th percentile (p in [0, 100]) of the stored
-// observations using nearest-rank interpolation. It returns 0 when the
-// window is empty.
+// observations using nearest-rank interpolation, found by selection. It
+// returns 0 when the window is empty.
 func (w *Window) Percentile(p float64) float64 {
-	return percentileSorted(w.sorted(), p)
+	return percentileSelect(w.snapshot(), p)
 }
 
 // Percentiles evaluates several percentile queries over one sort of
@@ -161,7 +160,8 @@ func (w *Window) Percentile(p float64) float64 {
 // signal — e.g. a P90 trigger alongside a P99 log line — pay for a
 // single sorted copy instead of one per query.
 func (w *Window) Percentiles(dst []float64, ps ...float64) []float64 {
-	tmp := w.sorted()
+	tmp := w.snapshot()
+	sort.Float64s(tmp)
 	for _, p := range ps {
 		dst = append(dst, percentileSorted(tmp, p))
 	}
@@ -206,6 +206,105 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return Lerp(sorted[lo], sorted[hi], frac)
 }
 
+// percentileSelect computes the p-th percentile of xs as
+// percentileSorted would over xs sorted, but finds the one or two
+// order statistics it needs by selection, in expected linear time. It
+// reorders xs.
+func percentileSelect(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	lo, hi, frac := PercentileRank(len(xs), p)
+	a := selectRank(xs, lo)
+	if hi == lo {
+		return a
+	}
+	// selectRank left every element after lo ordered no earlier, so
+	// the next order statistic is their least.
+	return Lerp(a, least(xs[lo+1:]), frac)
+}
+
+// less is the order sort.Float64s sorts by: NaN before every number.
+func less(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// selectRank reorders xs so that xs[k] holds the value sort.Float64s
+// would put at rank k, nothing before it orders after it and nothing
+// after it orders before it, and returns xs[k]. It is quickselect with
+// a median-of-three pivot and a three-way partition, so runs of ties
+// cost one pass; a pivot sequence that keeps missing falls back to
+// sorting what is left, which bounds the worst case at a sort's.
+func selectRank(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)
+	for budget := 2 * bits.Len(uint(len(xs))); hi-lo > 12; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs[lo:hi])
+			return xs[k]
+		}
+		lt, gt := partition3(xs[lo:hi], median3(xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]))
+		switch {
+		case k < lo+lt:
+			hi = lo + lt
+		case k >= lo+gt:
+			lo += gt
+		default:
+			return xs[k]
+		}
+	}
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && less(xs[j], xs[j-1]); j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
+	return xs[k]
+}
+
+// median3 returns the median of a, b and c under less.
+func median3(a, b, c float64) float64 {
+	if less(b, a) {
+		a, b = b, a
+	}
+	if less(c, b) {
+		b = c
+		if less(b, a) {
+			b = a
+		}
+	}
+	return b
+}
+
+// partition3 reorders xs into the elements ordering before pivot, those
+// tied with it, and those ordering after it, and returns where the tied
+// run starts and ends.
+func partition3(xs []float64, pivot float64) (lt, gt int) {
+	i, gt := 0, len(xs)
+	for i < gt {
+		switch x := xs[i]; {
+		case less(x, pivot):
+			xs[lt], xs[i] = x, xs[lt]
+			lt++
+			i++
+		case less(pivot, x):
+			gt--
+			xs[i], xs[gt] = xs[gt], x
+		default:
+			i++
+		}
+	}
+	return lt, gt
+}
+
+// least returns the first element of xs (len > 0) that no other orders
+// before.
+func least(xs []float64) float64 {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if less(x, m) {
+			m = x
+		}
+	}
+	return m
+}
+
 // PercentileRank is the rank half of every percentile in this module:
 // the p-th percentile (p in [0, 100]) of n > 0 ascending observations x
 // is Lerp(x[lo], x[hi], frac). A caller holding its observations in a
@@ -240,14 +339,14 @@ func Percentile(xs []float64, p float64) float64 {
 	return v
 }
 
-// PercentileBuf is Percentile with a caller-owned sort scratch: xs is
-// copied into buf (grown when too short), sorted there, and the buffer
-// handed back for the next call, so a caller that queries every epoch
-// allocates only until the buffer has seen its largest input.
+// PercentileBuf is Percentile with a caller-owned scratch: xs is copied
+// into buf (grown when too short), the percentile selected there, and
+// the buffer handed back for the next call, so a caller that queries
+// every epoch allocates only until the buffer has seen its largest
+// input.
 func PercentileBuf(buf, xs []float64, p float64) (float64, []float64) {
 	buf = append(buf[:0], xs...)
-	sort.Float64s(buf)
-	return percentileSorted(buf, p), buf
+	return percentileSelect(buf, p), buf
 }
 
 // Mean returns the arithmetic mean of xs, 0 for an empty slice.

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"time"
-
-	"sol/internal/stats"
-)
+import "sol/internal/stats"
 
 // ObjectStore models the paper's distributed key-value server running
 // at high load: CPU-bound request serving where latency improves
@@ -28,8 +24,8 @@ func NewObjectStore(rng *stats.RNG, cores int, nominalGHz, targetUtil float64) *
 func (o *ObjectStore) Name() string { return "ObjectStore" }
 
 // Tick implements CPUWorkload.
-func (o *ObjectStore) Tick(now time.Time, dt time.Duration, res Resources) Usage {
-	u := o.q.step(now, dt, res, o.rate)
+func (o *ObjectStore) Tick(s Step, res Resources) Usage {
+	u := o.q.step(s, res, o.rate)
 	u.IPC = 1.5
 	u.StallFrac = 0.20
 	return u
@@ -68,8 +64,8 @@ func NewDiskSpeed() *DiskSpeed {
 func (d *DiskSpeed) Name() string { return "DiskSpeed" }
 
 // Tick implements CPUWorkload.
-func (d *DiskSpeed) Tick(now time.Time, dt time.Duration, res Resources) Usage {
-	d.ops += d.OpsPerSecond * dt.Seconds()
+func (d *DiskSpeed) Tick(s Step, res Resources) Usage {
+	d.ops += d.OpsPerSecond * s.Sec
 	util := d.CPUUtil
 	if util > res.Cores {
 		util = res.Cores
@@ -94,8 +90,8 @@ func NewElastic() *Elastic { return &Elastic{} }
 func (e *Elastic) Name() string { return "Elastic" }
 
 // Tick implements CPUWorkload.
-func (e *Elastic) Tick(now time.Time, dt time.Duration, res Resources) Usage {
-	e.coreSeconds += res.Cores * dt.Seconds()
+func (e *Elastic) Tick(s Step, res Resources) Usage {
+	e.coreSeconds += res.Cores * s.Sec
 	return Usage{Util: res.Cores, IPC: 1.0, StallFrac: 0.15}
 }
 

@@ -39,11 +39,10 @@ type queueServer struct {
 	gapLo, gapHi int
 	latSum       float64
 	served       uint64
-	// lastNS is the end of the last tick, in Unix nanoseconds.
+	// lastNS is the end of the last tick, in nanoseconds on the node
+	// clock's timebase (Step.Now + Step.Len); arrivals are stamped on
+	// the same timebase, so every age is a plain difference.
 	lastNS int64
-	// dt and sec cache dt.Seconds(): the tick length is fixed per node.
-	dt  time.Duration
-	sec float64
 }
 
 // request is pointer-free and 16 bytes, so a deep queue is neither
@@ -67,13 +66,10 @@ func newQueueServer(rng *stats.RNG, meanDemand float64) *queueServer {
 
 // step injects Poisson(rate·dt) arrivals, serves the queue with the
 // granted resources, and returns the usage for the tick.
-func (q *queueServer) step(now time.Time, dt time.Duration, res Resources, rate float64) Usage {
-	if dt != q.dt {
-		q.dt, q.sec = dt, dt.Seconds()
-	}
-	sec := q.sec
-	nowNS := now.UnixNano()
-	endNS := nowNS + int64(dt)
+func (q *queueServer) step(s Step, res Resources, rate float64) Usage {
+	sec := s.Sec
+	nowNS := s.Now
+	endNS := nowNS + s.Len
 	q.lastNS = endNS
 	n := q.arrivals.Draw(q.rng, rate*sec)
 	for i := 0; i < n; i++ {

@@ -20,9 +20,10 @@ type Synthetic struct {
 	// IdleUtil is background CPU noise while idle, in cores.
 	IdleUtil float64
 
-	remaining  float64
-	arrivedAt  time.Time
-	nextArrive time.Time
+	remaining float64
+	// arrivedAt and nextArrive are ns on the node clock's timebase.
+	arrivedAt  int64
+	nextArrive int64
 	started    bool
 	busy       bool
 
@@ -73,23 +74,24 @@ func (s *Synthetic) MeanBatchSecondsFrom(skip int) float64 {
 }
 
 // Tick implements CPUWorkload.
-func (s *Synthetic) Tick(now time.Time, dt time.Duration, res Resources) Usage {
+func (s *Synthetic) Tick(st Step, res Resources) Usage {
+	now := st.Now
 	if !s.started {
 		s.started = true
 		s.nextArrive = now // first batch arrives immediately
 	}
-	if !now.Before(s.nextArrive) {
+	if now >= s.nextArrive {
 		// A new batch arrives. If the previous one is somehow still
 		// running, its work accumulates.
 		if !s.busy {
-			s.setBusy(true, now)
+			s.setBusy(true, st)
 		}
 		s.remaining += s.BatchWork
 		s.arrivedAt = s.nextArrive
-		s.nextArrive = s.nextArrive.Add(s.Period)
+		s.nextArrive += int64(s.Period)
 	}
 	if s.busy {
-		done := capacity(res, dt)
+		done := capacity(res, st.Sec)
 		if done >= s.remaining {
 			// Batch completes within this tick; account the fraction of
 			// the tick actually used.
@@ -98,8 +100,8 @@ func (s *Synthetic) Tick(now time.Time, dt time.Duration, res Resources) Usage {
 				frac = s.remaining / done
 			}
 			s.remaining = 0
-			s.batchTimes = append(s.batchTimes, now.Add(dt).Sub(s.arrivedAt).Seconds())
-			s.setBusy(false, now)
+			s.batchTimes = append(s.batchTimes, time.Duration(now+st.Len-s.arrivedAt).Seconds())
+			s.setBusy(false, st)
 			return Usage{
 				Util:      res.Cores*frac + s.IdleUtil*(1-frac),
 				IPC:       1.0,
@@ -116,8 +118,14 @@ func (s *Synthetic) Tick(now time.Time, dt time.Duration, res Resources) Usage {
 	return Usage{Util: idle, IPC: 0.5, StallFrac: 0.5}
 }
 
-func (s *Synthetic) setBusy(b bool, at time.Time) {
+// setBusy records a busy/idle transition at the start of tick st and
+// hands the OnPhase hooks the node clock's time for that instant.
+func (s *Synthetic) setBusy(b bool, st Step) {
 	s.busy = b
+	if len(s.onPhase) == 0 {
+		return
+	}
+	at := st.Clock.At(st.Now)
 	for _, f := range s.onPhase {
 		f(b, at)
 	}

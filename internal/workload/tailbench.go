@@ -23,7 +23,7 @@ type TailBench struct {
 
 	phases   []Phase
 	cur      int
-	phaseEnd time.Time
+	phaseEnd int64 // ns on the node clock's timebase
 	started  bool
 	onSurge  []func(at time.Time, util float64)
 }
@@ -77,24 +77,25 @@ func (t *TailBench) OnSurge(f func(at time.Time, util float64)) {
 }
 
 // Tick implements CPUWorkload.
-func (t *TailBench) Tick(now time.Time, dt time.Duration, res Resources) Usage {
+func (t *TailBench) Tick(s Step, res Resources) Usage {
 	if !t.started {
 		t.started = true
-		t.phaseEnd = now.Add(t.phaseDuration())
+		t.phaseEnd = s.Now + int64(t.phaseDuration())
 	}
-	if !now.Before(t.phaseEnd) {
+	if s.Now >= t.phaseEnd {
 		prev := t.phases[t.cur].Util
 		t.cur = (t.cur + 1) % len(t.phases)
-		t.phaseEnd = now.Add(t.phaseDuration())
-		if t.phases[t.cur].Util > prev {
+		t.phaseEnd = s.Now + int64(t.phaseDuration())
+		if t.phases[t.cur].Util > prev && len(t.onSurge) > 0 {
+			at := s.Clock.At(s.Now)
 			for _, f := range t.onSurge {
-				f(now, t.phases[t.cur].Util)
+				f(at, t.phases[t.cur].Util)
 			}
 		}
 	}
 	ph := t.phases[t.cur]
 	rate := ph.Util * float64(t.cores) * t.nomF / t.q.meanDemand
-	u := t.q.step(now, dt, res, rate)
+	u := t.q.step(s, res, rate)
 	u.IPC = t.ipc
 	u.StallFrac = t.stall
 	return u

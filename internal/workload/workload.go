@@ -17,7 +17,20 @@
 // plus the oscillating SpecJBB/sleep workload of Figure 8.
 package workload
 
-import "time"
+import "sol/internal/clock"
+
+// Step is one node tick as a workload sees it: the interval
+// [Now, Now+Len) in nanoseconds on Clock's timebase, Len lasting Sec
+// seconds. The node fills it once and moves Now each tick, so a
+// workload's per-tick path is integer and float arithmetic only; a
+// hook that hands out a time.Time (OnSurge, OnPhase) builds it with
+// Clock.At, which gives the node clock's own value for that instant.
+type Step struct {
+	Clock clock.Clock
+	Now   int64
+	Len   int64
+	Sec   float64
+}
 
 // Resources is what the node granted a VM for the current tick.
 type Resources struct {
@@ -47,11 +60,11 @@ type Usage struct {
 type CPUWorkload interface {
 	// Name identifies the workload in reports.
 	Name() string
-	// Tick advances the workload by dt given res, returning its usage.
-	Tick(now time.Time, dt time.Duration, res Resources) Usage
+	// Tick advances the workload over s given res, returning its usage.
+	Tick(s Step, res Resources) Usage
 }
 
-// work computes core·GHz·seconds of compute capacity in one tick.
-func capacity(res Resources, dt time.Duration) float64 {
-	return res.Cores * res.FreqGHz * dt.Seconds()
+// capacity computes core·GHz·seconds of compute capacity in one tick.
+func capacity(res Resources, sec float64) float64 {
+	return res.Cores * res.FreqGHz * sec
 }

@@ -5,17 +5,28 @@ import (
 	"testing"
 	"time"
 
+	"sol/internal/clock"
 	"sol/internal/stats"
 )
 
 var epoch = time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// epochClock is the clock the tests' Steps are on: anchored at epoch,
+// never driven.
+var epochClock = clock.NewVirtual(epoch)
+
+// stepAt is the Step a node on epochClock hands its workloads for the
+// dt tick starting at now.
+func stepAt(now time.Time, dt time.Duration) Step {
+	return Step{Clock: epochClock, Now: int64(now.Sub(epoch)), Len: int64(dt), Sec: dt.Seconds()}
+}
 
 // drive runs a workload for total at dt ticks with fixed resources,
 // returning accumulated core-seconds of utilization.
 func drive(w CPUWorkload, total, dt time.Duration, res Resources) float64 {
 	var util float64
 	for now := epoch; now.Before(epoch.Add(total)); now = now.Add(dt) {
-		u := w.Tick(now, dt, res)
+		u := w.Tick(stepAt(now, dt), res)
 		util += u.Util * dt.Seconds()
 	}
 	return util
@@ -26,7 +37,7 @@ func TestSyntheticBatchCompletion(t *testing.T) {
 	s := NewSynthetic(100*time.Second, 45)
 	res := Resources{Cores: 4, FreqGHz: 1.5}
 	for now := epoch; now.Before(epoch.Add(250 * time.Second)); now = now.Add(10 * time.Millisecond) {
-		s.Tick(now, 10*time.Millisecond, res)
+		s.Tick(stepAt(now, 10*time.Millisecond), res)
 	}
 	if s.BatchesDone() != 3 { // arrivals at 0, 100, 200
 		t.Fatalf("BatchesDone = %d, want 3", s.BatchesDone())
@@ -41,7 +52,7 @@ func TestSyntheticFasterAtHigherFrequency(t *testing.T) {
 		s := NewSynthetic(100*time.Second, 45)
 		res := Resources{Cores: 4, FreqGHz: f}
 		for now := epoch; now.Before(epoch.Add(150 * time.Second)); now = now.Add(10 * time.Millisecond) {
-			s.Tick(now, 10*time.Millisecond, res)
+			s.Tick(stepAt(now, 10*time.Millisecond), res)
 		}
 		return s.MeanBatchSeconds()
 	}
@@ -58,7 +69,7 @@ func TestSyntheticPhaseCallbacks(t *testing.T) {
 	s.OnPhase(func(busy bool, at time.Time) { transitions = append(transitions, busy) })
 	res := Resources{Cores: 4, FreqGHz: 1.5}
 	for now := epoch; now.Before(epoch.Add(120 * time.Second)); now = now.Add(10 * time.Millisecond) {
-		s.Tick(now, 10*time.Millisecond, res)
+		s.Tick(stepAt(now, 10*time.Millisecond), res)
 	}
 	// Expect busy,idle,busy,idle,busy(,idle) alternation starting busy.
 	if len(transitions) < 4 {
@@ -77,7 +88,7 @@ func TestSyntheticIdleUtilLow(t *testing.T) {
 	var idleUtil float64
 	var idleTicks int
 	for now := epoch; now.Before(epoch.Add(60 * time.Second)); now = now.Add(10 * time.Millisecond) {
-		u := s.Tick(now, 10*time.Millisecond, res)
+		u := s.Tick(stepAt(now, 10*time.Millisecond), res)
 		if !s.Busy() {
 			idleUtil += u.Util
 			idleTicks++
@@ -132,7 +143,7 @@ func TestDiskSpeedFrequencyInsensitive(t *testing.T) {
 
 func TestDiskSpeedLowAlphaProfile(t *testing.T) {
 	d := NewDiskSpeed()
-	u := d.Tick(epoch, 10*time.Millisecond, Resources{Cores: 4, FreqGHz: 1.5})
+	u := d.Tick(stepAt(epoch, 10*time.Millisecond), Resources{Cores: 4, FreqGHz: 1.5})
 	if u.StallFrac < 0.8 {
 		t.Fatalf("StallFrac = %v, want heavily stalled", u.StallFrac)
 	}
@@ -160,7 +171,7 @@ func TestTailBenchPhasesAndLatency(t *testing.T) {
 	ticks := 0
 	dt := time.Millisecond
 	for now := epoch; now.Before(epoch.Add(20 * time.Second)); now = now.Add(dt) {
-		u := tb.Tick(now, dt, res)
+		u := tb.Tick(stepAt(now, dt), res)
 		window += u.Util
 		ticks++
 		if ticks%200 == 0 { // 200ms averages
@@ -184,7 +195,7 @@ func TestTailBenchSurgeCallback(t *testing.T) {
 	tb.OnSurge(func(at time.Time, util float64) { surges++ })
 	res := Resources{Cores: 8, FreqGHz: 1.5}
 	for now := epoch; now.Before(epoch.Add(10 * time.Second)); now = now.Add(time.Millisecond) {
-		tb.Tick(now, time.Millisecond, res)
+		tb.Tick(stepAt(now, time.Millisecond), res)
 	}
 	if surges == 0 {
 		t.Fatal("no surges observed in 10s of moses")
@@ -208,7 +219,7 @@ func TestTailBenchReportsUnmetWhenStarved(t *testing.T) {
 	res := Resources{Cores: 1, FreqGHz: 1.5}
 	var unmet float64
 	for now := epoch; now.Before(epoch.Add(5 * time.Second)); now = now.Add(time.Millisecond) {
-		u := tb.Tick(now, time.Millisecond, res)
+		u := tb.Tick(stepAt(now, time.Millisecond), res)
 		unmet += u.Unmet
 	}
 	if unmet == 0 {
@@ -358,7 +369,7 @@ func TestQueueServerStepAllocs(t *testing.T) {
 	res := Resources{Cores: 8, FreqGHz: 1.5}
 	now := epoch
 	tick := func() {
-		w.Tick(now, time.Millisecond, res)
+		w.Tick(stepAt(now, time.Millisecond), res)
 		now = now.Add(time.Millisecond)
 	}
 	for i := 0; i < 20000; i++ {
