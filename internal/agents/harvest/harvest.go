@@ -155,7 +155,7 @@ type Model struct {
 
 	// underPreds is a ring of per-epoch 0/1 indicators: did the model's
 	// prediction for the epoch fall below the demand that materialized?
-	underPreds *stats.Window
+	underPreds stats.Window
 	// lastPred is what Predict returned for the epoch now ending, so
 	// UpdateModel can score it against the realized maximum. It tracks
 	// the model's own output even while the safeguard is intercepting,
@@ -184,7 +184,7 @@ func NewModel(n *node.Node, cfg Config) (*Model, error) {
 		cls:        linear.MustNewCostSensitive(cores+1, featureDims, cfg.LearningRate),
 		cores:      cores,
 		costs:      make([]float64, cores+1),
-		underPreds: stats.NewWindow(cfg.UnderPredWindow),
+		underPreds: *stats.NewWindow(cfg.UnderPredWindow),
 	}, nil
 }
 
@@ -356,7 +356,7 @@ type Actuator struct {
 	cores    int
 	prevWait float64
 	havePrev bool
-	waits    *stats.Window
+	waits    stats.Window
 	// tail is the reusable result buffer for WaitTailMs.
 	tail []float64
 	// granted is the most recent grant, for inspection.
@@ -381,7 +381,7 @@ func NewActuator(n *node.Node, cfg Config) (*Actuator, error) {
 		elastic: elastic,
 		cfg:     cfg,
 		cores:   vm.AllocatedCores(),
-		waits:   stats.NewWindow(cfg.WaitWindow),
+		waits:   *stats.NewWindow(cfg.WaitWindow),
 		granted: vm.AllocatedCores(),
 	}, nil
 }

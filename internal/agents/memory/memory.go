@@ -165,7 +165,7 @@ type regionState struct {
 type Model struct {
 	mem *memsim.Memory
 	cfg Config
-	rng *stats.RNG
+	rng stats.RNG
 
 	regions []regionState
 	bandits *bandit.Bank // one scan-interval bandit per region
@@ -211,20 +211,20 @@ func NewModel(mem *memsim.Memory, cfg Config) (*Model, error) {
 	if cfg.CoverageTarget <= 0 || cfg.CoverageTarget > 1 {
 		return nil, fmt.Errorf("memory: CoverageTarget %v out of (0,1]", cfg.CoverageTarget)
 	}
-	rng := stats.NewRNG(cfg.Seed)
-	bandits, err := bandit.NewBank(mem.Regions(), NumArms, rng)
-	if err != nil {
-		return nil, err
-	}
 	m := &Model{
 		mem:        mem,
 		cfg:        cfg,
-		rng:        rng,
+		rng:        *stats.NewRNG(cfg.Seed),
 		regions:    make([]regionState, mem.Regions()),
-		bandits:    bandits,
 		auditFracs: make([][]float64, int(float64(mem.Regions())*cfg.AuditFrac)),
 		rates:      make([]float64, mem.Regions()),
 		cover:      cfg.CoverageTarget,
+	}
+	// The bank splits its per-region generators off m.rng before
+	// pickAudit's first draw from it.
+	var err error
+	if m.bandits, err = bandit.NewBank(mem.Regions(), NumArms, &m.rng); err != nil {
+		return nil, err
 	}
 	for r := range m.regions {
 		m.regions[r] = regionState{phase: r, auditSlot: -1}

@@ -137,7 +137,7 @@ type Model struct {
 	vm  *node.VM
 	cfg Config
 	rl  *qlearn.Learner
-	rng *stats.RNG
+	rng stats.RNG
 
 	prev      node.CPUCounters
 	havePrev  bool
@@ -196,7 +196,7 @@ func NewModel(n *node.Node, cfg Config) (*Model, error) {
 		vm:        vm,
 		cfg:       cfg,
 		rl:        rl,
-		rng:       stats.NewRNG(cfg.Seed ^ 0xa5a5a5a5),
+		rng:       *stats.NewRNG(cfg.Seed ^ 0xa5a5a5a5),
 		levels:    levels,
 		nominal:   n.NominalLevel(),
 		ipsRef:    float64(vm.AllocatedCores()) * nomGHz * n.Config().MaxIPC,
@@ -395,7 +395,7 @@ type Actuator struct {
 
 	prev     node.CPUCounters
 	havePrev bool
-	alphas   *stats.Window
+	alphas   stats.Window
 	// minSamples gates the safeguard until the α window has enough
 	// history to be meaningful.
 	minSamples int
@@ -412,7 +412,7 @@ func NewActuator(n *node.Node, cfg Config) (*Actuator, error) {
 		n:          n,
 		vm:         vm,
 		cfg:        cfg,
-		alphas:     stats.NewWindow(cfg.AlphaWindow),
+		alphas:     *stats.NewWindow(cfg.AlphaWindow),
 		minSamples: cfg.AlphaWindow / 4,
 	}, nil
 }

@@ -51,11 +51,17 @@ type event struct {
 	fn     func()
 }
 
+// heapCap is the event heap's initial capacity: room for a standard
+// fleet node's timers (node tick, memsim tick, each agent's collect,
+// actuation and assessment timers) in the one allocation a clock's
+// heap makes, where growing by append would take five.
+const heapCap = 16
+
 // NewVirtual returns a Virtual clock whose current time is start. It is
 // safe for concurrent use (callbacks still run only on the driving
 // goroutine).
 func NewVirtual(start time.Time) *Virtual {
-	return &Virtual{start: start}
+	return &Virtual{start: start, heap: make([]*event, 0, heapCap)}
 }
 
 // NewVirtualSingle returns a Virtual clock in single-driver mode: the
@@ -66,7 +72,7 @@ func NewVirtual(start time.Time) *Virtual {
 // for callers that share a clock across goroutines, e.g. real-clock
 // -race tests of code paths that also run in simulation.
 func NewVirtualSingle(start time.Time) *Virtual {
-	return &Virtual{start: start, single: true}
+	return &Virtual{start: start, single: true, heap: make([]*event, 0, heapCap)}
 }
 
 func (v *Virtual) lock() {

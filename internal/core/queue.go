@@ -11,7 +11,9 @@ import "time"
 // clock those run on one goroutine, and on the real clock the runtime
 // serializes access with its own mutex, so the queue itself is plain.
 // It is a fixed-capacity ring over one backing array allocated at
-// construction; pushing and consuming never allocate.
+// construction; pushing and consuming never allocate. The Runtime
+// holds its queue by value, so the ring's array is the queue's only
+// allocation.
 type predQueue[P any] struct {
 	buf  []Prediction[P] // ring storage, len(buf) == capacity
 	head int             // index of the oldest entry
@@ -29,8 +31,8 @@ type predQueue[P any] struct {
 	expired uint64
 }
 
-func newPredQueue[P any](capacity int) *predQueue[P] {
-	return &predQueue[P]{buf: make([]Prediction[P], capacity)}
+func newPredQueue[P any](capacity int) predQueue[P] {
+	return predQueue[P]{buf: make([]Prediction[P], capacity)}
 }
 
 func (q *predQueue[P]) push(p Prediction[P]) {

@@ -79,7 +79,7 @@ type Runtime[D, P any] struct {
 	opts  Options
 
 	mu      sync.Mutex
-	queue   *predQueue[P]
+	queue   predQueue[P]
 	stopped bool
 
 	// Model-loop state. The collect timer is created once and re-armed

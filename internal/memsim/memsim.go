@@ -104,7 +104,7 @@ type Memory struct {
 	// region (observable: they traverse the far-memory driver).
 	remoteByRegion []float64
 
-	rng           *stats.RNG
+	rng           stats.RNG
 	local, remote float64
 	resets        float64
 	scans         uint64
@@ -139,7 +139,7 @@ func New(clk clock.Clock, cfg Config, trace workload.MemoryTrace) (*Memory, erro
 	m := &Memory{
 		cfg:            cfg,
 		clk:            clk,
-		rng:            stats.NewRNG(cfg.Seed),
+		rng:            *stats.NewRNG(cfg.Seed),
 		trace:          trace,
 		rates:          slab[0*n : 1*n : 1*n],
 		inTier1:        make([]bool, n),

@@ -458,16 +458,16 @@ func TestAccessorBasics(t *testing.T) {
 	}
 }
 
-// TestNewAllocs pins a Memory at five heap objects — the struct, its
-// generator, the tier array, and the two slabs the per-region float64
-// and uint64 arrays share — and checks the arrays, though neighbours in
+// TestNewAllocs pins a Memory at four heap objects — the struct (which
+// holds its generator by value), the tier array, and the two slabs the
+// per-region float64 and uint64 arrays share — and checks the arrays, though neighbours in
 // a slab, cannot grow into each other.
 func TestNewAllocs(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	tr := &flatTrace{regions: 128, rate: 1000}
 	var m *Memory
-	if n := testing.AllocsPerRun(50, func() { m = MustNew(clk, DefaultConfig(128), tr) }); n != 5 {
-		t.Fatalf("New allocates %.0f objects, want 5", n)
+	if n := testing.AllocsPerRun(50, func() { m = MustNew(clk, DefaultConfig(128), tr) }); n != 4 {
+		t.Fatalf("New allocates %.0f objects, want 4", n)
 	}
 	for name, s := range map[string][]float64{
 		"rates": m.rates, "bitsSet": m.bitsSet, "maxObserved": m.maxObserved,

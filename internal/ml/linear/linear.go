@@ -21,13 +21,22 @@ type Regressor struct {
 // NewRegressor returns a regressor over dims features with learning
 // rate lr.
 func NewRegressor(dims int, lr float64) (*Regressor, error) {
-	if dims <= 0 {
-		return nil, fmt.Errorf("linear: dims = %d, must be positive", dims)
-	}
-	if lr <= 0 {
-		return nil, fmt.Errorf("linear: learning rate = %v, must be positive", lr)
+	if err := validate(dims, lr); err != nil {
+		return nil, err
 	}
 	return &Regressor{w: make([]float64, dims), lr: lr}, nil
+}
+
+// validate checks a regressor's shape; NewRegressor and
+// NewCostSensitive reject the same inputs with the same errors.
+func validate(dims int, lr float64) error {
+	if dims <= 0 {
+		return fmt.Errorf("linear: dims = %d, must be positive", dims)
+	}
+	if lr <= 0 {
+		return fmt.Errorf("linear: learning rate = %v, must be positive", lr)
+	}
+	return nil
 }
 
 // Dims returns the feature dimensionality.
@@ -91,8 +100,14 @@ func (r *Regressor) Reset() {
 // prediction selects the class with the lowest predicted cost. This is
 // the csoaa reduction used by Vowpal Wabbit, which the paper's
 // SmartHarvest agent uses.
+//
+// The classifier is three objects for any class count: its header, the
+// regressors held by value in one slice, and one weight slab that every
+// regressor's weights are a window of (class c owns w[c*dims:(c+1)*dims],
+// capacity-capped so no window can grow into its neighbour's). The
+// classifier owns the slab; a regressor in regs must not outlive it.
 type CostSensitive struct {
-	regs    []*Regressor
+	regs    []Regressor
 	updates uint64
 }
 
@@ -102,13 +117,13 @@ func NewCostSensitive(classes, dims int, lr float64) (*CostSensitive, error) {
 	if classes <= 1 {
 		return nil, fmt.Errorf("linear: classes = %d, must be at least 2", classes)
 	}
-	regs := make([]*Regressor, classes)
+	if err := validate(dims, lr); err != nil {
+		return nil, err
+	}
+	regs := make([]Regressor, classes)
+	w := make([]float64, classes*dims)
 	for c := range regs {
-		r, err := NewRegressor(dims, lr)
-		if err != nil {
-			return nil, err
-		}
-		regs[c] = r
+		regs[c] = Regressor{w: w[c*dims : (c+1)*dims : (c+1)*dims], lr: lr}
 	}
 	return &CostSensitive{regs: regs}, nil
 }
@@ -148,8 +163,8 @@ func (cs *CostSensitive) Predict(x []float64) int {
 // PredictCosts returns the predicted cost for every class.
 func (cs *CostSensitive) PredictCosts(x []float64) []float64 {
 	out := make([]float64, len(cs.regs))
-	for c, r := range cs.regs {
-		out[c] = r.Predict(x)
+	for c := range cs.regs {
+		out[c] = cs.regs[c].Predict(x)
 	}
 	return out
 }
@@ -161,16 +176,16 @@ func (cs *CostSensitive) Update(x []float64, costs []float64) {
 	if len(costs) != len(cs.regs) {
 		panic(fmt.Sprintf("linear: %d costs for %d classes", len(costs), len(cs.regs)))
 	}
-	for c, r := range cs.regs {
-		r.Update(x, costs[c])
+	for c := range cs.regs {
+		cs.regs[c].Update(x, costs[c])
 	}
 	cs.updates++
 }
 
 // Reset zeroes all per-class regressors.
 func (cs *CostSensitive) Reset() {
-	for _, r := range cs.regs {
-		r.Reset()
+	for c := range cs.regs {
+		cs.regs[c].Reset()
 	}
 	cs.updates = 0
 }

@@ -81,12 +81,119 @@ func TestRegressorWeightsIsCopy(t *testing.T) {
 	}
 }
 
+// TestCostSensitiveValidation pins NewCostSensitive's rejections: the
+// class count is checked first, then the regressor shape, with exactly
+// the errors NewRegressor gives for the same dims and learning rate.
 func TestCostSensitiveValidation(t *testing.T) {
-	if _, err := NewCostSensitive(1, 3, 0.1); err == nil {
-		t.Fatal("classes=1 accepted")
+	cases := []struct {
+		classes, dims int
+		lr            float64
+		want          string
+	}{
+		{1, 3, 0.1, "linear: classes = 1, must be at least 2"},
+		{0, 3, 0.1, "linear: classes = 0, must be at least 2"},
+		{-2, 3, 0.1, "linear: classes = -2, must be at least 2"},
+		{1, 0, 0, "linear: classes = 1, must be at least 2"},
+		{3, 0, 0.1, "linear: dims = 0, must be positive"},
+		{3, -4, 0.1, "linear: dims = -4, must be positive"},
+		{3, 0, 0, "linear: dims = 0, must be positive"},
+		{3, 2, 0, "linear: learning rate = 0, must be positive"},
+		{3, 2, -0.5, "linear: learning rate = -0.5, must be positive"},
 	}
-	if _, err := NewCostSensitive(3, 0, 0.1); err == nil {
-		t.Fatal("dims=0 accepted")
+	for _, tc := range cases {
+		cs, err := NewCostSensitive(tc.classes, tc.dims, tc.lr)
+		if err == nil || err.Error() != tc.want || cs != nil {
+			t.Errorf("NewCostSensitive(%d, %d, %v) = %v, %v; want nil, %q", tc.classes, tc.dims, tc.lr, cs, err, tc.want)
+		}
+		if tc.classes > 1 {
+			if _, rerr := NewRegressor(tc.dims, tc.lr); rerr == nil || rerr.Error() != tc.want {
+				t.Errorf("NewRegressor(%d, %v) error %v, NewCostSensitive's %q", tc.dims, tc.lr, rerr, tc.want)
+			}
+		}
+	}
+	if _, err := NewCostSensitive(2, 1, 0.1); err != nil {
+		t.Fatalf("valid classifier rejected: %v", err)
+	}
+}
+
+// TestCostSensitiveMatchesIndependentRegressors pins the flat classifier
+// to the layout it replaced, one standalone regressor per class: over a
+// long seeded mix of Update, Predict and Reset, every predicted cost,
+// every chosen class, and every final weight and bias are identical.
+// Each class's weights are a capacity-capped window of its own row.
+func TestCostSensitiveMatchesIndependentRegressors(t *testing.T) {
+	const classes, dims, steps, lr = 9, 6, 12000, 0.05
+	solo := make([]*Regressor, classes)
+	for c := range solo {
+		solo[c], _ = NewRegressor(dims, lr)
+	}
+	cs := MustNewCostSensitive(classes, dims, lr)
+	for c := range cs.regs {
+		if w := cs.regs[c].w; len(w) != dims || cap(w) != dims {
+			t.Fatalf("class %d weights have len %d cap %d, want %d/%d", c, len(w), cap(w), dims, dims)
+		}
+	}
+	env := stats.NewRNG(11)
+	x := make([]float64, dims)
+	costs := make([]float64, classes)
+	resets := 0
+	for step := 0; step < steps; step++ {
+		for i := range x {
+			x[i] = 4*env.Float64() - 1
+		}
+		switch op := env.Intn(1000); {
+		case op < 600:
+			FillAsymmetricCosts(costs, env.Intn(classes), 10, 1)
+			cs.Update(x, costs)
+			for c, r := range solo {
+				r.Update(x, costs[c])
+			}
+		case op < 997:
+			got := cs.PredictCosts(x)
+			best, bestCost := 0, solo[0].Predict(x)
+			for c, r := range solo {
+				want := r.Predict(x)
+				if got[c] != want {
+					t.Fatalf("step %d class %d: classifier cost %v, independent regressor %v", step, c, got[c], want)
+				}
+				if c > 0 && want <= bestCost {
+					best, bestCost = c, want
+				}
+			}
+			if p := cs.Predict(x); p != best {
+				t.Fatalf("step %d: classifier predicts %d, independent regressors %d", step, p, best)
+			}
+		default:
+			resets++
+			cs.Reset()
+			for _, r := range solo {
+				r.Reset()
+			}
+		}
+	}
+	if resets == 0 {
+		t.Fatal("history never reset")
+	}
+	for c, r := range solo {
+		if got, want := cs.regs[c].Bias(), r.Bias(); got != want {
+			t.Fatalf("class %d: bias %v, independent %v", c, got, want)
+		}
+		want := r.Weights()
+		for i, got := range cs.regs[c].Weights() {
+			if got != want[i] {
+				t.Fatalf("class %d weight %d: %v, independent %v", c, i, got, want[i])
+			}
+		}
+	}
+}
+
+// TestNewCostSensitiveAllocs pins the classifier at three objects —
+// header, regressor slice, weight slab — whatever its class count.
+func TestNewCostSensitiveAllocs(t *testing.T) {
+	for _, classes := range []int{2, 64} {
+		if n := testing.AllocsPerRun(50, func() { _, _ = NewCostSensitive(classes, 6, 0.05) }); n != 3 {
+			t.Errorf("NewCostSensitive with %d classes allocates %.0f objects, want 3", classes, n)
+		}
 	}
 }
 

@@ -47,10 +47,15 @@ func (c Config) validate() error {
 
 // Learner is a tabular Q-learning agent. It is not safe for concurrent
 // use; the SOL Model loop is the single owner.
+//
+// The Q-table is one States×Actions slab, row-major, and the exploration
+// generator is held by value, so a learner is two objects for any table
+// shape. A row view (row) is a capacity-capped window of the slab for
+// use where it is taken; it must not outlive the learner.
 type Learner struct {
 	cfg     Config
-	q       [][]float64
-	rng     *stats.RNG
+	q       []float64
+	rng     stats.RNG
 	updates uint64
 }
 
@@ -59,15 +64,11 @@ func New(cfg Config) (*Learner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	q := make([][]float64, cfg.States)
-	for s := range q {
-		row := make([]float64, cfg.Actions)
-		for a := range row {
-			row[a] = cfg.InitQ
-		}
-		q[s] = row
+	q := make([]float64, cfg.States*cfg.Actions)
+	for i := range q {
+		q[i] = cfg.InitQ
 	}
-	return &Learner{cfg: cfg, q: q, rng: stats.NewRNG(cfg.RandSeed)}, nil
+	return &Learner{cfg: cfg, q: q, rng: *stats.NewRNG(cfg.RandSeed)}, nil
 }
 
 // MustNew is New but panics on configuration error; for tests and
@@ -82,7 +83,14 @@ func MustNew(cfg Config) *Learner {
 
 // Q returns the current estimate for (state, action).
 func (l *Learner) Q(state, action int) float64 {
-	return l.q[state][action]
+	return l.row(state)[action]
+}
+
+// row returns state's Q values, one per action.
+func (l *Learner) row(state int) []float64 {
+	a := l.cfg.Actions
+	lo := state * a
+	return l.q[lo : lo+a : lo+a]
 }
 
 // Updates returns the number of Update calls so far.
@@ -92,7 +100,7 @@ func (l *Learner) Updates() uint64 { return l.updates }
 // Ties break toward the lowest-numbered action, which for
 // SmartOverclock means the lowest frequency — the safe direction.
 func (l *Learner) BestAction(state int) (action int, q float64) {
-	row := l.q[state]
+	row := l.row(state)
 	action, q = 0, row[0]
 	for a := 1; a < len(row); a++ {
 		if row[a] > q {
@@ -117,8 +125,9 @@ func (l *Learner) SelectAction(state int) (action int, explored bool) {
 // (state, action) → nextState with the observed reward.
 func (l *Learner) Update(state, action int, reward float64, nextState int) {
 	_, maxNext := l.BestAction(nextState)
-	cur := l.q[state][action]
-	l.q[state][action] = cur + l.cfg.Alpha*(reward+l.cfg.Gamma*maxNext-cur)
+	row := l.row(state)
+	cur := row[action]
+	row[action] = cur + l.cfg.Alpha*(reward+l.cfg.Gamma*maxNext-cur)
 	l.updates++
 }
 
@@ -126,10 +135,8 @@ func (l *Learner) Update(state, action int, reward float64, nextState int) {
 // The SmartOverclock agent resets after long safeguard episodes so that
 // stale policy does not outlive a regime change.
 func (l *Learner) Reset() {
-	for s := range l.q {
-		for a := range l.q[s] {
-			l.q[s][a] = l.cfg.InitQ
-		}
+	for i := range l.q {
+		l.q[i] = l.cfg.InitQ
 	}
 	l.updates = 0
 }

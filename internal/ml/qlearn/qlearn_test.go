@@ -3,32 +3,161 @@ package qlearn
 import (
 	"testing"
 	"testing/quick"
+
+	"sol/internal/stats"
 )
 
 func validCfg() Config {
 	return Config{States: 4, Actions: 3, Alpha: 0.3, Gamma: 0.9, Epsilon: 0.1, RandSeed: 1}
 }
 
+// TestConfigValidation pins New's rejection of every invalid Config
+// field, with its exact error.
 func TestConfigValidation(t *testing.T) {
-	cases := []func(*Config){
-		func(c *Config) { c.States = 0 },
-		func(c *Config) { c.Actions = 0 },
-		func(c *Config) { c.Alpha = 0 },
-		func(c *Config) { c.Alpha = 1.5 },
-		func(c *Config) { c.Gamma = 1 },
-		func(c *Config) { c.Gamma = -0.1 },
-		func(c *Config) { c.Epsilon = -0.1 },
-		func(c *Config) { c.Epsilon = 1.1 },
+	cases := []struct {
+		mut  func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.States = 0 }, "qlearn: States = 0, must be positive"},
+		{func(c *Config) { c.States = -3 }, "qlearn: States = -3, must be positive"},
+		{func(c *Config) { c.Actions = 0 }, "qlearn: Actions = 0, must be positive"},
+		{func(c *Config) { c.Actions = -1 }, "qlearn: Actions = -1, must be positive"},
+		{func(c *Config) { c.Alpha = 0 }, "qlearn: Alpha = 0, must be in (0,1]"},
+		{func(c *Config) { c.Alpha = -0.2 }, "qlearn: Alpha = -0.2, must be in (0,1]"},
+		{func(c *Config) { c.Alpha = 1.5 }, "qlearn: Alpha = 1.5, must be in (0,1]"},
+		{func(c *Config) { c.Gamma = 1 }, "qlearn: Gamma = 1, must be in [0,1)"},
+		{func(c *Config) { c.Gamma = -0.1 }, "qlearn: Gamma = -0.1, must be in [0,1)"},
+		{func(c *Config) { c.Epsilon = -0.1 }, "qlearn: Epsilon = -0.1, must be in [0,1]"},
+		{func(c *Config) { c.Epsilon = 1.1 }, "qlearn: Epsilon = 1.1, must be in [0,1]"},
+		// Fields are checked in declaration order.
+		{func(c *Config) { c.Actions, c.Epsilon = 0, 2 }, "qlearn: Actions = 0, must be positive"},
 	}
-	for i, mut := range cases {
+	for i, tc := range cases {
 		cfg := validCfg()
-		mut(&cfg)
-		if _, err := New(cfg); err == nil {
-			t.Fatalf("case %d: invalid config accepted", i)
+		tc.mut(&cfg)
+		l, err := New(cfg)
+		if err == nil || err.Error() != tc.want || l != nil {
+			t.Errorf("case %d: New(%+v) = %v, %v; want nil, %q", i, cfg, l, err, tc.want)
 		}
 	}
 	if _, err := New(validCfg()); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
+// rowLearner is the Q-learner as it was before its table became one
+// slab: one slice per state and a generator behind a pointer. It is the
+// reference TestQTableMatchesRows holds the flat layout to.
+type rowLearner struct {
+	cfg Config
+	q   [][]float64
+	rng *stats.RNG
+}
+
+func newRowLearner(cfg Config) *rowLearner {
+	q := make([][]float64, cfg.States)
+	for s := range q {
+		q[s] = make([]float64, cfg.Actions)
+		for a := range q[s] {
+			q[s][a] = cfg.InitQ
+		}
+	}
+	return &rowLearner{cfg: cfg, q: q, rng: stats.NewRNG(cfg.RandSeed)}
+}
+
+func (l *rowLearner) bestAction(state int) (int, float64) {
+	row := l.q[state]
+	action, q := 0, row[0]
+	for a := 1; a < len(row); a++ {
+		if row[a] > q {
+			action, q = a, row[a]
+		}
+	}
+	return action, q
+}
+
+func (l *rowLearner) selectAction(state int) (int, bool) {
+	if l.rng.Bool(l.cfg.Epsilon) {
+		return l.rng.Intn(l.cfg.Actions), true
+	}
+	a, _ := l.bestAction(state)
+	return a, false
+}
+
+func (l *rowLearner) update(state, action int, reward float64, next int) {
+	_, maxNext := l.bestAction(next)
+	cur := l.q[state][action]
+	l.q[state][action] = cur + l.cfg.Alpha*(reward+l.cfg.Gamma*maxNext-cur)
+}
+
+func (l *rowLearner) reset() {
+	for s := range l.q {
+		for a := range l.q[s] {
+			l.q[s][a] = l.cfg.InitQ
+		}
+	}
+}
+
+// TestQTableMatchesRows pins the flat Q-table to the per-row layout it
+// replaced: over a long seeded mix of SelectAction, Update, BestAction
+// and Reset, the learner explores and chooses exactly as the reference
+// does, and ends on exactly its Q values.
+func TestQTableMatchesRows(t *testing.T) {
+	for _, shape := range []struct{ states, actions int }{{10, 3}, {7, 64}, {1, 5}, {5, 1}} {
+		cfg := Config{States: shape.states, Actions: shape.actions, Alpha: 0.4, Gamma: 0.3, Epsilon: 0.2, InitQ: 0.8, RandSeed: 9}
+		flat, ref := MustNew(cfg), newRowLearner(cfg)
+		env := stats.NewRNG(5)
+		resets := 0
+		for step := 0; step < 12000; step++ {
+			s := env.Intn(cfg.States)
+			switch op := env.Intn(1000); {
+			case op < 450:
+				a, e := flat.SelectAction(s)
+				wa, we := ref.selectAction(s)
+				if a != wa || e != we {
+					t.Fatalf("%dx%d step %d: SelectAction(%d) = %d,%v; rows %d,%v", cfg.States, cfg.Actions, step, s, a, e, wa, we)
+				}
+				r, next := env.Float64()*2-1, env.Intn(cfg.States)
+				flat.Update(s, a, r, next)
+				ref.update(s, a, r, next)
+			case op < 700:
+				a, r, next := env.Intn(cfg.Actions), env.Float64(), env.Intn(cfg.States)
+				flat.Update(s, a, r, next)
+				ref.update(s, a, r, next)
+			case op < 998:
+				a, q := flat.BestAction(s)
+				wa, wq := ref.bestAction(s)
+				if a != wa || q != wq {
+					t.Fatalf("%dx%d step %d: BestAction(%d) = %d,%v; rows %d,%v", cfg.States, cfg.Actions, step, s, a, q, wa, wq)
+				}
+			default:
+				resets++
+				flat.Reset()
+				ref.reset()
+			}
+		}
+		if resets == 0 {
+			t.Fatalf("%dx%d: history never reset", cfg.States, cfg.Actions)
+		}
+		for s := range ref.q {
+			for a, want := range ref.q[s] {
+				if got := flat.Q(s, a); got != want {
+					t.Fatalf("%dx%d: Q(%d,%d) = %v, rows %v", cfg.States, cfg.Actions, s, a, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNewAllocs pins a learner at two objects — itself, holding its
+// generator by value, and its Q-table slab — whatever its state count.
+func TestNewAllocs(t *testing.T) {
+	for _, states := range []int{2, 64} {
+		cfg := validCfg()
+		cfg.States = states
+		if n := testing.AllocsPerRun(50, func() { _, _ = New(cfg) }); n != 2 {
+			t.Errorf("New with %d states allocates %.0f objects, want 2", states, n)
+		}
 	}
 }
 

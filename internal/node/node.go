@@ -253,6 +253,12 @@ type Node struct {
 	step workload.Step
 }
 
+// usualVMs sizes a new node's VM slice for the standard fleet node's
+// three VMs (batch, primary, elastic); AddVM grows it past that. The
+// name map takes no hint: a map this small allocates its one group on
+// the first insert whatever its hint.
+const usualVMs = 3
+
 // New creates a node on clk. Call AddVM to populate it and Start to
 // begin ticking.
 func New(clk clock.Clock, cfg Config) (*Node, error) {
@@ -260,7 +266,7 @@ func New(clk clock.Clock, cfg Config) (*Node, error) {
 		return nil, err
 	}
 	step := workload.Step{Clock: clk, Len: int64(cfg.TickInterval), Sec: cfg.TickInterval.Seconds()}
-	return &Node{cfg: cfg, step: step, clk: clk, byName: make(map[string]*VM)}, nil
+	return &Node{cfg: cfg, step: step, clk: clk, vms: make([]*VM, 0, usualVMs), byName: make(map[string]*VM)}, nil
 }
 
 // MustNew is New but panics on error.
