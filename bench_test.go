@@ -412,7 +412,8 @@ func benchRollout32(b *testing.B, mut func(*controlplane.Config)) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkRollout32 is the rollout on one shard.
+// BenchmarkRollout32 is the rollout on one shard. The healthy scenario
+// is an embedded manifest, so this is also the manifest-driven path.
 func BenchmarkRollout32(b *testing.B) { benchRollout32(b, nil) }
 
 // BenchmarkRollout32Sharded is BenchmarkRollout32 on 4 shards:
@@ -459,34 +460,6 @@ func BenchmarkRollout32Robust(b *testing.B) {
 		camp.DeployRetries = 2
 		camp.TolerateDown = -1
 		c.Campaign = &camp
-	})
-}
-
-// BenchmarkRolloutManifest32 is BenchmarkRollout32 driven from a
-// declarative JSON manifest, parsed and turned into a config every
-// iteration. Events/s must stay within noise of BenchmarkRollout32 —
-// spec resolution happens only at wave boundaries, never on the
-// per-event hot path.
-func BenchmarkRolloutManifest32(b *testing.B) {
-	const manifest = `{
-		"nodes": 32, "duration": "45s", "interval": "5s",
-		"kinds": ["harvest"], "seed": 1,
-		"campaign": {
-			"name": "buffer-3", "seed": 1,
-			"targets": [{"candidate": {
-				"kind": "harvest", "variant": "buffer-3",
-				"params": {"Config": {"SafetyBuffer": 3}}
-			}}]
-		}
-	}`
-	benchRollout32(b, func(c *controlplane.Config) {
-		m, err := controlplane.ParseManifest([]byte(manifest))
-		if err == nil {
-			*c, err = m.Config()
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
 	})
 }
 

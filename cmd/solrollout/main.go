@@ -7,8 +7,15 @@
 // baseline variants and names the paper's §3.2 failure class it
 // tripped on.
 //
-// Campaigns come from two places. Three built-in scenarios demonstrate
-// the control plane:
+// Every campaign is a JSON manifest that declares the whole run — fleet,
+// wave plan, gate, one or more agent-variant targets, and the faults
+// the fleet suffers — so rollouts can be stored, reviewed, and diffed
+// like any other config:
+//
+//	solrollout -config examples/rollout/manifest.json
+//
+// Five built-in scenarios are manifests embedded in the binary, named
+// with -scenario:
 //
 //	healthy          a sane candidate; completes at 100%
 //	bad-variant      a botched candidate; caught and rolled back at the canary
@@ -20,27 +27,27 @@
 //	crash-storm-bad  a botched candidate during the same storm; still
 //	                 caught and rolled back with the right failure class
 //
-// Or a JSON campaign manifest declares the whole run — fleet, wave
-// plan, gate, and one or more agent-variant targets — so rollouts can
-// be stored, reviewed, and diffed like any other config:
-//
-//	solrollout -config examples/rollout/manifest.json
+// The sizing flags (-nodes, -duration, -interval, -waves, -soak,
+// -agents, -seed, -workers, -shards) override the loaded manifest's
+// values when given, whichever way it was loaded; a flag left out
+// keeps the manifest's value.
 //
 // -shards partitions the fleet coordination: each shard soaks and
 // observes its cohort slice on its own barrier, and the fleet aligns
 // only at gate boundaries (see internal/shard). It is a pure scaling
 // knob: the default is one shard, and every count runs the same
-// campaign state machine. -plan reviews a manifest without running
+// campaign state machine. -plan reviews a campaign without running
 // anything: it prints the resolved node-0 variant delta (baseline vs
 // candidate) per target kind.
 //
 // -journal records every campaign decision to a crash-safe journal as
 // it is made; if the scheduler is killed, -resume continues the same
 // campaign from the journal, producing a report byte-identical to the
-// uninterrupted run. The journal carries a configuration fingerprint,
-// so resuming under different flags is refused instead of silently
-// diverging. -kill-after n exits with status 3 once the journal holds
-// n decisions — the crash half of a kill/resume round trip in CI.
+// uninterrupted run. The journal carries the effective manifest's
+// fingerprint, so resuming under different flags is refused instead of
+// silently diverging. -kill-after n exits with status 3 once the
+// journal holds n decisions — the crash half of a kill/resume round
+// trip in CI.
 //
 // Usage:
 //
@@ -51,6 +58,7 @@
 //	solrollout -config manifest.json -expect rollback
 //	solrollout -config manifest.json -shards 8   # eight coordination shards
 //	solrollout -config manifest.json -plan       # dry-run review
+//	solrollout -scenario crash-storm -plan       # of a built-in scenario too
 //	solrollout -journal run.journal -kill-after 2   # crash mid-campaign
 //	solrollout -journal run.journal -resume         # continue it
 package main
@@ -59,7 +67,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"log"
 	"os"
 	"strconv"
@@ -67,7 +74,7 @@ import (
 	"time"
 
 	"sol/internal/controlplane"
-	"sol/internal/fleet"
+	"sol/internal/spec"
 )
 
 // metricsVersion versions the -metrics envelope; the embedded fleet
@@ -91,20 +98,9 @@ type metricsOut struct {
 func main() {
 	var (
 		config = flag.String("config", "",
-			"campaign manifest (JSON); overrides the scenario flags")
+			"campaign manifest (JSON) to run instead of a built-in scenario")
 		scenario = flag.String("scenario", controlplane.ScenarioHealthy,
-			"campaign scenario: "+strings.Join(controlplane.Scenarios(), ", "))
-		nodes    = flag.Int("nodes", 100, "number of simulated nodes")
-		duration = flag.Duration("duration", time.Minute, "simulated horizon")
-		interval = flag.Duration("interval", 5*time.Second, "lockstep observation epoch")
-		waves    = flag.String("waves", "", "comma-separated cumulative wave fractions (default 0.01,0.05,0.25,1)")
-		soak     = flag.Int("soak", 2, "epochs each wave soaks before its gate")
-		agents   = flag.String("agents", strings.Join(fleet.StandardKinds, ","),
-			"comma-separated agent kinds to co-locate on every node")
-		seed    = flag.Uint64("seed", 1, "fleet-wide workload and cohort-shuffle seed")
-		workers = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		shards  = flag.Int("shards", 0,
-			"coordination shards, a pure scaling knob (0 = the manifest's value, else one shard)")
+			"built-in scenario: "+strings.Join(controlplane.Scenarios(), ", "))
 		plan = flag.Bool("plan", false,
 			"dry run: print the manifest's resolved per-kind variant delta (node 0) and exit without running the fleet")
 		expect = flag.String("expect", "",
@@ -122,6 +118,7 @@ func main() {
 		trace = flag.String("trace", "",
 			"record a flight-recorder trace and write it as Chrome Trace Event JSON (Perfetto-loadable) to this file")
 	)
+	sizingFlags(flag.CommandLine)
 	flag.Parse()
 	switch *expect {
 	case "", "complete", "rollback":
@@ -145,88 +142,39 @@ func main() {
 		log.Fatalf("solrollout: -kill-after applies to the recording run, not -resume")
 	case *killAfter < 0:
 		log.Fatalf("solrollout: -kill-after %d, must be >= 0", *killAfter)
-	case *shards < 0:
-		log.Fatalf("solrollout: -shards %d, must be >= 0", *shards)
 	}
 
-	var cfg controlplane.Config
-	var fingerprint string
-	if *config != "" {
-		raw, err := os.ReadFile(*config)
+	var m *controlplane.Manifest
+	var err error
+	switch {
+	case *config != "" && isSet("scenario"):
+		log.Fatalf("solrollout: -config and -scenario both name the campaign; drop one of the flags")
+	case *config != "":
+		m, err = controlplane.LoadManifest(*config)
+	default:
+		m, err = controlplane.ScenarioManifest(*scenario)
+	}
+	if err == nil {
+		err = applyFlags(flag.CommandLine, m)
+	}
+	if err != nil {
+		log.Fatalf("solrollout: %v", err)
+	}
+	if *plan {
+		out, err := m.Plan()
 		if err != nil {
 			log.Fatalf("solrollout: %v", err)
 		}
-		fingerprint = fnvHex(string(raw))
-		m, err := controlplane.ParseManifest(raw)
-		if err != nil {
-			log.Fatalf("solrollout: %v (in %s)", err, *config)
-		}
-		// The fingerprint is the manifest's bytes, so a journal recorded
-		// from a manifest resumes from the same file. An override that
-		// changes the effective shard count changes the campaign's cohort
-		// partitioning, so it is folded in; one that restates the
-		// manifest's count (0 and 1 are both one shard) is not.
-		if *shards > 0 {
-			if *shards != max(m.Shards, 1) {
-				fingerprint = fnvHex(fmt.Sprintf("%s|shards|%d", raw, *shards))
-			}
-			m.Shards = *shards
-		}
-		if *plan {
-			out, err := m.Plan()
-			if err != nil {
-				log.Fatalf("solrollout: %v", err)
-			}
-			fmt.Println(out)
-			return
-		}
-		cfg, err = m.Config()
-		if err != nil {
-			log.Fatalf("solrollout: %v", err)
-		}
-	} else if *plan {
-		log.Fatalf("solrollout: -plan needs a manifest (-config)")
-	} else {
-		var kinds []string
-		for _, k := range strings.Split(*agents, ",") {
-			if k = strings.TrimSpace(k); k != "" {
-				kinds = append(kinds, k)
-			}
-		}
-		var fracs []float64
-		if *waves != "" {
-			for _, w := range strings.Split(*waves, ",") {
-				f, err := strconv.ParseFloat(strings.TrimSpace(w), 64)
-				if err != nil {
-					log.Fatalf("solrollout: bad wave fraction %q: %v", w, err)
-				}
-				fracs = append(fracs, f)
-			}
-		}
-		sc := controlplane.ScenarioSpec{
-			Scenario:   *scenario,
-			Nodes:      *nodes,
-			Duration:   *duration,
-			Interval:   *interval,
-			Waves:      fracs,
-			SoakEpochs: *soak,
-			Kinds:      kinds,
-			Seed:       *seed,
-			Workers:    *workers,
-			Shards:     *shards,
-		}
-		// The fingerprint covers every flag that shapes campaign
-		// decisions. Workers are excluded on purpose: the worker pool
-		// width never changes the deterministic trace, so a journal
-		// recorded at -workers 1 resumes fine at -workers 8.
-		fingerprint = fnvHex(fmt.Sprintf("scenario|%s|%d|%v|%v|%s|%d|%s|%d|%d",
-			sc.Scenario, sc.Nodes, sc.Duration, sc.Interval, *waves, sc.SoakEpochs,
-			strings.Join(sc.Kinds, ","), sc.Seed, sc.Shards))
-		var err error
-		cfg, err = controlplane.NewScenario(sc)
-		if err != nil {
-			log.Fatalf("solrollout: %v", err)
-		}
+		fmt.Println(out)
+		return
+	}
+	cfg, err := m.Config()
+	if err != nil {
+		log.Fatalf("solrollout: %v", err)
+	}
+	fingerprint, err := m.Fingerprint()
+	if err != nil {
+		log.Fatalf("solrollout: %v", err)
 	}
 	// Profiling and tracing are excluded from the journal fingerprint
 	// for the same reason workers are: they never shape campaign
@@ -252,7 +200,6 @@ func main() {
 	}
 	wall := time.Now()
 	var rep *controlplane.Report
-	var err error
 	switch {
 	case *resume:
 		fmt.Printf("resuming from journal %s...\n", *journal)
@@ -333,11 +280,80 @@ func main() {
 	}
 }
 
-// fnvHex is the run-configuration fingerprint written to (and checked
-// against) a journal header: FNV-64a of the configuration's canonical
-// string form, in hex.
-func fnvHex(s string) string {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return fmt.Sprintf("%016x", h.Sum64())
+// isSet reports whether the named flag was given on the command line.
+func isSet(name string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
+// sizingFlags defines on fs the flags applyFlags reads. They have no
+// defaults of their own: a flag left out keeps the manifest's value.
+func sizingFlags(fs *flag.FlagSet) {
+	fs.Int("nodes", 0, "number of simulated nodes (built-in scenarios: 100)")
+	fs.Duration("duration", 0, "simulated horizon (built-in scenarios: 1m)")
+	fs.Duration("interval", 0, "lockstep observation epoch (built-in scenarios: 5s)")
+	fs.String("waves", "", "comma-separated cumulative wave fractions (built-in scenarios: 0.01,0.05,0.25,1)")
+	fs.Int("soak", 0, "epochs each wave soaks before its gate (built-in scenarios: 2)")
+	fs.String("agents", "", "comma-separated agent kinds to co-locate on every node (built-in scenarios: all standard kinds)")
+	fs.Uint64("seed", 0, "fleet-wide workload, cohort-shuffle and crash seed (built-in scenarios: 1)")
+	fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.Int("shards", 0, "coordination shards, a pure scaling knob (0 = one shard)")
+}
+
+// applyFlags overrides m with every sizing flag given on fs's command
+// line, whether m is a built-in scenario or a -config manifest; a flag
+// left out keeps m's value. The journal fingerprint hashes the result,
+// so it covers every override that changes the campaign: all but
+// -workers, and -shards 1 where the manifest has no shards.
+func applyFlags(fs *flag.FlagSet, m *controlplane.Manifest) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err != nil {
+			return
+		}
+		v := f.Value.(flag.Getter).Get()
+		camp := m.Campaign
+		if camp == nil && (f.Name == "waves" || f.Name == "soak") {
+			err = fmt.Errorf("-%s: the manifest has no campaign", f.Name)
+			return
+		}
+		switch f.Name {
+		case "nodes":
+			m.Nodes = v.(int)
+		case "duration":
+			m.Duration = spec.Duration(v.(time.Duration))
+		case "interval":
+			m.Interval = spec.Duration(v.(time.Duration))
+		case "waves":
+			camp.Waves = nil
+			for _, w := range strings.Split(v.(string), ",") {
+				frac, perr := strconv.ParseFloat(strings.TrimSpace(w), 64)
+				if perr != nil {
+					err = fmt.Errorf("bad wave fraction %q: %v", w, perr)
+					return
+				}
+				camp.Waves = append(camp.Waves, frac)
+			}
+		case "soak":
+			camp.SoakEpochs = v.(int)
+		case "agents":
+			m.Kinds = nil
+			for _, k := range strings.Split(v.(string), ",") {
+				if k = strings.TrimSpace(k); k != "" {
+					m.Kinds = append(m.Kinds, k)
+				}
+			}
+		case "seed":
+			m.Seed = v.(uint64)
+			if camp != nil {
+				camp.Seed = m.Seed
+			}
+		case "workers":
+			m.Workers = v.(int)
+		case "shards":
+			m.Shards = v.(int)
+		}
+	})
+	return err
 }

@@ -22,12 +22,9 @@ func testSpec(scenario string, workers int) ScenarioSpec {
 	if testing.Short() {
 		nodes = 8
 	}
-	dur := 45 * time.Second
-	switch scenario {
-	case ScenarioBadVariant:
-		dur = 30 * time.Second
-	case ScenarioFaultStorm:
-		dur = 35 * time.Second
+	dur := map[string]time.Duration{ScenarioBadVariant: 30 * time.Second, ScenarioFaultStorm: 35 * time.Second}[scenario]
+	if dur == 0 {
+		dur = 45 * time.Second
 	}
 	return ScenarioSpec{
 		Scenario: scenario,
@@ -287,8 +284,10 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewScenario(ScenarioSpec{Scenario: "nope", Nodes: 1, Duration: time.Second}); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
-	if _, err := NewScenario(ScenarioSpec{Scenario: ScenarioFaultStorm, Waves: []float64{0.5, 1}}); err == nil {
-		t.Fatal("fault-storm with two waves accepted")
+	twoWaves := testSpec(ScenarioFaultStorm, 0)
+	twoWaves.Waves = []float64{0.5, 1}
+	if _, err := NewScenario(twoWaves); err == nil || !strings.Contains(err.Error(), "has 2 waves") {
+		t.Fatalf("fault-storm with two waves: err = %v", err)
 	}
 	for _, tc := range []struct {
 		name string

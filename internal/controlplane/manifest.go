@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"time"
 
+	"sol/internal/faults"
 	"sol/internal/fleet"
 	"sol/internal/spec"
 )
@@ -58,7 +60,55 @@ type Manifest struct {
 	Options *spec.Options `json:"options,omitempty"`
 	// Campaign, when present, is executed over the fleet.
 	Campaign *Campaign `json:"campaign,omitempty"`
+	// Faults, when present, injects failures into the fleet at
+	// instants anchored to the campaign's waves (schema version 3).
+	Faults *Faults `json:"faults,omitempty"`
 }
+
+// Faults is the failure injection a manifest declares: the crash and
+// scheduling-delay storms the built-in scenarios run under. Every
+// instant is anchored to a wave's soak — wave w soaks from epoch
+// (w-1)·soak_epochs when all earlier gates pass — so a storm keeps
+// striking the same wave when -interval or -soak changes.
+//
+//sollint:wire ManifestVersion
+type Faults struct {
+	// Crash permanently stops a deterministic fraction of the fleet.
+	Crash *CrashFault `json:"crash,omitempty"`
+	// ModelDelay makes every model step late during one wave's soak.
+	ModelDelay *DelayFault `json:"model_delay,omitempty"`
+}
+
+// CrashFault crashes Frac of the fleet at Epochs lockstep epochs into
+// Wave's soak. The crashed set is drawn from the manifest seed, so
+// changing the seed moves it.
+//
+//sollint:wire ManifestVersion
+type CrashFault struct {
+	// Frac is the fraction of nodes that crash, in (0, 1].
+	Frac float64 `json:"frac"`
+	// Wave is the 1-based wave whose soak the crash strikes in.
+	Wave int `json:"wave"`
+	// Epochs is the offset into the soak, in [0, soak_epochs); 0.5 is
+	// half-way through its first epoch, off the epoch grid.
+	Epochs float64 `json:"epochs,omitempty"`
+}
+
+// DelayFault delays every model step whose intended time falls in
+// Wave's soak window by Delay.
+//
+//sollint:wire ManifestVersion
+type DelayFault struct {
+	// Wave is the 1-based wave whose soak the delay covers.
+	Wave int `json:"wave"`
+	// Delay is added to each model step in the window; must be positive.
+	Delay spec.Duration `json:"delay"`
+}
+
+// crashStormSeed salts the manifest seed for the crash fault's node
+// selection, so the crashed set and the cohort shuffle are independent
+// draws of the same seed.
+const crashStormSeed = 0xbadc0de
 
 // ParseManifest decodes a manifest, rejecting unknown fields.
 func ParseManifest(data []byte) (*Manifest, error) {
@@ -104,7 +154,11 @@ const defaultInterval = 5 * time.Second
 //	    these fields is rejected with a hint to declare version 2,
 //	    so an old binary's silent-ignore can never be mistaken for
 //	    the policy being in force.
-const ManifestVersion = 2
+//	3 — faults: a crash and a model-delay storm anchored to campaign
+//	    waves, which is what lets the built-in scenarios be manifests.
+//	    A version-1 or -2 manifest with faults is rejected with a hint
+//	    to declare version 3.
+const ManifestVersion = 3
 
 // Validate checks the manifest without building a fleet: schema
 // version, sizing, and that every campaign target resolves against
@@ -122,6 +176,10 @@ func (m *Manifest) Validate() error {
 		return fmt.Errorf("controlplane: manifest interval = %v, must be >= 0", m.Interval.D())
 	case m.Shards < 0:
 		return fmt.Errorf("controlplane: manifest shards = %d, must be >= 0", m.Shards)
+	case m.Kinds != nil && len(m.Kinds) == 0:
+		// An empty list would launch agent-less nodes, yet marshal (omitempty)
+		// to an absent one, which means the standard co-location.
+		return fmt.Errorf("controlplane: manifest kinds is empty; omit it for the standard co-location")
 	}
 	if m.Campaign != nil {
 		if err := m.Campaign.validate(); err != nil {
@@ -136,6 +194,33 @@ func (m *Manifest) Validate() error {
 			return fmt.Errorf("controlplane: campaign %q sets a robustness policy (quorum/max_soak_extends/deploy_retries/tolerate_down), which needs manifest version 2 — declare \"version\": 2",
 				m.Campaign.Name)
 		}
+	}
+	if m.Faults != nil {
+		return m.Faults.validate(m)
+	}
+	return nil
+}
+
+// validate checks that every fault is anchored to a wave the campaign
+// has, and that the manifest declares the version that defines faults.
+// The float checks are phrased so NaN fails too.
+func (f *Faults) validate(m *Manifest) error {
+	camp, c, d := m.Campaign, f.Crash, f.ModelDelay
+	switch {
+	case m.version() < 3:
+		return fmt.Errorf("controlplane: manifest declares faults, which need manifest version 3 — declare \"version\": 3")
+	case camp == nil:
+		return fmt.Errorf("controlplane: manifest faults are anchored to campaign waves, but the manifest has no campaign")
+	case c != nil && (c.Wave < 1 || c.Wave > len(camp.Waves)):
+		return fmt.Errorf("controlplane: faults.crash is anchored to wave %d, but campaign %q has %d waves", c.Wave, camp.Name, len(camp.Waves))
+	case c != nil && !(c.Frac > 0 && c.Frac <= 1):
+		return fmt.Errorf("controlplane: faults.crash frac = %v, must be in (0, 1]", c.Frac)
+	case c != nil && !(c.Epochs >= 0 && c.Epochs < float64(camp.SoakEpochs)):
+		return fmt.Errorf("controlplane: faults.crash epochs = %v, must be in [0, %d) (the soak)", c.Epochs, camp.SoakEpochs)
+	case d != nil && (d.Wave < 1 || d.Wave > len(camp.Waves)):
+		return fmt.Errorf("controlplane: faults.model_delay is anchored to wave %d, but campaign %q has %d waves", d.Wave, camp.Name, len(camp.Waves))
+	case d != nil && d.Delay <= 0:
+		return fmt.Errorf("controlplane: faults.model_delay delay = %v, must be positive", d.Delay.D())
 	}
 	return nil
 }
@@ -162,26 +247,68 @@ func (m *Manifest) std() fleet.StandardNodeConfig {
 	return std
 }
 
+// interval is the manifest's effective lockstep epoch.
+func (m *Manifest) interval() time.Duration {
+	if m.Interval == 0 {
+		return defaultInterval
+	}
+	return m.Interval.D()
+}
+
 // Config compiles the manifest into a runnable control-plane config
 // over a StandardNode fleet.
 func (m *Manifest) Config() (Config, error) {
 	if err := m.Validate(); err != nil {
 		return Config{}, err
 	}
-	interval := m.Interval.D()
-	if interval == 0 {
-		interval = defaultInterval
+	interval := m.interval()
+	std := m.std()
+	var lifecycle faults.NodePlan
+	if f := m.Faults; f != nil {
+		soak := time.Duration(m.Campaign.SoakEpochs) * interval
+		if d := f.ModelDelay; d != nil {
+			from := fleet.DefaultStart.Add(time.Duration(d.Wave-1) * soak)
+			std.Options.ModelDelay = (&faults.PeriodicDelay{From: from, Until: from.Add(soak), D: d.Delay.D()}).ModelDelay
+		}
+		if c := f.Crash; c != nil {
+			lifecycle = faults.Crash{
+				At:   time.Duration(c.Wave-1)*soak + time.Duration(c.Epochs*float64(interval)),
+				Frac: c.Frac,
+				Seed: m.Seed ^ crashStormSeed,
+			}
+		}
 	}
 	return Config{
 		Fleet: fleet.Config{
-			Nodes:    m.Nodes,
-			Duration: m.Duration.D(),
-			Workers:  m.Workers,
-			Shards:   m.Shards,
-			Setup:    fleet.StandardNode(m.std()),
-			Start:    fleet.DefaultStart,
+			Nodes:     m.Nodes,
+			Duration:  m.Duration.D(),
+			Workers:   m.Workers,
+			Shards:    m.Shards,
+			Setup:     fleet.StandardNode(std),
+			Start:     fleet.DefaultStart,
+			Lifecycle: lifecycle,
 		},
 		Interval: interval,
 		Campaign: m.Campaign,
 	}, nil
+}
+
+// Fingerprint identifies the run the manifest describes, for campaign
+// journal headers: FNV-64a of the manifest's canonical JSON, in hex.
+// Workers is left out, because the pool width never changes the
+// trace, and shards 0 and 1 hash alike, because both are one shard —
+// so a journal resumes under either.
+func (m *Manifest) Fingerprint() (string, error) {
+	c := *m
+	c.Workers = 0
+	if c.Shards == 1 {
+		c.Shards = 0
+	}
+	b, err := json.Marshal(&c)
+	if err != nil {
+		return "", fmt.Errorf("controlplane: manifest fingerprint: %w", err)
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	return fmt.Sprintf("%016x", h.Sum64()), nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sol/internal/faults"
 	"sol/internal/spec"
 )
 
@@ -146,6 +147,7 @@ func TestManifestValidation(t *testing.T) {
 		"negative duration": `{"nodes": 4, "duration": "-10s"}`,
 		"bad duration":      `{"nodes": 4, "duration": "fortnight"}`,
 		"top-level typo":    `{"nodes": 4, "duration": "10s", "nodez": 5}`,
+		"empty kinds":       `{"nodes": 4, "duration": "10s", "kinds": []}`,
 		"campaign typo": `{"nodes": 4, "duration": "10s",
 			"campaign": {"name": "x", "soaks": 3, "targets": [{"candidate": {"kind": "harvest"}}]}}`,
 		"campaign without targets": `{"nodes": 4, "duration": "10s", "campaign": {"name": "x"}}`,
@@ -173,17 +175,17 @@ func TestManifestVersion(t *testing.T) {
 		return `{"version": ` + v + `, "nodes": 4, "duration": "10s", "kinds": ["harvest"],
 			"campaign": {"name": "x", "targets": [{"candidate": {"kind": "harvest"}}]}}`
 	}
-	for _, ok := range []string{"1", "2"} {
+	for _, ok := range []string{"1", "2", "3"} {
 		if _, err := ParseManifest([]byte(withVersion(ok))); err != nil {
 			t.Fatalf("version %s rejected: %v", ok, err)
 		}
 	}
-	for _, bad := range []string{"3", "99", "-1"} {
+	for _, bad := range []string{"4", "99", "-1"} {
 		_, err := ParseManifest([]byte(withVersion(bad)))
 		if err == nil {
 			t.Fatalf("version %s accepted", bad)
 		}
-		if !strings.Contains(err.Error(), "version "+bad) || !strings.Contains(err.Error(), "2") {
+		if !strings.Contains(err.Error(), "version "+bad) || !strings.Contains(err.Error(), "3") {
 			t.Fatalf("version error does not name the versions: %v", err)
 		}
 	}
@@ -432,4 +434,168 @@ func TestManifestPlan(t *testing.T) {
 	if _, err := m.Plan(); err == nil || !strings.Contains(err.Error(), `"harvest"`) {
 		t.Fatalf("plan green-lit a kind the fleet never runs: %v", err)
 	}
+}
+
+// faultsManifest is a version-3 manifest declaring both faults.
+const faultsManifest = `{
+  "version": 3,
+  "nodes": 8,
+  "duration": "30s",
+  "kinds": ["harvest"],
+  "campaign": {"name": "stormy", "targets": [{"candidate": {"kind": "harvest"}}]},
+  "faults": {
+    "crash": {"frac": 0.2, "wave": 3, "epochs": 0.5},
+    "model_delay": {"wave": 2, "delay": "1s"}
+  }
+}`
+
+// TestManifestFaults pins the version-3 faults surface: the section
+// parses strictly, compiles to the lifecycle plan and model-delay hook
+// at the instants its wave anchors name, is refused below version 3
+// with the migration hint, and refuses anchors the wave plan lacks.
+func TestManifestFaults(t *testing.T) {
+	t.Parallel()
+	m, err := ParseManifest([]byte(faultsManifest))
+	if err != nil {
+		t.Fatalf("faults manifest rejected: %v", err)
+	}
+	cfg, err := m.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wave 3 soaks from epoch 4 (two 2-epoch soaks before it): the
+	// crash lands at 4.5 epochs of 5 s.
+	crash, ok := cfg.Fleet.Lifecycle.(faults.Crash)
+	if !ok || crash.At != 22500*time.Millisecond || crash.Frac != 0.2 || crash.Seed != crashStormSeed {
+		t.Fatalf("crash fault compiled to %#v", cfg.Fleet.Lifecycle)
+	}
+	// The plan names both faults.
+	plan, err := m.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"faults: crash 20% of nodes 0.5 epochs into wave 3's soak",
+		"faults: model steps delayed 1s through wave 2's soak",
+	} {
+		if !strings.Contains(plan, want) {
+			t.Fatalf("plan missing %q:\n%s", want, plan)
+		}
+	}
+
+	for _, v := range []string{`"version": 2`, `"version": 1`, `"version": 0`} {
+		old := strings.Replace(faultsManifest, `"version": 3`, v, 1)
+		if _, err := ParseManifest([]byte(old)); err == nil || !strings.Contains(err.Error(), `declare "version": 3`) {
+			t.Fatalf("faults under %s: err = %v, want the declare-version-3 hint", v, err)
+		}
+	}
+	for name, tc := range map[string]struct{ from, to, want string }{
+		"crash past the plan":       {`"wave": 3, "epochs"`, `"wave": 5, "epochs"`, "crash is anchored to wave 5"},
+		"delay before the plan":     {`"wave": 2, "delay"`, `"wave": 0, "delay"`, "model_delay is anchored to wave 0"},
+		"crash fraction zero":       {`"frac": 0.2`, `"frac": 0`, "frac = 0"},
+		"crash fraction above one":  {`"frac": 0.2`, `"frac": 1.5`, "frac = 1.5"},
+		"crash after the soak":      {`"epochs": 0.5`, `"epochs": 2`, "epochs = 2"},
+		"crash before the soak":     {`"epochs": 0.5`, `"epochs": -1`, "epochs = -1"},
+		"zero delay":                {`"delay": "1s"`, `"delay": "0s"`, "delay = 0s"},
+		"fault typo":                {`"model_delay"`, `"model_dealy"`, "model_dealy"},
+		"fault field typo":          {`"frac"`, `"fraction"`, "fraction"},
+		"faults without a campaign": {`"campaign": {"name": "stormy", "targets": [{"candidate": {"kind": "harvest"}}]},`, ``, "no campaign"},
+	} {
+		bad := strings.Replace(faultsManifest, tc.from, tc.to, 1)
+		if _, err := ParseManifest([]byte(bad)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want it to contain %q", name, err, tc.want)
+		}
+	}
+	// A shorter wave plan strands the crash's anchor.
+	m.Campaign.Waves = []float64{0.5, 1}
+	if _, err := m.Config(); err == nil || !strings.Contains(err.Error(), "has 2 waves") {
+		t.Fatalf("crash anchored past a two-wave plan: err = %v", err)
+	}
+}
+
+// TestManifestFingerprint pins what the journal fingerprint covers:
+// every field that shapes the campaign, and nothing that does not —
+// the worker-pool width, and shards 0 against 1 (both one shard).
+func TestManifestFingerprint(t *testing.T) {
+	t.Parallel()
+	load := func() *Manifest {
+		m, err := ParseManifest([]byte(faultsManifest))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	fingerprint := func(m *Manifest) string {
+		fp, err := m.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+	base := fingerprint(load())
+	for _, tc := range []struct {
+		name string
+		mut  func(*Manifest)
+		same bool
+	}{
+		{"shards 1", func(m *Manifest) { m.Shards = 1 }, true},
+		{"workers", func(m *Manifest) { m.Workers = 8 }, true},
+		{"shards 4", func(m *Manifest) { m.Shards = 4 }, false},
+		{"nodes", func(m *Manifest) { m.Nodes++ }, false},
+		{"duration", func(m *Manifest) { m.Duration += spec.Duration(time.Second) }, false},
+		{"interval", func(m *Manifest) { m.Interval = spec.Duration(time.Second) }, false},
+		{"kinds", func(m *Manifest) { m.Kinds = nil }, false},
+		{"seed", func(m *Manifest) { m.Seed = 7 }, false},
+		{"mem regions", func(m *Manifest) { m.MemRegions = 64 }, false},
+		{"options", func(m *Manifest) { m.Options = &spec.Options{Blocking: true} }, false},
+		{"campaign seed", func(m *Manifest) { m.Campaign.Seed = 7 }, false},
+		{"waves", func(m *Manifest) { m.Campaign.Waves = []float64{0.1, 0.5, 0.75, 1} }, false},
+		{"soak", func(m *Manifest) { m.Campaign.SoakEpochs = 3 }, false},
+		{"gate", func(m *Manifest) { m.Campaign.Gate.MaxHaltedFrac = 0.5 }, false},
+		{"target", func(m *Manifest) { m.Campaign.Targets[0].Candidate.Variant = "other" }, false},
+		{"policy", func(m *Manifest) { m.Campaign.Quorum = 0.9 }, false},
+		{"no campaign", func(m *Manifest) { m.Campaign = nil }, false},
+		{"crash fraction", func(m *Manifest) { m.Faults.Crash.Frac = 0.3 }, false},
+		{"crash wave", func(m *Manifest) { m.Faults.Crash.Wave = 2 }, false},
+		{"crash offset", func(m *Manifest) { m.Faults.Crash.Epochs = 0 }, false},
+		{"delay wave", func(m *Manifest) { m.Faults.ModelDelay.Wave = 3 }, false},
+		{"delay", func(m *Manifest) { m.Faults.ModelDelay.Delay = spec.Duration(2 * time.Second) }, false},
+		{"no faults", func(m *Manifest) { m.Faults = nil }, false},
+	} {
+		m := load()
+		tc.mut(m)
+		if got := fingerprint(m); (got == base) != tc.same {
+			t.Errorf("%s: fingerprint %s vs base %s, want same = %v", tc.name, got, base, tc.same)
+		}
+	}
+}
+
+// FuzzParseManifest: the manifest decoder never panics, and every
+// manifest it accepts survives Marshal → Parse with an equal
+// fingerprint, so a journal's identity does not depend on which form
+// of the manifest the run was loaded from. The checked-in corpus holds
+// the embedded scenarios, the example manifest and the version-gate
+// rejects.
+func FuzzParseManifest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ParseManifest(data)
+		if err != nil {
+			return
+		}
+		fp, err := m.Fingerprint()
+		if err != nil {
+			t.Fatalf("accepted manifest has no fingerprint: %v", err)
+		}
+		out, err := json.Marshal(m)
+		if err != nil {
+			t.Fatalf("accepted manifest does not marshal: %v", err)
+		}
+		again, err := ParseManifest(out)
+		if err != nil {
+			t.Fatalf("re-parsing the marshaled manifest: %v\n%s", err, out)
+		}
+		if fp2, err := again.Fingerprint(); err != nil || fp2 != fp {
+			t.Fatalf("fingerprint %s became %s (%v) across Marshal → Parse:\n%s", fp, fp2, err, out)
+		}
+	})
 }

@@ -56,11 +56,7 @@ func (m *Manifest) Plan() (string, error) {
 	for i, w := range camp.Waves {
 		waves[i] = fmt.Sprintf("%g%%", w*100)
 	}
-	interval := m.Interval.D()
-	if interval == 0 {
-		interval = defaultInterval
-	}
-	fmt.Fprintf(&b, "waves %s, soak %d epochs of %v", strings.Join(waves, " -> "), camp.SoakEpochs, interval)
+	fmt.Fprintf(&b, "waves %s, soak %d epochs of %v", strings.Join(waves, " -> "), camp.SoakEpochs, m.interval())
 	if m.Shards > 0 {
 		fmt.Fprintf(&b, ", %d shard(s)", m.Shards)
 	}
@@ -75,6 +71,14 @@ func (m *Manifest) Plan() (string, error) {
 		}
 		fmt.Fprintf(&b, "policy: quorum %g%%, max soak extends %d, deploy retries %d, %s\n",
 			camp.quorum()*100, camp.MaxSoakExtends, camp.DeployRetries, tolerate)
+	}
+	if f := m.Faults; f != nil {
+		if c := f.Crash; c != nil {
+			fmt.Fprintf(&b, "faults: crash %g%% of nodes %g epochs into wave %d's soak\n", c.Frac*100, c.Epochs, c.Wave)
+		}
+		if d := f.ModelDelay; d != nil {
+			fmt.Fprintf(&b, "faults: model steps delayed %v through wave %d's soak\n", d.Delay.D(), d.Wave)
+		}
 	}
 	for _, tg := range camp.Targets {
 		kind := tg.Candidate.Kind

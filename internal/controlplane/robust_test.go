@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -330,28 +331,24 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	type variant struct {
 		scenario string
 		shards   int
-		sweep    bool // try every prefix length, not just 0/mid/all
+		sweep    bool          // try every prefix length, not just 0/mid/all
+		horizon  time.Duration // 0 keeps crashSpec's
 	}
 	variants := []variant{
-		{ScenarioCrashStorm, 0, true},
-		{ScenarioCrashStorm, 2, false},
-		{ScenarioCrashStormBad, 3, false},
-		{ScenarioHealthy, 0, false},
-		{ScenarioBadVariant, 0, false},
-		{ScenarioFaultStorm, 2, false},
+		{ScenarioCrashStorm, 0, true, 0},
+		{ScenarioCrashStorm, 2, false, 0},
+		{ScenarioCrashStormBad, 3, false, 0},
+		{ScenarioHealthy, 0, false, 45 * time.Second},
+		{ScenarioBadVariant, 0, false, 30 * time.Second},
+		{ScenarioFaultStorm, 2, false, 35 * time.Second},
 	}
 	for _, v := range variants {
 		v := v
 		t.Run(v.scenario+"/shards", func(t *testing.T) {
 			t.Parallel()
 			sp := crashSpec(v.scenario, v.shards)
-			switch v.scenario {
-			case ScenarioHealthy:
-				sp.Duration = 45 * time.Second
-			case ScenarioBadVariant:
-				sp.Duration = 30 * time.Second
-			case ScenarioFaultStorm:
-				sp.Duration = 35 * time.Second
+			if v.horizon != 0 {
+				sp.Duration = v.horizon
 			}
 			sp.Workers = 1
 			cfg, err := NewScenario(sp)
@@ -425,8 +422,13 @@ func TestResumeRefusesMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The journal carries the fingerprint solrollout wrote for this
+	// scenario before scenarios were manifests: FNV-64a of its flags.
+	h := fnv.New64a()
+	h.Write([]byte("scenario|crash-storm-bad|16|30s|5s||2|harvest|1|0"))
+	fp := fmt.Sprintf("%016x", h.Sum64())
 	path := filepath.Join(t.TempDir(), "run.journal")
-	j := createTestJournal(t, path, &cfg, "fp")
+	j := createTestJournal(t, path, &cfg, fp)
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +467,7 @@ func TestResumeRefusesMismatch(t *testing.T) {
 
 	c := fresh()
 	c.Campaign.Name = "other"
-	if _, err := Resume(c, path, "fp"); err == nil || !strings.Contains(err.Error(), "other") {
+	if _, err := Resume(c, path, fp); err == nil || !strings.Contains(err.Error(), "other") {
 		t.Fatalf("campaign mismatch not refused: %v", err)
 	}
 	untouched("campaign mismatch")
@@ -473,6 +475,19 @@ func TestResumeRefusesMismatch(t *testing.T) {
 		t.Fatalf("fingerprint mismatch not refused: %v", err)
 	}
 	untouched("fingerprint mismatch")
+	// The same scenario, fingerprinted as the manifest it now is.
+	m, err := sp.manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mfp, err := m.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resume(fresh(), path, mfp); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("pre-manifest scenario fingerprint not refused: %v", err)
+	}
+	untouched("pre-manifest scenario fingerprint")
 	// A config that diverges behaviorally (different seed shuffles the
 	// cohort differently) is caught by replay verification.
 	div := sp

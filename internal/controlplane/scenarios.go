@@ -1,18 +1,17 @@
 package controlplane
 
 import (
-	"encoding/json"
+	"embed"
 	"fmt"
+	"strings"
 	"time"
 
-	"sol/internal/agents/harvest"
-	"sol/internal/faults"
-	"sol/internal/fleet"
 	"sol/internal/spec"
 )
 
 // The built-in demonstration scenarios, shared by cmd/solrollout,
-// examples/rollout, and the tests. All three roll a SmartHarvest
+// examples/rollout, and the tests. Each is a manifest checked in under
+// scenarios/ and embedded in the binary. All five roll a SmartHarvest
 // variant across a StandardNode fleet — harvesting is the agent whose
 // misbehaviour directly hurts customer QoS (primary-VM vCPU wait), so
 // it is the one a platform operator canaries hardest. They differ in
@@ -44,7 +43,13 @@ const (
 	// judging a cohort it cannot see, deploy retries absorb nodes that
 	// are down at a conversion barrier, and the blameless candidate
 	// completes on the nodes that survive instead of being falsely
-	// rolled back by a fault it did not cause.
+	// rolled back by a fault it did not cause. The crash lands half an
+	// epoch into the soak, off the epoch grid on purpose, so the
+	// fleet's exact-transition stepping is exercised. Both crash
+	// scenarios run the same policy: a gate needs 90% of its cohort
+	// reporting (extending the soak up to twice when it cannot), deploys
+	// blocked by a down node retry twice with backoff, and any number of
+	// converted nodes may be down without halting the campaign.
 	ScenarioCrashStorm = "crash-storm"
 	// ScenarioCrashStormBad rolls out the botched no-buffer candidate
 	// into the same crash storm, striking during the canary soak. The
@@ -55,15 +60,30 @@ const (
 	ScenarioCrashStormBad = "crash-storm-bad"
 )
 
-// crashStormSeed salts the scenario seed for the crash scenarios'
-// node selection, so the crashed set and the cohort shuffle are
-// independent draws of the same scenario seed.
-const crashStormSeed = 0xbadc0de
+// scenarioFiles holds the built-in scenarios, one manifest per name.
+//
+//go:embed scenarios/*.json
+var scenarioFiles embed.FS
 
 // Scenarios lists the built-in scenario names.
 func Scenarios() []string {
-	return []string{ScenarioHealthy, ScenarioBadVariant, ScenarioFaultStorm,
-		ScenarioCrashStorm, ScenarioCrashStormBad}
+	ents, _ := scenarioFiles.ReadDir("scenarios") // embedded at build time: cannot fail
+	names := make([]string, len(ents))
+	for i, e := range ents {
+		names[i] = strings.TrimSuffix(e.Name(), ".json")
+	}
+	return names
+}
+
+// ScenarioManifest parses the embedded manifest of the named built-in
+// scenario: a 100-node, one-minute run on seed 1 over the standard
+// co-location, 5 s epochs, and the canonical wave plan.
+func ScenarioManifest(name string) (*Manifest, error) {
+	data, err := scenarioFiles.ReadFile("scenarios/" + name + ".json")
+	if err != nil {
+		return nil, fmt.Errorf("controlplane: unknown scenario %q (have %v)", name, Scenarios())
+	}
+	return ParseManifest(data)
 }
 
 // ScenarioSpec parameterizes a built-in scenario.
@@ -82,7 +102,7 @@ type ScenarioSpec struct {
 	SoakEpochs int
 	// Kinds is the node co-location; nil means fleet.StandardKinds.
 	Kinds []string
-	// Seed varies workloads and the cohort shuffle.
+	// Seed varies workloads, the cohort shuffle and the crashed set.
 	Seed uint64
 	// Workers bounds the worker pool; 0 means GOMAXPROCS.
 	Workers int
@@ -91,113 +111,37 @@ type ScenarioSpec struct {
 	Shards int
 }
 
+// manifest loads the scenario's embedded manifest with sc's sizing
+// applied over it.
+func (sc ScenarioSpec) manifest() (*Manifest, error) {
+	m, err := ScenarioManifest(sc.Scenario)
+	if err != nil {
+		return nil, err
+	}
+	m.Nodes, m.Duration, m.Kinds = sc.Nodes, spec.Duration(sc.Duration), sc.Kinds
+	m.Seed, m.Campaign.Seed = sc.Seed, sc.Seed
+	m.Workers, m.Shards = sc.Workers, sc.Shards
+	if sc.Interval > 0 {
+		m.Interval = spec.Duration(sc.Interval)
+	}
+	if sc.Waves != nil {
+		m.Campaign.Waves = sc.Waves
+	}
+	if sc.SoakEpochs != 0 {
+		m.Campaign.SoakEpochs = sc.SoakEpochs
+	}
+	return m, nil
+}
+
 // NewScenario builds the ready-to-Run config for sc. The campaigns it
 // returns are fully declarative: the candidate is an agent spec whose
 // params overlay the fleet's per-node baseline, so conversion changes
 // only the knobs under study and rollback (the implicit nil baseline)
 // restores exactly the variant StandardNode launched.
 func NewScenario(sc ScenarioSpec) (Config, error) {
-	waves := sc.Waves
-	if waves == nil {
-		waves = DefaultWaves()
+	m, err := sc.manifest()
+	if err != nil {
+		return Config{}, err
 	}
-	soak := sc.SoakEpochs
-	if soak == 0 {
-		soak = DefaultSoakEpochs
-	}
-	interval := sc.Interval
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	std := fleet.StandardNodeConfig{Seed: sc.Seed, Kinds: sc.Kinds}
-
-	camp := &Campaign{
-		Waves:      waves,
-		SoakEpochs: soak,
-		Gate:       DefaultGate(),
-		Seed:       sc.Seed,
-	}
-	var params string
-	var lifecycle faults.NodePlan
-	switch sc.Scenario {
-	case ScenarioHealthy, ScenarioFaultStorm, ScenarioCrashStorm:
-		camp.Name = "buffer-3"
-		params = `{"Config": {"SafetyBuffer": 3}}`
-		if sc.Scenario == ScenarioFaultStorm {
-			if len(waves) < 3 {
-				return Config{}, fmt.Errorf("controlplane: %s needs >= 3 waves, have %d", sc.Scenario, len(waves))
-			}
-			// The storm covers exactly wave 3's soak window: wave w
-			// converts at epoch (w-1)·soak when all prior gates pass.
-			from := fleet.DefaultStart.Add(time.Duration(2*soak) * interval)
-			std.Options.ModelDelay = (&faults.PeriodicDelay{
-				From:  from,
-				Until: from.Add(time.Duration(soak) * interval),
-				D:     time.Second,
-			}).ModelDelay
-		}
-		if sc.Scenario == ScenarioCrashStorm {
-			// 20% of the fleet crashes permanently mid-way through wave
-			// 3's soak — off the epoch grid on purpose, so the fleet's
-			// exact-transition stepping is exercised, not just its
-			// epoch boundaries.
-			lifecycle = faults.Crash{
-				At:   time.Duration(2*soak)*interval + interval/2,
-				Frac: 0.2,
-				Seed: sc.Seed ^ crashStormSeed,
-			}
-		}
-	case ScenarioBadVariant, ScenarioCrashStormBad:
-		camp.Name = "no-buffer-harvester"
-		// The fleet calibration note warns that 1 ms sampling lags
-		// bursts by a full epoch and needs the two-core buffer; a
-		// candidate that drops the buffer and flattens the paper's
-		// 8:1 under-prediction cost asymmetry puts vCPU wait
-		// straight onto the customer-facing primary VM.
-		params = `{"Config": {"SafetyBuffer": 0, "UnderCost": 1}}`
-		if sc.Scenario == ScenarioCrashStormBad {
-			// The same 20% storm, striking during the canary soak —
-			// the case where a quorum gate must not excuse a genuinely
-			// bad candidate.
-			lifecycle = faults.Crash{
-				At:   interval / 2,
-				Frac: 0.2,
-				Seed: sc.Seed ^ crashStormSeed,
-			}
-		}
-	default:
-		return Config{}, fmt.Errorf("controlplane: unknown scenario %q (have %v)", sc.Scenario, Scenarios())
-	}
-	if lifecycle != nil {
-		// The §5-style degradation policy both crash scenarios run
-		// under: a gate needs to see 90% of its cohort (extending the
-		// soak up to twice when it cannot), deploys blocked by a down
-		// node retry twice with backoff, and any number of converted
-		// nodes may be down without halting the campaign.
-		camp.Quorum = 0.9
-		camp.MaxSoakExtends = 2
-		camp.DeployRetries = 2
-		camp.TolerateDown = -1
-	}
-	camp.Targets = []Target{{
-		Candidate: spec.Agent{
-			Kind:    harvest.Kind,
-			Variant: camp.Name,
-			Params:  json.RawMessage(params),
-		},
-	}}
-
-	return Config{
-		Fleet: fleet.Config{
-			Nodes:     sc.Nodes,
-			Duration:  sc.Duration,
-			Workers:   sc.Workers,
-			Shards:    sc.Shards,
-			Setup:     fleet.StandardNode(std),
-			Start:     fleet.DefaultStart,
-			Lifecycle: lifecycle,
-		},
-		Interval: interval,
-		Campaign: camp,
-	}, nil
+	return m.Config()
 }
