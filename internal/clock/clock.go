@@ -2,24 +2,23 @@
 // the node simulator are built on.
 //
 // Two implementations are provided. Virtual is a deterministic
-// discrete-event clock: callbacks scheduled with AfterFunc or Tick
-// execute in timestamp order when the owner calls Run or Step, and time
-// advances instantaneously between events. Real delegates to the wall
-// clock and the time package. The SOL runtime is written against the
-// Clock interface only, so the exact same agent code runs
-// deterministically in simulation and in real time on a node.
+// discrete-event clock: armed timers fire in timestamp order when the
+// owner calls Run or Step, and time advances instantaneously between
+// events. Real delegates to the wall clock and the time package. The
+// SOL runtime is written against the Clock interface only, so the exact
+// same agent code runs deterministically in simulation and in real
+// time on a node.
 //
-// The scheduling surface is built for steady-state zero allocation:
-// a periodic loop is one Tick call (one timer, one closure, reused for
-// the life of the ticker), and an irregular loop is one AfterFunc plus
-// Timer.Reset per re-arm — neither allocates after setup.
+// The scheduling surface is built for zero allocation: an owner embeds
+// a Timer by value and arms it with a Handler, usually the owner itself
+// under a named pointer conversion, so neither the timer nor its
+// callback is a heap object of its own. A periodic loop is one Arm with
+// a period; an irregular loop is one Arm plus Timer.Reset per re-arm.
+// AfterFunc and Tick wrap a closure in a fresh Timer for tests and
+// one-off samplers.
 package clock
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Clock is the minimal scheduling surface the SOL runtime needs:
 // reading the current time and scheduling callbacks.
@@ -35,6 +34,13 @@ type Clock interface {
 	// carrying the anchor's Location and monotonic reading. On a
 	// Virtual clock At(NowNS()) == Now().
 	At(ns int64) time.Time
+	// Arm schedules h.Fire on t at Now()+d, and then every period after
+	// the previous scheduled fire time if period > 0 (drift-free, as
+	// Tick). A negative d is treated as zero. Arm binds a zero Timer to
+	// this clock; a timer that is already pending is re-armed in place,
+	// never queued twice, with h and period replacing the old ones. A
+	// Timer stays bound to the clock that first armed it.
+	Arm(t *Timer, h Handler, d, period time.Duration)
 	// AfterFunc schedules f to run at Now()+d. If d <= 0 the callback
 	// runs at the current time (virtual) or as soon as possible (real).
 	// The returned Timer can cancel the callback with Stop or re-arm it
@@ -48,20 +54,32 @@ type Clock interface {
 	Tick(d time.Duration, f func()) *Timer
 }
 
-// Timer is a handle to a scheduled callback, one-shot (AfterFunc) or
-// periodic (Tick). A Timer is backed either by an event on a Virtual
-// clock's heap or by a time.Timer on the wall clock.
+// Handler is what an armed Timer calls. Fire receives the firing
+// instant in nanoseconds on the clock's timebase: on a Virtual clock it
+// equals NowNS() inside the call, so a handler need not read the clock
+// again.
+type Handler interface {
+	Fire(nowNS int64)
+}
+
+// funcHandler adapts a closure to Handler for AfterFunc and Tick. A
+// func value is one pointer, so storing it in the interface does not
+// allocate.
+type funcHandler func()
+
+func (f funcHandler) Fire(int64) { f() }
+
+// Timer is a scheduled callback, one-shot or periodic. Its zero value
+// is an unarmed timer: Stop and Reset on it return false and do
+// nothing, and Clock.Arm binds it. Embed a Timer in the value that
+// owns it and do not copy it once armed; a virtual timer's event is
+// linked into its clock's heap by address.
 type Timer struct {
 	// Virtual backing: e lives in (at most) one slot of v's event heap.
 	v *Virtual
 	e event
-
-	// Real backing.
-	rmu     sync.Mutex // guards rt/rnext for ticker re-arm
-	rt      *time.Timer
-	rperiod time.Duration // ticker period; 0 for one-shot
-	rnext   time.Time     // real-backed ticker re-arm needs the wall-clock fire time
-	rstop   atomic.Bool   // suppresses ticker re-arm after Stop
+	// Real backing, made at the first Real.Arm.
+	r *realTimer
 }
 
 // Stop cancels the pending callback (and, for tickers, all future
@@ -76,21 +94,20 @@ func (t *Timer) Stop() bool {
 	if t.v != nil {
 		return t.v.stopTimer(t)
 	}
-	if t.rt != nil {
-		t.rstop.Store(true)
-		t.rmu.Lock()
-		defer t.rmu.Unlock()
-		return t.rt.Stop()
+	if t.r != nil {
+		return t.r.stop()
 	}
 	return false
 }
 
 // Reset re-arms the timer to fire at Now()+d, whether it is pending,
-// already fired, or stopped, reusing the existing callback and (on a
-// virtual clock) the existing heap entry — no allocation. For tickers a
-// positive d also becomes the new period. It reports whether the timer
-// was still pending. A re-armed event counts as a fresh insertion for
-// the clock's (time, insertion-order) execution order.
+// already fired, or stopped, reusing the existing handler and (on a
+// virtual clock) the existing heap entry — no allocation. A timer that
+// was never armed has no handler to re-arm: Reset on it returns false
+// and does nothing. For tickers a positive d also becomes the new
+// period. It reports whether the timer was still pending. A re-armed
+// event counts as a fresh insertion for the clock's (time,
+// insertion-order) execution order.
 func (t *Timer) Reset(d time.Duration) bool {
 	if t == nil {
 		return false
@@ -98,17 +115,8 @@ func (t *Timer) Reset(d time.Duration) bool {
 	if t.v != nil {
 		return t.v.resetTimer(t, d)
 	}
-	if t.rt != nil {
-		t.rstop.Store(false)
-		t.rmu.Lock()
-		defer t.rmu.Unlock()
-		if t.rperiod > 0 {
-			if d > 0 {
-				t.rperiod = d
-			}
-			t.rnext = time.Now().Add(d)
-		}
-		return t.rt.Reset(d)
+	if t.r != nil {
+		return t.r.reset(d)
 	}
 	return false
 }

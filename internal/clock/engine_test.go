@@ -1,13 +1,15 @@
 package clock
 
-// Tests for the zero-allocation event engine: Timer.Reset, Tick, and
-// the lock-elided single-driver mode. The engine's contract is that
+// Tests for the zero-allocation event engine: Arm, Timer.Reset, Tick,
+// and the lock-elided single-driver mode. The engine's contract is that
 // Reset/Tick are pure optimizations — they must reproduce, event for
 // event, the (time, insertion-order) execution of the equivalent
 // AfterFunc-only program.
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -313,4 +315,141 @@ func TestRealTick(t *testing.T) {
 		}
 	}
 	tk.Stop()
+}
+
+// TestTickerResetInsideCallback: a ticker whose callback calls Reset(d)
+// fires next at the reset's instant plus d — the reset applied once —
+// and d becomes its period. On Real the instants are wall-clock reads,
+// so the first gap is checked against a window that admits scheduling
+// latency but excludes 2d, where a reset applied twice would put it.
+func TestTickerResetInsideCallback(t *testing.T) {
+	const period, d = 10 * time.Millisecond, 200 * time.Millisecond
+	// fires starts a ticker on clk whose first callback resets it to d;
+	// each callback sends its clock reading, the first one taken just
+	// before the reset.
+	fires := func(clk Clock) (*Timer, chan int64) {
+		out := make(chan int64, 8)
+		handoff := make(chan *Timer, 1)
+		first := true
+		tk := clk.Tick(period, func() {
+			now := clk.NowNS()
+			if first {
+				first = false
+				(<-handoff).Reset(d)
+			}
+			out <- now
+		})
+		handoff <- tk
+		return tk, out
+	}
+	for _, tc := range []struct {
+		name string
+		mk   func(time.Time) *Virtual
+	}{{"locked", NewVirtual}, {"single", NewVirtualSingle}} {
+		v := tc.mk(epoch)
+		tk, out := fires(v)
+		v.RunFor(period + 2*d)
+		tk.Stop()
+		close(out)
+		var got []time.Duration
+		for ns := range out {
+			got = append(got, time.Duration(ns))
+		}
+		if want := fmt.Sprint([]time.Duration{period, period + d, period + 2*d}); fmt.Sprint(got) != want {
+			t.Fatalf("%s: ticker reset inside its callback fired at %v, want %s", tc.name, got, want)
+		}
+	}
+
+	tk, out := fires(NewReal())
+	defer tk.Stop()
+	var got [2]int64
+	for i := range got {
+		select {
+		case got[i] = <-out:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("real ticker fired %d times, want 2", i)
+		}
+	}
+	if gap := time.Duration(got[1] - got[0]); gap < d || gap >= 2*d-d/4 {
+		t.Fatalf("real ticker reset to %v inside its callback fired next after %v, want within [%v, %v)", d, gap, d, 2*d-d/4)
+	}
+}
+
+// armOwner embeds its timer and is its own handler, the way the
+// runtime, node and memsim own theirs.
+type armOwner struct {
+	tm    Timer
+	fired int
+	at    int64
+}
+
+func (o *armOwner) Fire(now int64) { o.fired, o.at = o.fired+1, now }
+
+// TestArmAllocs: an embedded timer's whole lifecycle — Arm, Arm while
+// pending, Reset, firing, Stop, Stop and Reset while unarmed — makes no
+// allocation, and firing hands the handler the clock's own reading.
+func TestArmAllocs(t *testing.T) {
+	v := NewVirtualSingle(epoch)
+	o := new(armOwner)
+	if o.tm.Stop() || o.tm.Reset(time.Millisecond) || v.Len() != 0 {
+		t.Fatal("Stop or Reset of a zero Timer reported a pending timer or queued it")
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		v.Arm(&o.tm, o, time.Millisecond, 0)
+		v.Arm(&o.tm, o, 2*time.Millisecond, time.Millisecond)
+		o.tm.Reset(time.Millisecond)
+		v.Step()
+		if o.at != v.NowNS() {
+			t.Fatalf("handler got now %d, clock reads %d", o.at, v.NowNS())
+		}
+		o.tm.Stop()
+	}); avg != 0 {
+		t.Fatalf("embedded timer lifecycle allocates %.1f times, want 0", avg)
+	}
+	if o.fired != 101 || v.Len() != 0 {
+		t.Fatalf("fired %d times with %d pending, want 101 and 0: Arm while pending must re-arm in place", o.fired, v.Len())
+	}
+}
+
+// countOwner counts its firings; several goroutines may fire it.
+type countOwner struct {
+	tm    Timer
+	fired atomic.Int64
+}
+
+func (o *countOwner) Fire(int64) { o.fired.Add(1) }
+
+// TestRealArmConcurrent: a Real timer is armed, re-armed, reset and
+// stopped from several goroutines while its handler fires on others —
+// the race detector's view of the Real backing — and once stopped and
+// past any handler already in flight, it fires no more.
+func TestRealArmConcurrent(t *testing.T) {
+	r := NewReal()
+	o := new(countOwner)
+	r.Arm(&o.tm, o, time.Millisecond, time.Millisecond)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				switch (g + i) % 3 {
+				case 0:
+					o.tm.Reset(time.Duration(i%3) * 100 * time.Microsecond)
+				case 1:
+					r.Arm(&o.tm, o, 50*time.Microsecond, time.Duration(i%2)*time.Millisecond)
+				default:
+					o.tm.Stop()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	o.tm.Stop()
+	time.Sleep(20 * time.Millisecond) // let a handler in flight finish
+	n := o.fired.Load()
+	time.Sleep(20 * time.Millisecond)
+	if extra := o.fired.Load() - n; extra != 0 {
+		t.Fatalf("stopped timer fired %d more times", extra)
+	}
 }

@@ -10,11 +10,16 @@ import (
 
 // oracleClock is the scheduling surface the differential test drives,
 // in integer nanoseconds and timer ids so the engine and the reference
-// below take the same program.
+// below take the same program. A callback receives the instant its
+// clock says it fires at.
 type oracleClock interface {
 	now() int64
-	afterFunc(d int64, f func()) int
-	tick(d int64, f func()) int
+	afterFunc(d int64, f func(now int64)) int
+	tick(d int64, f func(now int64)) int
+	// timer adds a zero, never-armed timer; arm arms any timer in any
+	// state with a new callback, delay and period (0: one-shot).
+	timer() int
+	arm(id int, d, period int64, f func(now int64))
 	stop(id int) bool
 	reset(id int, d int64) bool
 	pending() int
@@ -27,7 +32,9 @@ type oracleClock interface {
 // contract in the most direct terms. A timer firing is taken off the
 // list before its callback runs; afterwards, unless the callback
 // stopped or reset it, a ticker goes back on one period after its fire
-// time with a fresh sequence number.
+// time with a fresh sequence number. A timer that was never armed is
+// not touched by Stop or Reset; arming a queued timer moves it, so no
+// timer is ever queued twice.
 type listClock struct {
 	nowNS  int64
 	seq    uint64
@@ -40,23 +47,38 @@ type listTimer struct {
 	when   int64
 	seq    uint64
 	period int64
+	armed  bool
 	queued bool
-	fn     func()
+	fn     func(now int64)
 }
 
 func (c *listClock) now() int64 { return c.nowNS }
 
-func (c *listClock) add(d, period int64, f func()) int {
-	t := &listTimer{period: period, fn: f}
-	c.timers = append(c.timers, t)
-	c.arm(t, c.nowNS+max(d, 0))
+func (c *listClock) timer() int {
+	c.timers = append(c.timers, &listTimer{})
 	return len(c.timers) - 1
 }
 
-func (c *listClock) afterFunc(d int64, f func()) int { return c.add(d, 0, f) }
-func (c *listClock) tick(d int64, f func()) int      { return c.add(d, d, f) }
+func (c *listClock) arm(id int, d, period int64, f func(now int64)) {
+	t := c.timers[id]
+	c.unqueue(t)
+	t.armed, t.period, t.fn = true, max(period, 0), f
+	c.enqueue(t, c.nowNS+max(d, 0))
+}
 
-func (c *listClock) arm(t *listTimer, when int64) {
+func (c *listClock) afterFunc(d int64, f func(now int64)) int {
+	id := c.timer()
+	c.arm(id, d, 0, f)
+	return id
+}
+
+func (c *listClock) tick(d int64, f func(now int64)) int {
+	id := c.timer()
+	c.arm(id, d, d, f)
+	return id
+}
+
+func (c *listClock) enqueue(t *listTimer, when int64) {
 	t.when, t.seq, t.queued = when, c.seq, true
 	c.seq++
 	i := 0
@@ -87,12 +109,15 @@ func (c *listClock) stop(id int) bool { return c.unqueue(c.timers[id]) }
 
 func (c *listClock) reset(id int, d int64) bool {
 	t := c.timers[id]
+	if !t.armed {
+		return false
+	}
 	was := c.unqueue(t)
 	d = max(d, 0)
 	if t.period > 0 && d > 0 {
 		t.period = d
 	}
-	c.arm(t, c.nowNS+d)
+	c.enqueue(t, c.nowNS+d)
 	return was
 }
 
@@ -104,11 +129,11 @@ func (c *listClock) fire() {
 	t.queued = false
 	c.nowNS = max(c.nowNS, t.when)
 	c.firing = t
-	t.fn()
+	t.fn(c.nowNS)
 	if c.firing == t {
 		c.firing = nil
 		if t.period > 0 {
-			c.arm(t, t.when+t.period)
+			c.enqueue(t, t.when+t.period)
 		}
 	}
 }
@@ -129,34 +154,59 @@ func (c *listClock) step() bool {
 	return true
 }
 
-// engineClock adapts a Virtual to oracleClock.
+// engineClock adapts a Virtual to oracleClock. Every other timer it
+// creates is caller-owned — a zero Timer armed with Arm, whose handler
+// passes on the instant the engine hands it — and the rest are
+// AfterFunc and Tick closures, which read the clock. Either way the
+// instant a callback logs must match the reference, and the trace line
+// it lands on is stamped with Now() as well.
 type engineClock struct {
 	v      *Virtual
 	timers []*Timer
 }
 
+// fireFunc is a test Handler that passes on the instant it is given.
+type fireFunc func(now int64)
+
+func (f fireFunc) Fire(now int64) { f(now) }
+
 func (c *engineClock) now() int64 { return int64(c.v.Now().Sub(epoch)) }
-func (c *engineClock) afterFunc(d int64, f func()) int {
-	c.timers = append(c.timers, c.v.AfterFunc(time.Duration(d), f))
+func (c *engineClock) timer() int {
+	c.timers = append(c.timers, new(Timer))
 	return len(c.timers) - 1
 }
-func (c *engineClock) tick(d int64, f func()) int {
-	c.timers = append(c.timers, c.v.Tick(time.Duration(d), f))
+func (c *engineClock) arm(id int, d, period int64, f func(now int64)) {
+	c.v.Arm(c.timers[id], fireFunc(f), time.Duration(d), time.Duration(period))
+}
+func (c *engineClock) add(d, period int64, f func(now int64)) int {
+	if len(c.timers)%2 == 0 {
+		id := c.timer()
+		c.arm(id, d, period, f)
+		return id
+	}
+	read := func() { f(c.v.NowNS()) }
+	if period > 0 {
+		c.timers = append(c.timers, c.v.Tick(time.Duration(period), read))
+	} else {
+		c.timers = append(c.timers, c.v.AfterFunc(time.Duration(d), read))
+	}
 	return len(c.timers) - 1
 }
-func (c *engineClock) stop(id int) bool           { return c.timers[id].Stop() }
-func (c *engineClock) reset(id int, d int64) bool { return c.timers[id].Reset(time.Duration(d)) }
-func (c *engineClock) pending() int               { return c.v.Len() }
-func (c *engineClock) runFor(d int64)             { c.v.RunFor(time.Duration(d)) }
-func (c *engineClock) step() bool                 { return c.v.Step() }
+func (c *engineClock) afterFunc(d int64, f func(now int64)) int { return c.add(d, 0, f) }
+func (c *engineClock) tick(d int64, f func(now int64)) int      { return c.add(d, d, f) }
+func (c *engineClock) stop(id int) bool                         { return c.timers[id].Stop() }
+func (c *engineClock) reset(id int, d int64) bool               { return c.timers[id].Reset(time.Duration(d)) }
+func (c *engineClock) pending() int                             { return c.v.Len() }
+func (c *engineClock) runFor(d int64)                           { c.v.RunFor(time.Duration(d)) }
+func (c *engineClock) step() bool                               { return c.v.Step() }
 
 // randomSchedule runs one seeded program on c and returns its trace:
-// every firing with its instant and the pending count its callback
-// sees, and every Stop/Reset result. Callbacks and the driver between
-// runs create one-shots and tickers, and stop and reset timers chosen
-// at random — the firing one included — with delays drawn from a
-// coarse grid so that same-instant ties are common, zero and negative
-// delays included. A callback's choices come from the program's own
+// every firing with the instant it was handed and the pending count its
+// callback sees, and every Stop/Reset result. Callbacks and the driver
+// between runs create one-shots, tickers and zero timers, and arm, stop
+// and reset timers chosen at random — the firing one, pending ones and
+// never-armed ones included — with delays drawn from a coarse grid so
+// that same-instant ties are common, zero and negative delays included. A callback's choices come from the program's own
 // generator, so two clocks that fire in the same order run the same
 // program; the first divergence shows in the trace.
 func randomSchedule(seed int64, c oracleClock) []string {
@@ -172,10 +222,10 @@ func randomSchedule(seed int64, c oracleClock) []string {
 	ids := 0
 
 	var act func()
-	var body func(id int) func()
-	body = func(id int) func() {
-		return func() {
-			logf("fire %d pending %d", id, c.pending())
+	var body func(id int) func(now int64)
+	body = func(id int) func(now int64) {
+		return func(now int64) {
+			logf("fire %d at %d pending %d", id, now, c.pending())
 			for n := rng.Intn(4); n > 0; n-- {
 				act()
 			}
@@ -186,18 +236,30 @@ func randomSchedule(seed int64, c oracleClock) []string {
 			return
 		}
 		budget--
-		switch r := rng.Intn(10); {
+		switch r := rng.Intn(12); {
 		case r < 2 && ids < 60:
 			ids++
 			logf("after %d", c.afterFunc(delays[rng.Intn(len(delays))], body(ids-1)))
 		case r < 3 && ids < 60:
 			ids++
 			logf("tick %d", c.tick(periods[rng.Intn(len(periods))], body(ids-1)))
+		case r < 4 && ids < 60:
+			ids++
+			logf("timer %d", c.timer())
 		case r < 6 && ids > 0:
 			id := rng.Intn(ids)
 			d := delays[rng.Intn(len(delays))]
-			logf("reset %d %d = %v", id, d, c.reset(id, d))
+			var period int64
+			if rng.Intn(2) == 0 {
+				period = periods[rng.Intn(len(periods))]
+			}
+			c.arm(id, d, period, body(id))
+			logf("arm %d %d %d", id, d, period)
 		case r < 8 && ids > 0:
+			id := rng.Intn(ids)
+			d := delays[rng.Intn(len(delays))]
+			logf("reset %d %d = %v", id, d, c.reset(id, d))
+		case r < 10 && ids > 0:
 			id := rng.Intn(ids)
 			logf("stop %d = %v", id, c.stop(id))
 		default:
@@ -223,13 +285,14 @@ func randomSchedule(seed int64, c oracleClock) []string {
 }
 
 // TestEngineMatchesSortedListClock is the differential oracle for the
-// engine: over seeded random schedules — Tick, AfterFunc, Reset and
-// Stop issued from inside callbacks, on the firing timer itself among
-// others; same-instant FIFO; ticker period changes through Reset;
+// engine: over seeded random schedules — Arm, Tick, AfterFunc, Reset
+// and Stop issued from inside callbacks, on the firing timer itself
+// among others; Arm of a pending timer; Stop and Reset of a zero one;
+// same-instant FIFO; ticker period changes through Reset and Arm;
 // pending counts read inside callbacks — the engine, locked and
 // single-driver, must produce the naive sorted-list clock's trace
-// exactly: firing order, timestamps, pending counts and every Stop and
-// Reset result.
+// exactly: firing order, timestamps and the instants handlers are
+// handed, pending counts and every Stop and Reset result.
 func TestEngineMatchesSortedListClock(t *testing.T) {
 	seeds := 300
 	if testing.Short() {

@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// Virtual is a deterministic discrete-event clock. Events scheduled
-// with AfterFunc or Tick fire in (time, insertion-order) order when the
-// owner calls Run, RunFor, RunUntilIdle, or Step. Callbacks run on the
-// goroutine that drives the clock; they may schedule further events.
+// Virtual is a deterministic discrete-event clock. Timers armed with
+// Arm (or made by AfterFunc and Tick) fire in (time, insertion-order)
+// order when the owner calls Run, RunFor, RunUntilIdle, or Step.
+// Callbacks run on the goroutine that drives the clock; they may
+// schedule further events.
 //
 // Internally the clock keeps time as int64 nanoseconds since its start
 // instant and orders events on a hand-rolled binary heap keyed by
@@ -29,26 +30,29 @@ type Virtual struct {
 	now    int64     // ns since start
 	seq    uint64
 	heap   []*event
-	// running is set while a callback runs, and firing is its event
-	// until the callback stops or re-arms it. The firing event keeps
-	// its heap slot — the root, since everything scheduled meanwhile
-	// orders after it — so re-arming it is one sift from where it
-	// stands, but it is not pending and Len does not count it.
+	// running is set while a callback runs, and firing says that its
+	// event is the root until the callback stops or re-arms it. The
+	// firing event keeps its heap slot — the root, since everything
+	// scheduled meanwhile orders after it, so nothing else can reach
+	// index 0 — and re-arming it is one sift from where it stands, but
+	// it is not pending and Len does not count it. A flag, not a
+	// pointer, so firing costs no write barrier.
 	running bool
-	firing  *event
+	firing  bool
 	// fired counts callbacks executed, for diagnostics and tests.
 	fired uint64
 }
 
 // event is one scheduled callback, keyed by (when, seq). It is
-// embedded in its Timer, so a timer's whole lifecycle — schedule, fire,
-// re-arm, stop — touches exactly one allocation.
+// embedded in its Timer, which its owner embeds in turn, so a timer's
+// whole lifecycle — arm, fire, re-arm, stop — touches only the owner's
+// memory and the clock's heap slice.
 type event struct {
 	when   int64 // ns since clock start
 	seq    uint64
-	index  int   // heap position; -1 while not queued
+	index  int   // heap position; -1 while not queued (once bound to a clock)
 	period int64 // >0: ticker interval in ns, re-armed after each fire
-	fn     func()
+	h      Handler
 }
 
 // heapCap is the event heap's initial capacity: room for a standard
@@ -107,27 +111,42 @@ func (v *Virtual) NowNS() int64 {
 	return ns
 }
 
-// AfterFunc schedules f at Now()+d. Negative d is treated as zero.
+// Arm implements Clock.Arm. The timer's event is its heap entry, so
+// arming allocates nothing once the heap has room. A periodic timer is
+// re-armed in place after each firing at the previous fire time plus
+// the period (drift-free), with a fresh sequence number, exactly as if
+// the handler had re-scheduled itself as its last action.
+func (v *Virtual) Arm(t *Timer, h Handler, d, period time.Duration) {
+	if h == nil {
+		panic("clock: Arm with nil handler")
+	}
+	if t.v != v {
+		if t.v != nil || t.r != nil {
+			panic("clock: Arm of a timer bound to another clock")
+		}
+		t.v = v
+		t.e.index = -1
+	}
+	v.lock()
+	e := &t.e
+	e.h = h
+	e.period = max(int64(period), 0)
+	v.rearm(e, max(int64(d), 0))
+	v.unlock()
+}
+
+// AfterFunc schedules f at Now()+d on a fresh Timer. Negative d is
+// treated as zero.
 func (v *Virtual) AfterFunc(d time.Duration, f func()) *Timer {
 	if f == nil {
 		panic("clock: AfterFunc with nil callback")
 	}
-	if d < 0 {
-		d = 0
-	}
-	t := &Timer{v: v}
-	t.e.fn = f
-	v.lock()
-	v.arm(&t.e, int64(d))
-	v.unlock()
+	t := new(Timer)
+	v.Arm(t, funcHandler(f), d, 0)
 	return t
 }
 
-// Tick schedules f every d, first at Now()+d. The single event and
-// closure are reused for the life of the ticker: after each callback
-// the engine re-arms the event in place at the previous fire time plus
-// the period (drift-free), with a fresh sequence number, exactly as if
-// the callback had re-scheduled itself as its last action.
+// Tick schedules f every d, first at Now()+d, on a fresh Timer.
 func (v *Virtual) Tick(d time.Duration, f func()) *Timer {
 	if f == nil {
 		panic("clock: Tick with nil callback")
@@ -135,22 +154,27 @@ func (v *Virtual) Tick(d time.Duration, f func()) *Timer {
 	if d <= 0 {
 		panic("clock: Tick with non-positive interval")
 	}
-	t := &Timer{v: v}
-	t.e.fn = f
-	t.e.period = int64(d)
-	v.lock()
-	v.arm(&t.e, int64(d))
-	v.unlock()
+	t := new(Timer)
+	v.Arm(t, funcHandler(f), d, d)
 	return t
 }
 
-// arm queues e to fire d nanoseconds from now with a fresh sequence
-// number. Callers hold the lock.
-func (v *Virtual) arm(e *event, d int64) {
+// rearm queues e to fire d nanoseconds from now with a fresh sequence
+// number and reports whether it was pending. A queued event — pending,
+// or firing right now — is sifted from its heap slot to its new
+// position, so it is never queued twice; an idle one is pushed.
+// Callers hold the lock.
+func (v *Virtual) rearm(e *event, d int64) bool {
+	pending := v.claim(e)
 	e.when = v.now + d
 	e.seq = v.seq
 	v.seq++
-	v.push(e)
+	if e.index >= 0 {
+		v.fix(e.index)
+	} else {
+		v.push(e)
+	}
+	return pending
 }
 
 // claim reports whether e is pending: queued and not the event whose
@@ -158,8 +182,8 @@ func (v *Virtual) arm(e *event, d int64) {
 // stops or re-arms it, so the engine leaves it alone after the
 // callback. Callers hold the lock.
 func (v *Virtual) claim(e *event) bool {
-	if e == v.firing {
-		v.firing = nil
+	if v.firing && e.index == 0 {
+		v.firing = false
 		return false
 	}
 	return e.index >= 0
@@ -178,29 +202,15 @@ func (v *Virtual) stopTimer(t *Timer) bool {
 }
 
 // resetTimer implements Timer.Reset for virtual timers: it re-arms the
-// event in place. A queued event — pending, or firing right now — is
-// sifted from its heap slot to its new position; a fired or stopped
-// one is re-pushed. Either way the event gets a fresh sequence number,
-// so a Reset orders exactly like a brand-new AfterFunc at the same
-// instant.
+// event in place with a fresh sequence number, so a Reset orders
+// exactly like a brand-new Arm at the same instant.
 func (v *Virtual) resetTimer(t *Timer, d time.Duration) bool {
-	if d < 0 {
-		d = 0
-	}
 	v.lock()
 	e := &t.e
-	pending := v.claim(e)
 	if e.period > 0 && d > 0 {
 		e.period = int64(d)
 	}
-	if e.index >= 0 {
-		e.when = v.now + int64(d)
-		e.seq = v.seq
-		v.seq++
-		v.fix(e.index)
-	} else {
-		v.arm(e, int64(d))
-	}
+	pending := v.rearm(e, max(int64(d), 0))
 	v.unlock()
 	return pending
 }
@@ -217,7 +227,7 @@ func (v *Virtual) Len() int {
 // pending counts the queued events that are not firing. Callers hold
 // the lock.
 func (v *Virtual) pending() int {
-	if v.firing != nil {
+	if v.firing {
 		return len(v.heap) - 1
 	}
 	return len(v.heap)
@@ -278,27 +288,28 @@ func (v *Virtual) enter() {
 	}
 }
 
-// fire runs the root event's callback with the event left in its heap
-// slot, then retires it in place: a ticker the callback did not stop or
-// reset moves one period on with a fresh sequence number, as if it had
-// re-scheduled itself as its last action — one sift down from the root;
-// an untouched one-shot is removed. Callers hold the lock, which is
-// released while the callback runs.
+// fire calls the root event's handler with the firing instant, the
+// event left in its heap slot, then retires it in place: a ticker the
+// handler did not stop or re-arm moves one period on with a fresh
+// sequence number, as if it had re-scheduled itself as its last action
+// — one sift down from the root; an untouched one-shot is removed.
+// Callers hold the lock, which is released while the handler runs.
 func (v *Virtual) fire() {
 	e := v.heap[0]
 	if e.when > v.now {
 		v.now = e.when
 	}
+	now, h := v.now, e.h
 	v.fired++
-	v.running, v.firing = true, e
+	v.running, v.firing = true, true
 	v.unlock()
-	e.fn()
+	h.Fire(now)
 	v.lock()
 	v.running = false
-	if v.firing != e {
+	if !v.firing {
 		return // the callback stopped or reset its own event
 	}
-	v.firing = nil
+	v.firing = false
 	if e.period > 0 {
 		e.when += e.period
 		e.seq = v.seq

@@ -82,27 +82,28 @@ type Runtime[D, P any] struct {
 	queue   predQueue[P]
 	stopped bool
 
-	// Model-loop state. The collect timer is created once and re-armed
-	// with Reset for every subsequent step; collectIntended carries the
-	// step's intended time to the callback (the scheduled time may
-	// differ when a ModelDelay fault is injected). Both instants are
-	// nanoseconds on the clock's timebase (Clock.NowNS), so lateness,
-	// epoch age and the next grid point are integer arithmetic; a
-	// time.Time is built with Clock.At only for the hooks that take one.
+	// Model-loop state. Run arms the collect timer and every later step
+	// re-arms it with Reset; collectIntended carries the step's intended
+	// time to the handler (the scheduled time may differ when a
+	// ModelDelay fault is injected). Both instants are nanoseconds on
+	// the clock's timebase (Clock.NowNS), so lateness, epoch age and the
+	// next grid point are integer arithmetic; a time.Time is built with
+	// Clock.At only for the hooks that take one.
 	epochStart      int64
 	validInEpoch    int
 	epochIndex      int
 	assessBad       bool
-	collectTimer    *clock.Timer
+	collectTimer    clock.Timer
 	collectIntended int64
 
 	// Actuator-loop state. One timer serves both firing reasons; the
 	// actDeadline flag records whether the pending firing is the
-	// MaxActuationDelay deadline or a wake for a fresh prediction.
+	// MaxActuationDelay deadline or a wake for a fresh prediction. The
+	// assess timer stays zero when the actuator safeguard is off.
 	halted      bool
-	actTimer    *clock.Timer
+	actTimer    clock.Timer
 	actDeadline bool
-	assessTimer *clock.Timer
+	assessTimer clock.Timer
 
 	stats Stats
 }
@@ -127,13 +128,29 @@ func Run[D, P any](clk clock.Clock, model Model[D, P], act Actuator[P], sched Sc
 	now := clk.NowNS()
 	r.stats.StartedAt = clk.At(now)
 	r.epochStart = now
-	r.scheduleCollect(now+int64(sched.DataCollectInterval), sched.DataCollectInterval)
-	r.scheduleActDeadline()
-	if sched.AssessActuatorInterval > 0 && !opts.DisableActuatorSafeguard {
-		r.scheduleAssess()
+	// Each timer is armed here, once, with its loop as the handler; the
+	// steps only Reset or Stop it.
+	collect := sched.DataCollectInterval
+	clk.Arm(&r.collectTimer, (*collectLoop[D, P])(r), r.collectDelay(now+int64(collect), collect), 0)
+	r.actDeadline = true
+	clk.Arm(&r.actTimer, (*actuatorLoop[D, P])(r), sched.MaxActuationDelay, 0)
+	if assess := sched.AssessActuatorInterval; assess > 0 && !opts.DisableActuatorSafeguard {
+		clk.Arm(&r.assessTimer, (*assessLoop[D, P])(r), assess, assess)
 	}
 	return r, nil
 }
+
+// The loops' handlers are the Runtime itself under three names: a
+// pointer conversion, so arming a timer allocates no callback.
+type (
+	collectLoop[D, P any]  Runtime[D, P]
+	actuatorLoop[D, P any] Runtime[D, P]
+	assessLoop[D, P any]   Runtime[D, P]
+)
+
+func (l *collectLoop[D, P]) Fire(now int64)  { (*Runtime[D, P])(l).collectStep(now) }
+func (l *actuatorLoop[D, P]) Fire(now int64) { (*Runtime[D, P])(l).actuatorStep(now) }
+func (l *assessLoop[D, P]) Fire(int64)       { (*Runtime[D, P])(l).assessStep() }
 
 // MustRun is Run but panics on error; for examples and tests with
 // literal schedules.
@@ -212,34 +229,36 @@ func (r *Runtime[D, P]) Health() Health {
 
 // --- Model loop ---
 
-// scheduleCollect arms the collect timer for the intended time (ns on
-// the clock's timebase), applying any injected model delay. d is how
-// far intended lies from the clock reading the caller took this step —
-// every caller already knows it, so arming costs no second clock read.
-// The timer and its closure are created once; every later step re-arms
-// them in place. Callers hold r.mu.
-func (r *Runtime[D, P]) scheduleCollect(intended int64, d time.Duration) {
+// collectDelay records intended (ns on the clock's timebase) as the
+// next collect step's intended time and returns the delay to arm for
+// it: d, how far intended lies from the clock reading the caller took
+// this step — every caller already knows it, so arming costs no second
+// clock read — plus any injected model delay. Callers hold r.mu.
+func (r *Runtime[D, P]) collectDelay(intended int64, d time.Duration) time.Duration {
 	if r.opts.ModelDelay != nil {
 		if extra := r.opts.ModelDelay(r.clk.At(intended)); extra > 0 {
 			d += extra
 		}
 	}
 	r.collectIntended = intended
-	if r.collectTimer == nil {
-		r.collectTimer = r.clk.AfterFunc(d, r.collectStep)
-	} else {
-		r.collectTimer.Reset(d)
-	}
+	return d
 }
 
-func (r *Runtime[D, P]) collectStep() {
+// scheduleCollect re-arms the collect timer for the intended time.
+// Callers hold r.mu.
+func (r *Runtime[D, P]) scheduleCollect(intended int64, d time.Duration) {
+	r.collectTimer.Reset(r.collectDelay(intended, d))
+}
+
+// collectStep runs one model step at now, the firing instant on the
+// clock's timebase.
+func (r *Runtime[D, P]) collectStep(now int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.stopped {
 		return
 	}
 	intended := r.collectIntended
-	now := r.clk.NowNS()
 	late := time.Duration(now - intended)
 	if late > r.sched.latenessTolerance() {
 		r.stats.ScheduleViolations++
@@ -361,25 +380,23 @@ func (r *Runtime[D, P]) wakeActuatorLocked() {
 	r.actTimer.Reset(0)
 }
 
-// scheduleActDeadline arms the MaxActuationDelay deadline. Callers hold
-// r.mu.
+// scheduleActDeadline re-arms the MaxActuationDelay deadline. Callers
+// hold r.mu.
 func (r *Runtime[D, P]) scheduleActDeadline() {
 	r.actDeadline = true
-	if r.actTimer == nil {
-		r.actTimer = r.clk.AfterFunc(r.sched.MaxActuationDelay, r.actuatorStep)
-	} else {
-		r.actTimer.Reset(r.sched.MaxActuationDelay)
-	}
+	r.actTimer.Reset(r.sched.MaxActuationDelay)
 }
 
-func (r *Runtime[D, P]) actuatorStep() {
+// actuatorStep runs one actuator step at nowNS, the firing instant on
+// the clock's timebase.
+func (r *Runtime[D, P]) actuatorStep(nowNS int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.stopped || r.halted {
 		return
 	}
 	deadline := r.actDeadline
-	now := r.clk.Now()
+	now := r.clk.At(nowNS)
 	pred := r.queue.takeFreshest(now)
 	r.stats.PredictionsExpired = r.queue.expired
 	r.stats.PredictionsDropped = r.queue.dropped
@@ -403,13 +420,6 @@ func (r *Runtime[D, P]) actuatorStep() {
 	r.act.TakeAction(pred)
 	r.stats.Actions++
 	r.scheduleActDeadline()
-}
-
-// scheduleAssess starts the periodic actuator-performance check as a
-// self-re-arming ticker: one timer and one closure for the life of the
-// runtime. Callers hold r.mu.
-func (r *Runtime[D, P]) scheduleAssess() {
-	r.assessTimer = r.clk.Tick(r.sched.AssessActuatorInterval, r.assessStep)
 }
 
 func (r *Runtime[D, P]) assessStep() {

@@ -110,7 +110,7 @@ type Memory struct {
 	scans         uint64
 	migrations    uint64
 	ticks         uint64
-	ticker        *clock.Timer
+	ticker        clock.Timer
 	started       bool
 
 	// scanFault, when non-nil, lets fault injection make Scan return
@@ -177,8 +177,14 @@ func (m *Memory) Start() {
 		panic("memsim: Start called twice")
 	}
 	m.started = true
-	m.ticker = m.clk.Tick(m.cfg.BaseTick, m.tick)
+	m.clk.Arm(&m.ticker, (*memTicker)(m), m.cfg.BaseTick, m.cfg.BaseTick)
 }
+
+// memTicker is the Memory as its ticker's handler: a pointer
+// conversion, so arming allocates no callback.
+type memTicker Memory
+
+func (t *memTicker) Fire(now int64) { (*Memory)(t).tick(now) }
 
 // Stop halts integration.
 func (m *Memory) Stop() {
@@ -186,8 +192,8 @@ func (m *Memory) Stop() {
 	m.started = false
 }
 
-func (m *Memory) tick() {
-	now := m.clk.Now()
+func (m *Memory) tick(nowNS int64) {
+	now := m.clk.At(nowNS)
 	dt := m.cfg.BaseTick.Seconds()
 	m.trace.Rates(now, m.rates)
 	p := float64(m.cfg.PagesPerRegion)

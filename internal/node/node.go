@@ -242,7 +242,7 @@ type Node struct {
 	clk    clock.Clock
 	vms    []*VM
 	byName map[string]*VM
-	ticker *clock.Timer
+	ticker clock.Timer
 	// ticks counts simulation steps, for tests.
 	ticks   uint64
 	started bool
@@ -317,8 +317,14 @@ func (n *Node) Start() {
 		panic("node: Start called twice")
 	}
 	n.started = true
-	n.ticker = n.clk.Tick(n.cfg.TickInterval, n.tick)
+	n.clk.Arm(&n.ticker, (*nodeTicker)(n), n.cfg.TickInterval, n.cfg.TickInterval)
 }
+
+// nodeTicker is the Node as its ticker's handler: a pointer conversion,
+// so arming allocates no callback.
+type nodeTicker Node
+
+func (t *nodeTicker) Fire(now int64) { (*Node)(t).tick(now) }
 
 // Stop cancels the tick loop.
 func (n *Node) Stop() {
@@ -326,10 +332,9 @@ func (n *Node) Stop() {
 	n.started = false
 }
 
-// tick reads the clock once, in ns; a time.Time is built only for
-// OnTick callbacks, when there are any.
-func (n *Node) tick() {
-	now := n.clk.NowNS()
+// tick advances every VM to now, the firing instant in ns; a time.Time
+// is built only for OnTick callbacks, when there are any.
+func (n *Node) tick(now int64) {
 	n.step.Now = now
 	for _, vm := range n.vms {
 		n.tickVM(vm)

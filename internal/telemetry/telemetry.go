@@ -74,7 +74,7 @@ type Source struct {
 	clk  clock.Clock
 	rng  *stats.RNG
 	chs  []channel
-	tick *clock.Timer
+	tick clock.Timer
 
 	totalEvents    float64
 	observedEvents float64
@@ -125,8 +125,14 @@ func (s *Source) Start() {
 		panic("telemetry: Start called twice")
 	}
 	s.started = true
-	s.tick = s.clk.Tick(s.cfg.Interval, s.step)
+	s.clk.Arm(&s.tick, (*sourceTicker)(s), s.cfg.Interval, s.cfg.Interval)
 }
+
+// sourceTicker is the Source as its ticker's handler: a pointer
+// conversion, so arming allocates no callback.
+type sourceTicker Source
+
+func (t *sourceTicker) Fire(now int64) { (*Source)(t).step(now) }
 
 // Stop halts event generation.
 func (s *Source) Stop() {
@@ -134,8 +140,8 @@ func (s *Source) Stop() {
 	s.started = false
 }
 
-func (s *Source) step() {
-	now := s.clk.Now()
+func (s *Source) step(nowNS int64) {
+	now := s.clk.At(nowNS)
 	dt := s.cfg.Interval.Seconds()
 	for i := range s.chs {
 		ch := &s.chs[i]

@@ -71,10 +71,13 @@ type (
 	Clock = clock.Clock
 	// VirtualClock is a deterministic discrete-event clock.
 	VirtualClock = clock.Virtual
-	// Timer is a handle to a scheduled callback — one-shot (AfterFunc)
-	// or periodic (Tick) — supporting allocation-free re-arming with
-	// Reset.
+	// Timer is a scheduled callback, one-shot or periodic. Embed it
+	// in its owner and arm it with Clock.Arm; Reset and Stop re-arm
+	// and cancel it without allocating.
 	Timer = clock.Timer
+	// TimerHandler is what an armed Timer calls, with the firing
+	// instant in nanoseconds on the clock's timebase.
+	TimerHandler = clock.Handler
 	// ScheduleViolationHandler is the optional late-model-step callback.
 	ScheduleViolationHandler = core.ScheduleViolationHandler
 
