@@ -8,7 +8,9 @@
 //	solagent -agent harvest   -duration 2m
 //	solagent -agent memory    -duration 30m
 //
-// The simulation runs on the virtual clock, so it finishes instantly.
+// Each agent is deployed through the spec registry with its registered
+// defaults — exactly what a fleet node runs for that kind. The
+// simulation runs on the virtual clock, so it finishes instantly.
 package main
 
 import (
@@ -21,9 +23,9 @@ import (
 	"sol/internal/agents/memory"
 	"sol/internal/agents/overclock"
 	"sol/internal/clock"
-	"sol/internal/core"
 	"sol/internal/memsim"
 	"sol/internal/node"
+	"sol/internal/spec"
 	"sol/internal/stats"
 	"sol/internal/workload"
 )
@@ -59,11 +61,11 @@ func runOverclock(clk *clock.Virtual, dur, report time.Duration) error {
 		return err
 	}
 	syn := workload.NewSynthetic(100*time.Second, 120)
-	if _, err := n.AddVM("vm", 4, syn); err != nil {
+	if _, err := n.AddVM("batch", 4, syn); err != nil {
 		return err
 	}
 	n.Start()
-	ag, err := overclock.Launch(clk, n, overclock.DefaultConfig("vm"), core.Options{})
+	ag, _, err := spec.Launch(spec.Agent{Kind: overclock.Kind}, spec.NodeEnv{Clock: clk, Node: n})
 	if err != nil {
 		return err
 	}
@@ -72,12 +74,12 @@ func runOverclock(clk *clock.Virtual, dur, report time.Duration) error {
 	for elapsed := time.Duration(0); elapsed < dur; elapsed += report {
 		clk.RunFor(report)
 		fmt.Printf("[%6s] freq=%.1fGHz busy=%-5v batches=%d mean-batch=%.1fs energy=%.0fJ model-failing=%v halted=%v\n",
-			elapsed+report, n.FrequencyGHz("vm"), syn.Busy(), syn.BatchesDone(),
-			syn.MeanBatchSeconds(), n.EnergyJ("vm"),
-			ag.Runtime.ModelAssessmentFailing(), ag.Runtime.Halted())
+			elapsed+report, n.FrequencyGHz("batch"), syn.Busy(), syn.BatchesDone(),
+			syn.MeanBatchSeconds(), n.EnergyJ("batch"),
+			ag.ModelAssessmentFailing(), ag.Halted())
 	}
 	fmt.Println("\nruntime counters:")
-	fmt.Println(ag.Runtime.Stats())
+	fmt.Println(ag.Stats())
 	return nil
 }
 
@@ -98,11 +100,12 @@ func runHarvest(clk *clock.Virtual, dur, report time.Duration) error {
 	}
 	n.SetAvailableCores("elastic", 0)
 	n.Start()
-	ag, err := harvest.Launch(clk, n, harvest.DefaultConfig("primary", "elastic"), core.Options{})
+	h, _, err := spec.Launch(spec.Agent{Kind: harvest.Kind}, spec.NodeEnv{Clock: clk, Node: n})
 	if err != nil {
 		return err
 	}
-	defer ag.Stop()
+	defer h.Stop()
+	ag := h.(*harvest.Agent)
 
 	for elapsed := time.Duration(0); elapsed < dur; elapsed += report {
 		clk.RunFor(report)
@@ -110,10 +113,10 @@ func runHarvest(clk *clock.Virtual, dur, report time.Duration) error {
 		fmt.Printf("[%6s] grant=%d/8 harvested=%.0f core-s P99=%.1fms wait-p90/p99=%.2f/%.2fms served=%d model-failing=%v halted=%v\n",
 			elapsed+report, ag.Actuator.Granted(), el.CoreSeconds(),
 			tb.P99LatencySeconds()*1000, waitP90, waitP99, tb.Served(),
-			ag.Runtime.ModelAssessmentFailing(), ag.Runtime.Halted())
+			ag.ModelAssessmentFailing(), ag.Halted())
 	}
 	fmt.Println("\nruntime counters:")
-	fmt.Println(ag.Runtime.Stats())
+	fmt.Println(ag.Stats())
 	return nil
 }
 
@@ -125,7 +128,7 @@ func runMemory(clk *clock.Virtual, dur, report time.Duration) error {
 		return err
 	}
 	mem.Start()
-	ag, err := memory.Launch(clk, mem, memory.DefaultConfig(), core.Options{})
+	ag, _, err := spec.Launch(spec.Agent{Kind: memory.Kind}, spec.NodeEnv{Clock: clk, Mem: mem})
 	if err != nil {
 		return err
 	}
@@ -138,10 +141,10 @@ func runMemory(clk *clock.Virtual, dur, report time.Duration) error {
 		fmt.Printf("[%6s] tier1=%d/%d remote=%.1f%% scans=%d resets=%.0f migrations=%d model-failing=%v\n",
 			elapsed+report, mem.Tier1Regions(), regions,
 			100*cur.RemoteFraction(prev), cur.Scans, cur.Resets, cur.Migrations,
-			ag.Runtime.ModelAssessmentFailing())
+			ag.ModelAssessmentFailing())
 		prev = cur
 	}
 	fmt.Println("\nruntime counters:")
-	fmt.Println(ag.Runtime.Stats())
+	fmt.Println(ag.Stats())
 	return nil
 }

@@ -18,11 +18,23 @@ import (
 	"sol/internal/core"
 	"sol/internal/memsim"
 	"sol/internal/node"
+	"sol/internal/spec"
 	"sol/internal/stats"
 	"sol/internal/workload"
 )
 
 var testEpoch = time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// launchSpec deploys a through the spec registry on env, the path a
+// fleet node uses, and fails t if it does not start.
+func launchSpec(t *testing.T, a spec.Agent, env spec.NodeEnv) core.Handle {
+	t.Helper()
+	h, _, err := spec.Launch(a, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
 
 // TestCoResidentAgents runs SmartOverclock and SmartHarvest on the same
 // node at the same time — different VMs, different knobs, one clock —
@@ -57,32 +69,24 @@ func TestCoResidentAgents(t *testing.T) {
 	mem := memsim.MustNew(clk, memsim.DefaultConfig(128), trace)
 	mem.Start()
 
-	oc, err := overclock.Launch(clk, n, overclock.DefaultConfig("compute"), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := spec.NodeEnv{Clock: clk, Node: n, Mem: mem}
+	oc := launchSpec(t, spec.Agent{Kind: overclock.Kind, Params: []byte(`{"Config": {"VM": "compute"}}`)}, env)
 	defer oc.Stop()
-	hv, err := harvest.Launch(clk, n, harvest.DefaultConfig("primary", "elastic"), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hv := launchSpec(t, spec.Agent{Kind: harvest.Kind}, env)
 	defer hv.Stop()
-	mm, err := memory.Launch(clk, mem, memory.DefaultConfig(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mm := launchSpec(t, spec.Agent{Kind: memory.Kind}, env)
 	defer mm.Stop()
 
 	clk.RunFor(90 * time.Second)
 
 	// Every agent made progress.
-	if oc.Runtime.Stats().PredictionsIssued == 0 {
+	if oc.Stats().PredictionsIssued == 0 {
 		t.Fatal("overclock agent idle")
 	}
-	if hv.Runtime.Stats().PredictionsIssued == 0 {
+	if hv.Stats().PredictionsIssued == 0 {
 		t.Fatal("harvest agent idle")
 	}
-	if mm.Runtime.Stats().PredictionsIssued == 0 {
+	if mm.Stats().PredictionsIssued == 0 {
 		t.Fatal("memory agent idle")
 	}
 	// SmartOverclock's knob (compute VM frequency) never touched the
@@ -106,34 +110,31 @@ func TestCoResidentAgents(t *testing.T) {
 func TestOperatorCleanUp(t *testing.T) {
 	clk := clock.NewVirtual(testEpoch)
 	n := node.MustNew(clk, node.DefaultConfig())
-	if _, err := n.AddVM("vm", 4, workload.NewDiskSpeed()); err != nil {
+	if _, err := n.AddVM("batch", 4, workload.NewDiskSpeed()); err != nil {
 		t.Fatal(err)
 	}
 	n.Start()
-	ag, err := overclock.Launch(clk, n, overclock.DefaultConfig("vm"), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ag := launchSpec(t, spec.Agent{Kind: overclock.Kind}, spec.NodeEnv{Clock: clk, Node: n}).(*overclock.Agent)
 	clk.RunFor(10 * time.Second)
 
 	// An SRE calls CleanUp out of band, mid-run, twice.
-	n.SetFrequencyLevel("vm", 2)
+	n.SetFrequencyLevel("batch", 2)
 	ag.Actuator.CleanUp()
 	ag.Actuator.CleanUp()
-	if n.FrequencyLevel("vm") != 0 {
+	if n.FrequencyLevel("batch") != 0 {
 		t.Fatal("out-of-band CleanUp did not restore nominal")
 	}
 
 	// The agent keeps running afterwards (CleanUp is not Stop).
-	before := ag.Runtime.Stats().PredictionsIssued
+	before := ag.Stats().PredictionsIssued
 	clk.RunFor(10 * time.Second)
-	if ag.Runtime.Stats().PredictionsIssued == before {
+	if ag.Stats().PredictionsIssued == before {
 		t.Fatal("agent stopped after out-of-band CleanUp")
 	}
 
 	ag.Stop()
 	ag.Actuator.CleanUp() // still safe after Stop
-	if n.FrequencyLevel("vm") != 0 {
+	if n.FrequencyLevel("batch") != 0 {
 		t.Fatal("post-Stop CleanUp broke node state")
 	}
 }
@@ -209,18 +210,15 @@ func TestDeterminism(t *testing.T) {
 		clk := clock.NewVirtual(testEpoch)
 		n := node.MustNew(clk, node.DefaultConfig())
 		syn := workload.NewSynthetic(20*time.Second, 24)
-		if _, err := n.AddVM("vm", 4, syn); err != nil {
+		if _, err := n.AddVM("batch", 4, syn); err != nil {
 			t.Fatal(err)
 		}
 		n.Start()
-		ag, err := overclock.Launch(clk, n, overclock.DefaultConfig("vm"), core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ag := launchSpec(t, spec.Agent{Kind: overclock.Kind}, spec.NodeEnv{Clock: clk, Node: n})
 		clk.RunFor(120 * time.Second)
-		st := ag.Runtime.Stats()
+		st := ag.Stats()
 		ag.Stop()
-		return st.PredictionsIssued, n.EnergyJ("vm"), syn.BatchesDone()
+		return st.PredictionsIssued, n.EnergyJ("batch"), syn.BatchesDone()
 	}
 	p1, e1, b1 := runOnce()
 	p2, e2, b2 := runOnce()

@@ -168,7 +168,6 @@ type Model struct {
 	// corrupted is the copy of the current sample handed to corrupt.
 	corrupted Sample
 	broken    bool
-	violas    uint64
 }
 
 // NewModel builds the Model on n.
@@ -319,12 +318,6 @@ func (m *Model) AssessModel() bool {
 // Failing reports the model's own assessment state.
 func (m *Model) Failing() bool { return m.failing }
 
-// OnScheduleViolation implements core.ScheduleViolationHandler.
-func (m *Model) OnScheduleViolation(expected, actual time.Time) { m.violas++ }
-
-// ScheduleViolations returns how many late model steps were reported.
-func (m *Model) ScheduleViolations() uint64 { return m.violas }
-
 // features computes the distributional feature vector over one epoch's
 // usage samples, normalized by the core count.
 func (m *Model) features(utils []float64) [featureDims]float64 {
@@ -360,8 +353,7 @@ type Actuator struct {
 	// tail is the reusable result buffer for WaitTailMs.
 	tail []float64
 	// granted is the most recent grant, for inspection.
-	granted   int
-	mitigated uint64
+	granted int
 }
 
 // NewActuator builds the Actuator on n.
@@ -442,12 +434,8 @@ func (a *Actuator) WaitTailMs() (p90, p99 float64) {
 // Mitigate implements core.Actuator: stop harvesting; all cores go back
 // to the primary VM.
 func (a *Actuator) Mitigate() {
-	a.mitigated++
 	a.apply(a.cores)
 }
 
 // CleanUp implements core.Actuator: idempotent full restore.
 func (a *Actuator) CleanUp() { a.apply(a.cores) }
-
-// Mitigations returns how many times Mitigate ran.
-func (a *Actuator) Mitigations() uint64 { return a.mitigated }

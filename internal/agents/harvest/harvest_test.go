@@ -64,7 +64,7 @@ func harvestNode(t *testing.T, w workload.CPUWorkload) (*clock.Virtual, *node.No
 
 func launchAgent(t *testing.T, clk *clock.Virtual, n *node.Node, opts core.Options) *Agent {
 	t.Helper()
-	ag, err := Launch(clk, n, DefaultConfig("primary", "elastic"), opts)
+	ag, err := start(clk, n, DefaultConfig("primary", "elastic"), Schedule(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestActuatorSafeguardOnSustainedWait(t *testing.T) {
 	clk.RunFor(2 * time.Second)
 	ag.Model.Break(true)
 	clk.RunFor(15 * time.Second)
-	if ag.Actuator.Mitigations() == 0 {
+	if ag.Stats().Mitigations == 0 {
 		t.Fatal("actuator safeguard never mitigated under sustained vCPU wait")
 	}
 	if n.AvailableCores("primary") != 8 && !ag.Runtime.Halted() {

@@ -16,20 +16,18 @@ import (
 // heterogeneous agents.
 const Kind = "memory"
 
-// Agent bundles a running SmartMemory instance.
+// Agent is a running SmartMemory instance. Its embedded runtime makes it
+// the core.Handle the kind's spec launch returns, so a holder of that
+// handle reaches the fault hooks with one type assertion:
+// h.(*memory.Agent).Model.Break(true).
 type Agent struct {
 	Model    *Model
 	Actuator *Actuator
-	Runtime  *core.Runtime[Tick, Placement]
+	*core.Runtime[Tick, Placement]
 }
 
-// Launch builds the Model and Actuator for cfg over mem and starts
-// them under the SOL runtime on clk with the paper-calibrated
-// Schedule.
-func Launch(clk clock.Clock, mem *memsim.Memory, cfg Config, opts core.Options) (*Agent, error) {
-	return start(clk, mem, cfg, Schedule(), opts)
-}
-
+// start builds the Model and Actuator for cfg and runs them under the
+// SOL runtime on clk with sched.
 func start(clk clock.Clock, mem *memsim.Memory, cfg Config, sched core.Schedule, opts core.Options) (*Agent, error) {
 	m, err := NewModel(mem, cfg)
 	if err != nil {
@@ -42,12 +40,6 @@ func start(clk clock.Clock, mem *memsim.Memory, cfg Config, sched core.Schedule,
 	}
 	return &Agent{Model: m, Actuator: a, Runtime: rt}, nil
 }
-
-// Stop stops the runtime (running CleanUp, which restores tier 1).
-func (a *Agent) Stop() { a.Runtime.Stop() }
-
-// Handle returns the type-erased runtime handle for supervisors.
-func (a *Agent) Handle() core.Handle { return a.Runtime }
 
 // Variant is a named, fully deployable parameterization of
 // SmartMemory — the memory kind's spec params.
@@ -79,7 +71,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return ag.Handle(), nil
+		return ag, nil
 	})
 }
 

@@ -631,7 +631,6 @@ type Actuator struct {
 	// Mitigate can rank second-tier regions by observed remote traffic
 	// — the most direct "hottest batches in the second tier" signal.
 	prevRemote []float64
-	mitigated  uint64
 }
 
 // NewActuator builds the Actuator over mem.
@@ -697,7 +696,6 @@ func (a *Actuator) AssessPerformance() bool {
 // access counters the far-memory driver exposes — the live signal —
 // with the model's rate estimates as tie-breaker.
 func (a *Actuator) Mitigate() {
-	a.mitigated++
 	var tier2 []int
 	heat := make(map[int]float64)
 	for r := 0; r < a.mem.Regions(); r++ {
@@ -732,6 +730,3 @@ func (a *Actuator) CleanUp() {
 		}
 	}
 }
-
-// Mitigations returns how many times Mitigate ran.
-func (a *Actuator) Mitigations() uint64 { return a.mitigated }

@@ -13,21 +13,18 @@ import (
 // heterogeneous agents.
 const Kind = "overclock"
 
-// Agent bundles a running SmartOverclock instance.
+// Agent is a running SmartOverclock instance. Its embedded runtime makes it
+// the core.Handle the kind's spec launch returns, so a holder of that
+// handle reaches the fault hooks with one type assertion:
+// h.(*overclock.Agent).Model.Break(true).
 type Agent struct {
 	Model    *Model
 	Actuator *Actuator
-	Runtime  *core.Runtime[Sample, int]
+	*core.Runtime[Sample, int]
 }
 
-// Launch builds the Model and Actuator for cfg and starts them under
-// the SOL runtime on clk with the paper-calibrated Schedule. opts
-// customizes runtime behaviour (fault injection, safeguard ablation);
-// pass core.Options{} for production behaviour.
-func Launch(clk clock.Clock, n *node.Node, cfg Config, opts core.Options) (*Agent, error) {
-	return start(clk, n, cfg, Schedule(), opts)
-}
-
+// start builds the Model and Actuator for cfg and runs them under the
+// SOL runtime on clk with sched.
 func start(clk clock.Clock, n *node.Node, cfg Config, sched core.Schedule, opts core.Options) (*Agent, error) {
 	m, err := NewModel(n, cfg)
 	if err != nil {
@@ -43,12 +40,6 @@ func start(clk clock.Clock, n *node.Node, cfg Config, sched core.Schedule, opts 
 	}
 	return &Agent{Model: m, Actuator: a, Runtime: rt}, nil
 }
-
-// Stop stops the runtime (running CleanUp).
-func (a *Agent) Stop() { a.Runtime.Stop() }
-
-// Handle returns the type-erased runtime handle for supervisors.
-func (a *Agent) Handle() core.Handle { return a.Runtime }
 
 // Variant is a named, fully deployable parameterization of
 // SmartOverclock — the overclock kind's spec params.
@@ -77,6 +68,6 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return ag.Handle(), nil
+		return ag, nil
 	})
 }

@@ -164,7 +164,6 @@ type Model struct {
 	maxIPS float64
 	// freqCount is UpdateModel's per-level sample tally.
 	freqCount []int
-	violas    uint64
 }
 
 // NewModel builds the Model for the VM named in cfg on n.
@@ -342,12 +341,6 @@ func (m *Model) AssessModel() bool {
 // Failing reports whether the model currently fails its own assessment.
 func (m *Model) Failing() bool { return m.failing }
 
-// OnScheduleViolation implements core.ScheduleViolationHandler.
-func (m *Model) OnScheduleViolation(expected, actual time.Time) { m.violas++ }
-
-// ScheduleViolations returns how many late model steps were reported.
-func (m *Model) ScheduleViolations() uint64 { return m.violas }
-
 func (m *Model) pruneDeltaR(now time.Time) {
 	cut := now.Add(-m.cfg.DeltaRWindow)
 	keep := m.deltaR[:0]
@@ -399,7 +392,6 @@ type Actuator struct {
 	// minSamples gates the safeguard until the α window has enough
 	// history to be meaningful.
 	minSamples int
-	mitigated  uint64
 }
 
 // NewActuator builds the Actuator for the VM named in cfg on n.
@@ -455,7 +447,6 @@ func (a *Actuator) AssessPerformance() bool {
 
 // Mitigate implements core.Actuator: restore all cores to nominal.
 func (a *Actuator) Mitigate() {
-	a.mitigated++
 	_ = a.n.SetFrequencyLevel(a.cfg.VM, a.n.NominalLevel())
 }
 
@@ -463,6 +454,3 @@ func (a *Actuator) Mitigate() {
 func (a *Actuator) CleanUp() {
 	_ = a.n.SetFrequencyLevel(a.cfg.VM, a.n.NominalLevel())
 }
-
-// Mitigations returns how many times Mitigate ran.
-func (a *Actuator) Mitigations() uint64 { return a.mitigated }

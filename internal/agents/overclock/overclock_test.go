@@ -27,7 +27,7 @@ func newRig(t *testing.T, w workload.CPUWorkload) (*clock.Virtual, *node.Node) {
 
 func launch(t *testing.T, clk *clock.Virtual, n *node.Node, opts core.Options) *Agent {
 	t.Helper()
-	ag, err := Launch(clk, n, DefaultConfig("vm"), opts)
+	ag, err := start(clk, n, DefaultConfig("vm"), Schedule(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestConstructorsRejectUnknownVM(t *testing.T) {
 	if _, err := NewActuator(n, DefaultConfig("ghost")); err == nil {
 		t.Fatal("NewActuator accepted unknown VM")
 	}
-	if _, err := Launch(clk, n, DefaultConfig("ghost"), core.Options{}); err == nil {
+	if _, err := start(clk, n, DefaultConfig("ghost"), Schedule(), core.Options{}); err == nil {
 		t.Fatal("Launch accepted unknown VM")
 	}
 }
@@ -236,7 +236,7 @@ func TestActuatorSafeguardStaysQuietWhenBusy(t *testing.T) {
 	if ag.Runtime.Halted() {
 		t.Fatal("actuator safeguard tripped on a busy workload")
 	}
-	if ag.Actuator.Mitigations() != 0 {
+	if ag.Stats().Mitigations != 0 {
 		t.Fatal("unexpected mitigations on busy workload")
 	}
 }
@@ -254,7 +254,7 @@ func TestCleanUpRestoresNominalAndIsIdempotent(t *testing.T) {
 
 func TestStopRunsCleanUp(t *testing.T) {
 	clk, n := newRig(t, busyWork{})
-	ag, err := Launch(clk, n, DefaultConfig("vm"), core.Options{})
+	ag, err := start(clk, n, DefaultConfig("vm"), Schedule(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +322,8 @@ func TestScheduleViolationReporting(t *testing.T) {
 		return 0
 	}})
 	clk.RunFor(5 * time.Second)
-	if ag.Model.ScheduleViolations() == 0 {
-		t.Fatal("model not notified of schedule violation")
+	if ag.Stats().ScheduleViolations == 0 {
+		t.Fatal("runtime did not count the schedule violation")
 	}
 }
 

@@ -13,20 +13,18 @@ import (
 // heterogeneous agents.
 const Kind = "sampler"
 
-// Agent bundles a running SmartSampler instance.
+// Agent is a running SmartSampler instance. Its embedded runtime makes it
+// the core.Handle the kind's spec launch returns, so a holder of that
+// handle reaches the fault hooks with one type assertion:
+// h.(*sampler.Agent).Model.Break(true).
 type Agent struct {
 	Model    *Model
 	Actuator *Actuator
-	Runtime  *core.Runtime[Obs, Allocation]
+	*core.Runtime[Obs, Allocation]
 }
 
-// Launch builds the Model and Actuator for cfg over src and starts
-// them under the SOL runtime on clk with the paper-calibrated
-// Schedule.
-func Launch(clk clock.Clock, src *telemetry.Source, cfg Config, opts core.Options) (*Agent, error) {
-	return start(clk, src, cfg, Schedule(), opts)
-}
-
+// start builds the Model and Actuator for cfg and runs them under the
+// SOL runtime on clk with sched.
 func start(clk clock.Clock, src *telemetry.Source, cfg Config, sched core.Schedule, opts core.Options) (*Agent, error) {
 	m, err := NewModel(src, cfg)
 	if err != nil {
@@ -39,12 +37,6 @@ func start(clk clock.Clock, src *telemetry.Source, cfg Config, sched core.Schedu
 	}
 	return &Agent{Model: m, Actuator: a, Runtime: rt}, nil
 }
-
-// Stop stops the runtime (running CleanUp).
-func (a *Agent) Stop() { a.Runtime.Stop() }
-
-// Handle returns the type-erased runtime handle for supervisors.
-func (a *Agent) Handle() core.Handle { return a.Runtime }
 
 // Variant is a named, fully deployable parameterization of
 // SmartSampler — the sampler kind's spec params.
@@ -75,6 +67,6 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return ag.Handle(), nil
+		return ag, nil
 	})
 }

@@ -337,7 +337,6 @@ type Actuator struct {
 	current    []int
 	prev       telemetry.Stats
 	havePrev   bool
-	mitigated  uint64
 	defaultRR  int
 	actuations uint64
 }
@@ -389,7 +388,6 @@ func (a *Actuator) AssessPerformance() bool {
 
 // Mitigate implements core.Actuator: reset to the round-robin sweep.
 func (a *Actuator) Mitigate() {
-	a.mitigated++
 	budget := a.src.Config().Budget
 	rr := make([]int, budget)
 	for i := range rr {
@@ -399,7 +397,4 @@ func (a *Actuator) Mitigate() {
 }
 
 // CleanUp implements core.Actuator: idempotent reset to round-robin.
-func (a *Actuator) CleanUp() { a.Mitigate(); a.mitigated-- }
-
-// Mitigations returns how many times Mitigate ran.
-func (a *Actuator) Mitigations() uint64 { return a.mitigated }
+func (a *Actuator) CleanUp() { a.Mitigate() }

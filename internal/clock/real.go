@@ -6,9 +6,11 @@ import (
 )
 
 // Real is a Clock backed by the wall clock. Callbacks run on their own
-// goroutines, exactly as with time.AfterFunc. It is the clock used by
-// cmd/solagent when running against a live node. Create one with
-// NewReal: its nanosecond timebase is anchored at construction.
+// goroutines, exactly as with time.AfterFunc. It is the clock for an
+// agent running against a live node (sol.NewRealClock); every command
+// and experiment in this repository simulates on a Virtual clock
+// instead. Create one with NewReal: its nanosecond timebase is anchored
+// at construction.
 type Real struct {
 	anchor time.Time // carries the monotonic reading NowNS counts from
 }

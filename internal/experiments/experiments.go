@@ -2,7 +2,9 @@
 // paper's evaluation (§6). Each experiment is a named runner that
 // builds the simulated node (and/or tiered memory), runs the agents and
 // baselines on the virtual clock, and reports the same rows or series
-// the paper reports.
+// the paper reports. The runners deploy their agents through the spec
+// registry — the one path a fleet node uses — handing each its typed
+// variant as the environment's baseline.
 //
 // Absolute numbers differ from the paper — the substrate here is a
 // simulator, not the authors' Xeon testbed — but each runner's output
@@ -18,6 +20,9 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"sol/internal/core"
+	"sol/internal/spec"
 )
 
 // Scale selects experiment duration. Quick keeps unit/bench runs fast;
@@ -68,6 +73,16 @@ func (r *Result) metric(name string, v float64) {
 		r.Metrics = make(map[string]float64)
 	}
 	r.Metrics[name] = v
+}
+
+// launch deploys one agent of kind through the spec registry on env,
+// with v as the environment's baseline params. Passing the typed
+// variant, not a JSON Params overlay, keeps deployment off the
+// experiments' allocation profile.
+func launch[C any](kind string, env spec.NodeEnv, v spec.Variant[C]) (core.Handle, error) {
+	env.Base = func(string) any { c := v; return &c }
+	h, _, err := spec.Launch(spec.Agent{Kind: kind}, env)
+	return h, err
 }
 
 // Runner executes one experiment at the given scale.

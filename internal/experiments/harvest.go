@@ -9,6 +9,7 @@ import (
 	"sol/internal/core"
 	"sol/internal/faults"
 	"sol/internal/node"
+	"sol/internal/spec"
 	"sol/internal/stats"
 	"sol/internal/workload"
 )
@@ -61,16 +62,16 @@ func newHVRig(wl string, seed uint64, withAgent bool, cfgMut func(*harvest.Confi
 	if !withAgent {
 		return rig, nil
 	}
-	cfg := harvest.DefaultConfig("primary", "elastic")
-	cfg.Seed = seed
+	v := harvest.DefaultVariant("primary", "elastic")
+	v.Config.Seed = seed
 	if cfgMut != nil {
-		cfgMut(&cfg)
+		cfgMut(&v.Config)
 	}
-	ag, err := harvest.Launch(clk, n, cfg, opts)
+	h, err := launch(harvest.Kind, spec.NodeEnv{Clock: clk, Node: n, Options: opts}, v)
 	if err != nil {
 		return nil, err
 	}
-	rig.agent = ag
+	rig.agent = h.(*harvest.Agent)
 	return rig, nil
 }
 
@@ -216,24 +217,15 @@ func runAblationQueue(s Scale) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := harvest.DefaultConfig("primary", "elastic")
-		sched := harvest.Schedule()
-		sched.QueueCapacity = capQ
-		m, err := harvest.NewModel(rig.n, cfg)
-		if err != nil {
-			return nil, err
-		}
-		a, err := harvest.NewActuator(rig.n, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rt, err := core.Run[harvest.Sample, int](rig.clk, m, a, sched, core.Options{})
+		v := harvest.DefaultVariant("primary", "elastic")
+		v.Schedule.QueueCapacity = capQ
+		ag, err := launch(harvest.Kind, spec.NodeEnv{Clock: rig.clk, Node: rig.n}, v)
 		if err != nil {
 			return nil, err
 		}
 		rig.clk.RunFor(dur)
-		st := rt.Stats()
-		rt.Stop()
+		st := ag.Stats()
+		ag.Stop()
 		p99 := rig.primary.P99LatencySeconds() * 1000
 		r.addf("queue-capacity=%2d P99=%.1fms dropped=%d expired=%d actions=%d",
 			capQ, p99, st.PredictionsDropped, st.PredictionsExpired, st.Actions)

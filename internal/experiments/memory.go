@@ -8,6 +8,7 @@ import (
 	"sol/internal/clock"
 	"sol/internal/core"
 	"sol/internal/memsim"
+	"sol/internal/spec"
 	"sol/internal/workload"
 )
 
@@ -45,7 +46,7 @@ func memPolicies() []memPolicy {
 		{
 			name: "SmartMemory",
 			start: func(clk *clock.Virtual, mem *memsim.Memory) (func(), error) {
-				ag, err := memory.Launch(clk, mem, memory.DefaultConfig(), core.Options{})
+				ag, err := launch(memory.Kind, spec.NodeEnv{Clock: clk, Mem: mem}, memory.DefaultVariant())
 				if err != nil {
 					return nil, err
 				}
@@ -182,12 +183,12 @@ func runFig8(s Scale) (*Result, error) {
 			return nil, err
 		}
 		mem.Start()
-		ag, err := memory.Launch(clk, mem, memory.DefaultConfig(), cfg.opts)
+		ag, err := launch(memory.Kind, spec.NodeEnv{Clock: clk, Mem: mem, Options: cfg.opts}, memory.DefaultVariant())
 		if err != nil {
 			return nil, err
 		}
 		m := memMeasure(clk, mem, warmup, window)
-		mitig := ag.Actuator.Mitigations()
+		mitig := ag.Stats().Mitigations
 		ag.Stop()
 		r.addf("%-15s SLO-attainment=%.0f%% local-mem=%.0f%% mitigations=%d",
 			cfg.name, 100*m.sloAttainment, 100*m.tier1Frac, mitig)

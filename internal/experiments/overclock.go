@@ -9,6 +9,7 @@ import (
 	"sol/internal/core"
 	"sol/internal/faults"
 	"sol/internal/node"
+	"sol/internal/spec"
 	"sol/internal/stats"
 	"sol/internal/workload"
 )
@@ -96,16 +97,16 @@ func newOCRun(w ocWorkload, seed uint64, staticLevel int, cfgMut func(*overclock
 		}
 		return r, nil
 	}
-	cfg := overclock.DefaultConfig("vm")
-	cfg.Seed = seed
+	v := overclock.DefaultVariant("vm")
+	v.Config.Seed = seed
 	if cfgMut != nil {
-		cfgMut(&cfg)
+		cfgMut(&v.Config)
 	}
-	ag, err := overclock.Launch(clk, n, cfg, opts)
+	h, err := launch(overclock.Kind, spec.NodeEnv{Clock: clk, Node: n, Options: opts}, v)
 	if err != nil {
 		return nil, err
 	}
-	r.agent = ag
+	r.agent = h.(*overclock.Agent)
 	return r, nil
 }
 
@@ -320,12 +321,12 @@ func runFig5(s Scale) (*Result, error) {
 			return nil, nil, err
 		}
 		n.Start()
-		ag, err := overclock.Launch(clk, n, overclock.DefaultConfig("vm"),
-			core.Options{DisableActuatorSafeguard: disableSafeguard})
+		h, err := launch(overclock.Kind, spec.NodeEnv{Clock: clk, Node: n,
+			Options: core.Options{DisableActuatorSafeguard: disableSafeguard}}, overclock.DefaultVariant("vm"))
 		if err != nil {
 			return nil, nil, err
 		}
-		return &ocRun{clk: clk, n: n, agent: ag}, syn, nil
+		return &ocRun{clk: clk, n: n, agent: h.(*overclock.Agent)}, syn, nil
 	}
 
 	window := scaled(s, 3600*time.Second)
@@ -364,10 +365,10 @@ func runFig5(s Scale) (*Result, error) {
 		idleWatts := idleEnergy / idleSeconds
 		ocFrac := overclockedIdle / idleSamples
 		r.addf("%-18s idle-power=%.2f model-watts idle-overclocked=%.1f%% halts=%d",
-			label, idleWatts, 100*ocFrac, run.agent.Actuator.Mitigations())
+			label, idleWatts, 100*ocFrac, run.agent.Stats().Mitigations)
 		r.metric(label+"/idle_power", idleWatts)
 		r.metric(label+"/idle_overclocked_frac", ocFrac)
-		r.metric(label+"/mitigations", float64(run.agent.Actuator.Mitigations()))
+		r.metric(label+"/mitigations", float64(run.agent.Stats().Mitigations))
 	}
 	r.addf("idle power saved by safeguard: %s",
 		pct(r.Metrics["with-safeguard/idle_power"]/r.Metrics["without-safeguard/idle_power"]))

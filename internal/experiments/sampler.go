@@ -5,7 +5,7 @@ import (
 
 	"sol/internal/agents/sampler"
 	"sol/internal/clock"
-	"sol/internal/core"
+	"sol/internal/spec"
 	"sol/internal/telemetry"
 )
 
@@ -31,14 +31,14 @@ func runExtSampler(s Scale) (*Result, error) {
 			clk := clock.NewVirtualSingle(epoch)
 			src := telemetry.MustNew(clk, telemetry.DefaultConfig())
 			src.Start()
-			ag, err := sampler.Launch(clk, src, sampler.DefaultConfig(), core.Options{})
+			h, err := launch(sampler.Kind, spec.NodeEnv{Clock: clk, Telemetry: src}, sampler.DefaultVariant())
 			if err != nil {
 				return 0, 0, err
 			}
-			defer ag.Stop()
+			defer h.Stop()
 			clk.RunFor(warmup)
 			if breakModel {
-				ag.Model.Break(true)
+				h.(*sampler.Agent).Model.Break(true)
 			}
 			mark := src.Snapshot()
 			clk.RunFor(window)

@@ -177,3 +177,56 @@ func TestSpecBaselineMatchesStandardNode(t *testing.T) {
 		t.Fatalf("overlaid variant drifted beyond the named knob:\n%+v\nvs\n%+v", got, want)
 	}
 }
+
+// TestSpecHandleIsAgent pins the deploy contract fault injection builds
+// on: a spec-launched member's handle is its kind's *Agent, so a fleet
+// member's Model and Actuator hooks are one type assertion away, and a
+// fault injected through them shows in the member's runtime health.
+func TestSpecHandleIsAgent(t *testing.T) {
+	t.Parallel()
+	c, err := NewCoordinator(Config{
+		Nodes:    1,
+		Duration: time.Hour,
+		Workers:  1,
+		Setup:    StandardNode(StandardNodeConfig{Seed: 1, Kinds: AllKinds, MemRegions: 32}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.StopAll()
+
+	var hv *harvest.Agent
+	for _, m := range c.Supervisor(0).Members() {
+		var ok bool
+		switch m.Kind {
+		case harvest.Kind:
+			hv, ok = m.Handle.(*harvest.Agent)
+		case overclock.Kind:
+			_, ok = m.Handle.(*overclock.Agent)
+		case memory.Kind:
+			_, ok = m.Handle.(*memory.Agent)
+		case sampler.Kind:
+			_, ok = m.Handle.(*sampler.Agent)
+		}
+		if !ok {
+			t.Fatalf("member %s: handle is %T, not its kind's *Agent", m.Name, m.Handle)
+		}
+	}
+	if hv == nil {
+		t.Fatal("standard node has no harvest member")
+	}
+
+	// Past the cold-start trip, the healthy model is trusted; breaking
+	// it through the handle must trip the model safeguard again.
+	c.StepFor(5 * time.Second)
+	before := hv.Health()
+	if before.ModelFailing {
+		t.Fatal("healthy harvest model is failing its assessment")
+	}
+	hv.Model.Break(true)
+	c.StepFor(5 * time.Second)
+	if after := hv.Health(); after.ModelSafeguardTriggers <= before.ModelSafeguardTriggers || !after.ModelFailing {
+		t.Fatalf("broken harvest model did not trip the model safeguard: triggers %d -> %d, failing %v",
+			before.ModelSafeguardTriggers, after.ModelSafeguardTriggers, after.ModelFailing)
+	}
+}

@@ -30,7 +30,9 @@ type Member struct {
 	Kind string
 	// Name identifies the member within its supervisor; unique.
 	Name string
-	// Handle is the agent's type-erased runtime.
+	// Handle is the agent's type-erased runtime. For a registered paper
+	// kind it is that kind's *Agent, whose Model and Actuator carry the
+	// fault hooks.
 	Handle core.Handle
 	// MaxActuationDelay is the member's actuation deadline from its
 	// SOL schedule. The supervisor uses it to report deadline

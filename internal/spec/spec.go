@@ -2,7 +2,8 @@
 // described by a serializable Agent value — which kind, which variant,
 // which parameter overrides — and constructed by resolving that value
 // against a registry of kinds, each a default Variant and a launch, on
-// the node it lands on. It is the only way onto a fleet supervisor.
+// the node it lands on. It is the only way to start a paper agent: on
+// a fleet supervisor, in an experiment, or in cmd/solagent.
 //
 // The paper's CleanUp contract ("callable at any time, by anyone")
 // extends naturally to deployment: the people who operate a fleet are
