@@ -237,12 +237,13 @@ type campaign struct {
 	waveProfiles []WaveProfile
 	lastProf     *obs.Profile
 
-	// rec is the fleet's flight recorder (nil when tracing is off):
-	// every wave decision passing through emit — including replayed
-	// ones, which is what makes a resumed run's trace byte-identical in
-	// sim-time fields — lands on its conductor track, as do deferred
-	// and retried deploys. Every recorder method is nil-safe.
-	rec *obs.Recorder
+	// rec is the fleet's probe (nil when profiling and tracing are
+	// off): every wave decision passing through emit — including
+	// replayed ones, which is what makes a resumed run's trace
+	// byte-identical in sim-time fields — lands on its conductor track,
+	// as do deferred and retried deploys, and settled waves read its
+	// profile. Every probe method is nil-safe.
+	rec *obs.Probe
 }
 
 func newCampaign(camp *Campaign, co *fleet.Coordinator, journal *Journal, replay []WaveEvent) (*campaign, error) {
@@ -273,7 +274,7 @@ func newCampaign(camp *Campaign, co *fleet.Coordinator, journal *Journal, replay
 		conv:    make([]bool, co.Nodes()),
 		journal: journal,
 		replay:  replay,
-		rec:     co.Recorder(),
+		rec:     co.Probe(),
 	}, nil
 }
 
@@ -289,16 +290,16 @@ func kindPresent(co *fleet.Coordinator, kind string) bool {
 	return false
 }
 
-// recordWaveProfile snapshots the fleet profiler at a settled wave
+// recordWaveProfile snapshots the probe's profile at a settled wave
 // decision (pass/complete/rollback/halt) and appends the delta since
 // the previous settlement as the wave's profile. No-op when profiling
-// is off. Runs with the fleet aligned — the only instant a profiler
+// is off. Runs with the fleet aligned — the only instant a profile
 // snapshot is coherent.
 func (c *campaign) recordWaveProfile(epoch int) {
-	if !c.co.Profiling() {
+	if !c.rec.Profiling() {
 		return
 	}
-	cur := c.co.Profile()
+	cur := c.rec.Profile()
 	c.waveProfiles = append(c.waveProfiles, WaveProfile{
 		Wave: c.wave, Epoch: epoch, Profile: *obs.Delta(cur, c.lastProf),
 	})

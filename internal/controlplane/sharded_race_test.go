@@ -22,9 +22,9 @@ import (
 // single-worker run.
 //
 // The traced and profiled crash-storm case is the -race evidence for
-// the state each shard owns during a span: the recorder's per-shard
-// rings and per-cell lifecycle stages, the profiler's per-shard
-// accumulators, each node's dark flag and restart error (beside the
+// the state each shard owns during a span: the probe's per-shard slots
+// (rings and accumulators) and per-cell lifecycle stages, each node's
+// dark flag and restart error (beside the
 // crash, a blackout darkens and a flap restarts part of the fleet
 // mid-span, on the shards' workers), and the campaign's per-shard
 // stepped lists, filtered against the span bounds the driver writes

@@ -52,20 +52,19 @@ type Config struct {
 	// byte-identical across drivers, worker counts, and shard counts.
 	// Nil means no lifecycle faults and costs nothing.
 	Lifecycle faults.NodePlan
-	// Profile enables self-profiling: the run's wall time is attributed
-	// per shard into stepping / free-run / align / barrier-wait (see
-	// internal/obs) and published as Report.Profile. Diagnostic only —
-	// a profiled run produces byte-identical simulation output to an
-	// unprofiled one; when off, the hot path pays a single nil check.
+	// Profile turns on the profile view of the conductor's probe
+	// (internal/obs): the run's wall time is attributed per shard into
+	// stepping / free-run / align / barrier-wait and published as
+	// Report.Profile. Diagnostic only — a profiled run produces
+	// byte-identical simulation output to an unprofiled one.
 	// Observation lives on the Coordinator, so a Run that asks for it
 	// holds the whole fleet resident instead of streaming.
 	Profile bool
-	// Trace enables the flight recorder: per-shard rings of span /
-	// epoch / lifecycle events stamped with sim-time plus heap
-	// telemetry, published as Report.Trace (see internal/obs). Same
-	// contract as Profile: a traced run produces byte-identical
-	// simulation output to an untraced one, and when off every record
-	// site pays a single nil check.
+	// Trace turns on the trace view of the same probe: per-shard rings
+	// of span / epoch / lifecycle events stamped with sim-time plus
+	// heap telemetry, published as Report.Trace. Same contract as
+	// Profile. With both off there is no probe, and every transition
+	// pays a single nil check.
 	Trace bool
 }
 

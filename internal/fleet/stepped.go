@@ -26,9 +26,10 @@ import (
 // conductor's real power: only the cells that need mid-span observation
 // advance epoch by epoch, everything else free-runs to the next
 // alignment. The Coordinator is also the single place a run is
-// observed: spans, lifecycle events, heap samples (Config.Trace) and
-// wall-time attribution (Config.Profile) are produced by its conductor
-// and nowhere else.
+// observed: its conductor's one probe (Probe) hears every span
+// transition and serves wall-time attribution (Config.Profile) and the
+// trace of spans, lifecycle events and heap samples (Config.Trace);
+// nothing else produces either.
 //
 // The result is exactly as deterministic as Run: the same config
 // driven to the same total horizon yields a byte-identical report,
@@ -67,9 +68,10 @@ type lifecycle struct {
 	plan faults.NodePlan
 	// start is the virtual start instant plan times are elapsed from.
 	start time.Time
-	// rec is the conductor's flight recorder: nil when tracing is off
-	// and always nil on the streaming driver. Every method is nil-safe.
-	rec *obs.Recorder
+	// probe is the conductor's probe: nil when profiling and tracing
+	// are off, and always nil on the streaming driver. Every method is
+	// nil-safe.
+	probe *obs.Probe
 }
 
 // NewCoordinator builds every node of the fleet (in parallel on the
@@ -110,12 +112,12 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c.con = con
-	c.rec = con.Recorder()
+	c.probe = con.Probe()
 	if c.plan != nil {
-		c.rec.EnableLifecycle()
+		c.probe.EnableLifecycle()
 		// Apply the plan's initial state (a Crash at 0 downs its nodes
 		// before any time passes). This runs after the conductor exists
-		// so the recorder sees the t=0 transitions.
+		// so the probe sees the t=0 transitions.
 		c.forEachNode(func(idx int) { c.apply(&c.nodes[idx], idx, 0) })
 	}
 	return c, nil
@@ -185,7 +187,7 @@ func (l *lifecycle) advance(n *simNode, idx int, d time.Duration) {
 // up again, record the dark flag. The first restart failure is
 // remembered on the node; the transition itself is idempotent, so
 // merged plans naming spurious instants are harmless. Only edges reach
-// the recorder, not every idempotent re-application.
+// the probe, not every idempotent re-application.
 func (l *lifecycle) apply(n *simNode, idx int, at time.Duration) {
 	st := l.plan.State(idx, at)
 	if nowDark := st == faults.NodeDark; nowDark != n.dark {
@@ -194,11 +196,11 @@ func (l *lifecycle) apply(n *simNode, idx int, at time.Duration) {
 		if nowDark {
 			kind = obs.EvNodeDark
 		}
-		l.rec.StageNode(idx, kind, int64(at))
+		l.probe.StageNode(idx, kind, int64(at))
 	}
 	if st == faults.NodeDown {
 		if n.sup.Lifecycle() == LifecycleUp {
-			l.rec.StageNode(idx, obs.EvNodeDown, int64(at))
+			l.probe.StageNode(idx, obs.EvNodeDown, int64(at))
 		}
 		n.sup.Crash()
 		return
@@ -210,7 +212,7 @@ func (l *lifecycle) apply(n *simNode, idx int, at time.Duration) {
 			}
 			return
 		}
-		l.rec.StageNode(idx, obs.EvNodeUp, int64(at))
+		l.probe.StageNode(idx, obs.EvNodeUp, int64(at))
 	}
 }
 
@@ -274,24 +276,12 @@ func (c *Coordinator) Shards() int { return c.con.Shards() }
 // calls, never after StopAll.
 func (c *Coordinator) Conductor() *shard.Conductor { return c.con }
 
-// Profiling reports whether the conductor's self-profiler is on
-// (Config.Profile).
-func (c *Coordinator) Profiling() bool { return c.con.Profiling() }
-
-// Profile snapshots the conductor's accumulated per-shard wall-time
-// attribution, or nil when profiling is off. Only call with the fleet
-// quiescent (between spans) — the same contract as Report.
-func (c *Coordinator) Profile() *obs.Profile { return c.con.Profile() }
-
-// Recorder returns the conductor's flight recorder (nil when tracing
-// is off), for callers that record their own events — the control
-// plane hangs campaign decisions on it. Every method is nil-safe.
-func (c *Coordinator) Recorder() *obs.Recorder { return c.rec }
-
-// Trace snapshots the accumulated flight-recorder events, or nil when
-// tracing is off. Only call with the fleet quiescent (between spans) —
-// the same contract as Report.
-func (c *Coordinator) Trace() *obs.Trace { return c.con.Trace() }
+// Probe returns the conductor's probe (nil when profiling and tracing
+// are off), for callers that record their own events — the control
+// plane hangs campaign decisions on it — or snapshot a view mid-run.
+// Every method is nil-safe; only snapshot with the fleet quiescent
+// (between spans), the same contract as Report.
+func (c *Coordinator) Probe() *obs.Probe { return c.probe }
 
 // Supervisor returns node idx's supervisor, for mid-run observation
 // and member redeployment. Only call with the fleet quiescent (between
@@ -353,8 +343,8 @@ func (c *Coordinator) Report() *Report {
 		}
 	})
 	rep := aggregate(len(c.nodes), c.Elapsed(), c.cfg.start(), c.Events(), statuses, states)
-	rep.Profile = c.con.Profile()
-	rep.Trace = c.con.Trace()
+	rep.Profile = c.probe.Profile()
+	rep.Trace = c.probe.Trace()
 	return rep
 }
 

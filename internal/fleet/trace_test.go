@@ -227,7 +227,7 @@ func TestTraceSpanStructure(t *testing.T) {
 	defer co.StopAll()
 	co.StepFor(4 * time.Second)
 	co.StepFor(6 * time.Second)
-	tr := co.Trace()
+	tr := co.Probe().Trace()
 	if tr == nil || tr.Shards != 3 {
 		t.Fatalf("trace = %+v, want 3 shard tracks", tr)
 	}

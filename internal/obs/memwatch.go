@@ -1,25 +1,21 @@
 package obs
 
-// MemWatch is the flight recorder's heap telemetry: periodic
-// runtime.MemStats sampling that establishes whether a long run's heap
-// is flat — the baseline the 100k-node streaming work needs. The
-// determinism split applies per field within a sample: *when* samples
-// are taken (one per conductor span, plus one at snapshot) and their
-// sim-time stamps are deterministic; the measured HeapAlloc / HeapInuse
-// / NumGC values obviously are not, and Trace.Deterministic zeroes
-// them.
+// Heap telemetry: the probe samples runtime.MemStats once per
+// conductor span (and once per Trace snapshot), which establishes
+// whether a long run's heap is flat — the baseline the 100k-node
+// streaming work needs. The determinism split applies per field within
+// a sample: *when* samples are taken and their sim-time stamps are
+// deterministic; the measured HeapAlloc / HeapInuse / NumGC values
+// obviously are not, and Trace.Deterministic zeroes them.
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // memWatchCap bounds the sample buffer; past it, further samples
-// overwrite the last slot (keeping first and latest watermarks) and
-// are counted. One sample per span keeps realistic runs far below it.
+// overwrite the last slot (keeping first and latest watermarks). One
+// sample per span keeps realistic runs far below it.
 const memWatchCap = 256
 
-// HeapSample is one MemWatch observation.
+// HeapSample is one heap telemetry observation.
 //
 //sollint:wire TraceVersion
 type HeapSample struct {
@@ -31,47 +27,6 @@ type HeapSample struct {
 	HeapAlloc uint64 `json:"heap_alloc"`
 	HeapInuse uint64 `json:"heap_inuse"`
 	NumGC     uint32 `json:"num_gc"`
-}
-
-// MemWatch accumulates heap samples for one recorder. Sampled only on
-// the conductor goroutine with the fleet aligned — runtime.ReadMemStats
-// stops the world, which inside a span would smear one shard's wait
-// attribution across the fleet.
-type MemWatch struct {
-	samples []HeapSample
-	ms      runtime.MemStats // reused across samples; no alloc per Sample
-	clipped int64
-}
-
-// NewMemWatch returns a watch holding at most cap samples.
-func NewMemWatch(capacity int) *MemWatch {
-	if capacity < 2 {
-		capacity = 2
-	}
-	return &MemWatch{samples: make([]HeapSample, 0, capacity)}
-}
-
-// Sample records one observation stamped at sim-time at. Nil-safe.
-func (m *MemWatch) Sample(at int64) {
-	if m == nil {
-		return
-	}
-	runtime.ReadMemStats(&m.ms)
-	hs := HeapSample{At: at, HeapAlloc: m.ms.HeapAlloc, HeapInuse: m.ms.HeapInuse, NumGC: m.ms.NumGC}
-	if len(m.samples) == cap(m.samples) {
-		m.clipped++
-		m.samples[len(m.samples)-1] = hs
-		return
-	}
-	m.samples = append(m.samples, hs)
-}
-
-// Samples returns the accumulated observations, oldest first.
-func (m *MemWatch) Samples() []HeapSample {
-	if m == nil {
-		return nil
-	}
-	return m.samples
 }
 
 // HeapLine renders the one-line heap telemetry summary for reports:

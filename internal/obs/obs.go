@@ -1,11 +1,25 @@
-// Package obs is the fleet's self-profiling layer: per-shard wall-time
-// accumulators that attribute where a sharded simulation's real time
-// goes — stepping observed cells, free-running the rest, running
-// alignment observers, or waiting at barriers. The motivation is the
-// blocked-samples insight: the sharded conductor's cost is dominated by
-// *waiting* (barrier-wait at alignments and epoch barriers), exactly
-// the off-CPU time an on-CPU profile misses, so the profiler measures
-// wait as a first-class phase rather than inferring it.
+// Package obs is the fleet's self-observation layer. The sharded
+// conductor reports every span transition exactly once, to one Probe:
+// a shard beginning its stretch of a span, finishing its free run,
+// finishing a stepped epoch, finishing an align observer, ending its
+// stretch; the conductor launching a span and passing its barrier.
+// Two views consume that single stream:
+//
+//   - The profile (Profile) attributes each shard's wall time to
+//     stepping observed cells, free-running the rest, running
+//     alignment observers, or waiting at barriers. The motivation is
+//     the blocked-samples insight: the conductor's cost is dominated by
+//     waiting — the off-CPU time an on-CPU profile misses — so wait is
+//     measured as a first-class phase rather than inferred.
+//   - The trace (Trace, trace.go) records the same transitions as
+//     events stamped with sim-time, beside campaign decisions, node
+//     lifecycle transitions and heap samples.
+//
+// Each transition reads the wall clock once and hands that reading on
+// as the next phase's start token, and the trace stamps events with
+// the same readings, so the views agree to the nanosecond: a shard's
+// span extent on its trace track equals its profiled busy time. Setup
+// before Begin and lifecycle drains in End are charged to no phase.
 //
 // # Determinism split
 //
@@ -21,6 +35,8 @@
 //     at a finished run. Deterministic() strips them for byte-identity
 //     tests.
 //
+// A Trace splits the same way (see trace.go).
+//
 // Worker allotments are the one knob a profile may drive, because the
 // conductor's worker width is unobservable in simulation output: see
 // ProposeAllotments and shard.Conductor.Rebalance, which consume a
@@ -28,20 +44,22 @@
 //
 // # Concurrency
 //
-// The profiler is lock-free by construction, not by atomics: each
-// shard's accumulator slot is written only by the goroutine advancing
-// that shard during a span (the conductor's ForEach hands a shard to
-// exactly one worker), and the slots are padded so neighbouring shards
-// never share a cache line. The conductor merges and reads the slots
-// only at alignment points, after the span barrier's WaitGroup edge —
-// the same happens-before contract the simulation state itself relies
-// on. Disabled profiling is a nil *Profiler; every method is nil-safe
-// and costs one branch, so the hot path pays nothing when off.
+// The probe is lock-free by construction, not by atomics: each shard's
+// slot (counts, phase times, event ring) is written only by the
+// goroutine advancing that shard during a span (the conductor's
+// ForEach hands a shard to exactly one worker), and the slots are
+// padded so neighbouring shards never share a cache line. The
+// conductor reads the slots only at alignment points, after the span
+// barrier's WaitGroup edge — the same happens-before contract the
+// simulation state itself relies on. Disabled observation is a nil
+// *Probe; every method is nil-safe and costs one branch, so the hot
+// path pays nothing when off.
 //
 // obs is the sanctioned wall-clock boundary for the simulation
 // packages, the diagnostics counterpart of internal/clock's virtual
 // time: sim code never calls time.Now directly (sollint's walltime
-// analyzer enforces it), it calls obs.Now through a profiler.
+// analyzer enforces it); it reports transitions to a Probe, which
+// reads obs.Now.
 package obs
 
 import (
@@ -57,7 +75,7 @@ import (
 var processStart = time.Now()
 
 // Now returns monotonic wall nanoseconds since process start — the
-// profiler's clock. Only ever used for diagnostic attribution; never
+// probe's clock. Only ever used for diagnostic attribution; never
 // for simulation decisions.
 func Now() int64 { return int64(time.Since(processStart)) }
 

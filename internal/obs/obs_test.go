@@ -5,42 +5,37 @@ import (
 	"testing"
 )
 
-// TestProfilerAccumulation drives the profiler through two spans by
-// hand and checks every bucket: counts land exactly where the schedule
-// says, wall times are non-negative and attributed to the right phase,
-// and the barrier wait is the finish-to-EndSpan gap.
+// TestProfilerAccumulation drives the probe's profile view through two
+// spans by hand and checks every bucket: counts land exactly where the
+// schedule says, wall times are non-negative and attributed to the
+// right phase, and busy plus wait is the whole attributed wall time.
 func TestProfilerAccumulation(t *testing.T) {
 	t.Parallel()
-	p := NewProfiler(2)
-	if !p.Enabled() {
-		t.Fatal("NewProfiler returned a disabled profiler")
+	p := NewProbe([]int{0, 5, 9}, true, false)
+	if !p.Profiling() {
+		t.Fatal("NewProbe with profile on is not profiling")
 	}
 
 	// Span 1: shard 0 free-runs 5 cells; shard 1 steps 2 cells for 3
 	// epochs with an align observer.
-	p.BeginSpan()
-	tok := p.Start()
-	p.RecordFree(0, 5, tok)
-	p.SpanEnd(0)
-	tok = p.Start()
-	for e := 0; e < 3; e++ {
-		tok = p.RecordStep(1, 2, tok)
-		p.RecordAlign(1, tok)
-		tok = p.Start()
+	p.Launch()
+	p.End(0, 30, p.Free(0, 5, p.Begin(0, 0)))
+	tok := p.Begin(1, 0)
+	for e := 1; e <= 3; e++ {
+		tok = p.Step(1, 2, int64(10*e), e, tok)
+		tok = p.Align(1, tok)
 	}
-	p.SpanEnd(1)
-	p.EndSpan()
+	p.End(1, 30, tok)
+	p.Barrier(30)
 
 	// Span 2: both shards free-run.
-	p.BeginSpan()
+	p.Launch()
 	for s := 0; s < 2; s++ {
-		tok = p.Start()
-		p.RecordFree(s, 4, tok)
-		p.SpanEnd(s)
+		p.End(s, 50, p.Free(s, 4, p.Begin(s, 30)))
 	}
-	p.EndSpan()
+	p.Barrier(50)
 
-	prof := p.Snapshot()
+	prof := p.Profile()
 	wantCounts := []ShardCounts{
 		{Spans: 2, FreeAdvances: 9},
 		{Spans: 2, Epochs: 3, SteppedAdvances: 6, FreeAdvances: 4},
@@ -70,30 +65,35 @@ func TestProfilerAccumulation(t *testing.T) {
 	}
 }
 
-// TestProfilerNilSafe proves the disabled profiler (nil) is a complete
-// no-op on every method — the zero-hot-path-cost contract.
+// TestProfilerNilSafe proves the disabled probe (nil) is a complete
+// no-op on every method — the zero-hot-path-cost contract — and that a
+// trace-only probe serves no profile.
 func TestProfilerNilSafe(t *testing.T) {
 	t.Parallel()
-	var p *Profiler
-	if p.Enabled() {
-		t.Fatal("nil profiler reports enabled")
+	var p *Probe
+	if p.Profiling() {
+		t.Fatal("nil probe reports profiling")
 	}
-	p.BeginSpan()
-	tok := p.Start()
-	if tok != 0 {
-		t.Fatalf("nil Start() = %d, want 0", tok)
+	p.Launch()
+	tok := p.Begin(0, 0)
+	for _, got := range []int64{tok, p.Free(0, 3, tok), p.Step(0, 3, 1, 1, tok), p.Align(0, tok)} {
+		if got != 0 {
+			t.Fatalf("nil probe returned token %d, want 0", got)
+		}
 	}
-	if got := p.RecordFree(0, 3, tok); got != 0 {
-		t.Fatalf("nil RecordFree = %d, want 0", got)
+	p.End(0, 1, tok)
+	p.Barrier(1)
+	if p.Profile() != nil {
+		t.Fatal("nil Profile() != nil")
 	}
-	if got := p.RecordStep(0, 3, tok); got != 0 {
-		t.Fatalf("nil RecordStep = %d, want 0", got)
+	if NewProbe([]int{0, 1}, false, false) != nil {
+		t.Fatal("NewProbe with both views off is not nil")
 	}
-	p.RecordAlign(0, tok)
-	p.SpanEnd(0)
-	p.EndSpan()
-	if p.Snapshot() != nil {
-		t.Fatal("nil Snapshot() != nil")
+	tr := NewProbe([]int{0, 1}, false, true)
+	tr.End(0, 1, tr.Free(0, 1, tr.Begin(0, 0)))
+	tr.Barrier(1)
+	if tr.Profiling() || tr.Profile() != nil {
+		t.Fatal("trace-only probe serves a profile")
 	}
 }
 
@@ -232,23 +232,10 @@ func TestProposeAllotments(t *testing.T) {
 	}
 }
 
-// TestProfilerRecordAllocs proves the accumulation path allocates
-// nothing per sample with profiling enabled; CI's alloc-guard step
-// runs it without race instrumentation.
+// TestProfilerRecordAllocs proves the profile view accumulates without
+// allocating per sample.
 func TestProfilerRecordAllocs(t *testing.T) {
-	p := NewProfiler(4)
-	allocs := testing.AllocsPerRun(1000, func() {
-		_ = p.Enabled()
-		p.BeginSpan()
-		tok := p.Start()
-		tok = p.RecordFree(1, 8, tok)
-		tok = p.RecordStep(2, 3, tok)
-		p.RecordAlign(2, tok)
-		p.SpanEnd(1)
-		p.SpanEnd(2)
-		p.EndSpan()
-	})
-	if allocs != 0 {
-		t.Fatalf("profiler accumulation allocates %v per sample, want 0", allocs)
+	if allocs := probeAllocs(NewProbe([]int{0, 2, 4}, true, false)); allocs != 0 {
+		t.Fatalf("profile-only probe allocates %v per transition batch, want 0", allocs)
 	}
 }

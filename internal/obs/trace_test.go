@@ -8,26 +8,25 @@ import (
 	"testing"
 )
 
-// fixtureTrace builds a small recorder run deterministically: two
+// fixtureTrace builds a small traced probe run deterministically: two
 // shards, one span each with an epoch barrier, one node crash/restart
-// cycle, and one campaign decision — every event category the flight
-// recorder knows.
+// cycle, and one campaign decision — every event category the trace
+// knows.
 func fixtureTrace(t *testing.T) *Trace {
 	t.Helper()
-	r := NewRecorder([]int{0, 2, 4})
-	r.EnableLifecycle()
-	r.StageNode(1, EvNodeDown, 0) // t=0 crash, staged before the first span
-	r.SpanBegin(0, 0)
-	r.SpanBegin(1, 0)
-	r.Epoch(0, 500, 1)
-	r.Epoch(1, 500, 1)
-	r.StageNode(3, EvNodeDark, 700)
-	r.StageNode(1, EvNodeUp, 800)
-	r.SpanEnd(0, 1000)
-	r.SpanEnd(1, 1000)
-	r.Decision(EvConvert, 1000, 1, 1, 2)
-	r.Deploy(EvDeployDefer, 1000, 1, 3, 0)
-	return r.Snapshot(1000)
+	p := NewProbe([]int{0, 2, 4}, false, true)
+	p.EnableLifecycle()
+	p.StageNode(1, EvNodeDown, 0) // t=0 crash, staged before the first span
+	t0, t1 := p.Begin(0, 0), p.Begin(1, 0)
+	t0, t1 = p.Step(0, 1, 500, 1, t0), p.Step(1, 1, 500, 1, t1)
+	p.StageNode(3, EvNodeDark, 700)
+	p.StageNode(1, EvNodeUp, 800)
+	p.End(0, 1000, t0)
+	p.End(1, 1000, t1)
+	p.Decision(EvConvert, 1000, 1, 1, 2)
+	p.Deploy(EvDeployDefer, 1000, 1, 3, 0)
+	p.Barrier(1000)
+	return p.Trace()
 }
 
 func TestRecorderSnapshot(t *testing.T) {
@@ -73,31 +72,29 @@ func TestRecorderSnapshot(t *testing.T) {
 			last = ev.At
 		}
 	}
-	// Snapshot samples the heap once at the aligned instant.
-	if len(tr.Heap) != 1 || tr.Heap[0].At != 1000 {
-		t.Fatalf("heap samples = %+v, want one at 1000", tr.Heap)
+	// Barrier and Trace each sample the heap at the aligned instant.
+	if len(tr.Heap) != 2 || tr.Heap[0].At != 1000 || tr.Heap[1].At != 1000 {
+		t.Fatalf("heap samples = %+v, want two at 1000", tr.Heap)
 	}
 }
 
+// TestRecorderNilSafe: the nil probe and a profile-only probe record
+// nothing and serve no trace, and a nil Trace refuses to export.
 func TestRecorderNilSafe(t *testing.T) {
 	t.Parallel()
-	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder claims enabled")
-	}
-	r.EnableLifecycle()
-	r.SpanBegin(0, 0)
-	r.Epoch(0, 1, 1)
-	r.StageNode(0, EvNodeDown, 1)
-	r.SpanEnd(0, 2)
-	r.Decision(EvConvert, 2, 1, 1, 1)
-	r.Deploy(EvDeployRetry, 2, 1, 0, 1)
-	r.SampleHeap(2)
-	if got := r.Snapshot(2); got != nil {
-		t.Fatalf("nil recorder snapshot = %+v, want nil", got)
-	}
-	if got := r.Shards(); got != 0 {
-		t.Fatalf("nil recorder Shards = %d", got)
+	for _, p := range []*Probe{nil, NewProbe([]int{0, 2}, true, false)} {
+		p.EnableLifecycle()
+		p.End(0, 2, p.Step(0, 1, 1, 1, p.Begin(0, 0)))
+		p.StageNode(0, EvNodeDown, 1)
+		p.Barrier(2)
+		p.Decision(EvConvert, 2, 1, 1, 1)
+		p.Deploy(EvDeployRetry, 2, 1, 0, 1)
+		if got := p.Trace(); got != nil {
+			t.Fatalf("untraced probe trace = %+v, want nil", got)
+		}
+		if p != nil && (p.stages != nil || len(p.heap) != 0) {
+			t.Fatal("profile-only probe staged events or sampled the heap")
+		}
 	}
 	var tr *Trace
 	if tr.Deterministic() != nil {
@@ -113,13 +110,13 @@ func TestRecorderNilSafe(t *testing.T) {
 // reorder.
 func TestRecorderRingDrop(t *testing.T) {
 	t.Parallel()
-	r := NewRecorder([]int{0, 1})
-	r.SpanBegin(0, 0)
+	p := NewProbe([]int{0, 1}, false, true)
+	tok := p.Begin(0, 0)
 	for i := 0; i < ringCap+10; i++ {
-		r.Epoch(0, int64(i+1), i+1)
+		tok = p.Step(0, 1, int64(i+1), i+1, tok)
 	}
-	r.SpanEnd(0, int64(ringCap+11))
-	tr := r.Snapshot(int64(ringCap + 11))
+	p.End(0, int64(ringCap+11), tok)
+	tr := p.Trace()
 	if tr.Dropped != 12 { // begin + 11 oldest epochs pushed out
 		t.Fatalf("Dropped = %d, want 12", tr.Dropped)
 	}
@@ -140,12 +137,12 @@ func TestRecorderRingDrop(t *testing.T) {
 // buffer.
 func TestRecorderStageOverflow(t *testing.T) {
 	t.Parallel()
-	r := NewRecorder([]int{0, 1})
-	r.EnableLifecycle()
+	p := NewProbe([]int{0, 1}, false, true)
+	p.EnableLifecycle()
 	for i := 0; i < stageCap+3; i++ {
-		r.StageNode(0, EvNodeDown, int64(i))
+		p.StageNode(0, EvNodeDown, int64(i))
 	}
-	tr := r.Snapshot(100)
+	tr := p.Trace()
 	if tr.Dropped != 3 {
 		t.Fatalf("Dropped = %d, want 3", tr.Dropped)
 	}
@@ -204,6 +201,11 @@ func TestParseTraceGates(t *testing.T) {
 		{"wrong schema", `{"schema":"sol-metrics","version":1}`, "schema"},
 		{"no version", `{"schema":"sol-trace","shards":1}`, "no version"},
 		{"future version", `{"schema":"sol-trace","version":99}`, "upgrade the binary"},
+		{"no shards", `{"schema":"sol-trace","version":1,"events":[]}`, "claims 0 shards"},
+		{"negative shards", `{"schema":"sol-trace","version":1,"shards":-5,"events":[]}`, "claims -5 shards"},
+		{"huge shards", `{"schema":"sol-trace","version":1,"shards":1099511627776,"events":[]}`, "claims 1099511627776 shards"},
+		{"track past shards", `{"schema":"sol-trace","version":1,"shards":1,"events":[{"kind":0,"track":1,"at_ns":0,"node":-1}]}`, "on track 1"},
+		{"track below conductor", `{"schema":"sol-trace","version":1,"shards":1,"events":[{"kind":0,"track":-2,"at_ns":0,"node":-1}]}`, "on track -2"},
 	} {
 		if _, err := ParseTrace([]byte(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
@@ -312,24 +314,20 @@ func TestHeapLineGolden(t *testing.T) {
 	}
 }
 
+// TestMemWatchClip: past memWatchCap heap samples, the last slot is
+// overwritten, so the first and latest watermarks both survive.
 func TestMemWatchClip(t *testing.T) {
 	t.Parallel()
-	m := NewMemWatch(4)
-	for i := 0; i < 10; i++ {
-		m.Sample(int64(i))
+	p := NewProbe([]int{0, 1}, false, true)
+	for i := 0; i <= memWatchCap+10; i++ {
+		p.Barrier(int64(i))
 	}
-	got := m.Samples()
-	if len(got) != 4 {
-		t.Fatalf("kept %d samples, want 4", len(got))
+	got := p.Trace().Heap
+	if len(got) != memWatchCap {
+		t.Fatalf("kept %d samples, want %d", len(got), memWatchCap)
 	}
-	// First watermark survives; the last slot holds the latest sample.
-	if got[0].At != 0 || got[3].At != 9 {
-		t.Fatalf("clipping lost the watermarks: first at %d, last at %d", got[0].At, got[3].At)
-	}
-	var nilWatch *MemWatch
-	nilWatch.Sample(1)
-	if nilWatch.Samples() != nil {
-		t.Fatal("nil MemWatch not nil-safe")
+	if last := got[len(got)-1].At; got[0].At != 0 || last != memWatchCap+10 {
+		t.Fatalf("clipping lost the watermarks: first at %d, last at %d", got[0].At, last)
 	}
 }
 
@@ -351,35 +349,66 @@ func TestEventKindString(t *testing.T) {
 	}
 }
 
-// TestRecorderRecordAllocs proves the record path allocates nothing
-// per event, enabled or disabled; CI's alloc-guard step runs it
-// without race instrumentation.
+// probeAllocs reports the allocations of one batch of transitions —
+// every shard, conductor and producer call, lifecycle staging and a
+// heap sample included — averaged over 1000 runs.
+func probeAllocs(p *Probe) float64 {
+	p.EnableLifecycle()
+	return testing.AllocsPerRun(1000, func() {
+		p.Launch()
+		tok := p.Free(0, 2, p.Begin(0, 0))
+		tok = p.Align(0, p.Step(0, 1, 1, 1, tok))
+		p.StageNode(1, EvNodeDown, 1)
+		p.End(0, 2, tok)
+		p.Barrier(2)
+		p.Decision(EvConvert, 2, 1, 1, 1)
+		p.Deploy(EvDeployDefer, 2, 1, 3, 0)
+		_ = p.Profiling()
+	})
+}
+
+// TestProbeRecordAllocs proves the probe allocates nothing per
+// transition with both views on; CI's alloc-guard step runs it (and
+// the single-view tests) without race instrumentation.
+func TestProbeRecordAllocs(t *testing.T) {
+	if allocs := probeAllocs(NewProbe([]int{0, 2, 4}, true, true)); allocs != 0 {
+		t.Fatalf("probe allocates %v per transition batch, want 0", allocs)
+	}
+}
+
+// TestRecorderRecordAllocs proves the trace view records without
+// allocating, and that a nil probe (both views off) allocates nothing
+// either.
 func TestRecorderRecordAllocs(t *testing.T) {
-	r := NewRecorder([]int{0, 2, 4})
-	r.EnableLifecycle()
-	allocs := testing.AllocsPerRun(1000, func() {
-		_ = r.Enabled()
-		r.SpanBegin(0, 0)
-		r.Epoch(0, 1, 1)
-		r.StageNode(1, EvNodeDown, 1)
-		r.SpanEnd(0, 2)
-		r.Decision(EvConvert, 2, 1, 1, 1)
-		r.Deploy(EvDeployDefer, 2, 1, 3, 0)
-	})
-	if allocs != 0 {
-		t.Fatalf("enabled record path allocates %v per event batch, want 0", allocs)
+	if allocs := probeAllocs(NewProbe([]int{0, 2, 4}, false, true)); allocs != 0 {
+		t.Fatalf("trace-only probe allocates %v per transition batch, want 0", allocs)
 	}
-	var off *Recorder
-	allocs = testing.AllocsPerRun(1000, func() {
-		_ = off.Enabled()
-		off.SpanBegin(0, 0)
-		off.Epoch(0, 1, 1)
-		off.StageNode(1, EvNodeDown, 1)
-		off.SpanEnd(0, 2)
-		off.Decision(EvConvert, 2, 1, 1, 1)
-		off.Deploy(EvDeployDefer, 2, 1, 3, 0)
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled record path allocates %v per event batch, want 0", allocs)
+	if allocs := probeAllocs(nil); allocs != 0 {
+		t.Fatalf("nil probe allocates %v per transition batch, want 0", allocs)
 	}
+}
+
+// FuzzParseTrace: whatever ParseTrace accepts exports to Chrome without
+// panicking and survives json.Marshal → ParseTrace byte for byte.
+func FuzzParseTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ParseTrace(data)
+		if err != nil {
+			return
+		}
+		if _, err := tr.Chrome(); err != nil {
+			t.Fatalf("accepted trace does not export: %v", err)
+		}
+		b1, err := json.Marshal(tr)
+		if err != nil {
+			t.Fatalf("accepted trace does not marshal: %v", err)
+		}
+		again, err := ParseTrace(b1)
+		if err != nil {
+			t.Fatalf("re-parsing the marshaled trace: %v\n%s", err, b1)
+		}
+		if b2, err := json.Marshal(again); err != nil || !bytes.Equal(b1, b2) {
+			t.Fatalf("trace changed across Marshal → Parse (%v):\n%s\nvs\n%s", err, b1, b2)
+		}
+	})
 }

@@ -54,11 +54,11 @@ func TestConductorProfileCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !c.Profiling() {
+		if !c.Probe().Profiling() {
 			t.Fatal("Config.Profile set but Profiling() is false")
 		}
 		driveProfiledSchedule(t, c)
-		profiles = append(profiles, c.Profile())
+		profiles = append(profiles, c.Probe().Profile())
 	}
 
 	// Each of 3 shards: span 1 steps 2 cells x 3 epochs and free-runs
@@ -78,7 +78,7 @@ func TestConductorProfileCounts(t *testing.T) {
 	}
 }
 
-// TestConductorProfileDisabled checks the off switch: no profiler, nil
+// TestConductorProfileDisabled checks the off switch: no probe, nil
 // profile, and Rebalance refuses for want of evidence.
 func TestConductorProfileDisabled(t *testing.T) {
 	t.Parallel()
@@ -88,11 +88,11 @@ func TestConductorProfileDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Profiling() {
-		t.Error("Profiling() true without Config.Profile")
+	if c.Probe() != nil {
+		t.Error("probe built with Config.Profile and Config.Trace off")
 	}
 	driveProfiledSchedule(t, c)
-	if p := c.Profile(); p != nil {
+	if p := c.Probe().Profile(); p != nil {
 		t.Errorf("Profile() = %+v, want nil when disabled", p)
 	}
 	if _, err := c.Rebalance(nil); err == nil {
@@ -133,7 +133,7 @@ func TestConductorRebalance(t *testing.T) {
 	// The retuned conductor runs the same schedule to the same counts.
 	driveProfiledSchedule(t, c)
 	wantCounts := obs.ShardCounts{Spans: 2, Epochs: 3, SteppedAdvances: 6, FreeAdvances: 6}
-	for s, sp := range c.Profile().Shards {
+	for s, sp := range c.Probe().Profile().Shards {
 		if sp.Counts != wantCounts {
 			t.Errorf("post-rebalance shard %d counts = %+v, want %+v", s, sp.Counts, wantCounts)
 		}
@@ -177,5 +177,62 @@ func TestProfiledSpanAllocs(t *testing.T) {
 	off, on := measure(false), measure(true)
 	if on != off {
 		t.Fatalf("profiled span allocates %v, unprofiled %v — profiling must add 0", on, off)
+	}
+}
+
+// spin burns about d of wall time without sleeping, so every phase of
+// a span takes measurable time.
+func spin(d time.Duration) {
+	for end := obs.Now() + int64(d); obs.Now() < end; {
+	}
+}
+
+// TestProbeViewsAgree: the profile and the trace consume one stream of
+// transitions, so for every shard the summed extent of its spans on
+// its trace track equals its profiled busy time, to the nanosecond.
+func TestProbeViewsAgree(t *testing.T) {
+	t.Parallel()
+	c, err := New(Config{
+		Cells:   9,
+		Shards:  3,
+		Workers: 3,
+		Advance: func(cell int, d time.Duration) { spin(20 * time.Microsecond) },
+		Profile: true,
+		Trace:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(Span{Until: 10 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	err = c.Run(Span{
+		Until:    40 * time.Millisecond,
+		Interval: 10 * time.Millisecond,
+		Stepped: func(s int) []int {
+			lo, _ := c.Cells(s)
+			return []int{lo}
+		},
+		OnEpoch: func(s, epoch int, at, step time.Duration) { spin(20 * time.Microsecond) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, tr := c.Probe().Profile(), c.Probe().Trace()
+	for s := 0; s < c.Shards(); s++ {
+		var extent, begin int64
+		for _, ev := range tr.Track(s) {
+			switch ev.Kind {
+			case obs.EvSpanBegin:
+				begin = ev.Wall
+			case obs.EvSpanEnd:
+				extent += ev.Wall - begin
+			}
+		}
+		sp := prof.Shards[s]
+		if busy := sp.BusyNS(); extent != busy || busy <= 0 {
+			t.Errorf("shard %d: trace extent %d ns, profiled busy %d ns (step %d, free %d, align %d)",
+				s, extent, busy, sp.StepNS, sp.FreeNS, sp.AlignNS)
+		}
 	}
 }

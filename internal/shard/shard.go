@@ -87,17 +87,16 @@ type Config struct {
 	// happens-before edges across calls, so cells built on lock-elided
 	// single-driver clocks are safe. Must be non-nil.
 	Advance func(cell int, d time.Duration)
-	// Profile enables the conductor's self-profiler: per-shard wall
-	// time attributed into stepping, free-running, align observers, and
-	// barrier wait (see internal/obs). Diagnostic only — profiling
-	// never changes what the simulation computes, and when off the hot
-	// path pays a single nil check.
+	// Profile turns on the profile view of the conductor's probe
+	// (internal/obs): per-shard wall time attributed into stepping,
+	// free-running, align observers, and barrier wait. Diagnostic only
+	// — profiling never changes what the simulation computes.
 	Profile bool
-	// Trace enables the conductor's flight recorder: per-shard rings of
-	// span/epoch/lifecycle events stamped with sim-time, plus heap
-	// telemetry (see internal/obs). Same contract as Profile: the
-	// recorder observes the schedule without changing it, and when off
-	// every record site pays a single nil check.
+	// Trace turns on the trace view of the same probe: per-shard rings
+	// of span/epoch/lifecycle events stamped with sim-time, plus heap
+	// telemetry. Same contract as Profile. Either flag creates the one
+	// probe; with both off it is nil and every transition pays a single
+	// nil check.
 	Trace bool
 }
 
@@ -177,9 +176,8 @@ type Conductor struct {
 	// aligned and allot are conductor-goroutine state: written only with
 	// the fleet quiescent (between Runs, or at Run's closing barrier).
 	aligned time.Duration
-	prof    *obs.Profiler // nil when Config.Profile is off
-	rec     *obs.Recorder // nil when Config.Trace is off
-	allot   []int         // per-shard worker override (SetAllotments); nil = even spread
+	probe   *obs.Probe // nil when Config.Profile and Config.Trace are both off
+	allot   []int      // per-shard worker override (SetAllotments); nil = even spread
 }
 
 // New validates cfg and partitions its cells into contiguous shards of
@@ -193,31 +191,16 @@ func New(cfg Config) (*Conductor, error) {
 	for i := 0; i <= s; i++ {
 		c.bounds[i] = i * cfg.Cells / s
 	}
-	if cfg.Profile {
-		c.prof = obs.NewProfiler(s)
-	}
-	if cfg.Trace {
-		c.rec = obs.NewRecorder(c.bounds)
-	}
+	c.probe = obs.NewProbe(c.bounds, cfg.Profile, cfg.Trace)
 	return c, nil
 }
 
-// Recorder returns the conductor's flight recorder, nil when tracing
-// is off. Callers hang their own events (lifecycle transitions,
-// campaign decisions) on it; every recorder method is nil-safe, so the
-// pointer threads unconditionally.
-func (c *Conductor) Recorder() *obs.Recorder { return c.rec }
-
-// Trace snapshots the accumulated flight-recorder events, or nil when
-// tracing is off. Only call between Run calls (fleet aligned).
-func (c *Conductor) Trace() *obs.Trace { return c.rec.Snapshot(int64(c.aligned)) }
-
-// Profiling reports whether the conductor's self-profiler is on.
-func (c *Conductor) Profiling() bool { return c.prof.Enabled() }
-
-// Profile snapshots the accumulated per-shard attribution, or nil when
-// profiling is off. Only call between Run calls (fleet aligned).
-func (c *Conductor) Profile() *obs.Profile { return c.prof.Snapshot() }
+// Probe returns the conductor's instrumentation probe, nil when
+// profiling and tracing are both off. Callers hang their own events
+// (lifecycle transitions, campaign decisions) on it and snapshot its
+// views between Run calls (fleet aligned); every probe method is
+// nil-safe, so the pointer threads unconditionally.
+func (c *Conductor) Probe() *obs.Probe { return c.probe }
 
 // SetAllotments overrides the per-shard worker allotments: a[s]
 // workers drive shard s's cells in the next Run. Every entry must be
@@ -317,37 +300,32 @@ func (c *Conductor) Run(sp Span) error {
 	}
 	span := sp.Until - c.aligned
 	from := c.aligned
-	// Profiling and flight-recorder brackets (all nil-safe no-ops when
-	// off): the gap since the previous span's barrier is conductor-align
-	// time, each phase inside a shard is timed on that shard's
-	// goroutine, and the span barrier turns per-shard finish stamps into
-	// barrier wait. The recorder marks the same schedule as events —
-	// span begin/end and epoch barriers per shard. Both only ever
-	// observe the schedule, never change it, so an instrumented run
-	// computes byte-identical simulation output.
-	c.prof.BeginSpan()
+	// The probe (a nil-safe no-op when off) hears each transition once:
+	// the span's launch and barrier on this goroutine, each shard's
+	// begin, phase ends and end on the shard's goroutine. Every phase
+	// call takes the previous transition's token and returns the next.
+	// It only observes the schedule, never changes it, so an
+	// instrumented run computes byte-identical simulation output.
+	c.probe.Launch()
 	ForEach(c.nShards, min(c.workers, c.nShards), func(s int) {
 		lo, hi := c.bounds[s], c.bounds[s+1]
 		w := c.shardWorkers(s)
-		c.rec.SpanBegin(s, int64(from))
 		var stepped []int
 		if sp.Stepped != nil {
 			stepped = sp.Stepped(s)
 		}
-		if len(stepped) == 0 && sp.OnEpoch == nil {
-			// Pure free-run: one visit per cell for the whole span.
-			t := c.prof.Start()
-			ForEach(hi-lo, w, func(i int) { c.cfg.Advance(lo+i, span) })
-			c.prof.RecordFree(s, hi-lo, t)
-			c.rec.SpanEnd(s, int64(sp.Until))
-			c.prof.SpanEnd(s)
-			return
-		}
-		// Free-run the unobserved cells first, then walk the stepped
-		// cells through the span's epochs. Cells are independent, so
-		// the relative order of the two groups is unobservable; within
-		// the stepped group, epochs advance in the caller's cell order.
-		if len(stepped) < hi-lo {
+		// Nothing stepped or observed: one visit per cell for the span.
+		// Otherwise free-run the unobserved cells, then walk the stepped
+		// ones through the span's epochs in the caller's order (cells are
+		// independent, so the groups' order is unobservable). The setup
+		// before Begin is untimed.
+		pure := len(stepped) == 0 && sp.OnEpoch == nil
+		var nFree int
+		var freeRun func(i int)
+		switch {
+		case pure:
+			nFree, freeRun = hi-lo, func(i int) { c.cfg.Advance(lo+i, span) }
+		case len(stepped) < hi-lo:
 			inStep := make(map[int]bool, len(stepped))
 			for _, cell := range stepped {
 				inStep[cell] = true
@@ -358,32 +336,31 @@ func (c *Conductor) Run(sp Span) error {
 					free = append(free, cell)
 				}
 			}
-			t := c.prof.Start()
-			ForEach(len(free), w, func(i int) { c.cfg.Advance(free[i], span) })
-			c.prof.RecordFree(s, len(free), t)
+			nFree, freeRun = len(free), func(i int) { c.cfg.Advance(free[i], span) }
+		}
+		t := c.probe.Begin(s, int64(from))
+		if freeRun != nil {
+			ForEach(nFree, w, freeRun)
+			t = c.probe.Free(s, nFree, t)
 		}
 		cur := time.Duration(0)
-		for epoch := 1; cur < span; epoch++ {
+		for epoch := 1; !pure && cur < span; epoch++ {
 			step := sp.Interval
 			if rem := span - cur; step > rem {
 				step = rem
 			}
-			t := c.prof.Start()
 			ForEach(len(stepped), w, func(i int) { c.cfg.Advance(stepped[i], step) })
-			t = c.prof.RecordStep(s, len(stepped), t)
 			cur += step
-			c.rec.Epoch(s, int64(from+cur), epoch)
+			t = c.probe.Step(s, len(stepped), int64(from+cur), epoch, t)
 			if sp.OnEpoch != nil {
-				sp.OnEpoch(s, epoch, c.aligned+cur, step)
-				c.prof.RecordAlign(s, t)
+				sp.OnEpoch(s, epoch, from+cur, step)
+				t = c.probe.Align(s, t)
 			}
 		}
-		c.rec.SpanEnd(s, int64(sp.Until))
-		c.prof.SpanEnd(s)
+		c.probe.End(s, int64(sp.Until), t)
 	})
-	c.prof.EndSpan()
 	c.aligned = sp.Until
-	c.rec.SampleHeap(int64(sp.Until))
+	c.probe.Barrier(int64(sp.Until))
 	return nil
 }
 
