@@ -124,6 +124,53 @@ func TestCrashStormBadRollsBack(t *testing.T) {
 	}
 }
 
+// TestRobustPolicyInertWithoutFaults: the full robustness policy —
+// quorum gate, soak extends, deploy retries, down-node tolerance — is
+// consulted only when a fault fires, so on a fault-free fleet the
+// campaign must run exactly as it does without it, on either engine.
+func TestRobustPolicyInertWithoutFaults(t *testing.T) {
+	t.Parallel()
+	for _, shards := range []int{0, 4} {
+		run := func(robust bool) *Report {
+			cfg, err := NewScenario(ScenarioSpec{
+				Scenario: ScenarioHealthy,
+				Nodes:    32,
+				Duration: 45 * time.Second,
+				Interval: 5 * time.Second,
+				Kinds:    []string{"harvest"},
+				Seed:     1,
+				Shards:   shards,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if robust {
+				camp := *cfg.Campaign
+				camp.Quorum = 0.9
+				camp.MaxSoakExtends = 2
+				camp.DeployRetries = 2
+				camp.TolerateDown = -1
+				cfg.Campaign = &camp
+			}
+			rep, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}
+		plain, robust := run(false), run(true)
+		if !plain.Completed {
+			t.Fatalf("%d shards: healthy campaign did not complete:\n%s", shards, plain)
+		}
+		if !reflect.DeepEqual(robust.Trace, plain.Trace) {
+			t.Fatalf("%d shards: robustness policy changed the wave trace:\n%+v\nvs\n%+v", shards, robust.Trace, plain.Trace)
+		}
+		if got, want := robust.String(), plain.String(); got != want {
+			t.Fatalf("%d shards: robustness policy changed the report:\n%s\nvs\n%s", shards, got, want)
+		}
+	}
+}
+
 // TestTolerateDownHalts exercises the halt policy: with TolerateDown 0
 // the first decision epoch that sees a down cohort node freezes the
 // campaign in place — no further conversion, no rollback — and names

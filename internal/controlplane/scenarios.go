@@ -9,8 +9,8 @@ import (
 	"sol/internal/spec"
 )
 
-// The built-in demonstration scenarios, shared by cmd/solrollout,
-// examples/rollout, and the tests. Each is a manifest checked in under
+// The built-in demonstration scenarios, shared by cmd/solrollout, the
+// benchmark and the tests. Each is a manifest checked in under
 // scenarios/ and embedded in the binary. All five roll a SmartHarvest
 // variant across a StandardNode fleet — harvesting is the agent whose
 // misbehaviour directly hurts customer QoS (primary-VM vCPU wait), so

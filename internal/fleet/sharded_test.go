@@ -85,8 +85,8 @@ func TestShardedSpanMatchesBatch(t *testing.T) {
 		OnEpoch: func(s, epoch int, at, step time.Duration) {
 			epochs[s]++
 			lo, _ := c.Conductor().Cells(s)
-			if h := c.Supervisor(lo).Health(); h.Members != 2 {
-				t.Errorf("shard %d epoch %d: stepped node has %d members, want 2", s, epoch, h.Members)
+			if n := len(c.Supervisor(lo).Members()); n != 2 {
+				t.Errorf("shard %d epoch %d: stepped node has %d members, want 2", s, epoch, n)
 			}
 		},
 	})
@@ -161,8 +161,8 @@ func TestHealthDetailIntoAllocs(t *testing.T) {
 		if allocs != 0 || polled == 0 {
 			t.Fatalf("plan %v: HealthDetailInto poll allocates %.1f per poll over %d polls, want 0", plan, allocs, polled)
 		}
-		if got := sup.HealthDetail(); !reflect.DeepEqual(got, scratch) {
-			t.Fatalf("HealthDetailInto diverged from HealthDetail:\n%+v\nvs\n%+v", scratch, got)
+		if got := sup.HealthDetailInto(nil); !reflect.DeepEqual(got, scratch) {
+			t.Fatalf("reused HealthDetailInto diverged from a fresh one:\n%+v\nvs\n%+v", scratch, got)
 		}
 	}
 }

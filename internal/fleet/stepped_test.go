@@ -61,8 +61,8 @@ func TestSteppedObserveBarriers(t *testing.T) {
 			t.Fatalf("observe epoch %d out of order", epoch)
 		}
 		epochs = append(epochs, c.Elapsed())
-		if h := c.Supervisor(0).Health(); h.Members != 1 {
-			t.Fatalf("epoch %d: node 0 has %d members, want 1", epoch, h.Members)
+		if n := len(c.Supervisor(0).Members()); n != 1 {
+			t.Fatalf("epoch %d: node 0 has %d members, want 1", epoch, n)
 		}
 		return nil
 	})

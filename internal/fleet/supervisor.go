@@ -99,16 +99,6 @@ func (m MemberStatus) DeadlineFloor(window time.Duration) uint64 {
 	return uint64(window / m.MaxActuationDelay)
 }
 
-// Health summarizes a supervisor's members for monitoring.
-type Health struct {
-	// Members is the number of supervised agents.
-	Members int
-	// Halted counts members whose actuator safeguard is engaged.
-	Halted int
-	// ModelFailing counts members whose model safeguard is engaged.
-	ModelFailing int
-}
-
 // Supervisor runs N heterogeneous agents co-located on one shared
 // clock and (optionally) one shared simulated node, the way SOL
 // deploys its agents in production. It is safe for concurrent use:
@@ -330,24 +320,6 @@ func (s *Supervisor) Status() []MemberStatus {
 	return out
 }
 
-// Health summarizes current safeguard state across members. It uses
-// the runtimes' single-lock health snapshots rather than full Status
-// copies, so fleet monitors can call it every observation interval.
-func (s *Supervisor) Health() Health {
-	var h Health
-	for _, m := range s.Members() {
-		mh := m.Handle.Health()
-		h.Members++
-		if mh.Halted {
-			h.Halted++
-		}
-		if mh.ModelFailing {
-			h.ModelFailing++
-		}
-	}
-	return h
-}
-
 // MemberHealth pairs one member's identity with its cheap runtime
 // health snapshot — the per-agent view the control plane aggregates
 // into rollout-gate cohort health between lockstep epochs.
@@ -360,17 +332,12 @@ type MemberHealth struct {
 	Health            core.Health
 }
 
-// HealthDetail snapshots every member's health, in attach order.
-func (s *Supervisor) HealthDetail() []MemberHealth {
-	return s.HealthDetailInto(nil)
-}
-
-// HealthDetailInto is HealthDetail reusing dst's backing array —
-// allocation-free once dst has grown to the member count, which is
-// what lets a control plane poll cohort health every fine-grained
-// epoch across a 10k-node fleet without feeding the GC (a single GC
-// mark of a gigabyte-scale fleet heap costs more than the whole
-// epoch). Unlike Status, it queries the runtimes while holding the
+// HealthDetailInto snapshots every member's health, in attach order,
+// into dst's backing array (nil for a fresh slice) — allocation-free
+// once dst has grown to the member count, which is what lets a
+// control plane poll cohort health every fine-grained epoch across a
+// 10k-node fleet without feeding the GC (a single GC mark of a
+// gigabyte-scale fleet heap costs more than the whole epoch). Unlike Status, it queries the runtimes while holding the
 // member-table lock: runtimes never call back into their supervisor,
 // so no lock cycle exists, and each Health call is itself a single
 // cheap snapshot.

@@ -138,34 +138,6 @@ func TestWelfordFewSamples(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Initialized() {
-		t.Fatal("fresh EWMA reports initialized")
-	}
-	e.Add(10)
-	if e.Value() != 10 {
-		t.Fatalf("first value = %v, want 10", e.Value())
-	}
-	e.Add(0)
-	if e.Value() != 5 {
-		t.Fatalf("after Add(0), value = %v, want 5", e.Value())
-	}
-}
-
-func TestEWMABadAlpha(t *testing.T) {
-	for _, a := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("NewEWMA(%v) did not panic", a)
-				}
-			}()
-			NewEWMA(a)
-		}()
-	}
-}
-
 func TestWindowPercentile(t *testing.T) {
 	w := NewWindow(100)
 	for i := 1; i <= 100; i++ {
@@ -281,11 +253,10 @@ func TestPercentileBufMatchesPercentile(t *testing.T) {
 }
 
 // TestWindowPercentileAllocs is the regression test for the reusable
-// scratch buffer: safeguard-style percentile queries, and the window and
-// EWMA updates beside them, must not allocate in steady state.
+// scratch buffer: safeguard-style percentile queries, and the window
+// updates beside them, must not allocate in steady state.
 func TestWindowPercentileAllocs(t *testing.T) {
 	w := NewWindow(512)
-	e := NewEWMA(0.2)
 	rng := NewRNG(3)
 	for i := 0; i < 512; i++ {
 		w.Add(rng.Float64())
@@ -294,7 +265,6 @@ func TestWindowPercentileAllocs(t *testing.T) {
 	buf := make([]float64, 0, 2)
 	if avg := testing.AllocsPerRun(100, func() {
 		w.Add(rng.Float64())
-		e.Add(w.Max())
 		_ = w.Percentile(99)
 		buf = w.Percentiles(buf[:0], 90, 99)
 	}); avg != 0 {

@@ -43,38 +43,6 @@ func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 // Reset discards all observations.
 func (w *Welford) Reset() { *w = Welford{} }
 
-// EWMA is an exponentially weighted moving average.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1].
-// Larger alpha weights recent observations more heavily.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha out of (0,1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add incorporates one observation.
-func (e *EWMA) Add(x float64) {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-}
-
-// Value returns the current average, or 0 before any observation.
-func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one observation has been added.
-func (e *EWMA) Initialized() bool { return e.init }
-
 // Window is a fixed-capacity sliding window of float64 observations
 // supporting exact percentile queries. The SOL safeguards track signals
 // like "P90 of α over the last 100 seconds" and "P99 vCPU wait time";
@@ -118,9 +86,6 @@ func (w *Window) Len() int {
 	}
 	return w.next
 }
-
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return len(w.buf) }
 
 // Full reports whether the window has reached capacity.
 func (w *Window) Full() bool { return w.full }

@@ -118,6 +118,3 @@ func (t *TailBench) MeanLatencySeconds() float64 { return t.q.meanLatency() }
 
 // Served returns the number of completed requests.
 func (t *TailBench) Served() uint64 { return t.q.served }
-
-// CurrentTargetUtil returns the active phase's target utilization.
-func (t *TailBench) CurrentTargetUtil() float64 { return t.phases[t.cur].Util }
