@@ -38,7 +38,7 @@ func main() {
 	)
 	flag.Parse()
 
-	clk := clock.NewVirtual(time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC))
+	clk := clock.NewVirtualSingle(time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC))
 	var err error
 	switch *agent {
 	case "overclock":
@@ -73,10 +73,11 @@ func runOverclock(clk *clock.Virtual, dur, report time.Duration) error {
 
 	for elapsed := time.Duration(0); elapsed < dur; elapsed += report {
 		clk.RunFor(report)
+		health := ag.Health()
 		fmt.Printf("[%6s] freq=%.1fGHz busy=%-5v batches=%d mean-batch=%.1fs energy=%.0fJ model-failing=%v halted=%v\n",
 			elapsed+report, n.FrequencyGHz("batch"), syn.Busy(), syn.BatchesDone(),
 			syn.MeanBatchSeconds(), n.EnergyJ("batch"),
-			ag.ModelAssessmentFailing(), ag.Halted())
+			health.ModelFailing, health.Halted)
 	}
 	fmt.Println("\nruntime counters:")
 	fmt.Println(ag.Stats())
@@ -110,10 +111,11 @@ func runHarvest(clk *clock.Virtual, dur, report time.Duration) error {
 	for elapsed := time.Duration(0); elapsed < dur; elapsed += report {
 		clk.RunFor(report)
 		waitP90, waitP99 := ag.Actuator.WaitTailMs()
+		health := ag.Health()
 		fmt.Printf("[%6s] grant=%d/8 harvested=%.0f core-s P99=%.1fms wait-p90/p99=%.2f/%.2fms served=%d model-failing=%v halted=%v\n",
 			elapsed+report, ag.Actuator.Granted(), el.CoreSeconds(),
 			tb.P99LatencySeconds()*1000, waitP90, waitP99, tb.Served(),
-			ag.ModelAssessmentFailing(), ag.Halted())
+			health.ModelFailing, health.Halted)
 	}
 	fmt.Println("\nruntime counters:")
 	fmt.Println(ag.Stats())
@@ -141,7 +143,7 @@ func runMemory(clk *clock.Virtual, dur, report time.Duration) error {
 		fmt.Printf("[%6s] tier1=%d/%d remote=%.1f%% scans=%d resets=%.0f migrations=%d model-failing=%v\n",
 			elapsed+report, mem.Tier1Regions(), regions,
 			100*cur.RemoteFraction(prev), cur.Scans, cur.Resets, cur.Migrations,
-			ag.ModelAssessmentFailing())
+			ag.Health().ModelFailing)
 		prev = cur
 	}
 	fmt.Println("\nruntime counters:")

@@ -105,16 +105,22 @@ func TestReturnsCoresOnDemandSpike(t *testing.T) {
 	clk.RunFor(5 * time.Second)
 	// Sample unmet demand over further run: the agent must mostly keep
 	// up with the alternation.
+	if frac := meanUnmet(clk, n, 3*time.Second); frac > 1.0 {
+		t.Fatalf("average unmet demand %.3f cores; agent not returning cores", frac)
+	}
+}
+
+// meanUnmet runs clk for d and returns the primary VM's unmet demand
+// averaged over the node ticks in that span, sampled right after each.
+func meanUnmet(clk *clock.Virtual, n *node.Node, d time.Duration) float64 {
 	var unmet, ticks float64
-	n.OnTick(func(now time.Time) {
+	tk := clk.Tick(n.Config().TickInterval, func() {
 		unmet += n.CurrentUnmet("primary")
 		ticks++
 	})
-	clk.RunFor(3 * time.Second)
-	frac := unmet / ticks
-	if frac > 1.0 {
-		t.Fatalf("average unmet demand %.3f cores; agent not returning cores", frac)
-	}
+	clk.RunFor(d)
+	tk.Stop()
+	return unmet / ticks
 }
 
 func TestValidateDataFullUtilizationDiscard(t *testing.T) {
@@ -175,30 +181,24 @@ func TestBrokenModelDetectedByAssessment(t *testing.T) {
 	clk.RunFor(2 * time.Second)
 	ag.Model.Break(true)
 	clk.RunFor(3 * time.Second)
-	if !ag.Runtime.ModelAssessmentFailing() {
+	if !ag.Health().ModelFailing {
 		t.Fatal("model assessment did not catch systematic under-prediction")
 	}
 	// With interception the defaults grant generously again; unmet
 	// demand must subside.
-	var unmet, ticks float64
-	n.OnTick(func(now time.Time) {
-		unmet += n.CurrentUnmet("primary")
-		ticks++
-	})
-	clk.RunFor(2 * time.Second)
-	if frac := unmet / ticks; frac > 0.5 {
+	if frac := meanUnmet(clk, n, 2*time.Second); frac > 0.5 {
 		t.Fatalf("unmet demand %.3f cores despite safeguard interception", frac)
 	}
 	// Hysteresis: the assessment must not flap back to healthy while
 	// the model stays broken (its predictions are still scored even
 	// though they are intercepted).
-	if !ag.Runtime.ModelAssessmentFailing() {
+	if !ag.Health().ModelFailing {
 		t.Fatal("assessment flapped back to healthy while the model is still broken")
 	}
 	// And it must recover once the model is fixed.
 	ag.Model.Break(false)
 	clk.RunFor(4 * time.Second)
-	if ag.Runtime.ModelAssessmentFailing() {
+	if ag.Health().ModelFailing {
 		t.Fatal("assessment did not recover after the model was fixed")
 	}
 }
@@ -250,7 +250,7 @@ func TestActuatorSafeguardOnSustainedWait(t *testing.T) {
 	if ag.Stats().Mitigations == 0 {
 		t.Fatal("actuator safeguard never mitigated under sustained vCPU wait")
 	}
-	if n.AvailableCores("primary") != 8 && !ag.Runtime.Halted() {
+	if n.AvailableCores("primary") != 8 && !ag.Health().Halted {
 		t.Fatal("safeguard state inconsistent: not halted and cores not returned")
 	}
 }

@@ -234,7 +234,7 @@ func TestBrokenModelFailsAudit(t *testing.T) {
 	clk.RunFor(2 * 40 * time.Second)
 	ag.Model.Break(true)
 	clk.RunFor(3 * 40 * time.Second)
-	if !ag.Runtime.ModelAssessmentFailing() {
+	if !ag.Health().ModelFailing {
 		t.Fatalf("audit did not catch forced min-rate scanning (missed=%.2f)",
 			ag.Model.MissedFraction())
 	}

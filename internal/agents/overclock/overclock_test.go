@@ -167,7 +167,7 @@ func TestModelSafeguardCatchesBrokenModelOnDisk(t *testing.T) {
 	ag := launch(t, clk, n, core.Options{})
 	ag.Model.Break(true)
 	clk.RunFor(60 * time.Second)
-	if !ag.Runtime.ModelAssessmentFailing() {
+	if !ag.Health().ModelFailing {
 		t.Fatal("model safeguard did not catch a broken model on disk-bound work")
 	}
 	// With interception, the node should be at nominal most of the time.
@@ -189,7 +189,7 @@ func TestModelSafeguardAllowsGoodOverclocking(t *testing.T) {
 	clk.RunFor(180 * time.Second)
 	// On always-busy CPU-bound work, Δr is positive; assessment must
 	// not be failing at steady state.
-	if ag.Runtime.ModelAssessmentFailing() {
+	if ag.Health().ModelFailing {
 		t.Fatal("model safeguard tripped on genuinely beneficial overclocking")
 	}
 }
@@ -221,7 +221,7 @@ func TestActuatorSafeguardTriggersOnLongIdle(t *testing.T) {
 	clk, n := newRig(t, idleWork{})
 	ag := launch(t, clk, n, core.Options{})
 	clk.RunFor(150 * time.Second)
-	if !ag.Runtime.Halted() {
+	if !ag.Health().Halted {
 		t.Fatal("actuator safeguard did not trigger on a long idle phase")
 	}
 	if n.FrequencyLevel("vm") != 0 {
@@ -233,7 +233,7 @@ func TestActuatorSafeguardStaysQuietWhenBusy(t *testing.T) {
 	clk, n := newRig(t, busyWork{})
 	ag := launch(t, clk, n, core.Options{})
 	clk.RunFor(200 * time.Second)
-	if ag.Runtime.Halted() {
+	if ag.Health().Halted {
 		t.Fatal("actuator safeguard tripped on a busy workload")
 	}
 	if ag.Stats().Mitigations != 0 {

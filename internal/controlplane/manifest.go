@@ -285,7 +285,6 @@ func (m *Manifest) Config() (Config, error) {
 			Workers:   m.Workers,
 			Shards:    m.Shards,
 			Setup:     fleet.StandardNode(std),
-			Start:     fleet.DefaultStart,
 			Lifecycle: lifecycle,
 		},
 		Interval: interval,

@@ -45,7 +45,10 @@ var allocSchedule = Schedule{
 
 func TestRuntimeEpochAllocs(t *testing.T) {
 	clk := clock.NewVirtualSingle(epoch)
-	rt := MustRun[int, int](clk, &allocModel{clk: clk}, allocActuator{}, allocSchedule, Options{})
+	rt, err := Run[int, int](clk, &allocModel{clk: clk}, allocActuator{}, allocSchedule, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer rt.Stop()
 	clk.RunFor(10 * time.Second) // warm up timers, queue, heap capacity
 	if avg := testing.AllocsPerRun(50, func() {
@@ -63,7 +66,10 @@ func TestRunAllocs(t *testing.T) {
 	clk := clock.NewVirtualSingle(epoch)
 	model := &allocModel{clk: clk}
 	if avg := testing.AllocsPerRun(50, func() {
-		rt := MustRun[int, int](clk, model, allocActuator{}, allocSchedule, Options{})
+		rt, err := Run[int, int](clk, model, allocActuator{}, allocSchedule, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if clk.Len() != 3 {
 			t.Fatalf("runtime armed %d timers, want 3", clk.Len())
 		}

@@ -220,11 +220,3 @@ func (s Schedule) latenessTolerance() time.Duration {
 	}
 	return s.LatenessTolerance
 }
-
-// ScheduleViolationHandler is an optional interface a Model may
-// implement to be informed when the runtime detects that a scheduled
-// model step ran late (paper §4: "SOL detects and informs the agent of
-// any scheduling violations").
-type ScheduleViolationHandler interface {
-	OnScheduleViolation(expected, actual time.Time)
-}

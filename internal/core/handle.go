@@ -17,12 +17,6 @@ type Handle interface {
 	// Stop halts both control loops and runs the Actuator's CleanUp.
 	// It is idempotent.
 	Stop()
-	// Halted reports whether the actuator loop is currently halted by
-	// its performance safeguard.
-	Halted() bool
-	// ModelAssessmentFailing reports whether the model safeguard is
-	// currently intercepting predictions.
-	ModelAssessmentFailing() bool
 	// Health returns the runtime's health snapshot in one lock
 	// acquisition. Fleet-scale monitors poll this between lockstep
 	// epochs, so it must stay cheap: no allocation, no full Stats copy.

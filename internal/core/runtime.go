@@ -38,28 +38,6 @@ type Options struct {
 	// agents; the fault injectors in internal/faults provide
 	// implementations.
 	ModelDelay func(t time.Time) time.Duration
-
-	// OnEpoch, when non-nil, is invoked after every learning epoch with
-	// a summary of what the runtime did. Used by experiments and tests
-	// for tracing; agents should not depend on it.
-	OnEpoch func(EpochInfo)
-}
-
-// EpochInfo summarizes one learning epoch for the OnEpoch hook.
-type EpochInfo struct {
-	// Index is the 1-based epoch number.
-	Index int
-	// At is the time the epoch completed.
-	At time.Time
-	// Full reports whether the epoch collected enough valid data to
-	// update the model (vs. short-circuiting on MaxEpochTime).
-	Full bool
-	// Default reports whether the prediction sent to the Actuator was
-	// a default rather than a learned prediction.
-	Default bool
-	// Intercepted reports whether a learned prediction was produced but
-	// replaced with a default because the model is failing assessment.
-	Intercepted bool
 }
 
 // Runtime executes one agent's Model and Actuator control loops on a
@@ -67,10 +45,15 @@ type EpochInfo struct {
 //
 // All agent callbacks are serialized by an internal mutex, so Model and
 // Actuator implementations never race with each other even on the real
-// clock, where timer callbacks arrive on arbitrary goroutines. The
-// loops remain temporally decoupled — an expensive or delayed model
-// step never blocks the actuation deadline from firing — which is the
-// property the paper's split design exists to provide.
+// clock, where timer callbacks arrive on arbitrary goroutines.
+//
+// How far the two loops are decoupled — the property the paper's split
+// design exists to provide — depends on the clock. On clock.Virtual
+// callbacks take no simulated time, so a late or short-circuited model
+// step never moves the actuation deadline. On clock.Real a model
+// callback (CollectData, UpdateModel, Predict, …) runs holding the
+// same mutex the actuator step needs, so a slow model step delays
+// actuation past MaxActuationDelay until it returns.
 type Runtime[D, P any] struct {
 	clk   clock.Clock
 	model Model[D, P]
@@ -152,16 +135,6 @@ func (l *collectLoop[D, P]) Fire(now int64)  { (*Runtime[D, P])(l).collectStep(n
 func (l *actuatorLoop[D, P]) Fire(now int64) { (*Runtime[D, P])(l).actuatorStep(now) }
 func (l *assessLoop[D, P]) Fire(int64)       { (*Runtime[D, P])(l).assessStep() }
 
-// MustRun is Run but panics on error; for examples and tests with
-// literal schedules.
-func MustRun[D, P any](clk clock.Clock, model Model[D, P], act Actuator[P], sched Schedule, opts Options) *Runtime[D, P] {
-	r, err := Run(clk, model, act, sched, opts)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Stop halts both loops and invokes the Actuator's CleanUp. It is
 // idempotent.
 func (r *Runtime[D, P]) Stop() {
@@ -191,26 +164,10 @@ func (r *Runtime[D, P]) Stats() Stats {
 	return s
 }
 
-// Halted reports whether the actuator loop is currently halted by its
-// performance safeguard.
-func (r *Runtime[D, P]) Halted() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.halted
-}
-
-// ModelAssessmentFailing reports whether the model safeguard is
-// currently intercepting predictions.
-func (r *Runtime[D, P]) ModelAssessmentFailing() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.assessBad
-}
-
 // Health returns the runtime's health snapshot under a single lock
 // acquisition — the cheap read path fleet monitors poll between
-// lockstep epochs instead of Stats+Halted+ModelAssessmentFailing
-// (three acquisitions and a full counter copy).
+// lockstep epochs instead of a full Stats copy. It is the only read
+// path for the two live safeguard booleans.
 func (r *Runtime[D, P]) Health() Health {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -262,9 +219,6 @@ func (r *Runtime[D, P]) collectStep(now int64) {
 	late := time.Duration(now - intended)
 	if late > r.sched.latenessTolerance() {
 		r.stats.ScheduleViolations++
-		if h, ok := r.model.(ScheduleViolationHandler); ok {
-			h.OnScheduleViolation(r.clk.At(intended), r.clk.At(now))
-		}
 	}
 
 	d, err := r.model.CollectData()
@@ -303,7 +257,6 @@ func (r *Runtime[D, P]) collectStep(now int64) {
 func (r *Runtime[D, P]) finishEpoch(nowNS int64, full bool) {
 	now := r.clk.At(nowNS)
 	r.epochIndex++
-	info := EpochInfo{Index: r.epochIndex, At: now, Full: full}
 
 	var pred Prediction[P]
 	if full {
@@ -335,7 +288,6 @@ func (r *Runtime[D, P]) finishEpoch(nowNS int64, full bool) {
 	}
 	if r.assessBad && !pred.Default {
 		r.stats.PredictionsIntercepted++
-		info.Intercepted = true
 		pred = r.defaultPrediction()
 	}
 
@@ -347,10 +299,6 @@ func (r *Runtime[D, P]) finishEpoch(nowNS int64, full bool) {
 	r.stats.PredictionsIssued++
 	if pred.Default {
 		r.stats.DefaultPredictions++
-	}
-	info.Default = pred.Default
-	if r.opts.OnEpoch != nil {
-		r.opts.OnEpoch(info)
 	}
 
 	r.wakeActuatorLocked()

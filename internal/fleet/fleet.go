@@ -40,12 +40,9 @@ type Config struct {
 	// output never depends on it — and an unobserved Run, which streams
 	// nodes and has no conductor, ignores it. See internal/shard.
 	Shards int
-	// Start is the virtual start time; the zero value means the
-	// repository-wide 2022-01-01 epoch.
-	Start time.Time
 	// Lifecycle, when non-nil, schedules node-level crash/restart/
 	// blackout faults over the horizon (see faults.NodePlan; times are
-	// elapsed since Start). Each node's clock pauses at exactly the
+	// elapsed since DefaultStart). Each node's clock pauses at exactly the
 	// plan's transition instants and the state is applied there — crash
 	// via Supervisor.Crash, recovery via spec-driven Restart — by the
 	// one stepper Run and the Coordinator share, so fault runs stay
@@ -95,18 +92,11 @@ func (c Config) workers() int {
 	return w
 }
 
-// DefaultStart is the repository-wide virtual start instant, used
-// when Config.Start is zero. Exported so callers that phrase events
-// in absolute virtual time (e.g. fault windows in rollout scenarios)
-// anchor to the same epoch.
+// DefaultStart is the repository-wide virtual start instant: every
+// fleet simulation's node clocks begin here. Exported so callers that
+// phrase events in absolute virtual time (e.g. fault windows in
+// rollout scenarios) anchor to the same epoch.
 var DefaultStart = time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
-
-func (c Config) start() time.Time {
-	if c.Start.IsZero() {
-		return DefaultStart
-	}
-	return c.Start
-}
 
 // forEach is shard.ForEach: the shared worker-pool primitive both
 // fleet drivers (streaming Run and the Coordinator) schedule through.
@@ -259,7 +249,7 @@ func Run(cfg Config) (*Report, error) {
 		return RunStepped(cfg, cfg.Duration, nil)
 	}
 
-	life := lifecycle{plan: cfg.Lifecycle, start: cfg.start()}
+	life := lifecycle{plan: cfg.Lifecycle}
 	results := make([]nodeResult, cfg.Nodes)
 	var abort atomic.Bool
 	forEach(cfg.Nodes, cfg.workers(), func(idx int) {
@@ -288,12 +278,12 @@ func Run(cfg Config) (*Report, error) {
 			states[i] = results[i].state
 		}
 	}
-	return aggregate(cfg.Nodes, cfg.Duration, cfg.start(), events, statuses, states), nil
+	return aggregate(cfg.Nodes, cfg.Duration, events, statuses, states), nil
 }
 
 // aggregate merges per-node member snapshots into a fleet report, in
 // node-index order so the result is deterministic regardless of which
-// worker simulated which node. dur is the horizon ending at start+dur;
+// worker simulated which node. dur is the horizon ending at DefaultStart+dur;
 // each member's deadline floor is judged over its own lifetime within
 // that horizon (members redeployed mid-run by Supervisor.Replace have
 // restarted counters, so holding them to the full-horizon floor would
@@ -305,7 +295,7 @@ func Run(cfg Config) (*Report, error) {
 // mid-run, so their deadline compliance is not judged (the members'
 // counters are frozen at the crash, and holding a dead node to an
 // actuation floor would blame the variant for the node's death).
-func aggregate(nodes int, dur time.Duration, start time.Time, events uint64, statuses [][]MemberStatus, states []nodeState) *Report {
+func aggregate(nodes int, dur time.Duration, events uint64, statuses [][]MemberStatus, states []nodeState) *Report {
 	rep := &Report{
 		Nodes:    nodes,
 		Duration: dur,
@@ -343,7 +333,7 @@ func aggregate(nodes int, dur time.Duration, start time.Time, events uint64, sta
 				ks.DeadlineEligible++
 				window := dur
 				if !st.Stats.StartedAt.IsZero() {
-					if lived := dur - st.Stats.StartedAt.Sub(start); lived < window {
+					if lived := dur - st.Stats.StartedAt.Sub(DefaultStart); lived < window {
 						window = lived
 					}
 				}

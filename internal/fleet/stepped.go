@@ -66,8 +66,6 @@ type simNode struct {
 // check.
 type lifecycle struct {
 	plan faults.NodePlan
-	// start is the virtual start instant plan times are elapsed from.
-	start time.Time
 	// probe is the conductor's probe: nil when profiling and tracing
 	// are off, and always nil on the streaming driver. Every method is
 	// nil-safe.
@@ -87,7 +85,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:       cfg,
 		nodes:     make([]simNode, cfg.Nodes),
-		lifecycle: lifecycle{plan: cfg.Lifecycle, start: cfg.start()},
+		lifecycle: lifecycle{plan: cfg.Lifecycle},
 	}
 	errs := make([]error, cfg.Nodes)
 	c.forEachNode(func(idx int) {
@@ -130,7 +128,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // is advancing it, which is exactly the contract NewVirtualSingle
 // requires.
 func buildNode(cfg Config, idx int) (simNode, error) {
-	clk := clock.NewVirtualSingle(cfg.start())
+	clk := clock.NewVirtualSingle(DefaultStart)
 	sup, err := cfg.Setup(idx, clk)
 	if err == nil && sup == nil {
 		err = fmt.Errorf("setup returned no supervisor")
@@ -164,7 +162,7 @@ func (l *lifecycle) advance(n *simNode, idx int, d time.Duration) {
 		n.clk.RunFor(d)
 		return
 	}
-	now := n.clk.Now().Sub(l.start)
+	now := n.clk.Now().Sub(DefaultStart)
 	target := now + d
 	for {
 		next, ok := l.plan.Next(idx, now)
@@ -342,7 +340,7 @@ func (c *Coordinator) Report() *Report {
 			states[idx] = nodeState{life: sup.Lifecycle(), restarts: sup.Restarts()}
 		}
 	})
-	rep := aggregate(len(c.nodes), c.Elapsed(), c.cfg.start(), c.Events(), statuses, states)
+	rep := aggregate(len(c.nodes), c.Elapsed(), c.Events(), statuses, states)
 	rep.Profile = c.probe.Profile()
 	rep.Trace = c.probe.Trace()
 	return rep

@@ -308,12 +308,13 @@ func (s *Supervisor) Status() []MemberStatus {
 	members := s.Members()
 	out := make([]MemberStatus, len(members))
 	for i, m := range members {
+		h := m.Handle.Health()
 		out[i] = MemberStatus{
 			Kind:              m.Kind,
 			Name:              m.Name,
 			Stats:             m.Handle.Stats(),
-			Halted:            m.Handle.Halted(),
-			ModelFailing:      m.Handle.ModelAssessmentFailing(),
+			Halted:            h.Halted,
+			ModelFailing:      h.ModelFailing,
 			MaxActuationDelay: m.MaxActuationDelay,
 		}
 	}

@@ -28,13 +28,14 @@ func zonedNow(t *testing.T) time.Time {
 	return now
 }
 
-// edgeModel reads the primary VM's utilization every sample and checks
-// each time.Time the runtime hands it.
+// edgeModel reads the primary VM's utilization every sample, checks
+// each time.Time the runtime hands it, and records the instant it last
+// produced a prediction.
 type edgeModel struct {
-	vm      *VM
-	check   func(what string, got, want time.Time)
-	clk     *clock.Virtual
-	delayed time.Time // the instant the last ModelDelay call was given
+	vm          *VM
+	check       func(what string, got, want time.Time)
+	clk         *clock.Virtual
+	predictedAt time.Time
 }
 
 func (m *edgeModel) CollectData() (float64, error) { return m.vm.CurrentUtil(), nil }
@@ -44,28 +45,29 @@ func (m *edgeModel) CommitData(at time.Time, _ float64) {
 }
 func (m *edgeModel) UpdateModel() {}
 func (m *edgeModel) Predict() (core.Prediction[int], error) {
+	m.predictedAt = m.clk.Now()
 	return core.Prediction[int]{Value: 1}, nil
 }
-func (m *edgeModel) DefaultPredict() core.Prediction[int] { return core.Prediction[int]{} }
-func (m *edgeModel) AssessModel() bool                    { return true }
-func (m *edgeModel) OnScheduleViolation(expected, actual time.Time) {
-	m.check("OnScheduleViolation expected", expected, m.delayed)
-	m.check("OnScheduleViolation actual", actual, m.clk.Now())
+func (m *edgeModel) DefaultPredict() core.Prediction[int] {
+	m.predictedAt = m.clk.Now()
+	return core.Prediction[int]{}
 }
+func (m *edgeModel) AssessModel() bool { return true }
 
-// edgeActuator checks the timestamps on every prediction it is handed.
+// edgeActuator checks the timestamps on every prediction it is handed
+// against the instant the model produced the freshest one.
 type edgeActuator struct {
-	check     func(what string, got, want time.Time)
-	ttl       time.Duration
-	lastEpoch *time.Time
+	check func(what string, got, want time.Time)
+	ttl   time.Duration
+	model *edgeModel
 }
 
 func (a *edgeActuator) TakeAction(p *core.Prediction[int]) {
 	if p == nil {
 		return
 	}
-	a.check("Prediction.Issued", p.Issued(), *a.lastEpoch)
-	a.check("Prediction.Expires", p.Expires, p.Issued().Add(a.ttl))
+	a.check("Prediction.Issued", p.Issued(), a.model.predictedAt)
+	a.check("Prediction.Expires", p.Expires, a.model.predictedAt.Add(a.ttl))
 }
 func (a *edgeActuator) AssessPerformance() bool { return true }
 func (a *edgeActuator) Mitigate()               {}
@@ -113,11 +115,6 @@ func TestEdgeTimesAreTheClocks(t *testing.T) {
 	check("CPUCounters.At before a tick", vm.Counters().At, clk.Now())
 	tb.OnSurge(func(at time.Time, _ float64) { check("OnSurge", at, clk.Now()) })
 	syn.OnPhase(func(_ bool, at time.Time) { check("OnPhase", at, clk.Now()) })
-	n.OnTick(func(now time.Time) {
-		check("OnTick", now, clk.Now())
-		check("CPUCounters.At", vm.Counters().At, clk.Now())
-		check("Node.Counters.At", n.Counters("syn").At, clk.Now())
-	})
 
 	sched := core.Schedule{
 		DataPerEpoch:        20,
@@ -126,29 +123,28 @@ func TestEdgeTimesAreTheClocks(t *testing.T) {
 		MaxActuationDelay:   40 * time.Millisecond,
 		PredictionTTL:       30 * time.Millisecond,
 	}
-	var lastEpoch time.Time
 	model := &edgeModel{vm: vm, check: check, clk: clk}
-	act := &edgeActuator{check: check, ttl: sched.PredictionTTL, lastEpoch: &lastEpoch}
+	act := &edgeActuator{check: check, ttl: sched.PredictionTTL, model: model}
 	delays := 0
 	rt, err := core.Run[float64, int](clk, model, act, sched, core.Options{
 		// Every tenth step runs 2 ms late: a schedule violation.
 		ModelDelay: func(intended time.Time) time.Duration {
 			check("ModelDelay", intended, onClock(intended))
-			model.delayed = intended
 			if delays++; delays%10 == 0 {
 				return 2 * time.Millisecond
 			}
 			return 0
-		},
-		OnEpoch: func(info core.EpochInfo) {
-			check("EpochInfo.At", info.At, clk.Now())
-			lastEpoch = info.At
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.Start()
+	// Armed after Start, this fires right after every node tick.
+	clk.Tick(cfg.TickInterval, func() {
+		check("CPUCounters.At", vm.Counters().At, clk.Now())
+		check("Node.Counters.At", n.Counters("syn").At, clk.Now())
+	})
 	clk.RunFor(5 * time.Second)
 	rt.Stop()
 	n.Stop()
@@ -157,9 +153,8 @@ func TestEdgeTimesAreTheClocks(t *testing.T) {
 	check("Stats.StartedAt", st.StartedAt, anchor)
 	check("Stats.StoppedAt", st.StoppedAt, clk.Now())
 	for _, what := range []string{
-		"CommitData", "ModelDelay", "OnScheduleViolation expected", "OnScheduleViolation actual",
-		"EpochInfo.At", "Prediction.Issued", "Prediction.Expires",
-		"OnSurge", "OnPhase", "OnTick", "CPUCounters.At", "Node.Counters.At",
+		"CommitData", "ModelDelay", "Prediction.Issued", "Prediction.Expires",
+		"OnSurge", "OnPhase", "CPUCounters.At", "Node.Counters.At",
 	} {
 		if seen[what] == 0 {
 			t.Errorf("%s was never handed out in 5 s; the run must reach every edge", what)

@@ -246,7 +246,6 @@ type Node struct {
 	// ticks counts simulation steps, for tests.
 	ticks   uint64
 	started bool
-	onTick  []func(now time.Time)
 	// step is the tick every workload sees. Its length in ns and in
 	// seconds (every VM integrates over the latter) are fixed at New;
 	// tick only moves step.Now.
@@ -307,10 +306,6 @@ func (n *Node) AddVM(name string, cores int, work workload.CPUWorkload) (*VM, er
 // VM returns the named VM, or nil.
 func (n *Node) VM(name string) *VM { return n.byName[name] }
 
-// OnTick registers a callback invoked after every simulation tick, in
-// registration order. Experiments use it for fine-grained measurement.
-func (n *Node) OnTick(f func(now time.Time)) { n.onTick = append(n.onTick, f) }
-
 // Start begins the periodic tick loop. It panics if called twice.
 func (n *Node) Start() {
 	if n.started {
@@ -332,20 +327,13 @@ func (n *Node) Stop() {
 	n.started = false
 }
 
-// tick advances every VM to now, the firing instant in ns; a time.Time
-// is built only for OnTick callbacks, when there are any.
+// tick advances every VM to now, the firing instant in ns.
 func (n *Node) tick(now int64) {
 	n.step.Now = now
 	for _, vm := range n.vms {
 		n.tickVM(vm)
 	}
 	n.ticks++
-	if len(n.onTick) > 0 {
-		at := n.clk.At(now)
-		for _, f := range n.onTick {
-			f(at)
-		}
-	}
 }
 
 func (n *Node) tickVM(vm *VM) {

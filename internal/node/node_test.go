@@ -233,15 +233,23 @@ func TestSetAvailableCoresClamps(t *testing.T) {
 	}
 }
 
+// TestOnTickCallback: a clock tick armed after Start at the node's
+// tick interval fires once per node tick, right after it — the way
+// tests sample the node once per tick.
 func TestOnTickCallback(t *testing.T) {
 	clk, n := newTestNode(t)
 	n.AddVM("vm", 1, &constantLoad{})
-	calls := 0
-	n.OnTick(func(now time.Time) { calls++ })
 	n.Start()
+	calls := 0
+	clk.Tick(10*time.Millisecond, func() {
+		calls++
+		if got := n.Ticks(); got != uint64(calls) {
+			t.Fatalf("callback %d ran after %d node ticks, want right after tick %d", calls, got, calls)
+		}
+	})
 	clk.RunFor(100 * time.Millisecond)
 	if calls != 10 {
-		t.Fatalf("OnTick fired %d times in 100ms of 10ms ticks, want 10", calls)
+		t.Fatalf("callback fired %d times in 100ms of 10ms ticks, want 10", calls)
 	}
 	if n.Ticks() != 10 {
 		t.Fatalf("Ticks() = %d", n.Ticks())

@@ -22,6 +22,9 @@
 //	}, sol.Options{})
 //	defer rt.Stop() // runs the Actuator's CleanUp
 //
+// Read a running agent through Stats (every counter) and Health (the
+// safeguard booleans and the gating counters); end it with Stop.
+//
 // See examples/quickstart for a complete runnable agent, and the
 // internal/agents packages for the paper's three production-grade
 // agents (SmartOverclock, SmartHarvest, SmartMemory).
@@ -61,12 +64,10 @@ type (
 	// Runtime is a running agent.
 	Runtime[D, P any] = core.Runtime[D, P]
 	// Handle is a type-erased running agent, the uniform view
-	// supervisors and spec launches return.
+	// supervisors and spec launches return: Stats, Health and Stop.
 	Handle = core.Handle
 	// Stats are the runtime's counters.
 	Stats = core.Stats
-	// EpochInfo summarizes one learning epoch for the OnEpoch hook.
-	EpochInfo = core.EpochInfo
 	// Clock abstracts time for deterministic simulation and real nodes.
 	Clock = clock.Clock
 	// VirtualClock is a deterministic discrete-event clock.
@@ -78,8 +79,6 @@ type (
 	// TimerHandler is what an armed Timer calls, with the firing
 	// instant in nanoseconds on the clock's timebase.
 	TimerHandler = clock.Handler
-	// ScheduleViolationHandler is the optional late-model-step callback.
-	ScheduleViolationHandler = core.ScheduleViolationHandler
 
 	// AgentSpec is a serializable, declarative agent deployment — the
 	// stored/diffable alternative to launching agents in code. Resolve
@@ -96,21 +95,9 @@ func Run[D, P any](clk Clock, m Model[D, P], a Actuator[P], s Schedule, o Option
 	return core.Run[D, P](clk, m, a, s, o)
 }
 
-// MustRun is Run but panics on configuration error.
-func MustRun[D, P any](clk Clock, m Model[D, P], a Actuator[P], s Schedule, o Options) *Runtime[D, P] {
-	return core.MustRun[D, P](clk, m, a, s, o)
-}
-
 // NewVirtualClock returns a deterministic discrete-event clock starting
 // at start. Drive it with RunFor/Run/Step.
 func NewVirtualClock(start time.Time) *VirtualClock { return clock.NewVirtual(start) }
-
-// NewVirtualClockSingle returns a virtual clock in lock-elided
-// single-driver mode: every method must be called from the one
-// goroutine that drives it. This is the fast path the fleet simulator
-// and the experiments use; prefer it whenever a simulation owns its
-// clock outright.
-func NewVirtualClockSingle(start time.Time) *VirtualClock { return clock.NewVirtualSingle(start) }
 
 // NewRealClock returns the wall clock, for agents deployed on real
 // nodes.

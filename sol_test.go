@@ -129,16 +129,6 @@ func TestFacadeValidationAndInterception(t *testing.T) {
 	}
 }
 
-func TestFacadeMustRunPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustRun did not panic on zero schedule")
-		}
-	}()
-	clk := NewVirtualClock(time.Unix(0, 0))
-	MustRun[float64, string](clk, &facadeModel{clk: clk}, &facadeActuator{}, Schedule{}, Options{})
-}
-
 func TestRealClockConstructor(t *testing.T) {
 	clk := NewRealClock()
 	if clk.Now().IsZero() {
