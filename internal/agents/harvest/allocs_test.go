@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"sol/internal/core"
 	"sol/internal/node"
+	"sol/internal/testutil"
 )
 
 // samplePath is what core's collectStep does with one sample.
@@ -18,12 +20,12 @@ func samplePath(m *Model) error {
 	return err
 }
 
-// steadyModel is a Model on a node whose primary VM has just run one
-// tick of a steady 2-core demand.
-func steadyModel(t *testing.T) (*Model, *node.Node) {
+// steadyModel is a Model sized for sched on a node whose primary VM has
+// just run one tick of a steady 2-core demand.
+func steadyModel(t *testing.T, sched core.Schedule) (*Model, *node.Node) {
 	t.Helper()
 	clk, n, _ := harvestNode(t, &steppedLoad{low: 2, high: 2, phase: time.Hour})
-	m, err := NewModel(n, DefaultConfig("primary", "elastic"))
+	m, err := NewModel(n, DefaultConfig("primary", "elastic"), sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,50 +33,50 @@ func steadyModel(t *testing.T) (*Model, *node.Node) {
 	return m, n
 }
 
-// TestSamplePathAllocs pins the Model loop at arithmetic only: one
-// collected sample allocates nothing whether it is committed, rejected
-// or passed through a corruptor, and neither does closing an epoch.
+// TestSamplePathAllocs pins the Model loop at arithmetic only: from the
+// second sample on, a sample committed, rejected or passed through a
+// corruptor allocates nothing, and neither does closing an epoch. The
+// epoch's buffers are sized from the schedule when the Model is built,
+// so nothing but the first sample runs uncounted.
 func TestSamplePathAllocs(t *testing.T) {
-	const runs = 500
-	// warm grows the epoch's sample buffer past what a measurement
-	// commits, then closes the epoch so the buffer is empty again.
-	warm := func(m *Model) {
-		for i := 0; i < 2*runs; i++ {
-			m.CommitData(time.Time{}, Sample{Util: 2, Granted: 8})
-		}
-		m.UpdateModel()
-	}
+	per := Schedule().DataPerEpoch
 
 	t.Run("accept", func(t *testing.T) {
-		m, _ := steadyModel(t)
-		warm(m)
-		if avg := testing.AllocsPerRun(runs, func() {
-			if err := samplePath(m); err != nil {
-				t.Fatalf("steady sample rejected: %v", err)
+		m, _ := steadyModel(t, Schedule())
+		if err := samplePath(m); err != nil {
+			t.Fatalf("steady sample rejected: %v", err)
+		}
+		if n := testutil.Mallocs(t, func() {
+			for i := 1; i < per; i++ {
+				if err := samplePath(m); err != nil {
+					t.Fatalf("steady sample rejected: %v", err)
+				}
 			}
-		}); avg != 0 {
-			t.Fatalf("accepted sample allocates %.1f times, want 0", avg)
+		}); n != 0 {
+			t.Fatalf("samples 2..%d of an epoch allocate %d times, want 0", per, n)
 		}
 	})
 
 	t.Run("reject", func(t *testing.T) {
-		m, n := steadyModel(t)
+		m, n := steadyModel(t, Schedule())
 		// 2 cores used of 2 granted: demand is censored.
 		if err := n.SetAvailableCores("primary", 2); err != nil {
 			t.Fatal(err)
 		}
-		if avg := testing.AllocsPerRun(runs, func() {
-			if err := samplePath(m); err != ErrCensored {
-				t.Fatalf("censored sample: err = %v", err)
+		_ = samplePath(m)
+		if got := testutil.Mallocs(t, func() {
+			for i := 0; i < 2*per; i++ {
+				if err := samplePath(m); err != ErrCensored {
+					t.Fatalf("censored sample: err = %v", err)
+				}
 			}
-		}); avg != 0 {
-			t.Fatalf("rejected sample allocates %.1f times, want 0", avg)
+		}); got != 0 {
+			t.Fatalf("%d rejected samples allocate %d times, want 0", 2*per, got)
 		}
 	})
 
 	t.Run("corruptor", func(t *testing.T) {
-		m, _ := steadyModel(t)
-		warm(m)
+		m, _ := steadyModel(t, Schedule())
 		seen := 0
 		m.SetCorruptor(func(s *Sample) {
 			seen++
@@ -82,31 +84,43 @@ func TestSamplePathAllocs(t *testing.T) {
 				s.Util = -3
 			}
 		})
-		if avg := testing.AllocsPerRun(runs, func() { _ = samplePath(m) }); avg != 0 {
-			t.Fatalf("corrupted sample path allocates %.1f times, want 0", avg)
+		_ = samplePath(m)
+		if n := testutil.Mallocs(t, func() {
+			for i := 1; i < per; i++ {
+				_ = samplePath(m)
+			}
+		}); n != 0 {
+			t.Fatalf("corrupted sample path allocates %d times, want 0", n)
 		}
-		if seen != runs+1 {
-			t.Fatalf("corruptor saw %d samples of %d", seen, runs+1)
+		if seen != per {
+			t.Fatalf("corruptor saw %d samples of %d", seen, per)
 		}
 	})
 
 	t.Run("epoch", func(t *testing.T) {
-		m, _ := steadyModel(t)
-		epoch := func() {
-			for i := 0; i < 25; i++ {
-				if err := samplePath(m); err != nil {
-					t.Fatalf("steady sample rejected: %v", err)
+		sched := Schedule()
+		sched.DataPerEpoch = 25 // the fleet's coarsened epoch
+		m, _ := steadyModel(t, sched)
+		if err := samplePath(m); err != nil {
+			t.Fatalf("steady sample rejected: %v", err)
+		}
+		committed := 1
+		const epochs = 50
+		if n := testutil.Mallocs(t, func() {
+			for e := 0; e < epochs; e++ {
+				for ; committed < sched.DataPerEpoch; committed++ {
+					if err := samplePath(m); err != nil {
+						t.Fatalf("steady sample rejected: %v", err)
+					}
+				}
+				committed = 0
+				m.UpdateModel()
+				if _, err := m.Predict(); err != nil {
+					t.Fatal(err)
 				}
 			}
-			m.UpdateModel()
-			if _, err := m.Predict(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		epoch() // sample buffer, selection scratch
-		epoch() // first classifier update
-		if avg := testing.AllocsPerRun(50, epoch); avg != 0 {
-			t.Fatalf("steady-state epoch allocates %.1f times, want 0", avg)
+		}); n != 0 {
+			t.Fatalf("%d epochs after the first sample allocate %d times, want 0", epochs, n)
 		}
 		if m.Classifier().Updates() == 0 {
 			t.Fatal("epochs never trained the classifier")
@@ -119,7 +133,7 @@ func TestSamplePathAllocs(t *testing.T) {
 // its mutation must be what CollectData returns — the bad-data arm of
 // Figure 6 injects its faults through this seam.
 func TestCorruptorSeesAndMutatesEverySample(t *testing.T) {
-	m, _ := steadyModel(t)
+	m, _ := steadyModel(t, Schedule())
 	clean, _ := m.CollectData()
 	if clean.Util != 2 || clean.Granted != 8 {
 		t.Fatalf("clean reading = %+v, want Util 2 / Granted 8", clean)
@@ -157,7 +171,7 @@ func TestCorruptorSeesAndMutatesEverySample(t *testing.T) {
 }
 
 func TestValidateDataSentinels(t *testing.T) {
-	m, _ := steadyModel(t)
+	m, _ := steadyModel(t, Schedule())
 	for _, tc := range []struct {
 		name string
 		s    Sample

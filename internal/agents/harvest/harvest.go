@@ -119,6 +119,9 @@ func Schedule() core.Schedule {
 
 const featureDims = 6
 
+// tailPercentile is the usage percentile among the epoch's features.
+const tailPercentile = 95
+
 // ValidateData's verdicts. The runtime counts rejections and drops the
 // error, and the censoring check alone rejects more than one sample in
 // ten, so they are preallocated sentinels rather than formatted values.
@@ -141,15 +144,21 @@ type Model struct {
 	cfg Config
 	cls *linear.CostSensitive
 
-	cores   int
-	samples []float64 // utils committed this epoch
+	cores int
+	// samples holds the utils committed since the last UpdateModel. It
+	// is sized once, to the schedule's DataPerEpoch, and regrows only
+	// when short-circuited epochs carry their samples into the next
+	// update (core.Model.UpdateModel).
+	samples []float64
 	// feats is the last completed epoch's feature vector: Predict reads
 	// it, and the next UpdateModel labels it with that epoch's observed
 	// maximum before overwriting it.
 	feats        [featureDims]float64
 	haveFeatures bool
-	// scratch and costs are UpdateModel's scratch: the percentile
-	// selection buffer and the classifier's cost vector.
+	// scratch and costs are UpdateModel's scratch: the top of the
+	// samples' order that the p95 feature selects from (sized with
+	// samples, for a DataPerEpoch epoch), and the classifier's cost
+	// vector.
 	scratch []float64
 	costs   []float64
 
@@ -170,18 +179,26 @@ type Model struct {
 	broken    bool
 }
 
-// NewModel builds the Model on n.
-func NewModel(n *node.Node, cfg Config) (*Model, error) {
+// NewModel builds the Model on n, sized for sched's epochs.
+func NewModel(n *node.Node, cfg Config, sched core.Schedule) (*Model, error) {
 	vm := n.VM(cfg.PrimaryVM)
 	if vm == nil {
 		return nil, fmt.Errorf("harvest: unknown primary VM %q", cfg.PrimaryVM)
 	}
 	cores := vm.AllocatedCores()
+	// One slab holds an epoch's samples and then the top of their order
+	// that the p95 feature selects from; each part's capacity is capped
+	// at its own length, so neither can write into the other.
+	per := max(sched.DataPerEpoch, 1)
+	lo, _, _ := stats.PercentileRank(per, tailPercentile)
+	slab := make([]float64, 2*per-lo)
 	return &Model{
 		vm:         vm,
 		cfg:        cfg,
 		cls:        linear.MustNewCostSensitive(cores+1, featureDims, cfg.LearningRate),
 		cores:      cores,
+		samples:    slab[:0:per],
+		scratch:    slab[per:per],
 		costs:      make([]float64, cores+1),
 		underPreds: *stats.NewWindow(cfg.UnderPredWindow),
 	}, nil
@@ -329,7 +346,7 @@ func (m *Model) features(utils []float64) [featureDims]float64 {
 		w.Add(u)
 	}
 	var p95 float64
-	p95, m.scratch = stats.PercentileBuf(m.scratch, utils, 95)
+	p95, m.scratch = stats.PercentileBuf(m.scratch, utils, tailPercentile)
 	return [featureDims]float64{
 		w.Mean() / c,
 		stats.Max(utils) / c,

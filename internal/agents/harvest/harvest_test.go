@@ -76,7 +76,7 @@ func TestConstructorsRejectUnknownVMs(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	n := node.MustNew(clk, node.DefaultConfig())
 	n.AddVM("primary", 4, &steppedLoad{})
-	if _, err := NewModel(n, DefaultConfig("ghost", "")); err == nil {
+	if _, err := NewModel(n, DefaultConfig("ghost", ""), Schedule()); err == nil {
 		t.Fatal("unknown primary accepted")
 	}
 	if _, err := NewActuator(n, DefaultConfig("primary", "ghost")); err == nil {
@@ -125,7 +125,7 @@ func meanUnmet(clk *clock.Virtual, n *node.Node, d time.Duration) float64 {
 
 func TestValidateDataFullUtilizationDiscard(t *testing.T) {
 	clk, n, _ := harvestNode(t, &steppedLoad{low: 2, high: 2, phase: time.Hour})
-	m, err := NewModel(n, DefaultConfig("primary", "elastic"))
+	m, err := NewModel(n, DefaultConfig("primary", "elastic"), Schedule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestCleanUpRestoresAllCores(t *testing.T) {
 
 func TestFeatureVector(t *testing.T) {
 	_, n, _ := harvestNode(t, &steppedLoad{})
-	m, _ := NewModel(n, DefaultConfig("primary", "elastic"))
+	m, _ := NewModel(n, DefaultConfig("primary", "elastic"), Schedule())
 	utils := make([]float64, 500)
 	for i := range utils {
 		utils[i] = 4 // constant

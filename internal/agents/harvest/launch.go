@@ -26,7 +26,7 @@ type Agent struct {
 // start builds the Model and Actuator for cfg and runs them under the
 // SOL runtime on clk with sched.
 func start(clk clock.Clock, n *node.Node, cfg Config, sched core.Schedule, opts core.Options) (*Agent, error) {
-	m, err := NewModel(n, cfg)
+	m, err := NewModel(n, cfg, sched)
 	if err != nil {
 		return nil, err
 	}

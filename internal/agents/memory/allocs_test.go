@@ -6,10 +6,12 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sol/internal/clock"
 	"sol/internal/memsim"
 	"sol/internal/stats"
+	"sol/internal/testutil"
 )
 
 // samplePath is what core's collectStep does with one sample, after
@@ -34,57 +36,67 @@ func newTestModel(t *testing.T) (*clock.Virtual, *memsim.Memory, *Model) {
 	return clk, mem, m
 }
 
-// runEpoch collects one full 128-tick epoch and closes it.
-func runEpoch(t *testing.T, clk *clock.Virtual, m *Model) {
-	t.Helper()
-	for i := 0; i < Schedule().DataPerEpoch; i++ {
-		if err := samplePath(clk, m); err != nil {
-			t.Fatalf("tick %d rejected: %v", i, err)
-		}
-	}
-	m.UpdateModel()
-}
-
 // TestSamplePathAllocs pins the Model loop's cost per tick at
-// arithmetic only, committed or rejected, once the scan buffer and the
-// audit slots have held one epoch. Closing an epoch allocates nothing
-// in UpdateModel; Predict allocates exactly the Placement's two slices,
-// which cross to the Actuator loop and are held there and in the
-// prediction queue, whose depth is the operator's — the Model cannot
-// take them back.
+// arithmetic only, committed or rejected, from the second tick on: the
+// first sizes the scan buffer to the region count, and the audit slots
+// are fixed-size sums built with the Model, so no warm-up epoch
+// precedes the count. Closing an epoch allocates nothing in UpdateModel
+// either; Predict allocates exactly the Placement's two slices, which
+// cross to the Actuator loop and are held there and in the prediction
+// queue, whose depth is the operator's — the Model cannot take them
+// back.
 func TestSamplePathAllocs(t *testing.T) {
+	per := Schedule().DataPerEpoch
+
 	t.Run("accept", func(t *testing.T) {
 		clk, _, m := newTestModel(t)
-		runEpoch(t, clk, m)
-		if avg := testing.AllocsPerRun(100, func() {
-			if err := samplePath(clk, m); err != nil {
-				t.Fatalf("tick rejected: %v", err)
+		if err := samplePath(clk, m); err != nil {
+			t.Fatalf("first tick rejected: %v", err)
+		}
+		if n := testutil.Mallocs(t, func() {
+			for i := 1; i < per; i++ {
+				if err := samplePath(clk, m); err != nil {
+					t.Fatalf("tick rejected: %v", err)
+				}
 			}
-		}); avg != 0 {
-			t.Fatalf("accepted tick allocates %.1f times, want 0", avg)
+		}); n != 0 {
+			t.Fatalf("ticks 2..%d of an epoch allocate %d times, want 0", per, n)
 		}
 	})
 
 	t.Run("reject", func(t *testing.T) {
 		clk, mem, m := newTestModel(t)
-		runEpoch(t, clk, m)
 		eio := errors.New("driver EIO")
 		mem.SetScanFault(func(int) error { return eio })
-		if avg := testing.AllocsPerRun(100, func() {
-			if err := samplePath(clk, m); err != ErrScanDriver {
-				t.Fatalf("faulted tick: err = %v", err)
+		_ = samplePath(clk, m)
+		if n := testutil.Mallocs(t, func() {
+			for i := 1; i < per; i++ {
+				if err := samplePath(clk, m); err != ErrScanDriver {
+					t.Fatalf("faulted tick: err = %v", err)
+				}
 			}
-		}); avg != 0 {
-			t.Fatalf("rejected tick allocates %.1f times, want 0", avg)
+		}); n != 0 {
+			t.Fatalf("rejected ticks 2..%d allocate %d times, want 0", per, n)
 		}
 	})
 
 	t.Run("epoch", func(t *testing.T) {
 		clk, _, m := newTestModel(t)
-		runEpoch(t, clk, m)
-		runEpoch(t, clk, m)
-		if avg := testing.AllocsPerRun(5, func() { runEpoch(t, clk, m) }); avg != 0 {
-			t.Fatalf("steady-state epoch up to UpdateModel allocates %.1f times, want 0", avg)
+		if err := samplePath(clk, m); err != nil {
+			t.Fatalf("first tick rejected: %v", err)
+		}
+		const epochs = 3
+		if n := testutil.Mallocs(t, func() {
+			for tick := 2; tick <= epochs*per; tick++ {
+				if err := samplePath(clk, m); err != nil {
+					t.Fatalf("tick %d rejected: %v", tick, err)
+				}
+				if tick%per == 0 {
+					m.UpdateModel()
+				}
+			}
+		}); n != 0 {
+			t.Fatalf("%d epochs up to UpdateModel, after the first tick, allocate %d times, want 0", epochs, n)
 		}
 		if avg := testing.AllocsPerRun(5, func() {
 			if _, err := m.Predict(); err != nil {
@@ -185,4 +197,12 @@ func TestRegionStateIsPointerFree(t *testing.T) {
 		}
 	}
 	walk("regionState", reflect.TypeOf(regionState{}))
+}
+
+// TestRegionStateSize keeps the regions slab at 24 bytes a region: the
+// one float and counters no wider than their ranges.
+func TestRegionStateSize(t *testing.T) {
+	if size := unsafe.Sizeof(regionState{}); size > 24 {
+		t.Fatalf("regionState is %d bytes, want <= 24", size)
+	}
 }

@@ -146,19 +146,90 @@ func Schedule() core.Schedule {
 	}
 }
 
-// regionState is the per-region learning state. It holds no pointers
-// — the region's bandit is Model.bandits.At(r) — so the collector never
-// walks the regions slab.
+// regionState is the per-region learning state, packed to 24 bytes: the
+// one float first, then the counters at the width their ranges need. It
+// holds no pointers — the region's bandit is Model.bandits.At(r) — so
+// the collector never walks the regions slab.
 type regionState struct {
-	arm   int
-	phase int // scan phase offset to stagger load
-	// Epoch accumulators.
-	scans        int
-	observedFrac float64 // sum of per-scan set fractions
-	cold         bool
-	// auditSlot indexes Model.auditFracs while the region is in this
-	// epoch's audit set, and is -1 otherwise.
-	auditSlot int
+	// observedFrac is the sum of this epoch's per-scan set fractions,
+	// in commit order.
+	observedFrac float64
+	// phase offsets the region's scan schedule to stagger load; it is
+	// the region index.
+	phase int32
+	// scans counts this epoch's committed scans (at most one per tick).
+	scans int32
+	// auditSlot indexes Model.audit while the region is in this epoch's
+	// audit set, and is -1 otherwise.
+	auditSlot int32
+	// arm is the scan-interval arm in play, < NumArms.
+	arm  uint8
+	cold bool
+}
+
+// auditAcc folds one audit slot's epoch of max-rate scan fractions as
+// each is committed, in 96 bytes however long the epoch runs. A scanner
+// at arm k, every 2^k ticks, sees per scan the union 1−Π(1−f) of its
+// group's per-tick fractions; frac(k) averages that over the epoch's
+// groups, the last one possibly partial. The slot keeps the count, Σf in
+// commit order, and for each arm k >= 1 the closed groups' summed union
+// and the open group's Π(1−f): the same operations, in the same order,
+// as a fold over a per-tick log, so every result keeps its bits. Holding
+// every arm lets UpdateModel score the arm just played and computeMissed
+// the arm just selected.
+type auditAcc struct {
+	n   int
+	sum float64
+	// closed[k-1] and open[k-1] belong to arm k.
+	closed [NumArms - 1]float64
+	open   [NumArms - 1]float64
+}
+
+// add folds the next committed audit fraction in.
+func (a *auditAcc) add(f float64) {
+	for k := range a.open {
+		mask := 2<<k - 1 // group of 2^(k+1) ticks
+		if a.n&mask == 0 {
+			a.open[k] = 1
+		}
+		a.open[k] *= 1 - f
+		if (a.n+1)&mask == 0 {
+			a.closed[k] += 1 - a.open[k]
+		}
+	}
+	a.sum += f
+	a.n++
+}
+
+// frac returns the mean set fraction per scan a scanner at arm would
+// have seen over the committed ticks: UpdateModel's f for an audited
+// region.
+func (a *auditAcc) frac(arm int) float64 {
+	if a.n == 0 {
+		return 0
+	}
+	if arm == 0 {
+		return a.sum / float64(a.n)
+	}
+	sum := a.closed[arm-1]
+	if a.n&(1<<arm-1) != 0 {
+		sum += 1 - a.open[arm-1]
+	}
+	return sum / float64(groupCount(a.n, arm))
+}
+
+// observed returns what computeMissed compares for one audit slot: the
+// touches a max-rate scanner saw (every tick's count once) and those a
+// scanner at arm would have seen (the union within each group).
+func (a *auditAcc) observed(arm int) (max, chosen float64) {
+	return a.sum, a.frac(arm) * float64(groupCount(a.n, arm))
+}
+
+// groupCount returns how many groups of 2^arm ticks n ticks span, the
+// last one possibly partial.
+func groupCount(n, arm int) int {
+	every := 1 << arm
+	return (n + every - 1) / every
 }
 
 // Model is the learning half of SmartMemory.
@@ -172,14 +243,14 @@ type Model struct {
 	ticks   int          // tick index within the epoch
 
 	// audit state: auditList is the regions scanned at max rate this
-	// epoch, ascending, and auditFracs[i] the per-tick fractions
-	// auditList[i] observed (regionState.auditSlot maps back). The slot
-	// buffers outlive the epoch's audit set, so committing an audit scan
-	// allocates only until each slot has held one full epoch.
-	auditList  []int
-	auditFracs [][]float64
+	// epoch, ascending, and audit[i] folds the per-tick fractions
+	// auditList[i] observed (regionState.auditSlot maps back). Both are
+	// sized once, by AuditFrac of the regions.
+	auditList []int
+	audit     []auditAcc
 	// scans, perm and order are scratch for CollectData, pickAudit and
-	// classify.
+	// classify; scans is sized once, to the region count, on the first
+	// tick.
 	scans []memsim.ScanResult
 	perm  []int
 	order rateOrder
@@ -212,13 +283,13 @@ func NewModel(mem *memsim.Memory, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("memory: CoverageTarget %v out of (0,1]", cfg.CoverageTarget)
 	}
 	m := &Model{
-		mem:        mem,
-		cfg:        cfg,
-		rng:        *stats.NewRNG(cfg.Seed),
-		regions:    make([]regionState, mem.Regions()),
-		auditFracs: make([][]float64, int(float64(mem.Regions())*cfg.AuditFrac)),
-		rates:      make([]float64, mem.Regions()),
-		cover:      cfg.CoverageTarget,
+		mem:     mem,
+		cfg:     cfg,
+		rng:     *stats.NewRNG(cfg.Seed),
+		regions: make([]regionState, mem.Regions()),
+		audit:   make([]auditAcc, int(float64(mem.Regions())*cfg.AuditFrac)),
+		rates:   make([]float64, mem.Regions()),
+		cover:   cfg.CoverageTarget,
 	}
 	// The bank splits its per-region generators off m.rng before
 	// pickAudit's first draw from it.
@@ -227,7 +298,7 @@ func NewModel(mem *memsim.Memory, cfg Config) (*Model, error) {
 		return nil, err
 	}
 	for r := range m.regions {
-		m.regions[r] = regionState{phase: r, auditSlot: -1}
+		m.regions[r] = regionState{phase: int32(r), auditSlot: -1}
 	}
 	m.pickAudit()
 	return m, nil
@@ -252,11 +323,11 @@ func (m *Model) pickAudit() {
 		m.regions[r].auditSlot = -1
 	}
 	m.perm = m.rng.PermInto(m.perm, len(m.regions))
-	m.auditList = append(m.auditList[:0], m.perm[:len(m.auditFracs)]...)
+	m.auditList = append(m.auditList[:0], m.perm[:len(m.audit)]...)
 	sort.Ints(m.auditList)
 	for i, r := range m.auditList {
-		m.regions[r].auditSlot = i
-		m.auditFracs[i] = m.auditFracs[i][:0]
+		m.regions[r].auditSlot = int32(i)
+		m.audit[i] = auditAcc{}
 	}
 }
 
@@ -268,6 +339,7 @@ func (m *Model) CollectData() (Tick, error) {
 	if !m.started {
 		m.started = true
 		m.startAt = now
+		m.scans = make([]memsim.ScanResult, 0, len(m.regions))
 	}
 	t := Tick{At: now, Scans: m.scans[:0]}
 	for r := range m.regions {
@@ -286,7 +358,7 @@ func (m *Model) CollectData() (Tick, error) {
 			}
 		}
 		every := 1 << st.arm
-		if !audited && (m.ticks+st.phase)%every != 0 {
+		if !audited && (m.ticks+int(st.phase))%every != 0 {
 			continue
 		}
 		res, err := m.mem.Scan(r)
@@ -319,7 +391,7 @@ func (m *Model) CommitData(at time.Time, t Tick) {
 		frac := float64(s.SetPages) / pages
 		st := &m.regions[s.Region]
 		if st.auditSlot >= 0 {
-			m.auditFracs[st.auditSlot] = append(m.auditFracs[st.auditSlot], frac)
+			m.audit[st.auditSlot].add(frac)
 			continue
 		}
 		st.scans++
@@ -350,21 +422,22 @@ func (m *Model) UpdateModel() {
 		}
 		st.cold = now.Sub(since) > m.cfg.ColdAfter
 
+		arm := int(st.arm)
 		var f float64 // mean observed set fraction per scan
-		var audited []float64
+		audited := 0
 		if st.auditSlot >= 0 {
-			audited = m.auditFracs[st.auditSlot]
+			audited = m.audit[st.auditSlot].n
 		}
-		if len(audited) > 0 {
-			f = perGroupFrac(audited, 1<<st.arm)
+		if audited > 0 {
+			f = m.audit[st.auditSlot].frac(arm)
 		} else if st.auditSlot < 0 && st.scans > 0 {
 			f = st.observedFrac / float64(st.scans)
 		}
 
-		if st.scans > 0 || len(audited) > 0 {
-			g := perTickFrac(f, st.arm)
+		if st.scans > 0 || audited > 0 {
+			g := perTickFrac(f, arm)
 			m.rates[r] = g * pages / tickSec
-			b.Reward(st.arm, m.wellSampled(g, st.arm))
+			b.Reward(arm, m.wellSampled(g, arm))
 		}
 		b.Decay(m.cfg.BanditDecay)
 
@@ -372,7 +445,7 @@ func (m *Model) UpdateModel() {
 		if m.broken {
 			st.arm = NumArms - 1
 		} else {
-			st.arm = b.Select()
+			st.arm = uint8(b.Select())
 		}
 		st.scans = 0
 		st.observedFrac = 0
@@ -447,50 +520,20 @@ func perTickFrac(f float64, arm int) float64 {
 	return 1 - math.Pow(1-f, 1/n)
 }
 
-// perGroupFrac folds per-tick audit fractions into what a scanner at
-// interval every ticks would have seen per scan, on average.
-func perGroupFrac(fracs []float64, every int) float64 {
-	if every <= 1 {
-		return stats.Mean(fracs)
-	}
-	var sum float64
-	var groups int
-	for i := 0; i < len(fracs); i += every {
-		end := i + every
-		if end > len(fracs) {
-			end = len(fracs)
-		}
-		miss := 1.0
-		for _, f := range fracs[i:end] {
-			miss *= 1 - f
-		}
-		sum += 1 - miss
-		groups++
-	}
-	if groups == 0 {
-		return 0
-	}
-	return sum / float64(groups)
-}
-
 // computeMissed estimates, from the audit regions, the fraction of
 // distinct page touches the model-recommended rates would have missed.
+// It runs after UpdateModel's selection, so it scores each audit
+// region's newly selected arm — the rate the model recommends for the
+// coming epoch — against the epoch just audited, not the arm that was
+// played in it.
 func (m *Model) computeMissed() {
 	var atMax, atChosen float64
 	for i, r := range m.auditList {
-		fr := m.auditFracs[i]
-		if len(fr) == 0 {
+		acc := &m.audit[i]
+		if acc.n == 0 {
 			continue
 		}
-		arm := m.regions[r].arm
-		every := 1 << arm
-		// Max-rate observation: every tick's touches count once.
-		var max float64
-		for _, f := range fr {
-			max += f
-		}
-		// Chosen-rate observation: touches union within each group.
-		chosen := perGroupFrac(fr, every) * float64((len(fr)+every-1)/every)
+		max, chosen := acc.observed(int(m.regions[r].arm))
 		atMax += max
 		atChosen += chosen
 	}

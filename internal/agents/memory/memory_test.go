@@ -9,6 +9,7 @@ import (
 	"sol/internal/clock"
 	"sol/internal/core"
 	"sol/internal/memsim"
+	"sol/internal/stats"
 	"sol/internal/workload"
 )
 
@@ -393,5 +394,156 @@ func TestEpochDurationAccessor(t *testing.T) {
 	pol := NewStaticPolicy(clk, mem, 1, 0.8, 128)
 	if pol.EpochDuration() != 38400*time.Millisecond {
 		t.Fatalf("EpochDuration = %v", pol.EpochDuration())
+	}
+}
+
+// perGroupFrac folds one audit region's per-tick fractions, logged in
+// commit order, into what a scanner at interval every ticks would have
+// seen per scan, on average. It is how the model scored audits while it
+// kept that log, and it is the oracle auditAcc must match bit for bit.
+func perGroupFrac(fracs []float64, every int) float64 {
+	if every <= 1 {
+		return stats.Mean(fracs)
+	}
+	var sum float64
+	var groups int
+	for i := 0; i < len(fracs); i += every {
+		end := i + every
+		if end > len(fracs) {
+			end = len(fracs)
+		}
+		miss := 1.0
+		for _, f := range fracs[i:end] {
+			miss *= 1 - f
+		}
+		sum += 1 - miss
+		groups++
+	}
+	if groups == 0 {
+		return 0
+	}
+	return sum / float64(groups)
+}
+
+// oracleObserved is computeMissed's per-region pair over the log: the
+// max-rate sum and the chosen-rate union summed over groups.
+func oracleObserved(fracs []float64, every int) (max, chosen float64) {
+	for _, f := range fracs {
+		max += f
+	}
+	return max, perGroupFrac(fracs, every) * float64((len(fracs)+every-1)/every)
+}
+
+// TestAuditAccMatchesPerGroupFrac drives random per-tick fractions
+// through an audit slot and the log it replaced: epochs of 1–160 ticks,
+// so every arm ends on a partial group sometimes, with ticks skipped as
+// a scan error skips them. For all six arms the slot must give
+// UpdateModel's f and computeMissed's max and chosen with the log's
+// exact bits.
+func TestAuditAccMatchesPerGroupFrac(t *testing.T) {
+	rng := stats.NewRNG(35)
+	draw := func() float64 {
+		switch rng.Intn(5) {
+		case 0:
+			return 0
+		case 1:
+			return 1
+		case 2:
+			return float64(rng.Intn(513)) / 512 // a region's set pages
+		}
+		return rng.Float64()
+	}
+	var fracs []float64
+	for trial := 0; trial < 2000; trial++ {
+		ticks := 1 + rng.Intn(160)
+		var acc auditAcc
+		fracs = fracs[:0]
+		for i := 0; i < ticks; i++ {
+			if rng.Bool(0.1) {
+				continue // scan error: the tick is never committed
+			}
+			f := draw()
+			fracs = append(fracs, f)
+			acc.add(f)
+		}
+		for arm := 0; arm < NumArms; arm++ {
+			every := 1 << arm
+			if got, want := acc.frac(arm), perGroupFrac(fracs, every); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d, %d of %d ticks, arm %d: f = %v, log gives %v", trial, len(fracs), ticks, arm, got, want)
+			}
+			gotMax, gotChosen := acc.observed(arm)
+			wantMax, wantChosen := oracleObserved(fracs, every)
+			if math.Float64bits(gotMax) != math.Float64bits(wantMax) || math.Float64bits(gotChosen) != math.Float64bits(wantChosen) {
+				t.Fatalf("trial %d, %d of %d ticks, arm %d: max, chosen = %v, %v; log gives %v, %v",
+					trial, len(fracs), ticks, arm, gotMax, gotChosen, wantMax, wantChosen)
+			}
+		}
+	}
+}
+
+// TestModelAuditMatchesLog runs a Model through epochs of random length
+// with scan faults on random ticks, logging every committed audit
+// fraction beside it. After each UpdateModel, an audited region's rate
+// (scored on the arm it played) and the missed fraction (scored on the
+// arms just selected) must equal what the log gives, bit for bit.
+func TestModelAuditMatchesLog(t *testing.T) {
+	clk, mem, m := newTestModel(t)
+	rng := stats.NewRNG(36)
+	fault := false
+	eio := errors.New("driver EIO")
+	mem.SetScanFault(func(int) error {
+		if fault {
+			return eio
+		}
+		return nil
+	})
+	pages := float64(mem.PagesPerRegion())
+	tickSec := mem.Config().BaseTick.Seconds()
+	log := make([][]float64, len(m.audit))
+	for epoch := 0; epoch < 40; epoch++ {
+		for i := range log {
+			log[i] = log[i][:0]
+		}
+		for tick := 1 + rng.Intn(160); tick > 0; tick-- {
+			fault = rng.Bool(0.1)
+			clk.RunFor(300 * time.Millisecond)
+			tk, _ := m.CollectData()
+			if m.ValidateData(tk) != nil {
+				continue
+			}
+			for _, s := range tk.Scans {
+				if slot := m.regions[s.Region].auditSlot; slot >= 0 {
+					log[slot] = append(log[slot], float64(s.SetPages)/pages)
+				}
+			}
+			m.CommitData(tk.At, tk)
+		}
+		audited := append([]int(nil), m.auditList...)
+		played := make([]int, len(audited))
+		for i, r := range audited {
+			played[i] = int(m.regions[r].arm)
+		}
+		m.UpdateModel()
+
+		var atMax, atChosen float64
+		for i, r := range audited {
+			if len(log[i]) == 0 {
+				continue
+			}
+			g := perTickFrac(perGroupFrac(log[i], 1<<played[i]), played[i])
+			if got, want := m.rates[r], g*pages/tickSec; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("epoch %d, region %d at arm %d: rate %v, log gives %v", epoch, r, played[i], got, want)
+			}
+			max, chosen := oracleObserved(log[i], 1<<m.regions[r].arm)
+			atMax += max
+			atChosen += chosen
+		}
+		want := 0.0
+		if atMax > 0 {
+			want = stats.Clamp(1-atChosen/atMax, 0, 1)
+		}
+		if math.Float64bits(m.missed) != math.Float64bits(want) {
+			t.Fatalf("epoch %d: missed %v, log gives %v", epoch, m.missed, want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"sol/internal/clock"
 	"sol/internal/node"
+	"sol/internal/testutil"
 )
 
 // samplePath is what core's collectStep does with one sample.
@@ -33,30 +34,25 @@ func busyModel(t *testing.T) (*Model, *clock.Virtual, *node.Node) {
 	return m, clk, n
 }
 
-// TestSamplePathAllocs pins the Model loop at arithmetic only: one
-// collected sample allocates nothing whether it is committed, rejected
-// or passed through a corruptor, and neither does closing an epoch.
+// TestSamplePathAllocs pins the Model loop at arithmetic only: from the
+// second sample on, a sample committed, rejected or passed through a
+// corruptor allocates nothing — an epoch's samples are running sums,
+// not a buffer — and neither does closing an epoch, once the Δr log has
+// grown to its window.
 func TestSamplePathAllocs(t *testing.T) {
 	const runs = 200
-	// warm grows the epoch's sample buffer past what a measurement
-	// commits, then closes the epoch so the buffer is empty again.
-	warm := func(m *Model) {
-		for i := 0; i < 2*runs; i++ {
-			m.CommitData(time.Time{}, Sample{IPS: 5, Alpha: 0.5})
-		}
-		m.UpdateModel()
-	}
 
 	t.Run("accept", func(t *testing.T) {
 		m, clk, _ := busyModel(t)
-		warm(m)
-		if avg := testing.AllocsPerRun(runs, func() {
-			clk.RunFor(100 * time.Millisecond)
-			if err := samplePath(m); err != nil {
-				t.Fatalf("busy sample rejected: %v", err)
+		if n := testutil.Mallocs(t, func() {
+			for i := 0; i < runs; i++ {
+				clk.RunFor(100 * time.Millisecond)
+				if err := samplePath(m); err != nil {
+					t.Fatalf("busy sample rejected: %v", err)
+				}
 			}
-		}); avg != 0 {
-			t.Fatalf("accepted sample allocates %.1f times, want 0", avg)
+		}); n != 0 {
+			t.Fatalf("%d accepted samples allocate %d times, want 0", runs, n)
 		}
 	})
 
@@ -67,16 +63,18 @@ func TestSamplePathAllocs(t *testing.T) {
 			seen++
 			s.IPS = -42
 		})
-		if avg := testing.AllocsPerRun(runs, func() {
-			clk.RunFor(100 * time.Millisecond)
-			if err := samplePath(m); err != ErrIPSRange {
-				t.Fatalf("corrupted sample: err = %v", err)
+		if n := testutil.Mallocs(t, func() {
+			for i := 0; i < runs; i++ {
+				clk.RunFor(100 * time.Millisecond)
+				if err := samplePath(m); err != ErrIPSRange {
+					t.Fatalf("corrupted sample: err = %v", err)
+				}
 			}
-		}); avg != 0 {
-			t.Fatalf("corrupted, rejected sample allocates %.1f times, want 0", avg)
+		}); n != 0 {
+			t.Fatalf("%d corrupted, rejected samples allocate %d times, want 0", runs, n)
 		}
-		if seen != runs+1 {
-			t.Fatalf("corruptor saw %d samples of %d", seen, runs+1)
+		if seen != runs {
+			t.Fatalf("corruptor saw %d samples of %d", seen, runs)
 		}
 	})
 
@@ -86,23 +84,28 @@ func TestSamplePathAllocs(t *testing.T) {
 		if err := n.SetFrequencyLevel("vm", 2); err != nil {
 			t.Fatal(err)
 		}
-		epoch := func() {
-			for i := 0; i < 10; i++ {
-				clk.RunFor(100 * time.Millisecond)
-				if err := samplePath(m); err != nil {
-					t.Fatalf("busy sample rejected: %v", err)
+		epochs := func(k int) {
+			for e := 0; e < k; e++ {
+				for i := 0; i < 10; i++ {
+					clk.RunFor(100 * time.Millisecond)
+					if err := samplePath(m); err != nil {
+						t.Fatalf("busy sample rejected: %v", err)
+					}
+				}
+				m.UpdateModel()
+				if _, err := m.Predict(); err != nil {
+					t.Fatal(err)
 				}
 			}
-			m.UpdateModel()
-			if _, err := m.Predict(); err != nil {
-				t.Fatal(err)
-			}
 		}
-		for i := 0; i < 20; i++ { // past the 12 s Δr window
-			epoch()
+		// The Δr log holds the last 12 s of overclocked epochs: filling
+		// it doubles its backing array up to 16 entries, and nothing else
+		// in these epochs allocates.
+		if got := testutil.Mallocs(t, func() { epochs(20) }); got > 5 {
+			t.Fatalf("first 20 epochs allocate %d times, want <= 5 (the Δr log's growth to its window)", got)
 		}
-		if avg := testing.AllocsPerRun(50, epoch); avg != 0 {
-			t.Fatalf("steady-state epoch allocates %.1f times, want 0", avg)
+		if got := testutil.Mallocs(t, func() { epochs(50) }); got != 0 {
+			t.Fatalf("50 steady-state epochs allocate %d times, want 0", got)
 		}
 		if m.Learner().Updates() == 0 || len(m.deltaR) == 0 {
 			t.Fatalf("epochs trained nothing: %d updates, %d Δr observations", m.Learner().Updates(), len(m.deltaR))

@@ -139,9 +139,15 @@ type Model struct {
 	rl  *qlearn.Learner
 	rng stats.RNG
 
-	prev      node.CPUCounters
-	havePrev  bool
-	samples   []Sample
+	prev     node.CPUCounters
+	havePrev bool
+	// The epoch's committed samples, folded as they arrive: committed
+	// of them, ipsSum their IPS summed in commit order, freqCount their
+	// tally per DVFS level, and lastAt the latest one's reading time.
+	committed int
+	ipsSum    float64
+	freqCount []int
+	lastAt    time.Time
 	prevState int
 	haveState bool
 
@@ -162,8 +168,6 @@ type Model struct {
 	ipsRef    float64
 	// maxIPS is ValidateData's upper range bound, 1.05·MaxIPS.
 	maxIPS float64
-	// freqCount is UpdateModel's per-level sample tally.
-	freqCount []int
 }
 
 // NewModel builds the Model for the VM named in cfg on n.
@@ -251,32 +255,32 @@ func (m *Model) ValidateData(s Sample) error {
 	return nil
 }
 
-// CommitData implements core.Model.
-func (m *Model) CommitData(t time.Time, s Sample) { m.samples = append(m.samples, s) }
+// CommitData implements core.Model: fold the sample into the epoch's
+// running sums.
+func (m *Model) CommitData(t time.Time, s Sample) {
+	m.committed++
+	m.ipsSum += s.IPS
+	m.freqCount[s.FreqLevel]++
+	m.lastAt = s.At
+}
 
 // UpdateModel implements core.Model: it computes the epoch's
 // state/reward and applies one Q-learning step for the frequency that
 // was actually in effect.
 func (m *Model) UpdateModel() {
-	if len(m.samples) == 0 {
+	if m.committed == 0 {
 		return
 	}
-	var ips float64
-	freqCount := m.freqCount
-	clear(freqCount)
-	for _, s := range m.samples {
-		ips += s.IPS
-		freqCount[s.FreqLevel]++
-	}
-	ips /= float64(len(m.samples))
+	ips := m.ipsSum / float64(m.committed)
 	applied := 0
-	for lvl, c := range freqCount {
-		if c > freqCount[applied] {
+	for lvl, c := range m.freqCount {
+		if c > m.freqCount[applied] {
 			applied = lvl
 		}
 	}
-	now := m.samples[len(m.samples)-1].At
-	m.samples = m.samples[:0]
+	now := m.lastAt
+	m.committed, m.ipsSum = 0, 0
+	clear(m.freqCount)
 
 	state := m.stateOf(ips, applied)
 	reward := m.reward(ips, applied)

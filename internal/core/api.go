@@ -97,8 +97,12 @@ type Model[D, P any] interface {
 	// collection time.
 	CommitData(t time.Time, d D)
 
-	// UpdateModel trains on the data committed this epoch. Called at
-	// most once per epoch, and only when enough valid data arrived.
+	// UpdateModel trains on the data committed since its previous
+	// call. It is called at most once per epoch, and only when the
+	// epoch committed DataPerEpoch samples: an epoch that reaches
+	// MaxEpochTime first is short-circuited to a default prediction
+	// without an update, so what it committed carries into the next
+	// update, on top of that epoch's own samples.
 	UpdateModel()
 
 	// Predict produces the epoch's prediction from the current model.

@@ -205,7 +205,10 @@ func TestStandardNodeSteadyStateAllocs(t *testing.T) {
 // windows — not by its simulated history; while the workload logged
 // every served request's latency this read ~2,600 B. The warm-up runs
 // past SmartMemory's first learning epoch (38.4 s) and actuation
-// deadline (45 s), which size its model state once.
+// deadline (45 s), so its first placement has landed. Its model state
+// is no longer sized by that epoch: the audit slots are fixed-size sums
+// built with the model, and the scan buffer is sized to the region
+// count on the first tick.
 func TestStandardNodeLiveHeapFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reads process-wide heap statistics; run without -short and -race")

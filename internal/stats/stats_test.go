@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 	"testing"
@@ -195,13 +196,13 @@ func sortedPercentile(xs []float64, p float64) float64 {
 	return Lerp(s[lo], s[hi], frac)
 }
 
-// TestPercentileBufMatchesPercentile: Percentile, PercentileBuf and
-// Window.Percentile select rather than sort, and must equal the sorted
-// reference bit for bit at every size from 1 to 257 — across the
-// insertion-sort cutoff and many partition rounds — on inputs drawn
-// from a continuum, from a handful of values (runs of ties), and with
-// NaNs, which sort.Float64s orders first. The caller-owned scratch
-// changes where the copy lives, not the result, and xs is left alone.
+// TestPercentileBufMatchesPercentile: Percentile and PercentileBuf
+// select from a heap of the order's top, and Window.Percentile does the
+// same in the window's scratch; all must equal the sorted reference bit
+// for bit at every size from 1 to 257 on inputs drawn from a continuum,
+// from a handful of values (runs of ties), and with NaNs, which
+// sort.Float64s orders first. The caller-owned scratch changes where
+// the heap lives, not the result, and xs is left alone.
 func TestPercentileBufMatchesPercentile(t *testing.T) {
 	rng := NewRNG(9)
 	ps := []float64{0, 1, 50, 90, 95, 99, 100}
@@ -252,6 +253,39 @@ func TestPercentileBufMatchesPercentile(t *testing.T) {
 	}
 }
 
+// FuzzPercentileBuf checks the top-of-order selection on any input:
+// raw is read as little-endian float64s, so the corpus reaches ties,
+// NaNs, ±0 and infinities. For every p that is not NaN, PercentileBuf
+// must equal percentileSorted over a sorted copy (==, or both NaN: tied
+// values may differ in their bits, as ±0 and NaN payloads do) and leave
+// the input as it was.
+func FuzzPercentileBuf(f *testing.F) {
+	var buf []float64
+	f.Fuzz(func(t *testing.T, raw []byte, p float64) {
+		if p != p {
+			t.Skip("p is NaN")
+		}
+		xs := make([]float64, len(raw)/8)
+		for i := range xs {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		want := percentileSorted(sorted, p)
+		same := func(v float64) bool { return v == want || (v != v && want != want) }
+		var got float64
+		got, buf = PercentileBuf(buf, xs, p)
+		if !same(got) {
+			t.Fatalf("PercentileBuf(%v, p%v) = %v, sorted copy gives %v", xs, p, got, want)
+		}
+		for i, x := range xs {
+			if math.Float64bits(x) != binary.LittleEndian.Uint64(raw[8*i:]) {
+				t.Fatalf("input changed at %d: %v", i, xs)
+			}
+		}
+	})
+}
+
 // TestWindowPercentileAllocs is the regression test for the reusable
 // scratch buffer: safeguard-style percentile queries, and the window
 // updates beside them, must not allocate in steady state.
@@ -280,8 +314,8 @@ func TestWindowEviction(t *testing.T) {
 	if w.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", w.Len())
 	}
-	if m := w.Max(); m != 5 {
-		t.Fatalf("Max = %v, want 5", m)
+	if lo, hi := w.Percentile(0), w.Percentile(100); lo != 3 || hi != 5 {
+		t.Fatalf("Percentile(0), Percentile(100) = %v, %v, want 3, 5 (window should hold 3,4,5)", lo, hi)
 	}
 	if m := w.Mean(); m != 4 {
 		t.Fatalf("Mean = %v, want 4 (window should hold 3,4,5)", m)
@@ -290,7 +324,7 @@ func TestWindowEviction(t *testing.T) {
 
 func TestWindowEmpty(t *testing.T) {
 	w := NewWindow(4)
-	if w.Percentile(50) != 0 || w.Mean() != 0 || w.Max() != 0 {
+	if w.Len() != 0 || w.Percentile(50) != 0 || w.Percentile(100) != 0 || w.Mean() != 0 {
 		t.Fatal("empty window statistics should be 0")
 	}
 	if w.Full() {

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/bits"
 	"sort"
 )
 
@@ -47,17 +46,17 @@ func (w *Welford) Reset() { *w = Welford{} }
 // supporting exact percentile queries. The SOL safeguards track signals
 // like "P90 of α over the last 100 seconds" and "P99 vCPU wait time";
 // window sizes in those uses are small (hundreds to a few thousand
-// samples), so a selection over a copy per query is plenty fast and
-// exact, which matters for reproducing thresholds. Queries work in a
-// scratch buffer owned by the window, so the steady-state safeguard
-// path — assessed every interval by every agent in a fleet — does not
-// allocate.
+// samples), so a selection per query is plenty fast and exact, which
+// matters for reproducing thresholds. Queries work in a scratch buffer
+// owned by the window, so the steady-state safeguard path — assessed
+// every interval by every agent in a fleet — does not allocate.
 type Window struct {
 	buf  []float64
 	next int
 	full bool
-	// scratch holds the copy percentile queries reorder; lazily sized
-	// to capacity on first use.
+	// scratch is the percentile queries' working buffer: Percentile's
+	// heap of the order's top, Percentiles' sorted copy. It is grown on
+	// demand, at most to capacity.
 	scratch []float64
 }
 
@@ -104,7 +103,7 @@ func (w *Window) snapshot() []float64 {
 	if n == 0 {
 		return nil
 	}
-	if w.scratch == nil {
+	if cap(w.scratch) < n {
 		w.scratch = make([]float64, 0, len(w.buf))
 	}
 	tmp := w.scratch[:n]
@@ -113,10 +112,13 @@ func (w *Window) snapshot() []float64 {
 }
 
 // Percentile returns the p-th percentile (p in [0, 100]) of the stored
-// observations using nearest-rank interpolation, found by selection. It
-// returns 0 when the window is empty.
+// observations using nearest-rank interpolation, selected by
+// PercentileBuf in the window's scratch. It returns 0 when the window is
+// empty.
 func (w *Window) Percentile(p float64) float64 {
-	return percentileSelect(w.snapshot(), p)
+	var v float64
+	v, w.scratch = PercentileBuf(w.scratch, w.buf[:w.Len()], p)
+	return v
 }
 
 // Percentiles evaluates several percentile queries over one sort of
@@ -146,21 +148,6 @@ func (w *Window) Mean() float64 {
 	return sum / float64(n)
 }
 
-// Max returns the maximum stored observation, 0 when empty.
-func (w *Window) Max() float64 {
-	n := w.Len()
-	if n == 0 {
-		return 0
-	}
-	m := w.buf[0]
-	for _, x := range w.buf[1:n] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // percentileSorted computes a percentile over an ascending slice using
 // linear interpolation between closest ranks.
 func percentileSorted(sorted []float64, p float64) float64 {
@@ -171,104 +158,8 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return Lerp(sorted[lo], sorted[hi], frac)
 }
 
-// percentileSelect computes the p-th percentile of xs as
-// percentileSorted would over xs sorted, but finds the one or two
-// order statistics it needs by selection, in expected linear time. It
-// reorders xs.
-func percentileSelect(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	lo, hi, frac := PercentileRank(len(xs), p)
-	a := selectRank(xs, lo)
-	if hi == lo {
-		return a
-	}
-	// selectRank left every element after lo ordered no earlier, so
-	// the next order statistic is their least.
-	return Lerp(a, least(xs[lo+1:]), frac)
-}
-
 // less is the order sort.Float64s sorts by: NaN before every number.
 func less(a, b float64) bool { return a < b || (a != a && b == b) }
-
-// selectRank reorders xs so that xs[k] holds the value sort.Float64s
-// would put at rank k, nothing before it orders after it and nothing
-// after it orders before it, and returns xs[k]. It is quickselect with
-// a median-of-three pivot and a three-way partition, so runs of ties
-// cost one pass; a pivot sequence that keeps missing falls back to
-// sorting what is left, which bounds the worst case at a sort's.
-func selectRank(xs []float64, k int) float64 {
-	lo, hi := 0, len(xs)
-	for budget := 2 * bits.Len(uint(len(xs))); hi-lo > 12; budget-- {
-		if budget == 0 {
-			sort.Float64s(xs[lo:hi])
-			return xs[k]
-		}
-		lt, gt := partition3(xs[lo:hi], median3(xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]))
-		switch {
-		case k < lo+lt:
-			hi = lo + lt
-		case k >= lo+gt:
-			lo += gt
-		default:
-			return xs[k]
-		}
-	}
-	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && less(xs[j], xs[j-1]); j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-	return xs[k]
-}
-
-// median3 returns the median of a, b and c under less.
-func median3(a, b, c float64) float64 {
-	if less(b, a) {
-		a, b = b, a
-	}
-	if less(c, b) {
-		b = c
-		if less(b, a) {
-			b = a
-		}
-	}
-	return b
-}
-
-// partition3 reorders xs into the elements ordering before pivot, those
-// tied with it, and those ordering after it, and returns where the tied
-// run starts and ends.
-func partition3(xs []float64, pivot float64) (lt, gt int) {
-	i, gt := 0, len(xs)
-	for i < gt {
-		switch x := xs[i]; {
-		case less(x, pivot):
-			xs[lt], xs[i] = x, xs[lt]
-			lt++
-			i++
-		case less(pivot, x):
-			gt--
-			xs[i], xs[gt] = xs[gt], x
-		default:
-			i++
-		}
-	}
-	return lt, gt
-}
-
-// least returns the first element of xs (len > 0) that no other orders
-// before.
-func least(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if less(x, m) {
-			m = x
-		}
-	}
-	return m
-}
 
 // PercentileRank is the rank half of every percentile in this module:
 // the p-th percentile (p in [0, 100]) of n > 0 ascending observations x
@@ -304,14 +195,55 @@ func Percentile(xs []float64, p float64) float64 {
 	return v
 }
 
-// PercentileBuf is Percentile with a caller-owned scratch: xs is copied
-// into buf (grown when too short), the percentile selected there, and
-// the buffer handed back for the next call, so a caller that queries
-// every epoch allocates only until the buffer has seen its largest
-// input.
+// PercentileBuf is Percentile with a caller-owned scratch, handed back
+// (grown when too short) for the next call. It selects from the top of
+// the order: buf holds only the len(xs)−lo values from the percentile's
+// rank lo up, as a min-heap under less, so the root is the order
+// statistic at lo and the lesser of the root's children the one after
+// it. A high percentile of a long series — a p95 over an epoch of
+// samples — fills a short buffer, and xs is never copied or modified.
 func PercentileBuf(buf, xs []float64, p float64) (float64, []float64) {
-	buf = append(buf[:0], xs...)
-	return percentileSelect(buf, p), buf
+	if len(xs) == 0 {
+		return 0, buf[:0]
+	}
+	lo, hi, frac := PercentileRank(len(xs), p)
+	k := len(xs) - lo
+	heap := append(buf[:0], xs[:k]...)
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+	for _, x := range xs[k:] {
+		if less(heap[0], x) {
+			heap[0] = x
+			siftDown(heap, 0)
+		}
+	}
+	if hi == lo {
+		return heap[0], heap
+	}
+	next := heap[1]
+	if k > 2 && less(heap[2], next) {
+		next = heap[2]
+	}
+	return Lerp(heap[0], next, frac), heap
+}
+
+// siftDown restores the min-heap order under less below h[i].
+func siftDown(h []float64, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && less(h[c+1], h[c]) {
+			c++
+		}
+		if !less(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Mean returns the arithmetic mean of xs, 0 for an empty slice.
