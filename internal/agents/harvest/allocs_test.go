@@ -197,3 +197,22 @@ func TestValidateDataSentinels(t *testing.T) {
 		t.Errorf("Predict before any epoch: err = %v, want %v", err, errNoFeatures)
 	}
 }
+
+// TestStartAllocs pins one launch: the Agent — Model, Actuator and
+// runtime in one object — plus the classifier's regressor slice and
+// weight slab, the sample slab, the cost vector, the under-prediction
+// and vCPU-wait windows, and the runtime's prediction queue.
+func TestStartAllocs(t *testing.T) {
+	clk, n, _ := harvestNode(t, &steppedLoad{low: 2, high: 2, phase: time.Hour})
+	var ag *Agent
+	got := testutil.Mallocs(t, func() {
+		var err error
+		if ag, err = start(clk, n, DefaultConfig("primary", "elastic"), Schedule(), core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	defer ag.Stop()
+	if got != 8 {
+		t.Fatalf("one launch allocates %d objects, want 8", got)
+	}
+}

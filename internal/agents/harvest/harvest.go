@@ -142,7 +142,7 @@ var (
 type Model struct {
 	vm  *node.VM
 	cfg Config
-	cls *linear.CostSensitive
+	cls linear.CostSensitive
 
 	cores int
 	// samples holds the utils committed since the last UpdateModel. It
@@ -181,27 +181,37 @@ type Model struct {
 
 // NewModel builds the Model on n, sized for sched's epochs.
 func NewModel(n *node.Node, cfg Config, sched core.Schedule) (*Model, error) {
+	m := new(Model)
+	if err := m.init(n, cfg, sched); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// init builds the Model in place, in a zero m.
+func (m *Model) init(n *node.Node, cfg Config, sched core.Schedule) error {
 	vm := n.VM(cfg.PrimaryVM)
 	if vm == nil {
-		return nil, fmt.Errorf("harvest: unknown primary VM %q", cfg.PrimaryVM)
+		return fmt.Errorf("harvest: unknown primary VM %q", cfg.PrimaryVM)
 	}
 	cores := vm.AllocatedCores()
+	if err := m.cls.Init(cores+1, featureDims, cfg.LearningRate); err != nil {
+		return err
+	}
 	// One slab holds an epoch's samples and then the top of their order
 	// that the p95 feature selects from; each part's capacity is capped
 	// at its own length, so neither can write into the other.
 	per := max(sched.DataPerEpoch, 1)
 	lo, _, _ := stats.PercentileRank(per, tailPercentile)
 	slab := make([]float64, 2*per-lo)
-	return &Model{
-		vm:         vm,
-		cfg:        cfg,
-		cls:        linear.MustNewCostSensitive(cores+1, featureDims, cfg.LearningRate),
-		cores:      cores,
-		samples:    slab[:0:per],
-		scratch:    slab[per:per],
-		costs:      make([]float64, cores+1),
-		underPreds: *stats.NewWindow(cfg.UnderPredWindow),
-	}, nil
+	m.vm = vm
+	m.cfg = cfg
+	m.cores = cores
+	m.samples = slab[:0:per]
+	m.scratch = slab[per:per]
+	m.costs = make([]float64, cores+1)
+	m.underPreds = *stats.NewWindow(cfg.UnderPredWindow)
+	return nil
 }
 
 // SetCorruptor installs a raw-sample mutator for fault injection.
@@ -212,7 +222,7 @@ func (m *Model) SetCorruptor(f func(*Sample)) { m.corrupt = f }
 func (m *Model) Break(b bool) { m.broken = b }
 
 // Classifier exposes the underlying model for inspection.
-func (m *Model) Classifier() *linear.CostSensitive { return m.cls }
+func (m *Model) Classifier() *linear.CostSensitive { return &m.cls }
 
 // CollectData implements core.Model.
 func (m *Model) CollectData() (Sample, error) {
@@ -375,24 +385,32 @@ type Actuator struct {
 
 // NewActuator builds the Actuator on n.
 func NewActuator(n *node.Node, cfg Config) (*Actuator, error) {
+	a := new(Actuator)
+	if err := a.init(n, cfg); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// init builds the Actuator in place, in a zero a.
+func (a *Actuator) init(n *node.Node, cfg Config) error {
 	vm := n.VM(cfg.PrimaryVM)
 	if vm == nil {
-		return nil, fmt.Errorf("harvest: unknown primary VM %q", cfg.PrimaryVM)
+		return fmt.Errorf("harvest: unknown primary VM %q", cfg.PrimaryVM)
 	}
 	var elastic *node.VM
 	if cfg.ElasticVM != "" {
 		if elastic = n.VM(cfg.ElasticVM); elastic == nil {
-			return nil, fmt.Errorf("harvest: unknown elastic VM %q", cfg.ElasticVM)
+			return fmt.Errorf("harvest: unknown elastic VM %q", cfg.ElasticVM)
 		}
 	}
-	return &Actuator{
-		primary: vm,
-		elastic: elastic,
-		cfg:     cfg,
-		cores:   vm.AllocatedCores(),
-		waits:   *stats.NewWindow(cfg.WaitWindow),
-		granted: vm.AllocatedCores(),
-	}, nil
+	a.primary = vm
+	a.elastic = elastic
+	a.cfg = cfg
+	a.cores = vm.AllocatedCores()
+	a.waits = *stats.NewWindow(cfg.WaitWindow)
+	a.granted = vm.AllocatedCores()
+	return nil
 }
 
 // TakeAction implements core.Actuator: grant the primary VM its

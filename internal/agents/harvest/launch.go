@@ -13,32 +13,32 @@ import (
 // heterogeneous agents.
 const Kind = "harvest"
 
-// Agent is a running SmartHarvest instance. Its embedded runtime makes it
-// the core.Handle the kind's spec launch returns, so a holder of that
+// Agent is a running SmartHarvest instance: its Model, Actuator and
+// runtime held by value in one heap object. Its embedded runtime makes
+// it the core.Handle the kind's spec launch returns, so a holder of that
 // handle reaches the fault hooks with one type assertion:
-// h.(*harvest.Agent).Model.Break(true).
+// h.(*harvest.Agent).Model.Break(true). The runtime drives &Model and
+// &Actuator, so an Agent must not be copied after start.
 type Agent struct {
-	Model    *Model
-	Actuator *Actuator
-	*core.Runtime[Sample, int]
+	Model    Model
+	Actuator Actuator
+	core.Runtime[Sample, int]
 }
 
-// start builds the Model and Actuator for cfg and runs them under the
-// SOL runtime on clk with sched.
+// start builds the Model and Actuator for cfg in one new Agent and runs
+// them under the SOL runtime on clk with sched.
 func start(clk clock.Clock, n *node.Node, cfg Config, sched core.Schedule, opts core.Options) (*Agent, error) {
-	m, err := NewModel(n, cfg, sched)
-	if err != nil {
+	ag := new(Agent)
+	if err := ag.Model.init(n, cfg, sched); err != nil {
 		return nil, err
 	}
-	a, err := NewActuator(n, cfg)
-	if err != nil {
+	if err := ag.Actuator.init(n, cfg); err != nil {
 		return nil, err
 	}
-	rt, err := core.Run[Sample, int](clk, m, a, sched, opts)
-	if err != nil {
+	if err := ag.Runtime.Start(clk, &ag.Model, &ag.Actuator, sched, opts); err != nil {
 		return nil, err
 	}
-	return &Agent{Model: m, Actuator: a, Runtime: rt}, nil
+	return ag, nil
 }
 
 // Variant is a named, fully deployable parameterization of

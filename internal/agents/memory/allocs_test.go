@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"sol/internal/clock"
+	"sol/internal/core"
 	"sol/internal/memsim"
 	"sol/internal/stats"
 	"sol/internal/testutil"
@@ -204,5 +205,25 @@ func TestRegionStateIsPointerFree(t *testing.T) {
 func TestRegionStateSize(t *testing.T) {
 	if size := unsafe.Sizeof(regionState{}); size > 24 {
 		t.Fatalf("regionState is %d bytes, want <= 24", size)
+	}
+}
+
+// TestStartAllocs pins one launch: the Agent — Model, Actuator and
+// runtime in one object — plus the region table, the audit slots, the
+// rate estimates, the bandit bank's two slabs, the audit draw's
+// permutation and region list, the actuator's remote-access snapshot,
+// and the runtime's prediction queue.
+func TestStartAllocs(t *testing.T) {
+	clk, mem := memRig(t, defaultTrace())
+	var ag *Agent
+	got := testutil.Mallocs(t, func() {
+		var err error
+		if ag, err = start(clk, mem, DefaultConfig(), Schedule(), core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	defer ag.Stop()
+	if got != 10 {
+		t.Fatalf("one launch allocates %d objects, want 10", got)
 	}
 }

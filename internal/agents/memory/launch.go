@@ -16,29 +16,30 @@ import (
 // heterogeneous agents.
 const Kind = "memory"
 
-// Agent is a running SmartMemory instance. Its embedded runtime makes it
-// the core.Handle the kind's spec launch returns, so a holder of that
+// Agent is a running SmartMemory instance: its Model, Actuator and
+// runtime held by value in one heap object. Its embedded runtime makes
+// it the core.Handle the kind's spec launch returns, so a holder of that
 // handle reaches the fault hooks with one type assertion:
-// h.(*memory.Agent).Model.Break(true).
+// h.(*memory.Agent).Model.Break(true). The runtime drives &Model and
+// &Actuator, so an Agent must not be copied after start.
 type Agent struct {
-	Model    *Model
-	Actuator *Actuator
-	*core.Runtime[Tick, Placement]
+	Model    Model
+	Actuator Actuator
+	core.Runtime[Tick, Placement]
 }
 
-// start builds the Model and Actuator for cfg and runs them under the
-// SOL runtime on clk with sched.
+// start builds the Model and Actuator for cfg in one new Agent and runs
+// them under the SOL runtime on clk with sched.
 func start(clk clock.Clock, mem *memsim.Memory, cfg Config, sched core.Schedule, opts core.Options) (*Agent, error) {
-	m, err := NewModel(mem, cfg)
-	if err != nil {
+	ag := new(Agent)
+	if err := ag.Model.init(mem, cfg); err != nil {
 		return nil, err
 	}
-	a := NewActuator(mem, cfg)
-	rt, err := core.Run[Tick, Placement](clk, m, a, sched, opts)
-	if err != nil {
+	ag.Actuator.init(mem, cfg)
+	if err := ag.Runtime.Start(clk, &ag.Model, &ag.Actuator, sched, opts); err != nil {
 		return nil, err
 	}
-	return &Agent{Model: m, Actuator: a, Runtime: rt}, nil
+	return ag, nil
 }
 
 // Variant is a named, fully deployable parameterization of

@@ -239,8 +239,8 @@ type Model struct {
 	rng stats.RNG
 
 	regions []regionState
-	bandits *bandit.Bank // one scan-interval bandit per region
-	ticks   int          // tick index within the epoch
+	bandits bandit.Bank // one scan-interval bandit per region
+	ticks   int         // tick index within the epoch
 
 	// audit state: auditList is the regions scanned at max rate this
 	// epoch, ascending, and audit[i] folds the per-tick fractions
@@ -279,29 +279,35 @@ type Model struct {
 
 // NewModel builds the Model over mem.
 func NewModel(mem *memsim.Memory, cfg Config) (*Model, error) {
+	m := new(Model)
+	if err := m.init(mem, cfg); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// init builds the Model in place, in a zero m.
+func (m *Model) init(mem *memsim.Memory, cfg Config) error {
 	if cfg.CoverageTarget <= 0 || cfg.CoverageTarget > 1 {
-		return nil, fmt.Errorf("memory: CoverageTarget %v out of (0,1]", cfg.CoverageTarget)
+		return fmt.Errorf("memory: CoverageTarget %v out of (0,1]", cfg.CoverageTarget)
 	}
-	m := &Model{
-		mem:     mem,
-		cfg:     cfg,
-		rng:     *stats.NewRNG(cfg.Seed),
-		regions: make([]regionState, mem.Regions()),
-		audit:   make([]auditAcc, int(float64(mem.Regions())*cfg.AuditFrac)),
-		rates:   make([]float64, mem.Regions()),
-		cover:   cfg.CoverageTarget,
-	}
+	m.mem = mem
+	m.cfg = cfg
+	m.rng = *stats.NewRNG(cfg.Seed)
+	m.regions = make([]regionState, mem.Regions())
+	m.audit = make([]auditAcc, int(float64(mem.Regions())*cfg.AuditFrac))
+	m.rates = make([]float64, mem.Regions())
+	m.cover = cfg.CoverageTarget
 	// The bank splits its per-region generators off m.rng before
 	// pickAudit's first draw from it.
-	var err error
-	if m.bandits, err = bandit.NewBank(mem.Regions(), NumArms, &m.rng); err != nil {
-		return nil, err
+	if err := m.bandits.Init(mem.Regions(), NumArms, &m.rng); err != nil {
+		return err
 	}
 	for r := range m.regions {
 		m.regions[r] = regionState{phase: int32(r), auditSlot: -1}
 	}
 	m.pickAudit()
-	return m, nil
+	return nil
 }
 
 // Break forces the slowest scan rate everywhere (broken model).
@@ -678,7 +684,16 @@ type Actuator struct {
 
 // NewActuator builds the Actuator over mem.
 func NewActuator(mem *memsim.Memory, cfg Config) *Actuator {
-	return &Actuator{mem: mem, cfg: cfg, prevRemote: make([]float64, mem.Regions())}
+	a := new(Actuator)
+	a.init(mem, cfg)
+	return a
+}
+
+// init builds the Actuator in place, in a zero a.
+func (a *Actuator) init(mem *memsim.Memory, cfg Config) {
+	a.mem = mem
+	a.cfg = cfg
+	a.prevRemote = make([]float64, mem.Regions())
 }
 
 // TakeAction implements core.Actuator: apply the placement. A nil

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sol/internal/clock"
+	"sol/internal/core"
 	"sol/internal/node"
 	"sol/internal/testutil"
 )
@@ -25,7 +26,7 @@ func samplePath(m *Model) error {
 func busyModel(t *testing.T) (*Model, *clock.Virtual, *node.Node) {
 	t.Helper()
 	clk, n := newRig(t, busyWork{})
-	m, err := NewModel(n, DefaultConfig("vm"))
+	m, err := NewModel(n, DefaultConfig("vm"), Schedule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +38,8 @@ func busyModel(t *testing.T) (*Model, *clock.Virtual, *node.Node) {
 // TestSamplePathAllocs pins the Model loop at arithmetic only: from the
 // second sample on, a sample committed, rejected or passed through a
 // corruptor allocates nothing — an epoch's samples are running sums,
-// not a buffer — and neither does closing an epoch, once the Δr log has
-// grown to its window.
+// not a buffer — and neither does closing an epoch: the Δr log is sized
+// for its window when the Model is built.
 func TestSamplePathAllocs(t *testing.T) {
 	const runs = 200
 
@@ -98,14 +99,13 @@ func TestSamplePathAllocs(t *testing.T) {
 				}
 			}
 		}
-		// The Δr log holds the last 12 s of overclocked epochs: filling
-		// it doubles its backing array up to 16 entries, and nothing else
-		// in these epochs allocates.
-		if got := testutil.Mallocs(t, func() { epochs(20) }); got > 5 {
-			t.Fatalf("first 20 epochs allocate %d times, want <= 5 (the Δr log's growth to its window)", got)
+		// The Δr log is sized at build for the 12 s window it holds, so
+		// no epoch — the first included — allocates.
+		if got := testutil.Mallocs(t, func() { epochs(70) }); got != 0 {
+			t.Fatalf("70 epochs allocate %d times, want 0", got)
 		}
-		if got := testutil.Mallocs(t, func() { epochs(50) }); got != 0 {
-			t.Fatalf("50 steady-state epochs allocate %d times, want 0", got)
+		if c := cap(m.deltaR); c != 13 {
+			t.Fatalf("Δr log capacity %d, want 13: ⌈12 s / 1 s⌉ + 1", c)
 		}
 		if m.Learner().Updates() == 0 || len(m.deltaR) == 0 {
 			t.Fatalf("epochs trained nothing: %d updates, %d Δr observations", m.Learner().Updates(), len(m.deltaR))
@@ -172,5 +172,23 @@ func TestValidateDataSentinels(t *testing.T) {
 				t.Errorf("%+v: err = %v also matches %v", tc.s, err, other)
 			}
 		}
+	}
+}
+
+// TestStartAllocs pins one launch: the Agent — Model, Actuator and
+// runtime in one object — plus the Q-table slab, the per-level tally,
+// the Δr log, the α window, and the runtime's prediction queue.
+func TestStartAllocs(t *testing.T) {
+	clk, n := newRig(t, busyWork{})
+	var ag *Agent
+	got := testutil.Mallocs(t, func() {
+		var err error
+		if ag, err = start(clk, n, DefaultConfig("vm"), Schedule(), core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	defer ag.Stop()
+	if got != 6 {
+		t.Fatalf("one launch allocates %d objects, want 6", got)
 	}
 }

@@ -115,9 +115,10 @@ func Schedule() core.Schedule {
 	}
 }
 
-// deltaRSample is one Δr observation with its timestamp.
+// deltaRSample is one Δr observation with its timestamp, in Unix ns: 16
+// bytes where a time.Time would make it 32.
 type deltaRSample struct {
-	at time.Time
+	at int64
 	dr float64
 }
 
@@ -136,7 +137,7 @@ type Model struct {
 	n   *node.Node
 	vm  *node.VM
 	cfg Config
-	rl  *qlearn.Learner
+	rl  qlearn.Learner
 	rng stats.RNG
 
 	prev     node.CPUCounters
@@ -151,6 +152,9 @@ type Model struct {
 	prevState int
 	haveState bool
 
+	// deltaR is the Δr log over the last DeltaRWindow, sized at build
+	// for one overclocked epoch per DataPerEpoch·DataCollectInterval
+	// (deltaRCap).
 	deltaR  []deltaRSample
 	failing bool
 
@@ -170,14 +174,24 @@ type Model struct {
 	maxIPS float64
 }
 
-// NewModel builds the Model for the VM named in cfg on n.
-func NewModel(n *node.Node, cfg Config) (*Model, error) {
+// NewModel builds the Model for the VM named in cfg on n, with its Δr
+// log sized for sched's epochs.
+func NewModel(n *node.Node, cfg Config, sched core.Schedule) (*Model, error) {
+	m := new(Model)
+	if err := m.init(n, cfg, sched); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// init builds the Model in place, in a zero m.
+func (m *Model) init(n *node.Node, cfg Config, sched core.Schedule) error {
 	vm := n.VM(cfg.VM)
 	if vm == nil {
-		return nil, fmt.Errorf("overclock: unknown VM %q", cfg.VM)
+		return fmt.Errorf("overclock: unknown VM %q", cfg.VM)
 	}
 	levels := len(n.Config().Frequencies.GHz)
-	rl, err := qlearn.New(qlearn.Config{
+	if err := m.rl.Init(qlearn.Config{
 		States:  cfg.StateBuckets,
 		Actions: levels,
 		Alpha:   0.4,
@@ -189,23 +203,33 @@ func NewModel(n *node.Node, cfg Config) (*Model, error) {
 		// small fraction of epochs.
 		InitQ:    0.8,
 		RandSeed: cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
+	}); err != nil {
+		return err
 	}
 	nomGHz := n.Config().Frequencies.GHz[n.NominalLevel()]
-	return &Model{
-		n:         n,
-		vm:        vm,
-		cfg:       cfg,
-		rl:        rl,
-		rng:       *stats.NewRNG(cfg.Seed ^ 0xa5a5a5a5),
-		levels:    levels,
-		nominal:   n.NominalLevel(),
-		ipsRef:    float64(vm.AllocatedCores()) * nomGHz * n.Config().MaxIPC,
-		maxIPS:    n.MaxIPS(cfg.VM) * 1.05,
-		freqCount: make([]int, levels),
-	}, nil
+	m.n = n
+	m.vm = vm
+	m.cfg = cfg
+	m.rng = *stats.NewRNG(cfg.Seed ^ 0xa5a5a5a5)
+	m.levels = levels
+	m.nominal = n.NominalLevel()
+	m.ipsRef = float64(vm.AllocatedCores()) * nomGHz * n.Config().MaxIPC
+	m.maxIPS = n.MaxIPS(cfg.VM) * 1.05
+	m.freqCount = make([]int, levels)
+	m.deltaR = make([]deltaRSample, 0, deltaRCap(cfg.DeltaRWindow, sched))
+	return nil
+}
+
+// deltaRCap is the most Δr observations the log holds at once: one per
+// epoch, and an epoch lasts at least DataPerEpoch collect intervals, so
+// ⌈window/epoch⌉ of them are inside the window when UpdateModel appends
+// the next, before pruning — 13 at the defaults.
+func deltaRCap(window time.Duration, sched core.Schedule) int {
+	epoch := time.Duration(sched.DataPerEpoch) * sched.DataCollectInterval
+	if epoch <= 0 || window <= 0 {
+		return 1
+	}
+	return int((window+epoch-1)/epoch) + 1
 }
 
 // SetCorruptor installs (or clears) a raw-sample mutator for fault
@@ -218,7 +242,7 @@ func (m *Model) SetCorruptor(f func(*Sample)) { m.corrupt = f }
 func (m *Model) Break(b bool) { m.broken = b }
 
 // Learner exposes the underlying Q-learner for inspection.
-func (m *Model) Learner() *qlearn.Learner { return m.rl }
+func (m *Model) Learner() *qlearn.Learner { return &m.rl }
 
 // CollectData implements core.Model: it reads the VM's cumulative
 // counters and differences them against the previous reading.
@@ -278,7 +302,7 @@ func (m *Model) UpdateModel() {
 			applied = lvl
 		}
 	}
-	now := m.lastAt
+	now := m.lastAt.UnixNano()
 	m.committed, m.ipsSum = 0, 0
 	clear(m.freqCount)
 
@@ -345,11 +369,13 @@ func (m *Model) AssessModel() bool {
 // Failing reports whether the model currently fails its own assessment.
 func (m *Model) Failing() bool { return m.failing }
 
-func (m *Model) pruneDeltaR(now time.Time) {
-	cut := now.Add(-m.cfg.DeltaRWindow)
+// pruneDeltaR drops the observations at or before now−DeltaRWindow, now
+// in Unix ns.
+func (m *Model) pruneDeltaR(now int64) {
+	cut := now - int64(m.cfg.DeltaRWindow)
 	keep := m.deltaR[:0]
 	for _, d := range m.deltaR {
-		if d.at.After(cut) {
+		if d.at > cut {
 			keep = append(keep, d)
 		}
 	}
@@ -400,17 +426,25 @@ type Actuator struct {
 
 // NewActuator builds the Actuator for the VM named in cfg on n.
 func NewActuator(n *node.Node, cfg Config) (*Actuator, error) {
+	a := new(Actuator)
+	if err := a.init(n, cfg); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// init builds the Actuator in place, in a zero a.
+func (a *Actuator) init(n *node.Node, cfg Config) error {
 	vm := n.VM(cfg.VM)
 	if vm == nil {
-		return nil, fmt.Errorf("overclock: unknown VM %q", cfg.VM)
+		return fmt.Errorf("overclock: unknown VM %q", cfg.VM)
 	}
-	return &Actuator{
-		n:          n,
-		vm:         vm,
-		cfg:        cfg,
-		alphas:     *stats.NewWindow(cfg.AlphaWindow),
-		minSamples: cfg.AlphaWindow / 4,
-	}, nil
+	a.n = n
+	a.vm = vm
+	a.cfg = cfg
+	a.alphas = *stats.NewWindow(cfg.AlphaWindow)
+	a.minSamples = cfg.AlphaWindow / 4
+	return nil
 }
 
 // TakeAction implements core.Actuator: apply the predicted frequency,

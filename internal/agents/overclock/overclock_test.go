@@ -54,7 +54,7 @@ func (idleWork) Tick(_ workload.Step, res workload.Resources) workload.Usage {
 func TestConstructorsRejectUnknownVM(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	n := node.MustNew(clk, node.DefaultConfig())
-	if _, err := NewModel(n, DefaultConfig("ghost")); err == nil {
+	if _, err := NewModel(n, DefaultConfig("ghost"), Schedule()); err == nil {
 		t.Fatal("NewModel accepted unknown VM")
 	}
 	if _, err := NewActuator(n, DefaultConfig("ghost")); err == nil {
@@ -107,7 +107,7 @@ func TestStaysNominalOnDiskBound(t *testing.T) {
 
 func TestValidateDataRangeChecks(t *testing.T) {
 	clk, n := newRig(t, busyWork{})
-	m, err := NewModel(n, DefaultConfig("vm"))
+	m, err := NewModel(n, DefaultConfig("vm"), Schedule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestCorruptedDataRejectedByRuntime(t *testing.T) {
 
 func TestBrokenModelAlwaysPicksMax(t *testing.T) {
 	clk, n := newRig(t, busyWork{})
-	m, _ := NewModel(n, DefaultConfig("vm"))
+	m, _ := NewModel(n, DefaultConfig("vm"), Schedule())
 	m.Break(true)
 	p, err := m.Predict()
 	if err != nil {
@@ -268,7 +268,7 @@ func TestStopRunsCleanUp(t *testing.T) {
 
 func TestRewardShape(t *testing.T) {
 	_, n := newRig(t, busyWork{})
-	m, _ := NewModel(n, DefaultConfig("vm"))
+	m, _ := NewModel(n, DefaultConfig("vm"), Schedule())
 	// Full-tilt IPS at 2.3 GHz beats nominal reward; idle at 2.3 loses.
 	busyNom := m.reward(4*1.5*0.9*1.5, 0)
 	busyOC := m.reward(4*2.3*0.9*1.5, 2)
@@ -284,7 +284,7 @@ func TestRewardShape(t *testing.T) {
 
 func TestPowerPenaltyMonotone(t *testing.T) {
 	_, n := newRig(t, busyWork{})
-	m, _ := NewModel(n, DefaultConfig("vm"))
+	m, _ := NewModel(n, DefaultConfig("vm"), Schedule())
 	if m.powerPenalty(0) != 0 {
 		t.Fatalf("nominal penalty = %v, want 0", m.powerPenalty(0))
 	}
@@ -295,7 +295,7 @@ func TestPowerPenaltyMonotone(t *testing.T) {
 
 func TestStateBuckets(t *testing.T) {
 	_, n := newRig(t, busyWork{})
-	m, _ := NewModel(n, DefaultConfig("vm"))
+	m, _ := NewModel(n, DefaultConfig("vm"), Schedule())
 	if s := m.stateOf(0, 0); s != 0 {
 		t.Fatalf("idle state = %d, want 0", s)
 	}
@@ -329,7 +329,7 @@ func TestScheduleViolationReporting(t *testing.T) {
 
 func TestValidateErrorMessagesNamePackage(t *testing.T) {
 	_, n := newRig(t, busyWork{})
-	m, _ := NewModel(n, DefaultConfig("vm"))
+	m, _ := NewModel(n, DefaultConfig("vm"), Schedule())
 	err := m.ValidateData(Sample{IPS: -1})
 	if err == nil || !strings.HasPrefix(err.Error(), "overclock:") {
 		t.Fatalf("error %q should identify its origin", err)

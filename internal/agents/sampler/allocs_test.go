@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"sol/internal/clock"
+	"sol/internal/core"
 	"sol/internal/telemetry"
+	"sol/internal/testutil"
 )
 
 func newTestModel(t *testing.T) (*clock.Virtual, *Model) {
@@ -168,5 +170,26 @@ func TestAllocationSequencePinned(t *testing.T) {
 		if got := p.Value.Channels; len(got) != len(w.channels) || [4]int(got) != w.channels || m.audit != w.audit {
 			t.Fatalf("epoch %d: allocation %v audit %d, want %v audit %d", e, got, m.audit, w.channels, w.audit)
 		}
+	}
+}
+
+// TestStartAllocs pins one launch: the Agent — Model, Actuator and
+// runtime in one object — plus the bandit bank's two slabs, the epoch
+// counts, the sample and draw scratch, the model's and the actuator's
+// round-robin allocations, and the runtime's prediction queue.
+func TestStartAllocs(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	src := telemetry.MustNew(clk, telemetry.DefaultConfig())
+	src.Start()
+	var ag *Agent
+	got := testutil.Mallocs(t, func() {
+		var err error
+		if ag, err = start(clk, src, DefaultConfig(), Schedule(), core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	defer ag.Stop()
+	if got != 9 {
+		t.Fatalf("one launch allocates %d objects, want 9", got)
 	}
 }

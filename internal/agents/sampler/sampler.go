@@ -104,11 +104,11 @@ func Schedule() core.Schedule {
 type Model struct {
 	src *telemetry.Source
 	cfg Config
-	rng *stats.RNG
+	rng stats.RNG
 
 	// bandits holds one one-armed bandit per channel: only the posterior
 	// of arm 0 is used, as the channel's "worth sampling now" estimate.
-	bandits *bandit.Bank
+	bandits bandit.Bank
 	alloc   []int // current allocation (what CollectData samples)
 
 	audit       int
@@ -126,26 +126,30 @@ type Model struct {
 
 // NewModel builds the Model over src.
 func NewModel(src *telemetry.Source, cfg Config) (*Model, error) {
-	if cfg.EpochIntervals <= 0 {
-		return nil, fmt.Errorf("sampler: EpochIntervals = %d", cfg.EpochIntervals)
-	}
-	rng := stats.NewRNG(cfg.Seed)
-	bandits, err := bandit.NewBank(src.Channels(), 1, rng)
-	if err != nil {
+	m := new(Model)
+	if err := m.init(src, cfg); err != nil {
 		return nil, err
 	}
-	m := &Model{
-		src:         src,
-		cfg:         cfg,
-		rng:         rng,
-		bandits:     bandits,
-		epochCounts: make([]int, src.Channels()),
-		counts:      make([]ChannelCount, 0, src.Config().Budget),
-		draws:       make(drawOrder, src.Channels()),
-	}
-	m.alloc = m.roundRobin(0)
-	m.audit = rng.Intn(src.Channels())
 	return m, nil
+}
+
+// init builds the Model in place, in a zero m.
+func (m *Model) init(src *telemetry.Source, cfg Config) error {
+	if cfg.EpochIntervals <= 0 {
+		return fmt.Errorf("sampler: EpochIntervals = %d", cfg.EpochIntervals)
+	}
+	m.rng = *stats.NewRNG(cfg.Seed)
+	if err := m.bandits.Init(src.Channels(), 1, &m.rng); err != nil {
+		return err
+	}
+	m.src = src
+	m.cfg = cfg
+	m.epochCounts = make([]int, src.Channels())
+	m.counts = make([]ChannelCount, 0, src.Config().Budget)
+	m.draws = make(drawOrder, src.Channels())
+	m.alloc = m.roundRobin(0)
+	m.audit = m.rng.Intn(src.Channels())
+	return nil
 }
 
 // Break forces a degenerate allocation (always the same channels),
@@ -258,7 +262,7 @@ func (m *Model) Predict() (core.Prediction[Allocation], error) {
 	}
 	draws := m.draws
 	for ch := 0; ch < n; ch++ {
-		draws[ch] = draw{ch: ch, v: m.bandits.At(ch).Posterior(0).Sample(m.rng)}
+		draws[ch] = draw{ch: ch, v: m.bandits.At(ch).Posterior(0).Sample(&m.rng)}
 	}
 	sort.Sort(&m.draws)
 	// Budget−1 exploitation slots plus one sweep slot that rotates over
@@ -343,12 +347,20 @@ type Actuator struct {
 
 // NewActuator builds the Actuator over src.
 func NewActuator(src *telemetry.Source) *Actuator {
+	a := new(Actuator)
+	a.init(src)
+	return a
+}
+
+// init builds the Actuator in place, in a zero a.
+func (a *Actuator) init(src *telemetry.Source) {
 	budget := src.Config().Budget
 	rr := make([]int, budget)
 	for i := range rr {
 		rr[i] = i
 	}
-	return &Actuator{src: src, current: rr}
+	a.src = src
+	a.current = rr
 }
 
 // TakeAction implements core.Actuator. A nil prediction keeps the

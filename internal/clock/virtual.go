@@ -29,7 +29,10 @@ type Virtual struct {
 	start  time.Time // the epoch anchor; everything else is int64 ns since it
 	now    int64     // ns since start
 	seq    uint64
-	heap   []*event
+	// heap starts as a window onto heapArr, so the clock and its first
+	// heapCap events are one object; Arm grows it past that by append.
+	heap    []*event
+	heapArr [heapCap]*event
 	// running is set while a callback runs, and firing says that its
 	// event is the root until the callback stops or re-arms it. The
 	// firing event keeps its heap slot — the root, since everything
@@ -55,17 +58,19 @@ type event struct {
 	h      Handler
 }
 
-// heapCap is the event heap's initial capacity: room for a standard
+// heapCap is the event heap's inline capacity: room for a standard
 // fleet node's timers (node tick, memsim tick, each agent's collect,
-// actuation and assessment timers) in the one allocation a clock's
-// heap makes, where growing by append would take five.
+// actuation and assessment timers) inside the clock itself, where
+// growing by append would take five allocations.
 const heapCap = 16
 
 // NewVirtual returns a Virtual clock whose current time is start. It is
 // safe for concurrent use (callbacks still run only on the driving
 // goroutine).
 func NewVirtual(start time.Time) *Virtual {
-	return &Virtual{start: start, heap: make([]*event, 0, heapCap)}
+	v := &Virtual{start: start}
+	v.heap = v.heapArr[:0]
+	return v
 }
 
 // NewVirtualSingle returns a Virtual clock in single-driver mode: the
@@ -76,7 +81,9 @@ func NewVirtual(start time.Time) *Virtual {
 // for callers that share a clock across goroutines, e.g. real-clock
 // -race tests of code paths that also run in simulation.
 func NewVirtualSingle(start time.Time) *Virtual {
-	return &Virtual{start: start, single: true, heap: make([]*event, 0, heapCap)}
+	v := NewVirtual(start)
+	v.single = true
+	return v
 }
 
 func (v *Virtual) lock() {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sol/internal/clock"
+	"sol/internal/testutil"
 )
 
 // Zero-allocation regression tests for the runtime's steady-state: one
@@ -61,20 +62,43 @@ func TestRuntimeEpochAllocs(t *testing.T) {
 // TestRunAllocs: starting a runtime with all three loops allocates the
 // Runtime and its prediction queue and nothing for the clock — its
 // timers are embedded in the Runtime, and their handlers are the
-// Runtime itself.
+// Runtime itself. Start on a Runtime the caller already holds, the way
+// every agent embeds one, allocates the queue alone.
 func TestRunAllocs(t *testing.T) {
 	clk := clock.NewVirtualSingle(epoch)
 	model := &allocModel{clk: clk}
-	if avg := testing.AllocsPerRun(50, func() {
-		rt, err := Run[int, int](clk, model, allocActuator{}, allocSchedule, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+	armed := func(rt *Runtime[int, int]) {
 		if clk.Len() != 3 {
 			t.Fatalf("runtime armed %d timers, want 3", clk.Len())
 		}
 		rt.Stop()
-	}); avg != 2 {
-		t.Fatalf("Run allocates %.1f times, want 2: the Runtime and its prediction queue", avg)
 	}
+
+	t.Run("Run", func(t *testing.T) {
+		if avg := testing.AllocsPerRun(50, func() {
+			rt, err := Run[int, int](clk, model, allocActuator{}, allocSchedule, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			armed(rt)
+		}); avg != 2 {
+			t.Fatalf("Run allocates %.1f times, want 2: the Runtime and its prediction queue", avg)
+		}
+	})
+
+	t.Run("Start", func(t *testing.T) {
+		const runs = 50
+		rts := make([]Runtime[int, int], runs)
+		i := 0
+		if n := testutil.Mallocs(t, func() {
+			for ; i < runs; i++ {
+				if err := rts[i].Start(clk, model, allocActuator{}, allocSchedule, Options{}); err != nil {
+					t.Fatal(err)
+				}
+				armed(&rts[i])
+			}
+		}); n != runs {
+			t.Fatalf("%d Starts on zero Runtimes allocate %d times, want %d: one prediction queue each", runs, n, runs)
+		}
+	})
 }

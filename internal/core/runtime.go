@@ -41,7 +41,9 @@ type Options struct {
 }
 
 // Runtime executes one agent's Model and Actuator control loops on a
-// Clock. Create one with Run; stop it with Stop.
+// Clock. Create one with Run, or embed one by value and Start it in
+// place; stop it with Stop. A Runtime must not be copied after Start:
+// its armed timers and the handlers behind them point into it.
 //
 // All agent callbacks are serialized by an internal mutex, so Model and
 // Actuator implementations never race with each other even on the real
@@ -95,17 +97,27 @@ type Runtime[D, P any] struct {
 // the running agent runtime. This is SOL::RunAgent from paper
 // Listing 3.
 func Run[D, P any](clk clock.Clock, model Model[D, P], act Actuator[P], sched Schedule, opts Options) (*Runtime[D, P], error) {
-	if err := sched.Validate(); err != nil {
+	r := new(Runtime[D, P])
+	if err := r.Start(clk, model, act, sched, opts); err != nil {
 		return nil, err
 	}
-	r := &Runtime[D, P]{
-		clk:   clk,
-		model: model,
-		act:   act,
-		sched: sched,
-		opts:  opts,
-		queue: newPredQueue[P](sched.queueCapacity()),
+	return r, nil
+}
+
+// Start is Run on a zero Runtime the caller already holds — an agent
+// embeds its Runtime beside its Model and Actuator, so the three are
+// one heap object — and allocates only the prediction queue. r must
+// not be copied afterwards.
+func (r *Runtime[D, P]) Start(clk clock.Clock, model Model[D, P], act Actuator[P], sched Schedule, opts Options) error {
+	if err := sched.Validate(); err != nil {
+		return err
 	}
+	r.clk = clk
+	r.model = model
+	r.act = act
+	r.sched = sched
+	r.opts = opts
+	r.queue = newPredQueue[P](sched.queueCapacity())
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := clk.NowNS()
@@ -120,7 +132,7 @@ func Run[D, P any](clk clock.Clock, model Model[D, P], act Actuator[P], sched Sc
 	if assess := sched.AssessActuatorInterval; assess > 0 && !opts.DisableActuatorSafeguard {
 		clk.Arm(&r.assessTimer, (*assessLoop[D, P])(r), assess, assess)
 	}
-	return r, nil
+	return nil
 }
 
 // The loops' handlers are the Runtime itself under three names: a

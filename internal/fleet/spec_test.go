@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"sol/internal/agents/overclock"
 	"sol/internal/agents/sampler"
 	"sol/internal/clock"
+	"sol/internal/core"
 	"sol/internal/spec"
 )
 
@@ -228,5 +230,91 @@ func TestSpecHandleIsAgent(t *testing.T) {
 	if after := hv.Health(); after.ModelSafeguardTriggers <= before.ModelSafeguardTriggers || !after.ModelFailing {
 		t.Fatalf("broken harvest model did not trip the model safeguard: triggers %d -> %d, failing %v",
 			before.ModelSafeguardTriggers, after.ModelSafeguardTriggers, after.ModelFailing)
+	}
+}
+
+// TestSpecHandleDrivesLiveModel: an agent's runtime drives the Model
+// held inside its *Agent, not a copy, so a fault hook called through a
+// spec-launched handle changes what the running runtime predicts. Two
+// identical standard nodes run side by side; one has its member's
+// model broken through the handle, and the first placement the broken
+// model can change must differ from its healthy twin's.
+func TestSpecHandleDrivesLiveModel(t *testing.T) {
+	for _, tc := range []struct {
+		kind string
+		// warm runs both nodes before the break, step runs them after it.
+		warm, step time.Duration
+		brk        func(core.Handle)
+		// actuated reads the knob the kind's actuator turns, and want is
+		// what the broken model sets it to, where that is known.
+		actuated func(*Supervisor) []int
+		want     []int
+	}{
+		{
+			// A broken SmartHarvest predicts zero cores, so after the next
+			// 25 ms epoch the primary VM holds only the fleet's two-core
+			// safety buffer.
+			kind: harvest.Kind, warm: 5 * time.Second, step: 30 * time.Millisecond, want: []int{2},
+			brk:      func(h core.Handle) { h.(*harvest.Agent).Model.Break(true) },
+			actuated: func(s *Supervisor) []int { return []int{s.Node().AvailableCores("primary")} },
+		},
+		{
+			// A broken SmartOverclock predicts the top DVFS level for the
+			// next 1 s epoch; its healthy twin's first choice is nominal.
+			kind: overclock.Kind, step: 1050 * time.Millisecond, want: []int{2},
+			brk:      func(h core.Handle) { h.(*overclock.Agent).Model.Break(true) },
+			actuated: func(s *Supervisor) []int { return []int{s.Node().FrequencyLevel("batch")} },
+		},
+		{
+			// A broken SmartMemory selects the slowest scan arm at the
+			// epoch it breaks in, so its rates — and the placement they
+			// predict — change one 38.4 s epoch later.
+			kind: memory.Kind, step: 77 * time.Second,
+			brk: func(h core.Handle) { h.(*memory.Agent).Model.Break(true) },
+			actuated: func(s *Supervisor) []int {
+				mem := s.Env().Mem
+				var tier2 []int
+				for r := 0; r < mem.Regions(); r++ {
+					if !mem.InTier1(r) {
+						tier2 = append(tier2, r)
+					}
+				}
+				return tier2
+			},
+		},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			t.Parallel()
+			var sups [2]*Supervisor
+			var clks [2]*clock.Virtual
+			for i := range sups {
+				clks[i] = clock.NewVirtualSingle(testEpoch)
+				sup, err := StandardNode(StandardNodeConfig{Seed: 1, MemRegions: 32})(0, clks[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sup.StopAll()
+				sups[i] = sup
+				clks[i].RunFor(tc.warm)
+			}
+			if a, b := tc.actuated(sups[0]), tc.actuated(sups[1]); !reflect.DeepEqual(a, b) {
+				t.Fatalf("twin nodes diverged before the break: %v vs %v", a, b)
+			}
+			for _, m := range sups[1].Members() {
+				if m.Kind == tc.kind {
+					tc.brk(m.Handle)
+				}
+			}
+			for _, clk := range clks {
+				clk.RunFor(tc.step)
+			}
+			healthy, broken := tc.actuated(sups[0]), tc.actuated(sups[1])
+			if reflect.DeepEqual(healthy, broken) {
+				t.Fatalf("breaking the %s model through its handle changed nothing: %v", tc.kind, broken)
+			}
+			if tc.want != nil && !reflect.DeepEqual(broken, tc.want) {
+				t.Fatalf("broken %s model actuated %v, want %v (healthy twin: %v)", tc.kind, broken, tc.want, healthy)
+			}
+		})
 	}
 }

@@ -18,10 +18,15 @@ import (
 // and 84.1 objects / 44.3 KB while each timer was a heap object with a
 // closure. Embedded timers made it 62.1 objects / 43.3 KB. Packing
 // SmartMemory's region state to 24 B and folding its audit log into
-// fixed per-slot sums make it 63.1 objects / 41.35 KB — the extra
+// fixed per-slot sums made it 63.1 objects / 41.35 KB — the extra
 // object is SmartHarvest's epoch buffer, sized from its schedule here
-// instead of doubling at run time. The bounds are 64 objects, which one
-// more heap object per node breaks, and the measured bytes plus 10%.
+// instead of doubling at run time. Holding each agent's Model, Actuator
+// and runtime in one object, the learners in their models, and the
+// node's, supervisor's and clock's small tables inline makes it 47.1
+// objects / 41.27 KB, SmartOverclock's Δr log now sized here too. The
+// count is exact (testutil.Mallocs), so it skips under -short; the
+// bounds are 48 objects, which one more heap object per node breaks,
+// and the measured bytes plus 10%.
 func TestStandardNodeBuildAllocs(t *testing.T) {
 	const nodes = 64
 	cfg := Config{
@@ -30,32 +35,39 @@ func TestStandardNodeBuildAllocs(t *testing.T) {
 		Workers:  1,
 		Setup:    StandardNode(StandardNodeConfig{Seed: 1}),
 	}
-	var before, after runtime.MemStats
+	var (
+		c             *Coordinator
+		err           error
+		before, after runtime.MemStats
+	)
 	runtime.GC()
-	runtime.ReadMemStats(&before)
-	c, err := NewCoordinator(cfg)
-	runtime.ReadMemStats(&after)
+	mallocs := testutil.Mallocs(t, func() {
+		runtime.ReadMemStats(&before)
+		c, err = NewCoordinator(cfg)
+		runtime.ReadMemStats(&after)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.StopAll()
-	objects := float64(after.Mallocs-before.Mallocs) / nodes
+	objects := float64(mallocs) / nodes
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / nodes
 	t.Logf("standard node build: %.1f objects, %.2f KB per node", objects, kb)
-	if objects > 64 {
-		t.Errorf("standard node build allocates %.1f objects per node, want <= 64", objects)
+	if objects > 48 {
+		t.Errorf("standard node build allocates %.1f objects per node, want <= 48", objects)
 	}
-	if kb > 45.5 {
-		t.Errorf("standard node build allocates %.2f KB per node, want <= 45.5", kb)
+	if kb > 45.4 {
+		t.Errorf("standard node build allocates %.2f KB per node, want <= 45.4", kb)
 	}
 }
 
 // TestStandardNodeWarmupAllocs bounds what a freshly built standard
 // node allocates in its first 5 s of simulated time, beyond its build.
-// The learners' epoch buffers are sized at build or on their first
-// sample, so what is left is the substrate's own growth (request queues
-// and sojourn tables) plus a few one-time buffers: 22 objects, where
-// doubling sample and audit logs cost ~100. The count is exact
+// The learners' epoch buffers — SmartOverclock's Δr log included — are
+// sized at build or on their first sample, so what is left is the
+// substrate's own growth (request queues and sojourn tables) plus a few
+// one-time buffers: 19 objects, where doubling sample and audit logs
+// cost ~100 and the Δr log 3 more. The count is exact
 // (testutil.Mallocs), so like TestStandardNodeLiveHeapFlat it skips
 // under -short.
 func TestStandardNodeWarmupAllocs(t *testing.T) {
@@ -71,8 +83,8 @@ func TestStandardNodeWarmupAllocs(t *testing.T) {
 	defer c.StopAll()
 	objects := testutil.Mallocs(t, func() { c.StepFor(5 * time.Second) })
 	t.Logf("standard node warm-up: %d objects per node in its first 5 s", objects)
-	if objects > 24 {
-		t.Errorf("standard node allocates %d objects in its first 5 s, want <= 24", objects)
+	if objects > 21 {
+		t.Errorf("standard node allocates %d objects in its first 5 s, want <= 21", objects)
 	}
 }
 

@@ -107,12 +107,15 @@ type Supervisor struct {
 	clk clock.Clock
 	n   *node.Node
 
-	mu       sync.Mutex
-	members  []Member
-	env      spec.NodeEnv
-	stopped  bool
-	life     LifecycleState
-	restarts int
+	mu sync.Mutex
+	// members starts as a window onto memberArr, so a node running
+	// one agent of each kind never regrows it.
+	members   []Member
+	memberArr [usualMembers]Member
+	env       spec.NodeEnv
+	stopped   bool
+	life      LifecycleState
+	restarts  int
 
 	// replaceMu serializes deploys (LaunchSpec, ReplaceSpec, Crash,
 	// Restart) end to end. A deploy must drop mu around agent Stops and
@@ -122,12 +125,17 @@ type Supervisor struct {
 	replaceMu sync.Mutex
 }
 
+// usualMembers sizes a supervisor's inline member table: one member of
+// each kind in AllKinds.
+const usualMembers = 4
+
 // NewSupervisor returns an empty supervisor on clk. n is the shared
 // node the agents manage; it may be nil for supervisors whose agents
 // run against other substrates (tiered memory, telemetry sources).
 func NewSupervisor(clk clock.Clock, n *node.Node) *Supervisor {
-	// Sized for every kind, so a standard node's members never regrow.
-	return &Supervisor{clk: clk, n: n, members: make([]Member, 0, len(AllKinds))}
+	s := &Supervisor{clk: clk, n: n}
+	s.members = s.memberArr[:0]
+	return s
 }
 
 // Clock returns the shared clock.

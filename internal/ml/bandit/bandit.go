@@ -51,9 +51,11 @@ func MustNew(arms int, rng *stats.RNG) *Thompson {
 // Bank holds many same-shaped bandits in two pointer-free slabs — every
 // posterior in one, one generator per bandit in the other — so a model
 // with a bandit per memory region costs three objects, not four per
-// region, and the collector has nothing in them to walk. The Bank owns
-// the slabs. A Thompson from At is a window onto them for use where it
-// is built: hold the Bank, not its views — a view must not outlive it.
+// region, and the collector has nothing in them to walk; a model that
+// holds its Bank by value and calls Init pays for the two slabs alone.
+// The Bank owns the slabs. A Thompson from At is a window onto them for
+// use where it is built: hold the Bank, not its views — a view must not
+// outlive it.
 type Bank struct {
 	arms []stats.Beta // bandit i's arms are arms[i*n : (i+1)*n]
 	rngs []stats.RNG
@@ -65,16 +67,26 @@ type Bank struct {
 // rng.Split() yields, so a bank reproduces, draw for draw, that many
 // bandits built one by one with New(arms, rng.Split()).
 func NewBank(bandits, arms int, rng *stats.RNG) (*Bank, error) {
+	b := new(Bank)
+	if err := b.Init(bandits, arms, rng); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Init makes b, in place, the bank NewBank returns, splitting its
+// generators off rng the same way and discarding whatever b held.
+func (b *Bank) Init(bandits, arms int, rng *stats.RNG) error {
 	if bandits <= 0 {
-		return nil, fmt.Errorf("bandit: bandits = %d, must be positive", bandits)
+		return fmt.Errorf("bandit: bandits = %d, must be positive", bandits)
 	}
 	if arms <= 0 {
-		return nil, fmt.Errorf("bandit: arms = %d, must be positive", arms)
+		return fmt.Errorf("bandit: arms = %d, must be positive", arms)
 	}
 	if rng == nil {
-		return nil, fmt.Errorf("bandit: nil RNG")
+		return fmt.Errorf("bandit: nil RNG")
 	}
-	b := &Bank{
+	*b = Bank{
 		arms: make([]stats.Beta, bandits*arms),
 		rngs: make([]stats.RNG, bandits),
 		n:    arms,
@@ -83,7 +95,7 @@ func NewBank(bandits, arms int, rng *stats.RNG) (*Bank, error) {
 	for i := range b.rngs {
 		b.rngs[i] = *rng.Split()
 	}
-	return b, nil
+	return nil
 }
 
 // At returns bandit i. The view is two words of slice header and a

@@ -264,6 +264,9 @@ func TestBankAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { bank, _ = NewBank(128, 6, rng) }); n != 3 {
 		t.Fatalf("NewBank allocates %.0f objects, want 3", n)
 	}
+	if n := testing.AllocsPerRun(50, func() { _ = bank.Init(128, 6, rng) }); n != 2 {
+		t.Fatalf("Bank.Init allocates %.0f objects, want 2: the two slabs", n)
+	}
 	if n := testing.AllocsPerRun(50, func() {
 		for r := 0; r < 128; r++ {
 			b := bank.At(r)

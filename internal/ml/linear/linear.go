@@ -105,7 +105,9 @@ func (r *Regressor) Reset() {
 // regressors held by value in one slice, and one weight slab that every
 // regressor's weights are a window of (class c owns w[c*dims:(c+1)*dims],
 // capacity-capped so no window can grow into its neighbour's). The
-// classifier owns the slab; a regressor in regs must not outlive it.
+// classifier owns the slab; a regressor in regs must not outlive it. A
+// model that holds its classifier by value and calls Init drops the
+// header, leaving two.
 type CostSensitive struct {
 	regs    []Regressor
 	updates uint64
@@ -114,18 +116,29 @@ type CostSensitive struct {
 // NewCostSensitive returns a classifier over classes classes and dims
 // features, trained with learning rate lr.
 func NewCostSensitive(classes, dims int, lr float64) (*CostSensitive, error) {
+	cs := new(CostSensitive)
+	if err := cs.Init(classes, dims, lr); err != nil {
+		return nil, err
+	}
+	return cs, nil
+}
+
+// Init makes cs, in place, the untrained classifier NewCostSensitive
+// returns, discarding whatever cs held.
+func (cs *CostSensitive) Init(classes, dims int, lr float64) error {
 	if classes <= 1 {
-		return nil, fmt.Errorf("linear: classes = %d, must be at least 2", classes)
+		return fmt.Errorf("linear: classes = %d, must be at least 2", classes)
 	}
 	if err := validate(dims, lr); err != nil {
-		return nil, err
+		return err
 	}
 	regs := make([]Regressor, classes)
 	w := make([]float64, classes*dims)
 	for c := range regs {
 		regs[c] = Regressor{w: w[c*dims : (c+1)*dims : (c+1)*dims], lr: lr}
 	}
-	return &CostSensitive{regs: regs}, nil
+	*cs = CostSensitive{regs: regs}
+	return nil
 }
 
 // MustNewCostSensitive is NewCostSensitive but panics on error.

@@ -188,11 +188,16 @@ func TestCostSensitiveMatchesIndependentRegressors(t *testing.T) {
 }
 
 // TestNewCostSensitiveAllocs pins the classifier at three objects —
-// header, regressor slice, weight slab — whatever its class count.
+// header, regressor slice, weight slab — whatever its class count, and
+// at the two slices when Init fills a classifier its owner holds.
 func TestNewCostSensitiveAllocs(t *testing.T) {
+	var cs *CostSensitive
 	for _, classes := range []int{2, 64} {
-		if n := testing.AllocsPerRun(50, func() { _, _ = NewCostSensitive(classes, 6, 0.05) }); n != 3 {
+		if n := testing.AllocsPerRun(50, func() { cs, _ = NewCostSensitive(classes, 6, 0.05) }); n != 3 {
 			t.Errorf("NewCostSensitive with %d classes allocates %.0f objects, want 3", classes, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { _ = cs.Init(classes, 6, 0.05) }); n != 2 {
+			t.Errorf("Init with %d classes allocates %.0f objects, want 2", classes, n)
 		}
 	}
 }

@@ -50,8 +50,9 @@ func (c Config) validate() error {
 //
 // The Q-table is one States×Actions slab, row-major, and the exploration
 // generator is held by value, so a learner is two objects for any table
-// shape. A row view (row) is a capacity-capped window of the slab for
-// use where it is taken; it must not outlive the learner.
+// shape, and one — the slab — for a model that holds the Learner by
+// value and calls Init. A row view (row) is a capacity-capped window of
+// the slab for use where it is taken; it must not outlive the learner.
 type Learner struct {
 	cfg     Config
 	q       []float64
@@ -61,14 +62,25 @@ type Learner struct {
 
 // New returns a Learner for the given configuration.
 func New(cfg Config) (*Learner, error) {
-	if err := cfg.validate(); err != nil {
+	l := new(Learner)
+	if err := l.Init(cfg); err != nil {
 		return nil, err
+	}
+	return l, nil
+}
+
+// Init makes l, in place, the untrained learner New returns, discarding
+// whatever l held.
+func (l *Learner) Init(cfg Config) error {
+	if err := cfg.validate(); err != nil {
+		return err
 	}
 	q := make([]float64, cfg.States*cfg.Actions)
 	for i := range q {
 		q[i] = cfg.InitQ
 	}
-	return &Learner{cfg: cfg, q: q, rng: *stats.NewRNG(cfg.RandSeed)}, nil
+	*l = Learner{cfg: cfg, q: q, rng: *stats.NewRNG(cfg.RandSeed)}
+	return nil
 }
 
 // MustNew is New but panics on configuration error; for tests and

@@ -150,13 +150,20 @@ func TestQTableMatchesRows(t *testing.T) {
 }
 
 // TestNewAllocs pins a learner at two objects — itself, holding its
-// generator by value, and its Q-table slab — whatever its state count.
+// generator by value, and its Q-table slab — whatever its state count,
+// and at the slab alone when Init fills a Learner its owner holds. The
+// learner is kept, as an owner keeps it: discarded, an inlined New's
+// header would stay on the stack.
 func TestNewAllocs(t *testing.T) {
+	var l *Learner
 	for _, states := range []int{2, 64} {
 		cfg := validCfg()
 		cfg.States = states
-		if n := testing.AllocsPerRun(50, func() { _, _ = New(cfg) }); n != 2 {
+		if n := testing.AllocsPerRun(50, func() { l, _ = New(cfg) }); n != 2 {
 			t.Errorf("New with %d states allocates %.0f objects, want 2", states, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { _ = l.Init(cfg) }); n != 1 {
+			t.Errorf("Init with %d states allocates %.0f objects, want 1", states, n)
 		}
 	}
 }

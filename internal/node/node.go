@@ -236,12 +236,16 @@ func (v *VM) CurrentUnmet() float64 { return v.lastUnmet }
 // unmet demand).
 func (v *VM) WaitSeconds() float64 { return v.waitSeconds }
 
-// Node is the simulated server.
+// Node is the simulated server. It must not be copied after New: vms
+// starts out as a window onto the node's own vmArr.
 type Node struct {
-	cfg    Config
-	clk    clock.Clock
+	cfg Config
+	clk clock.Clock
+	// vms holds the VMs in AddVM order. A node has a handful, so
+	// finding one by name is a scan, not a map lookup; the first
+	// usualVMs live in vmArr, and AddVM grows past it by append.
 	vms    []*VM
-	byName map[string]*VM
+	vmArr  [usualVMs]*VM
 	ticker clock.Timer
 	// ticks counts simulation steps, for tests.
 	ticks   uint64
@@ -252,10 +256,8 @@ type Node struct {
 	step workload.Step
 }
 
-// usualVMs sizes a new node's VM slice for the standard fleet node's
-// three VMs (batch, primary, elastic); AddVM grows it past that. The
-// name map takes no hint: a map this small allocates its one group on
-// the first insert whatever its hint.
+// usualVMs sizes a new node's inline VM table for the standard fleet
+// node's three VMs (batch, primary, elastic).
 const usualVMs = 3
 
 // New creates a node on clk. Call AddVM to populate it and Start to
@@ -264,8 +266,10 @@ func New(clk clock.Clock, cfg Config) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	step := workload.Step{Clock: clk, Len: int64(cfg.TickInterval), Sec: cfg.TickInterval.Seconds()}
-	return &Node{cfg: cfg, step: step, clk: clk, vms: make([]*VM, 0, usualVMs), byName: make(map[string]*VM)}, nil
+	n := &Node{cfg: cfg, clk: clk}
+	n.step = workload.Step{Clock: clk, Len: int64(cfg.TickInterval), Sec: cfg.TickInterval.Seconds()}
+	n.vms = n.vmArr[:0]
+	return n, nil
 }
 
 // MustNew is New but panics on error.
@@ -286,7 +290,7 @@ func (n *Node) AddVM(name string, cores int, work workload.CPUWorkload) (*VM, er
 	if cores <= 0 {
 		return nil, fmt.Errorf("node: VM %q with %d cores", name, cores)
 	}
-	if _, dup := n.byName[name]; dup {
+	if n.VM(name) != nil {
 		return nil, fmt.Errorf("node: duplicate VM %q", name)
 	}
 	vm := &VM{
@@ -299,12 +303,18 @@ func (n *Node) AddVM(name string, cores int, work workload.CPUWorkload) (*VM, er
 		atNS:      n.clk.NowNS(),
 	}
 	n.vms = append(n.vms, vm)
-	n.byName[name] = vm
 	return vm, nil
 }
 
 // VM returns the named VM, or nil.
-func (n *Node) VM(name string) *VM { return n.byName[name] }
+func (n *Node) VM(name string) *VM {
+	for _, vm := range n.vms {
+		if vm.name == name {
+			return vm
+		}
+	}
+	return nil
+}
 
 // Start begins the periodic tick loop. It panics if called twice.
 func (n *Node) Start() {
@@ -374,7 +384,7 @@ func (n *Node) Ticks() uint64 { return n.ticks }
 // SetFrequencyLevel sets the DVFS level for all of a VM's cores. It
 // returns an error for an unknown VM or out-of-range level.
 func (n *Node) SetFrequencyLevel(vmName string, level int) error {
-	vm := n.byName[vmName]
+	vm := n.VM(vmName)
 	if vm == nil {
 		return fmt.Errorf("node: unknown VM %q", vmName)
 	}
@@ -386,17 +396,17 @@ func (n *Node) SetFrequencyLevel(vmName string, level int) error {
 }
 
 // FrequencyLevel returns a VM's current DVFS level.
-func (n *Node) FrequencyLevel(vmName string) int { return n.byName[vmName].FrequencyLevel() }
+func (n *Node) FrequencyLevel(vmName string) int { return n.VM(vmName).FrequencyLevel() }
 
 // FrequencyGHz returns a VM's current frequency in GHz.
 func (n *Node) FrequencyGHz(vmName string) float64 {
-	return n.cfg.Frequencies.GHz[n.byName[vmName].FrequencyLevel()]
+	return n.cfg.Frequencies.GHz[n.VM(vmName).FrequencyLevel()]
 }
 
 // SetAvailableCores grants a VM count of its allocated cores (the rest
 // are harvested). count is clamped to [0, allocated].
 func (n *Node) SetAvailableCores(vmName string, count int) error {
-	vm := n.byName[vmName]
+	vm := n.VM(vmName)
 	if vm == nil {
 		return fmt.Errorf("node: unknown VM %q", vmName)
 	}
@@ -405,28 +415,28 @@ func (n *Node) SetAvailableCores(vmName string, count int) error {
 }
 
 // AvailableCores returns the cores currently granted to a VM.
-func (n *Node) AvailableCores(vmName string) int { return n.byName[vmName].AvailableCores() }
+func (n *Node) AvailableCores(vmName string) int { return n.VM(vmName).AvailableCores() }
 
 // --- Counters (what agents observe) ---
 
 // Counters returns the cumulative counter snapshot for a VM.
-func (n *Node) Counters(vmName string) CPUCounters { return n.byName[vmName].Counters() }
+func (n *Node) Counters(vmName string) CPUCounters { return n.VM(vmName).Counters() }
 
 // CurrentUtil returns the VM's CPU usage (in cores) during the most
 // recent tick.
-func (n *Node) CurrentUtil(vmName string) float64 { return n.byName[vmName].CurrentUtil() }
+func (n *Node) CurrentUtil(vmName string) float64 { return n.VM(vmName).CurrentUtil() }
 
 // CurrentUnmet returns the VM's unmet CPU demand (in cores) during the
 // most recent tick.
-func (n *Node) CurrentUnmet(vmName string) float64 { return n.byName[vmName].CurrentUnmet() }
+func (n *Node) CurrentUnmet(vmName string) float64 { return n.VM(vmName).CurrentUnmet() }
 
 // WaitSeconds returns the cumulative vCPU wait (core-seconds of unmet
 // demand) for a VM.
-func (n *Node) WaitSeconds(vmName string) float64 { return n.byName[vmName].WaitSeconds() }
+func (n *Node) WaitSeconds(vmName string) float64 { return n.VM(vmName).WaitSeconds() }
 
 // EnergyJ returns the cumulative energy consumed by a VM's cores, in
 // the power model's watt-seconds.
-func (n *Node) EnergyJ(vmName string) float64 { return n.byName[vmName].energy }
+func (n *Node) EnergyJ(vmName string) float64 { return n.VM(vmName).energy }
 
 // TotalEnergyJ returns cumulative energy across all VMs.
 func (n *Node) TotalEnergyJ() float64 {
@@ -444,7 +454,7 @@ func (n *Node) NominalLevel() int { return n.cfg.NominalLevel }
 // allocated cores retiring MaxIPC at the top frequency. Data validation
 // uses it as the upper range bound.
 func (n *Node) MaxIPS(vmName string) float64 {
-	vm := n.byName[vmName]
+	vm := n.VM(vmName)
 	top := n.cfg.Frequencies.GHz[len(n.cfg.Frequencies.GHz)-1]
 	return float64(vm.allocated) * top * n.cfg.MaxIPC
 }

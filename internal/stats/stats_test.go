@@ -253,30 +253,89 @@ func TestPercentileBufMatchesPercentile(t *testing.T) {
 	}
 }
 
+// TestPercentileNaNP: a NaN p has no rank, so every percentile over a
+// non-empty series is NaN — never an index out of range — and an empty
+// series still gives 0.
+func TestPercentileNaNP(t *testing.T) {
+	nan := math.NaN()
+	if lo, hi, frac := PercentileRank(25, nan); lo != 0 || hi != 0 || frac == frac {
+		t.Fatalf("PercentileRank(25, NaN) = %d, %d, %v; want 0, 0, NaN", lo, hi, frac)
+	}
+	sizes := []int{1, 2, 25}
+	series := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(n - i)
+		}
+		return xs
+	}
+	t.Run("Percentile", func(t *testing.T) {
+		for _, n := range sizes {
+			if v := Percentile(series(n), nan); v == v {
+				t.Errorf("n=%d: Percentile(p NaN) = %v, want NaN", n, v)
+			}
+		}
+		if v := Percentile(nil, nan); v != 0 {
+			t.Errorf("Percentile(nil, p NaN) = %v, want 0", v)
+		}
+	})
+	t.Run("PercentileBuf", func(t *testing.T) {
+		var buf []float64
+		for _, n := range sizes {
+			var v float64
+			if v, buf = PercentileBuf(buf, series(n), nan); v == v {
+				t.Errorf("n=%d: PercentileBuf(p NaN) = %v, want NaN", n, v)
+			}
+		}
+	})
+	t.Run("Window.Percentile", func(t *testing.T) {
+		for _, n := range sizes {
+			w := NewWindow(n)
+			for _, x := range series(n) {
+				w.Add(x)
+			}
+			if v := w.Percentile(nan); v == v {
+				t.Errorf("n=%d: Window.Percentile(p NaN) = %v, want NaN", n, v)
+			}
+			if vs := w.Percentiles(nil, 50, nan); vs[0] != w.Percentile(50) || vs[1] == vs[1] {
+				t.Errorf("n=%d: Window.Percentiles(50, NaN) = %v, want [p50 NaN]", n, vs)
+			}
+		}
+	})
+}
+
 // FuzzPercentileBuf checks the top-of-order selection on any input:
 // raw is read as little-endian float64s, so the corpus reaches ties,
 // NaNs, ±0 and infinities. For every p that is not NaN, PercentileBuf
 // must equal percentileSorted over a sorted copy (==, or both NaN: tied
-// values may differ in their bits, as ±0 and NaN payloads do) and leave
-// the input as it was.
+// values may differ in their bits, as ±0 and NaN payloads do); for a
+// NaN p it must be NaN (0 on an empty input). Either way it leaves the
+// input as it was.
 func FuzzPercentileBuf(f *testing.F) {
 	var buf []float64
 	f.Fuzz(func(t *testing.T, raw []byte, p float64) {
-		if p != p {
-			t.Skip("p is NaN")
-		}
 		xs := make([]float64, len(raw)/8)
 		for i := range xs {
 			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		want := percentileSorted(sorted, p)
-		same := func(v float64) bool { return v == want || (v != v && want != want) }
 		var got float64
 		got, buf = PercentileBuf(buf, xs, p)
-		if !same(got) {
-			t.Fatalf("PercentileBuf(%v, p%v) = %v, sorted copy gives %v", xs, p, got, want)
+		switch {
+		case p != p && len(xs) == 0:
+			if got != 0 {
+				t.Fatalf("PercentileBuf(empty, p NaN) = %v, want 0", got)
+			}
+		case p != p:
+			if got == got {
+				t.Fatalf("PercentileBuf(%v, p NaN) = %v, want NaN", xs, got)
+			}
+		default:
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			want := percentileSorted(sorted, p)
+			if got != want && (got == got || want == want) {
+				t.Fatalf("PercentileBuf(%v, p%v) = %v, sorted copy gives %v", xs, p, got, want)
+			}
 		}
 		for i, x := range xs {
 			if math.Float64bits(x) != binary.LittleEndian.Uint64(raw[8*i:]) {

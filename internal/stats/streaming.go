@@ -114,7 +114,7 @@ func (w *Window) snapshot() []float64 {
 // Percentile returns the p-th percentile (p in [0, 100]) of the stored
 // observations using nearest-rank interpolation, selected by
 // PercentileBuf in the window's scratch. It returns 0 when the window is
-// empty.
+// empty, and NaN for a NaN p.
 func (w *Window) Percentile(p float64) float64 {
 	var v float64
 	v, w.scratch = PercentileBuf(w.scratch, w.buf[:w.Len()], p)
@@ -165,8 +165,12 @@ func less(a, b float64) bool { return a < b || (a != a && b == b) }
 // the p-th percentile (p in [0, 100]) of n > 0 ascending observations x
 // is Lerp(x[lo], x[hi], frac). A caller holding its observations in a
 // form other than a sorted slice selects those two order statistics
-// itself and stays bit-identical to Percentile.
+// itself and stays bit-identical to Percentile. A NaN p names no rank:
+// it gets lo = hi = 0 and a NaN frac, which Lerp turns into NaN.
 func PercentileRank(n int, p float64) (lo, hi int, frac float64) {
+	if p != p {
+		return 0, 0, p
+	}
 	if p <= 0 {
 		return 0, 0, 0
 	}
@@ -189,7 +193,7 @@ func Lerp(a, b, frac float64) float64 {
 }
 
 // Percentile computes the p-th percentile of xs (not modified).
-// It returns 0 for an empty slice.
+// It returns 0 for an empty slice, and NaN for a NaN p.
 func Percentile(xs []float64, p float64) float64 {
 	v, _ := PercentileBuf(nil, xs, p)
 	return v
@@ -207,6 +211,9 @@ func PercentileBuf(buf, xs []float64, p float64) (float64, []float64) {
 		return 0, buf[:0]
 	}
 	lo, hi, frac := PercentileRank(len(xs), p)
+	if frac != frac {
+		return frac, buf[:0] // p is NaN
+	}
 	k := len(xs) - lo
 	heap := append(buf[:0], xs[:k]...)
 	for i := k/2 - 1; i >= 0; i-- {
