@@ -5,12 +5,12 @@
 // worker pool and the runtime counters are aggregated per agent kind
 // into a fleet-operator report.
 //
-// With -shards N the fleet runs on the Coordinator instead of the
-// streaming batch driver: the nodes are partitioned into N shards that
-// free-run independently to the horizon (one barrier each, at the
-// end), which keeps every node's state alive for mid-run control and
-// is the coordination structure that scales one-process simulation to
-// 10k-node fleets. The report is byte-identical either way.
+// The run is one span of the sharded conductor (internal/shard): -shards
+// N partitions the nodes into N shards that free-run independently to
+// the horizon (one barrier each, at the end), and every node is built,
+// run and released on the worker that owns it, so at most -workers
+// nodes are alive at once. The report is byte-identical at every shard
+// count.
 //
 // Usage:
 //
@@ -22,14 +22,11 @@
 //
 // -profile attributes the run's wall time per shard (stepping,
 // free-running, align observers, barrier wait — see internal/obs) and
-// adds profile: lines to the report. Observation lives on the
-// Coordinator, so -profile or -trace without -shards runs as one shard
-// there and holds the whole fleet resident (~45 KB/node) instead of
-// streaming. With -shards, -profile also enables -tune, which consumes
-// the finished profile to propose per-shard worker allotments for the
-// next run (the one sanctioned profile feedback — worker widths never
-// change simulation output). -metrics writes the full report (+profile)
-// as versioned JSON for BENCH and CI to consume.
+// adds profile: lines to the report; since nodes stream, each node's
+// build and teardown count as free-running time. -trace records the
+// run's flight-recorder trace. Neither changes the simulation output,
+// nor how many nodes are alive at once. -metrics writes the full
+// report (+profile) as versioned JSON for BENCH and CI to consume.
 package main
 
 import (
@@ -97,14 +94,12 @@ func main() {
 			"comma-separated agent kinds to co-locate on every node")
 		workers = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		shards  = flag.Int("shards", 0,
-			"run on the Coordinator with this many shards (0 = streaming batch driver; one shard if -profile or -trace)")
+			"partition the fleet into this many conductor shards (0 = one shard; output is identical at every count)")
 		seed    = flag.Uint64("seed", 1, "fleet-wide workload seed")
 		regions = flag.Int("regions", 128, "tiered-memory regions per node (memory agent)")
 		detail  = flag.Bool("detail", false, "print full aggregated runtime counters per kind")
 		profile = flag.Bool("profile", false,
 			"attribute wall time per shard (step/free/align/wait) and add profile: lines to the report")
-		tune = flag.Bool("tune", false,
-			"with -profile -shards: propose busy-time-proportional per-shard worker allotments from the finished profile")
 		metrics = flag.String("metrics", "",
 			"write the report (+profile) as versioned JSON to this file")
 		trace = flag.String("trace", "",
@@ -123,15 +118,6 @@ func main() {
 	}
 	if *regions < 1 {
 		log.Fatalf("solfleet: -regions = %d, must be >= 1", *regions)
-	}
-
-	if *shards < 0 {
-		log.Fatalf("solfleet: -shards = %d, must be >= 0", *shards)
-	}
-	if *tune && (!*profile || *shards < 1) {
-		// Tuning consumes a per-shard profile; the batch driver has no
-		// shards to rebalance and an unprofiled run has no evidence.
-		log.Fatalf("solfleet: -tune needs -profile and -shards >= 1")
 	}
 	cfg := fleet.Config{
 		Nodes:    *nodes,
@@ -154,18 +140,7 @@ func main() {
 	fmt.Printf("simulating %d nodes x %d co-located agents (%s) for %v each%s...\n",
 		*nodes, len(kinds), strings.Join(kinds, ", "), *duration, shardLabel)
 	wall := time.Now()
-	var rep *fleet.Report
-	var co *fleet.Coordinator
-	var err error
-	if *shards > 0 {
-		if co, err = fleet.NewCoordinator(cfg); err == nil {
-			co.StepFor(cfg.Duration)
-			rep = co.Report()
-			co.StopAll()
-		}
-	} else {
-		rep, err = fleet.Run(cfg)
-	}
+	rep, err := fleet.Run(cfg)
 	if err != nil {
 		log.Fatalf("solfleet: %v", err)
 	}
@@ -181,15 +156,6 @@ func main() {
 		float64(rep.Events)/1e6,
 		float64(rep.Events)/1e6/elapsed.Seconds())
 
-	if *tune {
-		// Rebalance runs strictly after the run: the profile's wall
-		// times pick the allotments for a *next* run, never this one.
-		allot, rerr := co.Conductor().Rebalance(rep.Profile)
-		if rerr != nil {
-			log.Fatalf("solfleet: -tune: %v", rerr)
-		}
-		fmt.Printf("tune: proposed per-shard worker allotments %v (busy-time proportional; rerun with these via shard.Conductor.SetAllotments)\n", allot)
-	}
 	if *trace != "" {
 		writeTrace(*trace, rep)
 	}

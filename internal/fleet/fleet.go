@@ -34,11 +34,12 @@ type Config struct {
 	Setup NodeFunc
 	// Workers bounds the worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// Shards partitions the fleet for the Coordinator: each shard gets
-	// its own barrier and worker allotment and advances independently
-	// between conductor alignments. 0 means 1. A pure scaling knob —
-	// output never depends on it — and an unobserved Run, which streams
-	// nodes and has no conductor, ignores it. See internal/shard.
+	// Shards partitions the fleet on the sharded conductor that drives
+	// both Run and the Coordinator: each shard gets its own barrier and
+	// worker allotment and advances independently between conductor
+	// alignments. 0 means 1. A pure scaling knob — simulation output
+	// never depends on it; a trace has one track per shard. See
+	// internal/shard.
 	Shards int
 	// Lifecycle, when non-nil, schedules node-level crash/restart/
 	// blackout faults over the horizon (see faults.NodePlan; times are
@@ -53,15 +54,17 @@ type Config struct {
 	// (internal/obs): the run's wall time is attributed per shard into
 	// stepping / free-run / align / barrier-wait and published as
 	// Report.Profile. Diagnostic only — a profiled run produces
-	// byte-identical simulation output to an unprofiled one.
-	// Observation lives on the Coordinator, so a Run that asks for it
-	// holds the whole fleet resident instead of streaming.
+	// byte-identical simulation output to an unprofiled one. Run
+	// streams observed nodes like unobserved ones, so its profile
+	// charges each node's build and teardown to the free-run phase —
+	// diagnostic wall time, like every other *NS field.
 	Profile bool
 	// Trace turns on the trace view of the same probe: per-shard rings
 	// of span / epoch / lifecycle events stamped with sim-time plus
 	// heap telemetry, published as Report.Trace. Same contract as
-	// Profile. With both off there is no probe, and every transition
-	// pays a single nil check.
+	// Profile; Run's heap samples, taken at its one span barrier, see
+	// only what outlives the streamed nodes. With both off there is no
+	// probe, and every transition pays a single nil check.
 	Trace bool
 }
 
@@ -97,13 +100,6 @@ func (c Config) workers() int {
 // phrase events in absolute virtual time (e.g. fault windows in
 // rollout scenarios) anchor to the same epoch.
 var DefaultStart = time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
-
-// forEach is shard.ForEach: the shared worker-pool primitive both
-// fleet drivers (streaming Run and the Coordinator) schedule through.
-// Its channel handoff and WaitGroup supply the happens-before edges
-// that let lock-elided single-driver node clocks migrate between worker
-// goroutines across calls.
-func forEach(n, workers int, fn func(idx int)) { shard.ForEach(n, workers, fn) }
 
 // KindStats aggregates one agent kind across the fleet.
 type KindStats struct {
@@ -206,38 +202,42 @@ func (r *Report) String() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// nodeState is one node's end-of-horizon lifecycle outcome.
-type nodeState struct {
-	life     LifecycleState
-	restarts int
-}
-
-// nodeResult is one node's outcome, collected for deterministic
-// aggregation in index order.
+// nodeResult is one node's snapshot — member statuses, lifecycle
+// outcome and fired events — collected for deterministic aggregation
+// in index order. Run takes it as each node finishes, the Coordinator
+// at its current barrier; both reduce through aggregate.
 type nodeResult struct {
 	statuses []MemberStatus
-	state    nodeState
+	life     LifecycleState
+	restarts int
 	events   uint64
 	err      error
 }
 
-// Run simulates the fleet: each node gets its own virtual clock,
-// built by cfg.Setup, driven for cfg.Duration, then stopped; nodes
-// execute in parallel on the worker pool. The aggregation is
+// snapshot reads node n's outcome. Take it before StopAll so
+// end-of-horizon safeguard state is observed, not post-cleanup state.
+func (n *simNode) snapshot() nodeResult {
+	return nodeResult{
+		statuses: n.sup.Status(),
+		life:     n.sup.Lifecycle(),
+		restarts: n.sup.Restarts(),
+		events:   n.clk.Fired(),
+	}
+}
+
+// Run simulates the fleet to cfg.Duration as one free-running span of
+// the sharded conductor (internal/shard), the same scheduler the
+// Coordinator drives. Each node is built, advanced to the horizon
+// (through the shared lifecycle stepper), snapshotted and stopped on
+// the worker that owns it, so no more nodes are alive at once than the
+// pool has workers (tested), observed or not. The aggregation is
 // deterministic — running the same config twice yields an identical
 // Report — because every node's simulation is single-goroutine
 // deterministic and results merge in node-index order.
 //
-// Run is output-equivalent to RunStepped with interval = Duration
-// (tested), and exists beside it for one reason: it streams. It runs
-// each node start-to-finish and releases its substrate before the
-// worker takes the next, so peak memory is bounded by the pool width
-// (tested). The Coordinator must keep every node alive for the whole
-// run — the price of mid-horizon observation, ~45 KB/node — which
-// matters at thousands of nodes. A streamed run is unobserved: a config
-// that asks for Profile or Trace runs as one observer-less span on the
-// Coordinator instead, the single place spans, lifecycle events, heap
-// samples and time attribution are produced.
+// Run is output-equivalent to RunStepped with interval = Duration,
+// profile counts and trace bytes included (tested); RunStepped keeps
+// every node resident, the price of mid-horizon observation.
 //
 // The first node error aborts the run (pending nodes are skipped) and
 // is returned with a nil report.
@@ -245,77 +245,77 @@ func Run(cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Profile || cfg.Trace {
-		return RunStepped(cfg, cfg.Duration, nil)
-	}
-
 	life := lifecycle{plan: cfg.Lifecycle}
 	results := make([]nodeResult, cfg.Nodes)
 	var abort atomic.Bool
-	forEach(cfg.Nodes, cfg.workers(), func(idx int) {
-		if abort.Load() {
-			return
-		}
-		results[idx] = runNode(cfg, life, idx)
-		if results[idx].err != nil {
-			abort.Store(true)
-		}
+	con, err := shard.New(shard.Config{
+		Cells:   cfg.Nodes,
+		Shards:  cfg.Shards,
+		Workers: cfg.Workers,
+		Profile: cfg.Profile,
+		Trace:   cfg.Trace,
+		Advance: func(idx int, d time.Duration) {
+			if abort.Load() {
+				return
+			}
+			results[idx] = life.runNode(cfg, idx, d)
+			if results[idx].err != nil {
+				abort.Store(true)
+			}
+		},
 	})
-
-	var events uint64
-	statuses := make([][]MemberStatus, cfg.Nodes)
-	var states []nodeState
-	if cfg.Lifecycle != nil {
-		states = make([]nodeState, cfg.Nodes)
+	if err != nil {
+		return nil, err
 	}
+	life.probe = con.Probe()
+	if life.plan != nil {
+		life.probe.EnableLifecycle()
+	}
+	// The span cannot fail: it moves forward and has no stepping.
+	_ = con.Run(shard.Span{Until: cfg.Duration})
 	for i := range results {
 		if err := results[i].err; err != nil {
 			return nil, fmt.Errorf("fleet: node %d: %w", i, err)
 		}
-		events += results[i].events
-		statuses[i] = results[i].statuses
-		if states != nil {
-			states[i] = results[i].state
-		}
 	}
-	return aggregate(cfg.Nodes, cfg.Duration, events, statuses, states), nil
+	rep := aggregate(cfg.Duration, results)
+	rep.Profile = life.probe.Profile()
+	rep.Trace = life.probe.Trace()
+	return rep, nil
 }
 
-// aggregate merges per-node member snapshots into a fleet report, in
+// aggregate merges per-node snapshots into a fleet report, in
 // node-index order so the result is deterministic regardless of which
-// worker simulated which node. dur is the horizon ending at DefaultStart+dur;
-// each member's deadline floor is judged over its own lifetime within
-// that horizon (members redeployed mid-run by Supervisor.Replace have
-// restarted counters, so holding them to the full-horizon floor would
-// misreport them as non-compliant). Both the batch driver (Run) and
-// the lockstep driver (Coordinator.Report) reduce through here, so the
-// two views of the same fleet are directly comparable.
-// states, when non-nil, carries each node's lifecycle outcome: nodes
-// that ended the horizon down or restarting had their members stopped
-// mid-run, so their deadline compliance is not judged (the members'
-// counters are frozen at the crash, and holding a dead node to an
-// actuation floor would blame the variant for the node's death).
-func aggregate(nodes int, dur time.Duration, events uint64, statuses [][]MemberStatus, states []nodeState) *Report {
+// worker simulated which node. dur is the horizon ending at
+// DefaultStart+dur; each member's deadline floor is judged over its own
+// lifetime within that horizon (members redeployed mid-run by
+// Supervisor.Replace have restarted counters, so holding them to the
+// full-horizon floor would misreport them as non-compliant). Both Run
+// and Coordinator.Report reduce through here, so the two views of the
+// same fleet are directly comparable. Nodes that ended the horizon down
+// or restarting had their members stopped mid-run, so their deadline
+// compliance is not judged (the members' counters are frozen at the
+// crash, and holding a dead node to an actuation floor would blame the
+// variant for the node's death); without a lifecycle plan every node
+// is up.
+func aggregate(dur time.Duration, nodes []nodeResult) *Report {
 	rep := &Report{
-		Nodes:    nodes,
+		Nodes:    len(nodes),
 		Duration: dur,
-		Events:   events,
 		Kinds:    make(map[string]*KindStats),
 	}
-	for i, node := range statuses {
-		up := true
-		if states != nil {
-			switch states[i].life {
-			case LifecycleDown:
-				rep.Down++
-				up = false
-			case LifecycleRestarting:
-				rep.Restarting++
-				up = false
-			}
-			rep.Restarts += states[i].restarts
+	for i := range nodes {
+		node := &nodes[i]
+		rep.Events += node.events
+		rep.Restarts += node.restarts
+		switch node.life {
+		case LifecycleDown:
+			rep.Down++
+		case LifecycleRestarting:
+			rep.Restarting++
 		}
-		for _, st := range node {
+		up := node.life == LifecycleUp
+		for _, st := range node.statuses {
 			rep.Agents++
 			ks := rep.Kinds[st.Kind]
 			if ks == nil {
@@ -347,29 +347,20 @@ func aggregate(nodes int, dur time.Duration, events uint64, statuses [][]MemberS
 	return rep
 }
 
-// runNode simulates one node end to end on its own virtual clock and
-// releases it: build, advance to the horizon (through the shared
-// lifecycle stepper), snapshot, stop.
-func runNode(cfg Config, life lifecycle, idx int) nodeResult {
+// runNode simulates node idx start to finish on the calling worker
+// and releases it: build, apply the plan's t=0 state, advance by d
+// through the lifecycle stepper, snapshot, stop.
+func (l *lifecycle) runNode(cfg Config, idx int, d time.Duration) nodeResult {
 	n, err := buildNode(cfg, idx)
 	if err != nil {
 		return nodeResult{err: err}
 	}
-	if life.plan != nil {
-		life.apply(&n, idx, 0)
+	if l.plan != nil {
+		l.apply(&n, idx, 0)
 	}
-	life.advance(&n, idx, cfg.Duration)
-	if n.lifeErr != nil {
-		n.sup.StopAll()
-		return nodeResult{err: n.lifeErr}
-	}
-	// Snapshot before StopAll so end-of-horizon safeguard state is
-	// observed, not post-cleanup state.
-	res := nodeResult{
-		statuses: n.sup.Status(),
-		state:    nodeState{life: n.sup.Lifecycle(), restarts: n.sup.Restarts()},
-		events:   n.clk.Fired(),
-	}
+	l.advance(&n, idx, d)
+	res := n.snapshot()
+	res.err = n.lifeErr
 	n.sup.StopAll()
 	return res
 }

@@ -3,11 +3,13 @@ package fleet
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"sol/internal/clock"
 	"sol/internal/core"
+	"sol/internal/faults"
 	"sol/internal/spec"
 )
 
@@ -156,11 +158,11 @@ func TestFleetHeterogeneous(t *testing.T) {
 	}
 }
 
-// TestRunStreamsNodes pins the reason Run exists beside the
-// Coordinator: an unobserved run streams — build, run, release — so no
-// more nodes are ever alive than the pool has workers, while a run that
-// asks for observation holds the whole fleet resident on the
-// Coordinator.
+// TestRunStreamsNodes pins that Run streams whether or not it is
+// observed: every node is built, run and released on the worker that
+// owns it, so no more nodes are ever alive than the pool has workers,
+// at any shard count, with profiling, tracing and a lifecycle plan on.
+// Observation changes nothing the report says.
 func TestRunStreamsNodes(t *testing.T) {
 	t.Parallel()
 	const nodes, workers = 24, 3
@@ -183,25 +185,39 @@ func TestRunStreamsNodes(t *testing.T) {
 			sup := NewSupervisor(clk, nil)
 			return sup, sup.LaunchSpec("gauge", a)
 		},
+		Lifecycle: faults.Plan{
+			faults.Crash{At: 700 * time.Millisecond, Frac: 0.25, Seed: 7},
+			faults.Flap{Start: 200 * time.Millisecond, Down: 200 * time.Millisecond, Period: 400 * time.Millisecond, Cycles: 1, Frac: 0.5, Seed: 8},
+			faults.Blackout{From: 300 * time.Millisecond, Until: 600 * time.Millisecond, Frac: 0.3, Seed: 9},
+		},
 	}
-	streamed, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func(cfg Config) *Report {
+		t.Helper()
+		g.peak = 0
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.peak < 1 || g.peak > workers || g.live != 0 {
+			t.Fatalf("shards %d, profile %v, trace %v: %d nodes alive at peak, %d left alive; want at most the %d workers and 0",
+				cfg.Shards, cfg.Profile, cfg.Trace, g.peak, g.live, workers)
+		}
+		return rep
 	}
-	if g.peak < 1 || g.peak > workers || g.live != 0 {
-		t.Fatalf("streaming run: %d nodes alive at peak, %d left alive; want at most the %d workers and 0", g.peak, g.live, workers)
+	streamed := run(cfg).String()
+	if !strings.Contains(streamed, "lifecycle:") {
+		t.Fatalf("plan injected no lifecycle outcome — the test is vacuous:\n%s", streamed)
 	}
-
-	g.peak = 0
-	cfg.Profile = true
-	resident, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.peak != nodes || g.live != 0 {
-		t.Fatalf("observed run: %d nodes resident at peak, %d left alive; want %d and 0", g.peak, g.live, nodes)
-	}
-	if got, want := stripProfile(resident), streamed.String(); got != want {
-		t.Fatalf("observed and streamed reports differ:\n%s\nvs\n%s", got, want)
+	for _, shards := range []int{0, 4} {
+		c := cfg
+		c.Shards, c.Profile, c.Trace = shards, true, true
+		observed := run(c)
+		if observed.Profile == nil || observed.Trace == nil {
+			t.Fatalf("shards %d: observed run carries profile %v, trace %v", shards, observed.Profile != nil, observed.Trace != nil)
+		}
+		observed.Profile, observed.Trace = nil, nil
+		if got := observed.String(); got != streamed {
+			t.Fatalf("shards %d: observed and unobserved reports differ:\n%s\nvs\n%s", shards, got, streamed)
+		}
 	}
 }

@@ -85,14 +85,13 @@ func TestProfileCountsDeterministic(t *testing.T) {
 }
 
 // TestBatchProfile covers Run with Profile set: it executes as one
-// observer-less span on a one-shard Coordinator, so the profile is the
-// conductor's native one — one span, one free advance per node, busy
-// time accumulated — with the same no-feedback property as every
-// Coordinator run.
+// observer-less span of the conductor on cfg.Shards shards, so the
+// profile is the conductor's native one — one span per shard, one free
+// advance per node, busy time accumulated — and its counts match the
+// one-span Coordinator run's, with the same no-feedback property.
 func TestBatchProfile(t *testing.T) {
 	t.Parallel()
 	cfg := profiledFleetConfig(4, true)
-	cfg.Shards = 0
 	off := cfg
 	off.Profile = false
 
@@ -108,8 +107,8 @@ func TestBatchProfile(t *testing.T) {
 		t.Fatal("unprofiled batch run carries a profile")
 	}
 	p := repOn.Profile
-	if p == nil || len(p.Shards) != 1 {
-		t.Fatalf("batch profile = %+v, want one shard", p)
+	if p == nil || len(p.Shards) != cfg.Shards {
+		t.Fatalf("batch profile = %+v, want %d shards", p, cfg.Shards)
 	}
 	stepped, err := RunStepped(cfg, cfg.Duration, nil)
 	if err != nil {
@@ -119,15 +118,17 @@ func TestBatchProfile(t *testing.T) {
 		t.Errorf("batch profile counts %+v differ from the one-span Coordinator run's %+v",
 			p.Deterministic(), stepped.Profile.Deterministic())
 	}
-	want := obs.ShardCounts{Spans: 1, FreeAdvances: cfg.Nodes}
-	if p.Shards[0].Counts != want {
-		t.Errorf("batch counts = %+v, want %+v", p.Shards[0].Counts, want)
-	}
-	if p.Shards[0].FreeNS <= 0 {
-		t.Errorf("batch busy time = %d, want > 0", p.Shards[0].FreeNS)
-	}
-	if p.Shards[0].BarrierNS < 0 {
-		t.Errorf("batch wait = %d, want >= 0", p.Shards[0].BarrierNS)
+	want := obs.ShardCounts{Spans: 1, FreeAdvances: cfg.Nodes / cfg.Shards}
+	for s, sp := range p.Shards {
+		if sp.Counts != want {
+			t.Errorf("shard %d batch counts = %+v, want %+v", s, sp.Counts, want)
+		}
+		if sp.FreeNS <= 0 {
+			t.Errorf("shard %d batch busy time = %d, want > 0", s, sp.FreeNS)
+		}
+		if sp.BarrierNS < 0 {
+			t.Errorf("shard %d batch wait = %d, want >= 0", s, sp.BarrierNS)
+		}
 	}
 	if got, want := stripProfile(repOn), repOff.String(); got != want {
 		t.Fatalf("profiling changed the batch output:\nprofiled:\n%s\nunprofiled:\n%s", got, want)

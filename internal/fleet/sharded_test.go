@@ -156,7 +156,6 @@ func TestHealthDetailIntoAllocs(t *testing.T) {
 				scratch = sup.HealthDetailInto(scratch)
 				polled++
 			}
-			_ = c.Events()
 		})
 		if allocs != 0 || polled == 0 {
 			t.Fatalf("plan %v: HealthDetailInto poll allocates %.1f per poll over %d polls, want 0", plan, allocs, polled)

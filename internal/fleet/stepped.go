@@ -17,19 +17,18 @@ import (
 // alignment the whole fleet is quiescent — no callbacks in flight
 // anywhere — so a controller may observe aggregated health and
 // redeploy members (Supervisor.Replace) without racing the simulation.
-// This is the mid-horizon observation and control the batch driver
-// (Run) cannot provide, and it is what the rollout control plane is
-// built on.
+// This is the mid-horizon observation and control Run, which streams
+// nodes through a single span, cannot provide, and it is what the
+// rollout control plane is built on.
 //
 // StepFor is a fleet-wide barrier (one free-running span: every node
 // advances to it, whatever the shard count), while Span exposes the
 // conductor's real power: only the cells that need mid-span observation
 // advance epoch by epoch, everything else free-runs to the next
-// alignment. The Coordinator is also the single place a run is
-// observed: its conductor's one probe (Probe) hears every span
+// alignment. Its conductor's one probe (Probe) hears every span
 // transition and serves wall-time attribution (Config.Profile) and the
-// trace of spans, lifecycle events and heap samples (Config.Trace);
-// nothing else produces either.
+// trace of spans, lifecycle events and heap samples (Config.Trace) —
+// the same probe a Run's single span reports to.
 //
 // The result is exactly as deterministic as Run: the same config
 // driven to the same total horizon yields a byte-identical report,
@@ -52,23 +51,21 @@ type simNode struct {
 	// dark is whether the node is currently observability-dark: written
 	// only by the worker advancing the node, read only with the node
 	// quiescent. lifeErr is the node's first restart failure, surfaced
-	// at the next alignment (Span, RunStepped) or at the end of a
-	// streaming run.
+	// at the next alignment (Span, RunStepped) or, in Run, with the
+	// node's snapshot.
 	dark    bool
 	lifeErr error
 }
 
 // lifecycle steps nodes under the fleet's lifecycle fault plan — the
 // one implementation of "advance this node by d, pausing at the plan's
-// transition instants" that the streaming driver (Run) and the
-// Coordinator share, which is what keeps fault runs byte-identical
-// across them. A nil plan means no faults and costs advance one nil
-// check.
+// transition instants" that Run and the Coordinator share, which is
+// what keeps fault runs byte-identical across them. A nil plan means
+// no faults and costs advance one nil check.
 type lifecycle struct {
 	plan faults.NodePlan
-	// probe is the conductor's probe: nil when profiling and tracing
-	// are off, and always nil on the streaming driver. Every method is
-	// nil-safe.
+	// probe is the driving conductor's probe: nil when profiling and
+	// tracing are off. Every method is nil-safe.
 	probe *obs.Probe
 }
 
@@ -142,7 +139,7 @@ func buildNode(cfg Config, idx int) (simNode, error) {
 // forEachNode runs fn(idx) for every node index on the shared worker
 // pool and waits for all to finish — a fleet-wide barrier.
 func (c *Coordinator) forEachNode(fn func(idx int)) {
-	forEach(len(c.nodes), c.cfg.workers(), fn)
+	shard.ForEach(len(c.nodes), c.cfg.workers(), fn)
 }
 
 // advanceCell is the conductor's Advance binding: move node cell's
@@ -291,15 +288,6 @@ func (c *Coordinator) Supervisor(idx int) *Supervisor { return c.nodes[idx].sup 
 // stepped so far.
 func (c *Coordinator) Elapsed() time.Duration { return c.con.Aligned() }
 
-// Events returns the total virtual-clock callbacks fired fleet-wide.
-func (c *Coordinator) Events() uint64 {
-	var n uint64
-	for i := range c.nodes {
-		n += c.nodes[i].clk.Fired()
-	}
-	return n
-}
-
 // StepFor advances every node's clock by d and returns once the whole
 // fleet has reached the new barrier — a single free-running span, so
 // each shard visits each of its nodes exactly once.
@@ -326,21 +314,11 @@ func (c *Coordinator) Span(sp shard.Span) error {
 }
 
 // Report aggregates the fleet at the current barrier, exactly as Run
-// reports a finished batch fleet; Duration is the time stepped so far.
+// reports a finished fleet; Duration is the time stepped so far.
 func (c *Coordinator) Report() *Report {
-	statuses := make([][]MemberStatus, len(c.nodes))
-	var states []nodeState
-	if c.plan != nil {
-		states = make([]nodeState, len(c.nodes))
-	}
-	c.forEachNode(func(idx int) {
-		sup := c.nodes[idx].sup
-		statuses[idx] = sup.Status()
-		if states != nil {
-			states[idx] = nodeState{life: sup.Lifecycle(), restarts: sup.Restarts()}
-		}
-	})
-	rep := aggregate(len(c.nodes), c.Elapsed(), c.Events(), statuses, states)
+	results := make([]nodeResult, len(c.nodes))
+	c.forEachNode(func(idx int) { results[idx] = c.nodes[idx].snapshot() })
+	rep := aggregate(c.Elapsed(), results)
 	rep.Profile = c.probe.Profile()
 	rep.Trace = c.probe.Trace()
 	return rep
@@ -368,7 +346,7 @@ func (c *Coordinator) StopAll() {
 // observe aborts the run and is returned. The final epoch is truncated
 // so the total horizon is exactly cfg.Duration, which makes a stepped
 // run's report directly comparable to — in fact, identical to — a
-// batch Run of the same config.
+// Run of the same config.
 func RunStepped(cfg Config, interval time.Duration, observe func(epoch int, c *Coordinator) error) (*Report, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("fleet: stepped interval = %v, must be positive", interval)

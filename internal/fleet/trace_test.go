@@ -110,24 +110,30 @@ func TestTraceDeterminism(t *testing.T) {
 			t.Fatalf("%d shards changed the lifecycle projection:\n%v\nvs\n%v", shards, got, baseLife)
 		}
 	}
-	// A traced Run is one free-running span on a one-shard Coordinator:
-	// a single track with the same plan-derived projection, and the
-	// trace is the conductor's own, byte for byte.
-	one := cfg
-	one.Shards = 0
-	batchRep, err := Run(one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batchRep.Trace.Shards != 1 {
-		t.Fatalf("traced Run recorded %d tracks, want 1", batchRep.Trace.Shards)
-	}
-	batchBytes := detBytes(t, batchRep.Trace)
-	if got := lifecycleProjection(t, batchBytes); !reflect.DeepEqual(got, baseLife) {
-		t.Fatalf("traced Run lifecycle projection differs:\n%v\nvs\n%v", got, baseLife)
-	}
-	if string(detBytes(t, steppedTrace(t, one, one.Duration).Trace)) != string(batchBytes) {
-		t.Fatal("traced Run and the one-span Coordinator run produced different deterministic trace bytes")
+	// A traced Run is one free-running span of the conductor: a track
+	// per shard with the same plan-derived projection, and the trace and
+	// profile counts are the one-span Coordinator run's, byte for byte.
+	for _, shards := range []int{0, 4} {
+		c := cfg
+		c.Shards, c.Profile = shards, true
+		runRep, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := max(shards, 1); runRep.Trace.Shards != want {
+			t.Fatalf("traced Run on %d shards recorded %d tracks, want %d", shards, runRep.Trace.Shards, want)
+		}
+		runBytes := detBytes(t, runRep.Trace)
+		if got := lifecycleProjection(t, runBytes); !reflect.DeepEqual(got, baseLife) {
+			t.Fatalf("traced Run on %d shards: lifecycle projection differs:\n%v\nvs\n%v", shards, got, baseLife)
+		}
+		stepped := steppedTrace(t, c, c.Duration)
+		if string(detBytes(t, stepped.Trace)) != string(runBytes) {
+			t.Fatalf("traced Run and the one-span Coordinator run on %d shards produced different deterministic trace bytes", shards)
+		}
+		if got, want := runRep.Profile.Deterministic(), stepped.Profile.Deterministic(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Run on %d shards: profile counts %+v differ from the one-span Coordinator run's %+v", shards, got, want)
+		}
 	}
 }
 

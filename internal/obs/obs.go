@@ -31,16 +31,10 @@
 //     widths, and machines — and are safe to assert in golden tests.
 //   - Wall-time fields (the *NS fields) are diagnostic only. They vary
 //     run to run and MUST NEVER feed back into simulation decisions;
-//     the sanctioned consumer is a human (or a rebalance hook) looking
-//     at a finished run. Deterministic() strips them for byte-identity
-//     tests.
+//     the sanctioned consumer is a human looking at a finished run.
+//     Deterministic() strips them for byte-identity tests.
 //
 // A Trace splits the same way (see trace.go).
-//
-// Worker allotments are the one knob a profile may drive, because the
-// conductor's worker width is unobservable in simulation output: see
-// ProposeAllotments and shard.Conductor.Rebalance, which consume a
-// profile strictly *between* runs.
 //
 // # Concurrency
 //
@@ -64,7 +58,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -297,61 +290,6 @@ func Delta(cur, prev *Profile) *Profile {
 		s.FreeNS -= o.FreeNS
 		s.AlignNS -= o.AlignNS
 		s.BarrierNS -= o.BarrierNS
-	}
-	return out
-}
-
-// ProposeAllotments distributes a worker budget over the profile's
-// shards proportionally to each shard's busy wall time — the between-
-// runs tuning loop: a straggler shard earns workers from shards that
-// spent the run waiting. Every shard keeps at least one worker; with
-// no more workers than shards the proposal is all ones (each shard
-// runs inline, the conductor's own rule). A profile with no busy time
-// yet falls back to the conductor's even spread. The proposal is
-// deterministic given the profile: largest-remainder rounding with
-// ties broken to the lower shard index.
-func ProposeAllotments(p *Profile, workers int) []int {
-	n := len(p.Shards)
-	if n == 0 || workers < 1 {
-		return nil
-	}
-	out := make([]int, n)
-	if workers <= n {
-		for i := range out {
-			out[i] = 1
-		}
-		return out
-	}
-	var total int64
-	for i := range p.Shards {
-		total += p.Shards[i].BusyNS()
-	}
-	if total == 0 {
-		for i := range out {
-			out[i] = workers / n
-			if i < workers%n {
-				out[i]++
-			}
-		}
-		return out
-	}
-	// One guaranteed worker per shard; the spare budget splits
-	// busy-proportionally, whole shares first, then largest remainders.
-	spare := workers - n
-	fracs := make([]float64, n)
-	idx := make([]int, n)
-	given := 0
-	for i := range p.Shards {
-		share := float64(spare) * float64(p.Shards[i].BusyNS()) / float64(total)
-		whole := int(share)
-		out[i] = 1 + whole
-		given += whole
-		fracs[i] = share - float64(whole)
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return fracs[idx[a]] > fracs[idx[b]] })
-	for i := 0; i < spare-given; i++ {
-		out[idx[i]]++
 	}
 	return out
 }

@@ -188,50 +188,6 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
-// TestProposeAllotments pins the between-runs tuning arithmetic:
-// busy-proportional with a one-worker floor, largest-remainder
-// rounding, and the degenerate spreads.
-func TestProposeAllotments(t *testing.T) {
-	t.Parallel()
-	busy := func(ns ...int64) *Profile {
-		p := &Profile{Shards: make([]ShardProfile, len(ns))}
-		for i, b := range ns {
-			p.Shards[i] = ShardProfile{Shard: i, StepNS: b}
-		}
-		return p
-	}
-	cases := []struct {
-		name    string
-		p       *Profile
-		workers int
-		want    []int
-	}{
-		{"proportional", busy(3e6, 1e6), 8, []int{6, 2}},   // spare 6 splits 4.5/1.5; the .5 remainder tie goes low
-		{"floor", busy(0, 100e6), 4, []int{1, 3}},          // idle shard keeps its one worker
-		{"inline", busy(5e6, 5e6, 5e6), 2, []int{1, 1, 1}}, // workers <= shards: all inline
-		{"no-evidence", busy(0, 0, 0), 7, []int{3, 2, 2}},  // zero busy: conductor's even spread
-		{"tie-low-index", busy(1e6, 1e6), 5, []int{3, 2}},  // spare 3: 1.5/1.5, remainder tie → lower index first
-		{"single-shard", busy(9e6), 6, []int{6}},           // whole budget to the only shard
-		{"exact-split", busy(2e6, 2e6, 2e6, 2e6), 8, []int{2, 2, 2, 2}},
-	}
-	for _, tc := range cases {
-		got := ProposeAllotments(tc.p, tc.workers)
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: ProposeAllotments(workers=%d) = %v, want %v", tc.name, tc.workers, got, tc.want)
-		}
-		sum := 0
-		for _, w := range got {
-			sum += w
-		}
-		if len(tc.p.Shards) > 0 && tc.workers > len(tc.p.Shards) && sum != tc.workers {
-			t.Errorf("%s: allotments sum %d, want the full budget %d", tc.name, sum, tc.workers)
-		}
-	}
-	if got := ProposeAllotments(&Profile{}, 4); got != nil {
-		t.Errorf("empty profile: ProposeAllotments = %v, want nil", got)
-	}
-}
-
 // TestProfilerRecordAllocs proves the profile view accumulates without
 // allocating per sample.
 func TestProfilerRecordAllocs(t *testing.T) {

@@ -78,8 +78,8 @@ func TestConductorProfileCounts(t *testing.T) {
 	}
 }
 
-// TestConductorProfileDisabled checks the off switch: no probe, nil
-// profile, and Rebalance refuses for want of evidence.
+// TestConductorProfileDisabled checks the off switch: no probe and a
+// nil profile.
 func TestConductorProfileDisabled(t *testing.T) {
 	t.Parallel()
 	cfg := profiledConfig(2)
@@ -94,60 +94,6 @@ func TestConductorProfileDisabled(t *testing.T) {
 	driveProfiledSchedule(t, c)
 	if p := c.Probe().Profile(); p != nil {
 		t.Errorf("Profile() = %+v, want nil when disabled", p)
-	}
-	if _, err := c.Rebalance(nil); err == nil {
-		t.Error("Rebalance(nil) succeeded, want error")
-	}
-}
-
-// TestConductorRebalance closes the between-runs tuning loop: a
-// profile with a clear straggler shifts the allotments toward it, the
-// installed allotments drive shardWorkers, and a later run still
-// computes the same schedule (counts unchanged — worker width is
-// unobservable).
-func TestConductorRebalance(t *testing.T) {
-	t.Parallel()
-	c, err := New(profiledConfig(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hand-built evidence: shard 2 did 6x the busy work of the others.
-	p := &obs.Profile{Shards: []obs.ShardProfile{
-		{Shard: 0, StepNS: 1e6},
-		{Shard: 1, StepNS: 1e6},
-		{Shard: 2, StepNS: 6e6},
-	}}
-	allot, err := c.Rebalance(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{2, 2, 5} // 1 floor each + spare 6 shares 0.75/0.75/4.5 → wholes 0,0,4; remainders hand the 2 left to shards 0,1
-	if !reflect.DeepEqual(allot, want) {
-		t.Fatalf("Rebalance allotments = %v, want %v", allot, want)
-	}
-	for s, w := range want {
-		if got := c.shardWorkers(s); got != w {
-			t.Errorf("shardWorkers(%d) = %d, want %d after rebalance", s, got, w)
-		}
-	}
-	// The retuned conductor runs the same schedule to the same counts.
-	driveProfiledSchedule(t, c)
-	wantCounts := obs.ShardCounts{Spans: 2, Epochs: 3, SteppedAdvances: 6, FreeAdvances: 6}
-	for s, sp := range c.Probe().Profile().Shards {
-		if sp.Counts != wantCounts {
-			t.Errorf("post-rebalance shard %d counts = %+v, want %+v", s, sp.Counts, wantCounts)
-		}
-	}
-
-	// Malformed inputs are refused.
-	if _, err := c.Rebalance(&obs.Profile{Shards: make([]obs.ShardProfile, 2)}); err == nil {
-		t.Error("Rebalance with wrong shard count succeeded")
-	}
-	if err := c.SetAllotments([]int{1, 0, 1}); err == nil {
-		t.Error("SetAllotments with a zero allotment succeeded")
-	}
-	if err := c.SetAllotments([]int{1, 1}); err == nil {
-		t.Error("SetAllotments with wrong length succeeded")
 	}
 }
 

@@ -173,11 +173,10 @@ type Conductor struct {
 	nShards int
 	workers int
 	bounds  []int // len nShards+1; shard s owns cells [bounds[s], bounds[s+1])
-	// aligned and allot are conductor-goroutine state: written only with
-	// the fleet quiescent (between Runs, or at Run's closing barrier).
+	// aligned is conductor-goroutine state: written only with the fleet
+	// quiescent (between Runs, or at Run's closing barrier).
 	aligned time.Duration
 	probe   *obs.Probe // nil when Config.Profile and Config.Trace are both off
-	allot   []int      // per-shard worker override (SetAllotments); nil = even spread
 }
 
 // New validates cfg and partitions its cells into contiguous shards of
@@ -201,42 +200,6 @@ func New(cfg Config) (*Conductor, error) {
 // views between Run calls (fleet aligned); every probe method is
 // nil-safe, so the pointer threads unconditionally.
 func (c *Conductor) Probe() *obs.Probe { return c.probe }
-
-// SetAllotments overrides the per-shard worker allotments: a[s]
-// workers drive shard s's cells in the next Run. Every entry must be
-// >= 1 and len(a) must equal the shard count. Worker widths never
-// change what the simulation computes — only how fast — so retuning
-// allotments between runs is determinism-safe by construction.
-func (c *Conductor) SetAllotments(a []int) error {
-	if len(a) != c.nShards {
-		return fmt.Errorf("shard: %d allotments for %d shards", len(a), c.nShards)
-	}
-	for s, w := range a {
-		if w < 1 {
-			return fmt.Errorf("shard: allotment[%d] = %d, must be >= 1", s, w)
-		}
-	}
-	c.allot = append([]int(nil), a...)
-	return nil
-}
-
-// Rebalance consumes a finished run's profile strictly between runs:
-// it proposes per-shard worker allotments proportional to each shard's
-// busy wall time (obs.ProposeAllotments over the conductor's worker
-// budget), installs them for subsequent Runs, and returns the
-// proposal. This is the one sanctioned consumer of wall-clock
-// attribution — worker widths are unobservable in simulation output,
-// so the feedback loop cannot break determinism.
-func (c *Conductor) Rebalance(p *obs.Profile) ([]int, error) {
-	if p == nil || len(p.Shards) != c.nShards {
-		return nil, fmt.Errorf("shard: rebalance needs a %d-shard profile", c.nShards)
-	}
-	a := obs.ProposeAllotments(p, c.workers)
-	if err := c.SetAllotments(a); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
 
 // Shards returns the shard count.
 func (c *Conductor) Shards() int { return c.nShards }
@@ -262,15 +225,11 @@ func (c *Conductor) ShardOf(cell int) int {
 // the conductor's current barrier.
 func (c *Conductor) Aligned() time.Duration { return c.aligned }
 
-// shardWorkers returns shard s's worker allotment: an explicit
-// SetAllotments override if one is installed, else the total budget
+// shardWorkers returns shard s's worker allotment: the total budget
 // spread across shards, the first Workers%Shards shards taking one
 // extra. With fewer workers than shards every shard runs inline on its
 // own goroutine (the common fleet-scale case).
 func (c *Conductor) shardWorkers(s int) int {
-	if c.allot != nil {
-		return c.allot[s]
-	}
 	if c.workers <= c.nShards {
 		return 1
 	}
