@@ -8,8 +8,11 @@
 //	solbench -exp fig1,fig7 -quick
 //	solbench -exp all
 //
-// Output rows mirror what each paper table or figure reports;
-// EXPERIMENTS.md records the paper-vs-measured comparison.
+// Output rows mirror what each paper table or figure reports. The
+// Quick-scale metrics are pinned by
+// internal/experiments/testdata/fingerprint.quick.txt and the paper's
+// shapes by the experiments package's *Shapes tests; a
+// paper-vs-measured table is ROADMAP item 1(a), not yet written.
 package main
 
 import (

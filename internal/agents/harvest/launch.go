@@ -52,16 +52,9 @@ func DefaultVariant(primary, elastic string) Variant {
 }
 
 // The harvest kind's defaults are the paper calibration harvesting the
-// conventional "primary" VM into "elastic", reseeded from the node's
-// seed root with the standard-node offset when one is provided.
+// conventional "primary" VM into "elastic".
 func init() {
-	spec.Register(Kind, func(env spec.NodeEnv) Variant {
-		v := DefaultVariant("primary", "elastic")
-		if env.Seed != 0 {
-			v.Config.Seed = env.Seed + 3
-		}
-		return v
-	}, func(env spec.NodeEnv, v Variant) (core.Handle, error) {
+	spec.Register(Kind, DefaultVariant("primary", "elastic"), func(env spec.NodeEnv, v Variant) (core.Handle, error) {
 		if env.Node == nil {
 			return nil, fmt.Errorf("harvest: spec launch needs a node in the environment")
 		}

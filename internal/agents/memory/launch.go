@@ -51,20 +51,13 @@ func DefaultVariant() Variant {
 	return Variant{Name: "baseline", Config: DefaultConfig(), Schedule: Schedule()}
 }
 
-// The memory kind's defaults are the paper calibration, reseeded from
-// the node's seed root with the standard-node offset when one is
-// provided. Launching requires a tiered-memory substrate in the node
-// environment — the substrate belongs to the node, not the agent, which
-// is what lets a redeploy (or rollback) hand the successor the same
-// memory state the predecessor managed.
+// The memory kind's defaults are the paper calibration. Launching
+// requires a tiered-memory substrate in the node environment — the
+// substrate belongs to the node, not the agent, which is what lets a
+// redeploy (or rollback) hand the successor the same memory state the
+// predecessor managed.
 func init() {
-	spec.Register(Kind, func(env spec.NodeEnv) Variant {
-		v := DefaultVariant()
-		if env.Seed != 0 {
-			v.Config.Seed = env.Seed + 4
-		}
-		return v
-	}, func(env spec.NodeEnv, v Variant) (core.Handle, error) {
+	spec.Register(Kind, DefaultVariant(), func(env spec.NodeEnv, v Variant) (core.Handle, error) {
 		if env.Mem == nil {
 			return nil, fmt.Errorf("memory: spec launch needs a tiered-memory substrate in the environment")
 		}

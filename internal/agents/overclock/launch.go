@@ -51,16 +51,9 @@ func DefaultVariant(vm string) Variant {
 }
 
 // The overclock kind's defaults are the paper calibration on the
-// conventional "batch" VM, reseeded from the node's seed root with the
-// standard-node offset when one is provided.
+// conventional "batch" VM.
 func init() {
-	spec.Register(Kind, func(env spec.NodeEnv) Variant {
-		v := DefaultVariant("batch")
-		if env.Seed != 0 {
-			v.Config.Seed = env.Seed + 2
-		}
-		return v
-	}, func(env spec.NodeEnv, v Variant) (core.Handle, error) {
+	spec.Register(Kind, DefaultVariant("batch"), func(env spec.NodeEnv, v Variant) (core.Handle, error) {
 		if env.Node == nil {
 			return nil, fmt.Errorf("overclock: spec launch needs a node in the environment")
 		}

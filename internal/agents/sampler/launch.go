@@ -48,19 +48,12 @@ func DefaultVariant() Variant {
 	return Variant{Name: "baseline", Config: DefaultConfig(), Schedule: Schedule()}
 }
 
-// The sampler kind's defaults are the standard calibration, reseeded
-// from the node's seed root with the standard-node offset when one is
-// provided. Launching requires a telemetry substrate in the node
-// environment, so a redeploy hands the successor the same source — and
-// sampling history — the predecessor tuned.
+// The sampler kind's defaults are the standard calibration. Launching
+// requires a telemetry substrate in the node environment, so a redeploy
+// hands the successor the same source — and sampling history — the
+// predecessor tuned.
 func init() {
-	spec.Register(Kind, func(env spec.NodeEnv) Variant {
-		v := DefaultVariant()
-		if env.Seed != 0 {
-			v.Config.Seed = env.Seed + 5
-		}
-		return v
-	}, func(env spec.NodeEnv, v Variant) (core.Handle, error) {
+	spec.Register(Kind, DefaultVariant(), func(env spec.NodeEnv, v Variant) (core.Handle, error) {
 		if env.Telemetry == nil {
 			return nil, fmt.Errorf("sampler: spec launch needs a telemetry substrate in the environment")
 		}

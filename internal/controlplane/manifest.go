@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"slices"
 	"time"
 
 	"sol/internal/faults"
@@ -161,8 +162,9 @@ const defaultInterval = 5 * time.Second
 const ManifestVersion = 3
 
 // Validate checks the manifest without building a fleet: schema
-// version, sizing, and that every campaign target resolves against
-// the kind registry.
+// version, sizing, the co-located kinds (each a fleet kind, none
+// twice), and that every campaign target resolves against the kind
+// registry.
 func (m *Manifest) Validate() error {
 	switch {
 	case m.Version < 0 || m.Version > ManifestVersion:
@@ -176,10 +178,22 @@ func (m *Manifest) Validate() error {
 		return fmt.Errorf("controlplane: manifest interval = %v, must be >= 0", m.Interval.D())
 	case m.Shards < 0:
 		return fmt.Errorf("controlplane: manifest shards = %d, must be >= 0", m.Shards)
+	case m.Workers < 0:
+		return fmt.Errorf("controlplane: manifest workers = %d, must be >= 0", m.Workers)
+	case m.MemRegions < 0:
+		return fmt.Errorf("controlplane: manifest mem_regions = %d, must be >= 0", m.MemRegions)
 	case m.Kinds != nil && len(m.Kinds) == 0:
 		// An empty list would launch agent-less nodes, yet marshal (omitempty)
 		// to an absent one, which means the standard co-location.
 		return fmt.Errorf("controlplane: manifest kinds is empty; omit it for the standard co-location")
+	}
+	for i, k := range m.Kinds {
+		if !slices.Contains(fleet.AllKinds, k) {
+			return fmt.Errorf("controlplane: manifest kinds names %q, not one of %v", k, fleet.AllKinds)
+		}
+		if slices.Contains(m.Kinds[:i], k) {
+			return fmt.Errorf("controlplane: manifest kinds names %q twice", k)
+		}
 	}
 	if m.Campaign != nil {
 		if err := m.Campaign.validate(); err != nil {

@@ -148,6 +148,10 @@ func TestManifestValidation(t *testing.T) {
 		"bad duration":      `{"nodes": 4, "duration": "fortnight"}`,
 		"top-level typo":    `{"nodes": 4, "duration": "10s", "nodez": 5}`,
 		"empty kinds":       `{"nodes": 4, "duration": "10s", "kinds": []}`,
+		"negative workers":  `{"nodes": 4, "duration": "10s", "workers": -3}`,
+		"negative regions":  `{"nodes": 4, "duration": "10s", "mem_regions": -2}`,
+		"unknown kind":      `{"nodes": 4, "duration": "10s", "kinds": ["bogus"]}`,
+		"repeated kind":     `{"nodes": 4, "duration": "10s", "kinds": ["harvest", "memory", "harvest"]}`,
 		"campaign typo": `{"nodes": 4, "duration": "10s",
 			"campaign": {"name": "x", "soaks": 3, "targets": [{"candidate": {"kind": "harvest"}}]}}`,
 		"campaign without targets": `{"nodes": 4, "duration": "10s", "campaign": {"name": "x"}}`,

@@ -9,8 +9,10 @@
 // Absolute numbers differ from the paper — the substrate here is a
 // simulator, not the authors' Xeon testbed — but each runner's output
 // is designed to preserve the paper's shape: who wins, by roughly what
-// factor, and where the crossovers fall. EXPERIMENTS.md records
-// paper-vs-measured for every entry.
+// factor, and where the crossovers fall. The *Shapes tests assert those
+// shapes, and testdata/fingerprint.quick.txt pins every Quick-scale
+// metric; a paper-vs-measured table is ROADMAP item 1(a), not yet
+// written.
 //
 // All experiments are deterministic: same build, same output.
 package experiments
@@ -26,7 +28,7 @@ import (
 )
 
 // Scale selects experiment duration. Quick keeps unit/bench runs fast;
-// Full matches the evaluation horizons reported in EXPERIMENTS.md.
+// Full runs the paper's evaluation horizons.
 type Scale int
 
 const (

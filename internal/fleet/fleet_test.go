@@ -182,7 +182,7 @@ func TestRunStreamsNodes(t *testing.T) {
 		Duration: time.Second,
 		Workers:  workers,
 		Setup: func(idx int, clk *clock.Virtual) (*Supervisor, error) {
-			sup := NewSupervisor(clk, nil)
+			sup := NewSupervisor(spec.NodeEnv{Clock: clk})
 			return sup, sup.LaunchSpec("gauge", a)
 		},
 		Lifecycle: faults.Plan{

@@ -111,7 +111,7 @@ func TestSupervisorRestartRequiresSpecs(t *testing.T) {
 func TestSupervisorRestartFailureStopsRelaunched(t *testing.T) {
 	t.Parallel()
 	clk := clock.NewVirtual(testEpoch)
-	sup := NewSupervisor(clk, nil)
+	sup := NewSupervisor(spec.NodeEnv{Clock: clk})
 	// Attempts 1 and 2 are the initial launches, 3 and 4 the first
 	// restart's: the second member's relaunch fails.
 	log := newLaunchLog(t)

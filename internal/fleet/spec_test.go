@@ -155,7 +155,7 @@ func TestSpecBaselineMatchesStandardNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := *p.(*harvest.Variant)
-	if want := cfg.HarvestVariant(4); got != want {
+	if want := *cfg.BaselineEnv(4).Base(harvest.Kind).(*harvest.Variant); got != want {
 		t.Fatalf("spec-resolved baseline diverges from StandardNode's:\n%+v\nvs\n%+v", got, want)
 	}
 	// A partial overlay changes only the named knob.
@@ -172,7 +172,7 @@ func TestSpecBaselineMatchesStandardNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = *p.(*harvest.Variant)
-	want := cfg.HarvestVariant(4)
+	want := *cfg.BaselineEnv(4).Base(harvest.Kind).(*harvest.Variant)
 	want.Name = "buffer-3"
 	want.Config.SafetyBuffer = 3
 	if got != want {
@@ -256,14 +256,14 @@ func TestSpecHandleDrivesLiveModel(t *testing.T) {
 			// safety buffer.
 			kind: harvest.Kind, warm: 5 * time.Second, step: 30 * time.Millisecond, want: []int{2},
 			brk:      func(h core.Handle) { h.(*harvest.Agent).Model.Break(true) },
-			actuated: func(s *Supervisor) []int { return []int{s.Node().AvailableCores("primary")} },
+			actuated: func(s *Supervisor) []int { return []int{s.Env().Node.AvailableCores("primary")} },
 		},
 		{
 			// A broken SmartOverclock predicts the top DVFS level for the
 			// next 1 s epoch; its healthy twin's first choice is nominal.
 			kind: overclock.Kind, step: 1050 * time.Millisecond, want: []int{2},
 			brk:      func(h core.Handle) { h.(*overclock.Agent).Model.Break(true) },
-			actuated: func(s *Supervisor) []int { return []int{s.Node().FrequencyLevel("batch")} },
+			actuated: func(s *Supervisor) []int { return []int{s.Env().Node.FrequencyLevel("batch")} },
 		},
 		{
 			// A broken SmartMemory selects the slowest scan arm at the

@@ -41,25 +41,6 @@ type StandardNodeConfig struct {
 	Options core.Options
 }
 
-// fleetHarvestSchedule coarsens SmartHarvest's SOL schedule for
-// fleet-scale simulation. The paper calibrates the agent at 50 µs
-// usage sampling on a dedicated node; simulating hundreds of nodes in
-// one process at that rate spends almost all events on one agent.
-// Sampling at 1 ms with 25 samples per epoch keeps the paper's 25 ms
-// epoch, 100 ms actuation deadline, and 100 ms assessments, trading
-// intra-millisecond burst resolution for a 50x cheaper node.
-func fleetHarvestSchedule() core.Schedule {
-	return core.Schedule{
-		DataPerEpoch:           25,
-		DataCollectInterval:    time.Millisecond,
-		MaxEpochTime:           35 * time.Millisecond,
-		AssessModelEvery:       1,
-		MaxActuationDelay:      100 * time.Millisecond,
-		AssessActuatorInterval: 100 * time.Millisecond,
-		PredictionTTL:          100 * time.Millisecond,
-	}
-}
-
 // nodeSeed derives node idx's workload/agent seed root; every
 // per-node stream hangs off it so the fleet is heterogeneous but
 // reproducible.
@@ -67,63 +48,52 @@ func (cfg StandardNodeConfig) nodeSeed(idx int) uint64 {
 	return cfg.Seed*1_000_003 + uint64(idx)
 }
 
-// OverclockVariant returns the baseline SmartOverclock variant
-// StandardNode deploys on node idx. Rollout campaigns derive their
-// candidate from this, so a converted node keeps its per-node seed
-// and only the knobs under study change — and rollback relaunches
-// exactly this variant.
-func (cfg StandardNodeConfig) OverclockVariant(idx int) overclock.Variant {
-	v := overclock.DefaultVariant("batch")
-	v.Config.Seed = cfg.nodeSeed(idx) + 2
-	return v
-}
-
-// HarvestVariant returns the baseline SmartHarvest variant for node
-// idx: the paper calibration with the fleet-coarsened 1 ms sampling
-// schedule and the two-core safety buffer that compensates for it.
-func (cfg StandardNodeConfig) HarvestVariant(idx int) harvest.Variant {
-	v := harvest.DefaultVariant("primary", "elastic")
-	v.Config.Seed = cfg.nodeSeed(idx) + 3
-	v.Config.SafetyBuffer = 2
-	v.Schedule = fleetHarvestSchedule()
-	return v
-}
-
-// MemoryVariant returns the baseline SmartMemory variant for node idx:
-// the paper calibration with the node's derived seed.
-func (cfg StandardNodeConfig) MemoryVariant(idx int) memory.Variant {
-	v := memory.DefaultVariant()
-	v.Config.Seed = cfg.nodeSeed(idx) + 4
-	return v
-}
-
-// SamplerVariant returns the baseline SmartSampler variant for node
-// idx with the node's derived seed.
-func (cfg StandardNodeConfig) SamplerVariant(idx int) sampler.Variant {
-	v := sampler.DefaultVariant()
-	v.Config.Seed = cfg.nodeSeed(idx) + 5
-	return v
-}
-
-// baseParams is the per-node baseline the spec resolver overlays: a
-// declarative agent spec with empty params deploys exactly the variant
-// StandardNode launched, and partial params change only the knobs they
-// name — per-node seeds, VM wiring, and the fleet-coarsened schedules
-// all survive conversion and rollback.
+// baseParams is the per-node baseline the spec resolver overlays, and
+// the one place a node's per-kind variants and seeds are decided: each
+// kind's defaults with a per-node seed. A declarative agent spec with
+// empty params deploys exactly the variant StandardNode launched, and
+// partial params change only the knobs they name — per-node seeds, VM
+// wiring, and the fleet-coarsened schedules all survive conversion and
+// rollback. Rollout campaigns derive their candidates from it, and
+// rollback relaunches it.
 func (cfg StandardNodeConfig) baseParams(idx int) func(kind string) any {
+	seed := cfg.nodeSeed(idx)
 	return func(kind string) any {
 		switch kind {
 		case overclock.Kind:
-			v := cfg.OverclockVariant(idx)
+			v := overclock.DefaultVariant("batch")
+			v.Config.Seed = seed + 2
 			return &v
 		case harvest.Kind:
-			v := cfg.HarvestVariant(idx)
+			// The paper calibrates SmartHarvest at 50 µs usage sampling
+			// on a dedicated node; simulating hundreds of nodes in one
+			// process at that rate spends almost all events on one agent.
+			// Sampling at 1 ms with 25 samples per epoch keeps the
+			// paper's 25 ms epoch, 100 ms actuation deadline, and 100 ms
+			// assessments, trading intra-millisecond burst resolution for
+			// a 50x cheaper node. The coarser sampling lags bursts by a
+			// full epoch, so two spare cores stay granted to keep vCPU
+			// wait off the primary VM.
+			v := harvest.DefaultVariant("primary", "elastic")
+			v.Config.Seed = seed + 3
+			v.Config.SafetyBuffer = 2
+			v.Schedule = core.Schedule{
+				DataPerEpoch:           25,
+				DataCollectInterval:    time.Millisecond,
+				MaxEpochTime:           35 * time.Millisecond,
+				AssessModelEvery:       1,
+				MaxActuationDelay:      100 * time.Millisecond,
+				AssessActuatorInterval: 100 * time.Millisecond,
+				PredictionTTL:          100 * time.Millisecond,
+			}
 			return &v
 		case memory.Kind:
-			v := cfg.MemoryVariant(idx)
+			v := memory.DefaultVariant()
+			v.Config.Seed = seed + 4
 			return &v
 		case sampler.Kind:
-			v := cfg.SamplerVariant(idx)
+			v := sampler.DefaultVariant()
+			v.Config.Seed = seed + 5
 			return &v
 		}
 		return nil
@@ -131,17 +101,12 @@ func (cfg StandardNodeConfig) baseParams(idx int) func(kind string) any {
 }
 
 // BaselineEnv returns the node environment agent-spec resolution sees
-// on node idx — the seed root and per-kind baseline variants — without
-// building any substrate. It resolves params (campaign planning,
-// dry-run diffs) but cannot launch agents: the clock, node, and
-// substrate handles are absent.
+// on node idx — the runtime options and per-kind baseline variants —
+// without building any substrate. It resolves params (campaign
+// planning, dry-run diffs) but cannot launch agents: the clock, node,
+// and substrate handles are absent.
 func (cfg StandardNodeConfig) BaselineEnv(idx int) spec.NodeEnv {
-	return spec.NodeEnv{
-		NodeIndex: idx,
-		Seed:      cfg.nodeSeed(idx),
-		Options:   cfg.Options,
-		Base:      cfg.baseParams(idx),
-	}
+	return spec.NodeEnv{Options: cfg.Options, Base: cfg.baseParams(idx)}
 }
 
 // StandardNode returns a NodeFunc that builds one production-shaped
@@ -206,17 +171,13 @@ func StandardNode(cfg StandardNodeConfig) NodeFunc {
 		// not built by the agents' launches — so the supervisor can
 		// redeploy any kind later (Supervisor.ReplaceSpec) with the
 		// substrate, and its accumulated state, surviving the swap.
-		sup := NewSupervisor(clk, n)
 		env := cfg.BaselineEnv(idx)
 		env.Clock, env.Node = clk, n
+		sup := NewSupervisor(env)
 		for _, kind := range kinds {
 			var err error
 			switch kind {
 			case overclock.Kind, harvest.Kind:
-				// The harvest baseline reacts at 1 ms sampling, which
-				// lags bursts by a full epoch; its variant grants two
-				// spare cores to keep vCPU wait off the primary (see
-				// HarvestVariant).
 			case memory.Kind:
 				tr := traces.New(seed + 4)
 				mem, merr := memsim.New(clk, memsim.DefaultConfig(regions), tr)

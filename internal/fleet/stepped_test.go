@@ -94,7 +94,7 @@ func TestSteppedReplaceDeadlineWindow(t *testing.T) {
 		Nodes:    1,
 		Duration: 30 * time.Second,
 		Setup: func(idx int, clk *clock.Virtual) (*Supervisor, error) {
-			sup := NewSupervisor(clk, nil)
+			sup := NewSupervisor(spec.NodeEnv{Clock: clk})
 			return sup, sup.LaunchSpec("agent", a)
 		},
 	}
@@ -124,7 +124,7 @@ func TestSteppedReplaceDeadlineWindow(t *testing.T) {
 // a live agent invisible to StopAll.
 func TestSupervisorReplaceConcurrent(t *testing.T) {
 	t.Parallel()
-	sup := NewSupervisor(clock.NewReal(), nil)
+	sup := NewSupervisor(spec.NodeEnv{Clock: clock.NewReal()})
 	log := newLaunchLog(t)
 	a := testAgent(t, spec.Variant[testConfig]{
 		Config: testConfig{TTL: 100 * time.Millisecond, Log: log.name},

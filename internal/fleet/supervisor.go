@@ -17,9 +17,7 @@ import (
 	"sync"
 	"time"
 
-	"sol/internal/clock"
 	"sol/internal/core"
-	"sol/internal/node"
 	"sol/internal/spec"
 )
 
@@ -104,9 +102,6 @@ func (m MemberStatus) DeadlineFloor(window time.Duration) uint64 {
 // deploys its agents in production. It is safe for concurrent use:
 // on a real clock, agent callbacks, Status, and StopAll may race.
 type Supervisor struct {
-	clk clock.Clock
-	n   *node.Node
-
 	mu sync.Mutex
 	// members starts as a window onto memberArr, so a node running
 	// one agent of each kind never regrows it.
@@ -129,45 +124,31 @@ type Supervisor struct {
 // each kind in AllKinds.
 const usualMembers = 4
 
-// NewSupervisor returns an empty supervisor on clk. n is the shared
-// node the agents manage; it may be nil for supervisors whose agents
-// run against other substrates (tiered memory, telemetry sources).
-func NewSupervisor(clk clock.Clock, n *node.Node) *Supervisor {
-	s := &Supervisor{clk: clk, n: n}
+// NewSupervisor returns an empty supervisor whose agents deploy on
+// env: its clock, and the shared node the agents manage (nil for
+// supervisors whose agents run against other substrates only).
+func NewSupervisor(env spec.NodeEnv) *Supervisor {
+	s := &Supervisor{env: env}
 	s.members = s.memberArr[:0]
 	return s
 }
 
-// Clock returns the shared clock.
-func (s *Supervisor) Clock() clock.Clock { return s.clk }
-
-// Node returns the shared node (nil if the supervisor has none).
-func (s *Supervisor) Node() *node.Node { return s.n }
-
-// SetEnv records the node environment declarative agent specs resolve
-// against: the substrate handles, seed root, and baseline params.
-// Node builders call it once the substrates exist; after that, any
-// member kind — including the substrate-backed ones — can be
-// redeployed via ReplaceSpec for as long as the supervisor lives.
+// SetEnv replaces the node environment declarative agent specs resolve
+// against: the clock, substrate handles, and baseline params. Node
+// builders call it once the substrates exist; after that, any member
+// kind — including the substrate-backed ones — can be redeployed via
+// ReplaceSpec for as long as the supervisor lives.
 func (s *Supervisor) SetEnv(env spec.NodeEnv) {
 	s.mu.Lock()
 	s.env = env
 	s.mu.Unlock()
 }
 
-// Env returns the node environment (see SetEnv), defaulting the clock
-// and node to the supervisor's own when unset.
+// Env returns the node environment as last set (see SetEnv).
 func (s *Supervisor) Env() spec.NodeEnv {
 	s.mu.Lock()
-	env := s.env
-	s.mu.Unlock()
-	if env.Clock == nil {
-		env.Clock = s.clk
-	}
-	if env.Node == nil {
-		env.Node = s.n
-	}
-	return env
+	defer s.mu.Unlock()
+	return s.env
 }
 
 // LaunchSpec resolves the declarative agent spec a against the kind

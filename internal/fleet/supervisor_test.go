@@ -112,9 +112,7 @@ var testSchedule = core.Schedule{
 }
 
 func init() {
-	spec.Register(testKind, func(spec.NodeEnv) spec.Variant[testConfig] {
-		return spec.Variant[testConfig]{Name: "baseline", Config: testConfig{TTL: time.Second}, Schedule: testSchedule}
-	}, func(env spec.NodeEnv, v spec.Variant[testConfig]) (core.Handle, error) {
+	spec.Register(testKind, spec.Variant[testConfig]{Name: "baseline", Config: testConfig{TTL: time.Second}, Schedule: testSchedule}, func(env spec.NodeEnv, v spec.Variant[testConfig]) (core.Handle, error) {
 		c := v.Config
 		a := &testActuator{clk: env.Clock}
 		if c.BadTo > 0 {
@@ -221,7 +219,7 @@ func (l *launchLog) leaked() int {
 //     defaults.
 func colocate(t testing.TB, clk clock.Clock, log string) *Supervisor {
 	t.Helper()
-	sup := NewSupervisor(clk, nil)
+	sup := NewSupervisor(spec.NodeEnv{Clock: clk})
 	members := []struct {
 		name string
 		v    spec.Variant[testConfig]
@@ -382,7 +380,7 @@ func TestSupervisorStandardNode(t *testing.T) {
 func TestSupervisorAttachErrors(t *testing.T) {
 	t.Parallel()
 	clk := clock.NewVirtual(testEpoch)
-	sup := NewSupervisor(clk, nil)
+	sup := NewSupervisor(spec.NodeEnv{Clock: clk})
 	if err := sup.LaunchSpec("x", spec.Agent{}); err == nil {
 		t.Fatal("spec without kind accepted")
 	}
@@ -420,7 +418,7 @@ func TestSupervisorAttachErrors(t *testing.T) {
 func TestSupervisorRealClock(t *testing.T) {
 	t.Parallel()
 	clk := clock.NewReal()
-	sup := NewSupervisor(clk, nil)
+	sup := NewSupervisor(spec.NodeEnv{Clock: clk})
 	a := testAgent(t, spec.Variant[testConfig]{
 		Config: testConfig{TTL: 100 * time.Millisecond},
 		Schedule: core.Schedule{

@@ -87,9 +87,9 @@ func (a Agent) Validate() error {
 }
 
 // NodeEnv is everything a builder may need to construct an agent on
-// one node: the clock and substrates, the node's identity and seed
-// root, and the environment-wide runtime options. Supervisors carry
-// their env so a control plane can redeploy any kind — including the
+// one node: the clock and substrates, the node's baseline params, and
+// the environment-wide runtime options. Supervisors carry their env so
+// a control plane can redeploy any kind — including the
 // substrate-backed ones — long after the node was built.
 type NodeEnv struct {
 	// Clock is the node's clock; every agent loop schedules on it.
@@ -101,18 +101,14 @@ type NodeEnv struct {
 	Mem *memsim.Memory
 	// Telemetry is the sampling substrate, for the sampler kind.
 	Telemetry *telemetry.Source
-	// NodeIndex is the node's index within its fleet.
-	NodeIndex int
-	// Seed is the node's seed root; builders derive per-kind config
-	// seeds from it when no Base params are provided.
-	Seed uint64
 	// Options is the environment's runtime options (fault injection,
 	// ablation); spec-level Options flags overlay it at launch.
 	Options core.Options
 	// Base, when non-nil, returns a fresh pointer to the environment's
 	// baseline params for kind — a *Variant of the kind's config, e.g.
-	// the fleet's per-node default variant — or nil when the
-	// environment has no opinion. Spec Params overlay whatever Base
+	// the fleet's per-node variant with its per-node seed — or nil when
+	// the environment has no opinion, in which case the kind's
+	// registered defaults apply. Spec Params overlay whatever Base
 	// returns.
 	Base func(kind string) any
 }
@@ -154,21 +150,20 @@ type variant interface {
 // variant handed to launch is always the kind's own *Variant[C]: its
 // defaults, or what NodeEnv.Base returned for the kind.
 type builder interface {
-	// defaults returns a fresh *Variant[C] holding the kind's defaults
-	// for env.
-	defaults(env NodeEnv) variant
+	// defaults returns a fresh copy of the kind's registered defaults.
+	defaults() variant
 	// launch builds and starts the agent from p on env.
 	launch(env NodeEnv, p variant) (core.Handle, error)
 }
 
 // kind is one registration: what Register was given.
 type kind[C any] struct {
-	newVariant func(NodeEnv) Variant[C]
-	start      func(NodeEnv, Variant[C]) (core.Handle, error)
+	def   Variant[C]
+	start func(NodeEnv, Variant[C]) (core.Handle, error)
 }
 
-func (k kind[C]) defaults(env NodeEnv) variant {
-	v := k.newVariant(env)
+func (k kind[C]) defaults() variant {
+	v := k.def
 	return &v
 }
 
@@ -181,26 +176,28 @@ var (
 	registry = make(map[string]builder)
 )
 
-// Register installs agent kind name: defaults returns its canonical
-// variant for a node environment (reseeded from env.Seed when that is
-// non-zero), and launch builds and starts the agent from a resolved
-// variant. Agent packages call it from init, so importing an agent makes
-// its kind resolvable. It panics on an empty name, a nil function, or a
+// Register installs agent kind name: defaults is its canonical variant,
+// what a spec resolves to on an environment with no Base for the kind,
+// and launch builds and starts the agent from a resolved variant. Each
+// resolve copies defaults, so C must be a plain value: a config holding
+// a pointer, slice or map would share it between deployments. Agent
+// packages call Register from init, so importing an agent makes its
+// kind resolvable. It panics on an empty name, a nil launch, or a
 // duplicate registration — all programmer errors, not runtime
 // conditions.
-func Register[C any](name string, defaults func(NodeEnv) Variant[C], launch func(NodeEnv, Variant[C]) (core.Handle, error)) {
+func Register[C any](name string, defaults Variant[C], launch func(NodeEnv, Variant[C]) (core.Handle, error)) {
 	if name == "" {
 		panic("spec: Register with empty kind")
 	}
-	if defaults == nil || launch == nil {
-		panic("spec: Register " + name + " with a nil function")
+	if launch == nil {
+		panic("spec: Register " + name + " with a nil launch")
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := registry[name]; dup {
 		panic("spec: duplicate Register of kind " + name)
 	}
-	registry[name] = kind[C]{newVariant: defaults, start: launch}
+	registry[name] = kind[C]{def: defaults, start: launch}
 }
 
 // Kinds returns the registered kinds, sorted.
@@ -278,7 +275,7 @@ func (r Resolved) params(env NodeEnv) (variant, error) {
 		}
 	}
 	if p == nil {
-		p = r.b.defaults(env)
+		p = r.b.defaults()
 	}
 	if len(r.spec.Params) > 0 {
 		dec := json.NewDecoder(bytes.NewReader(r.spec.Params))

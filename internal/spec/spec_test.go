@@ -2,6 +2,7 @@ package spec_test
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"reflect"
@@ -21,6 +22,10 @@ import (
 )
 
 var testEpoch = time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
+
+const paramsGoldenPath = "testdata/params.golden.json"
+
+var updateParamsGolden = flag.Bool("update", false, "rewrite "+paramsGoldenPath+" from this tree")
 
 // TestRegistryKinds: importing the agent packages registers all four
 // kinds.
@@ -111,33 +116,36 @@ func TestOptionsApply(t *testing.T) {
 }
 
 // TestResolveParams covers the overlay pipeline: registered defaults,
-// env reseeding, partial params, variant naming, schedule replacement,
-// and strict rejection of unknown fields.
+// an environment baseline, partial params, variant naming, schedule
+// replacement, and strict rejection of unknown fields.
 func TestResolveParams(t *testing.T) {
 	t.Parallel()
-	env := spec.NodeEnv{Seed: 1000}
-
 	r, err := spec.Resolve(spec.Agent{Kind: harvest.Kind})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := r.Params(env)
+	p, err := r.Params(spec.NodeEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := *p.(*harvest.Variant)
-	want := harvest.DefaultVariant("primary", "elastic")
-	want.Config.Seed = 1003 // env seed + the standard-node offset
-	if v != want {
+	if want := harvest.DefaultVariant("primary", "elastic"); v != want {
 		t.Fatalf("default params = %+v, want %+v", v, want)
 	}
 
+	// A seeded fleet's baseline carries a seed the defaults do not, so
+	// an overlay that reset the fields it does not name would show.
+	env := fleet.StandardNodeConfig{Seed: 1000}.BaselineEnv(3)
+	base := *env.Base(harvest.Kind).(*harvest.Variant)
+	if base.Config.Seed == v.Config.Seed {
+		t.Fatalf("baseline seed %d equals the default's; the overlay check below would prove nothing", base.Config.Seed)
+	}
 	sched := spec.ScheduleOf(harvest.Schedule())
 	sched.MaxActuationDelay = spec.Duration(200 * time.Millisecond)
 	r, err = spec.Resolve(spec.Agent{
 		Kind:     harvest.Kind,
 		Variant:  "slow-lane",
-		Params:   json.RawMessage(`{"Config": {"SafetyBuffer": 2}}`),
+		Params:   json.RawMessage(`{"Config": {"SafetyBuffer": 5}}`),
 		Schedule: &sched,
 	})
 	if err != nil {
@@ -148,10 +156,10 @@ func TestResolveParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	v = *p.(*harvest.Variant)
-	if v.Name != "slow-lane" || v.Config.SafetyBuffer != 2 {
+	if v.Name != "slow-lane" || v.Config.SafetyBuffer != 5 {
 		t.Fatalf("overrides not applied: %+v", v)
 	}
-	if v.Config.Seed != 1003 {
+	if v.Config.Seed != base.Config.Seed {
 		t.Fatalf("overlay clobbered the unnamed seed: %+v", v.Config)
 	}
 	if v.Schedule.MaxActuationDelay != 200*time.Millisecond {
@@ -219,10 +227,10 @@ func TestAgentJSONRoundTrip(t *testing.T) {
 // TestResolvedParamsGolden pins the params an empty spec resolves to
 // for every built-in kind, on node 0 of a Seed-0 fleet and node 5 of a
 // Seed-7 fleet, with the fleet's per-node baseline (NodeEnv.Base) and
-// without it. Without a baseline the registered defaults apply, reseeded
-// from NodeEnv.Seed only when it is non-zero — which node 0 of a Seed-0
-// fleet is not. The golden was captured before the four kinds' builders
-// were folded into one generic one.
+// without it. Without a baseline the kind's registered defaults apply
+// on any node, so a kind's two "defaults" rows are equal: per-node
+// seeds come only from the fleet's baseline, in the "base" rows.
+// -update rewrites the golden.
 func TestResolvedParamsGolden(t *testing.T) {
 	t.Parallel()
 	got := make(map[string]json.RawMessage)
@@ -258,12 +266,19 @@ func TestResolvedParamsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile("testdata/params.golden.json")
-	if err != nil {
-		t.Fatal(err)
+	out = append(out, '\n')
+	if *updateParamsGolden {
+		if err := os.WriteFile(paramsGoldenPath, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	if string(append(out, '\n')) != string(want) {
-		t.Fatalf("resolved params drifted from testdata/params.golden.json; got:\n%s", out)
+	want, err := os.ReadFile(paramsGoldenPath)
+	if err != nil {
+		t.Fatalf("%s: %v (run go test ./internal/spec -run TestResolvedParamsGolden -update)", paramsGoldenPath, err)
+	}
+	if string(out) != string(want) {
+		t.Fatalf("resolved params drifted from %s; got:\n%s", paramsGoldenPath, out)
 	}
 }
 
@@ -282,7 +297,6 @@ func TestLaunchOnEnv(t *testing.T) {
 	h, deadline, err := spec.Launch(spec.Agent{Kind: sampler.Kind}, spec.NodeEnv{
 		Clock:     clk,
 		Telemetry: src,
-		Seed:      7,
 	})
 	if err != nil {
 		t.Fatal(err)

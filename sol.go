@@ -84,8 +84,8 @@ type (
 	// stored/diffable alternative to launching agents in code. Resolve
 	// it against a NodeEnv with LaunchSpec.
 	AgentSpec = spec.Agent
-	// NodeEnv is the per-node environment (clock, substrates, seeds)
-	// agent specs resolve against.
+	// NodeEnv is the per-node environment (clock, substrates,
+	// baseline variants) agent specs resolve against.
 	NodeEnv = spec.NodeEnv
 )
 
