@@ -200,8 +200,9 @@ func TestValidateDataSentinels(t *testing.T) {
 
 // TestStartAllocs pins one launch: the Agent — Model, Actuator and
 // runtime in one object — plus the classifier's regressor slice and
-// weight slab, the sample slab, the cost vector, the under-prediction
-// and vCPU-wait windows, and the runtime's prediction queue.
+// weight slab, the slab holding the samples and the cost vector, and
+// the under-prediction and vCPU-wait windows. The runtime's prediction
+// queue is inline.
 func TestStartAllocs(t *testing.T) {
 	clk, n, _ := harvestNode(t, &steppedLoad{low: 2, high: 2, phase: time.Hour})
 	var ag *Agent
@@ -212,7 +213,7 @@ func TestStartAllocs(t *testing.T) {
 		}
 	})
 	defer ag.Stop()
-	if got != 8 {
-		t.Fatalf("one launch allocates %d objects, want 8", got)
+	if got != 6 {
+		t.Fatalf("one launch allocates %d objects, want 6", got)
 	}
 }

@@ -198,18 +198,20 @@ func (m *Model) init(n *node.Node, cfg Config, sched core.Schedule) error {
 	if err := m.cls.Init(cores+1, featureDims, cfg.LearningRate); err != nil {
 		return err
 	}
-	// One slab holds an epoch's samples and then the top of their order
-	// that the p95 feature selects from; each part's capacity is capped
-	// at its own length, so neither can write into the other.
+	// One slab holds an epoch's samples, then the top of their order
+	// that the p95 feature selects from, then the cost vector; each
+	// part's capacity is capped at its own length, so none can write
+	// into the next.
 	per := max(sched.DataPerEpoch, 1)
 	lo, _, _ := stats.PercentileRank(per, tailPercentile)
-	slab := make([]float64, 2*per-lo)
+	top := 2*per - lo
+	slab := make([]float64, top+cores+1)
 	m.vm = vm
 	m.cfg = cfg
 	m.cores = cores
 	m.samples = slab[:0:per]
-	m.scratch = slab[per:per]
-	m.costs = make([]float64, cores+1)
+	m.scratch = slab[per:per:top]
+	m.costs = slab[top:]
 	m.underPreds = *stats.NewWindow(cfg.UnderPredWindow)
 	return nil
 }

@@ -245,12 +245,13 @@ type Model struct {
 	// audit state: auditList is the regions scanned at max rate this
 	// epoch, ascending, and audit[i] folds the per-tick fractions
 	// auditList[i] observed (regionState.auditSlot maps back). Both are
-	// sized once, by AuditFrac of the regions.
+	// sized once, by AuditFrac of the regions; auditList shares one
+	// slab with perm.
 	auditList []int
 	audit     []auditAcc
 	// scans, perm and order are scratch for CollectData, pickAudit and
-	// classify; scans is sized once, to the region count, on the first
-	// tick.
+	// classify; perm is sized at build, scans once, to the region
+	// count, on the first tick.
 	scans []memsim.ScanResult
 	perm  []int
 	order rateOrder
@@ -294,9 +295,16 @@ func (m *Model) init(mem *memsim.Memory, cfg Config) error {
 	m.mem = mem
 	m.cfg = cfg
 	m.rng = *stats.NewRNG(cfg.Seed)
-	m.regions = make([]regionState, mem.Regions())
-	m.audit = make([]auditAcc, int(float64(mem.Regions())*cfg.AuditFrac))
-	m.rates = make([]float64, mem.Regions())
+	n := mem.Regions()
+	audited := int(float64(n) * cfg.AuditFrac)
+	m.regions = make([]regionState, n)
+	m.audit = make([]auditAcc, audited)
+	// One slab holds pickAudit's permutation and the audit list drawn
+	// from it; each part's capacity is capped at its own length.
+	ints := make([]int, n+audited)
+	m.perm = ints[:n:n]
+	m.auditList = ints[n : n : n+audited]
+	m.rates = make([]float64, n)
 	m.cover = cfg.CoverageTarget
 	// The bank splits its per-region generators off m.rng before
 	// pickAudit's first draw from it.

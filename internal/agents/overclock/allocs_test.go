@@ -177,7 +177,8 @@ func TestValidateDataSentinels(t *testing.T) {
 
 // TestStartAllocs pins one launch: the Agent — Model, Actuator and
 // runtime in one object — plus the Q-table slab, the per-level tally,
-// the Δr log, the α window, and the runtime's prediction queue.
+// the Δr log and the α window. The runtime's prediction queue is
+// inline.
 func TestStartAllocs(t *testing.T) {
 	clk, n := newRig(t, busyWork{})
 	var ag *Agent
@@ -188,7 +189,7 @@ func TestStartAllocs(t *testing.T) {
 		}
 	})
 	defer ag.Stop()
-	if got != 6 {
-		t.Fatalf("one launch allocates %d objects, want 6", got)
+	if got != 5 {
+		t.Fatalf("one launch allocates %d objects, want 5", got)
 	}
 }

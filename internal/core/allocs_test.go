@@ -60,10 +60,11 @@ func TestRuntimeEpochAllocs(t *testing.T) {
 }
 
 // TestRunAllocs: starting a runtime with all three loops allocates the
-// Runtime and its prediction queue and nothing for the clock — its
-// timers are embedded in the Runtime, and their handlers are the
-// Runtime itself. Start on a Runtime the caller already holds, the way
-// every agent embeds one, allocates the queue alone.
+// Runtime and nothing else — its timers are embedded in the Runtime,
+// their handlers are the Runtime itself, and a default-depth prediction
+// ring lives in it too. Start on a Runtime the caller already holds,
+// the way every agent embeds one, allocates nothing; a ring deeper than
+// the default is its one heap object.
 func TestRunAllocs(t *testing.T) {
 	clk := clock.NewVirtualSingle(epoch)
 	model := &allocModel{clk: clk}
@@ -81,24 +82,30 @@ func TestRunAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			armed(rt)
-		}); avg != 2 {
-			t.Fatalf("Run allocates %.1f times, want 2: the Runtime and its prediction queue", avg)
+		}); avg != 1 {
+			t.Fatalf("Run allocates %.1f times, want 1: the Runtime", avg)
 		}
 	})
 
-	t.Run("Start", func(t *testing.T) {
+	start := func(t *testing.T, sched Schedule, want int) {
 		const runs = 50
 		rts := make([]Runtime[int, int], runs)
 		i := 0
 		if n := testutil.Mallocs(t, func() {
 			for ; i < runs; i++ {
-				if err := rts[i].Start(clk, model, allocActuator{}, allocSchedule, Options{}); err != nil {
+				if err := rts[i].Start(clk, model, allocActuator{}, sched, Options{}); err != nil {
 					t.Fatal(err)
 				}
 				armed(&rts[i])
 			}
-		}); n != runs {
-			t.Fatalf("%d Starts on zero Runtimes allocate %d times, want %d: one prediction queue each", runs, n, runs)
+		}); n != uint64(want*runs) {
+			t.Fatalf("%d Starts on zero Runtimes with QueueCapacity %d allocate %d times, want %d each", runs, sched.QueueCapacity, n, want)
 		}
+	}
+	t.Run("Start", func(t *testing.T) { start(t, allocSchedule, 0) })
+	t.Run("StartDeepQueue", func(t *testing.T) {
+		sched := allocSchedule
+		sched.QueueCapacity = 16
+		start(t, sched, 1)
 	})
 }

@@ -213,7 +213,7 @@ func (s Schedule) Validate() error {
 
 func (s Schedule) queueCapacity() int {
 	if s.QueueCapacity == 0 {
-		return 4
+		return inlinePreds
 	}
 	return s.QueueCapacity
 }

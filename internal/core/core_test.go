@@ -467,27 +467,33 @@ func (m *zeroTTLModel) Predict() (Prediction[int], error) {
 	return Prediction[int]{Value: 9}, nil
 }
 
+// TestQueueOverflowDropsOldest runs an inline ring and one past
+// inlinePreds, which lives on the heap.
 func TestQueueOverflowDropsOldest(t *testing.T) {
-	q := newPredQueue[int](2)
-	now := epoch
-	exp := now.Add(time.Hour)
-	q.push(Prediction[int]{Value: 1, Expires: exp})
-	q.push(Prediction[int]{Value: 2, Expires: exp})
-	q.push(Prediction[int]{Value: 3, Expires: exp})
-	if q.len() != 2 || q.dropped != 1 {
-		t.Fatalf("len=%d dropped=%d, want 2,1", q.len(), q.dropped)
-	}
-	p := q.takeFreshest(now)
-	if p == nil || p.Value != 3 {
-		t.Fatalf("takeFreshest = %+v, want value 3", p)
-	}
-	if q.len() != 0 {
-		t.Fatal("queue not drained")
+	for _, capacity := range []int{2, inlinePreds + 2} {
+		var q predQueue[int]
+		q.init(capacity)
+		now := epoch
+		exp := now.Add(time.Hour)
+		for v := 1; v <= capacity+1; v++ {
+			q.push(Prediction[int]{Value: v, Expires: exp})
+		}
+		if q.len() != capacity || q.dropped != 1 {
+			t.Fatalf("capacity %d: len=%d dropped=%d, want %d,1", capacity, q.len(), q.dropped, capacity)
+		}
+		p := q.takeFreshest(now)
+		if p == nil || p.Value != capacity+1 {
+			t.Fatalf("capacity %d: takeFreshest = %+v, want value %d", capacity, p, capacity+1)
+		}
+		if q.len() != 0 || q.dropped != uint64(capacity) {
+			t.Fatalf("capacity %d: len=%d dropped=%d after take, want 0,%d", capacity, q.len(), q.dropped, capacity)
+		}
 	}
 }
 
 func TestQueueSkipsExpired(t *testing.T) {
-	q := newPredQueue[int](4)
+	var q predQueue[int]
+	q.init(4)
 	now := epoch
 	q.push(Prediction[int]{Value: 1, Expires: now.Add(time.Minute)})
 	q.push(Prediction[int]{Value: 2, Expires: now.Add(-time.Minute)}) // expired
@@ -501,7 +507,8 @@ func TestQueueSkipsExpired(t *testing.T) {
 }
 
 func TestQueueAllExpired(t *testing.T) {
-	q := newPredQueue[int](4)
+	var q predQueue[int]
+	q.init(4)
 	q.push(Prediction[int]{Value: 1, Expires: epoch.Add(-time.Second)})
 	if p := q.takeFreshest(epoch); p != nil {
 		t.Fatalf("takeFreshest returned %+v from all-expired queue", p)

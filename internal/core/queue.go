@@ -10,14 +10,17 @@ import "time"
 // The queue is only ever touched from runtime callbacks; on the virtual
 // clock those run on one goroutine, and on the real clock the runtime
 // serializes access with its own mutex, so the queue itself is plain.
-// It is a fixed-capacity ring over one backing array allocated at
-// construction; pushing and consuming never allocate. The Runtime
-// holds its queue by value, so the ring's array is the queue's only
-// allocation.
+// It is a fixed-capacity ring over one backing array sized at
+// construction; pushing and consuming never allocate. A ring of up to
+// inlinePreds entries — the default capacity — lives in the queue
+// itself, and the Runtime holds its queue by value, so only a larger
+// ring is a heap allocation. A queue must not be copied after init.
 type predQueue[P any] struct {
 	buf  []Prediction[P] // ring storage, len(buf) == capacity
 	head int             // index of the oldest entry
 	n    int
+	// inline is buf's storage when the capacity is at most inlinePreds.
+	inline [inlinePreds]Prediction[P]
 	// taken is the scratch slot returned by takeFreshest, so the hot
 	// path can hand the actuator a stable pointer without allocating.
 	// It is overwritten by the next takeFreshest; TakeAction consumes
@@ -31,8 +34,17 @@ type predQueue[P any] struct {
 	expired uint64
 }
 
-func newPredQueue[P any](capacity int) predQueue[P] {
-	return predQueue[P]{buf: make([]Prediction[P], capacity)}
+// inlinePreds is the largest ring a queue holds inline: the default
+// Schedule.QueueCapacity.
+const inlinePreds = 4
+
+// init sizes an empty queue's ring to capacity.
+func (q *predQueue[P]) init(capacity int) {
+	if capacity <= inlinePreds {
+		q.buf = q.inline[:capacity]
+	} else {
+		q.buf = make([]Prediction[P], capacity)
+	}
 }
 
 func (q *predQueue[P]) push(p Prediction[P]) {

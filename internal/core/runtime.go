@@ -43,7 +43,9 @@ type Options struct {
 // Runtime executes one agent's Model and Actuator control loops on a
 // Clock. Create one with Run, or embed one by value and Start it in
 // place; stop it with Stop. A Runtime must not be copied after Start:
-// its armed timers and the handlers behind them point into it.
+// its armed timers and the handlers behind them point into it, and so
+// does its prediction queue, whose ring is held inline when
+// Schedule.QueueCapacity is at most the default of 4.
 //
 // All agent callbacks are serialized by an internal mutex, so Model and
 // Actuator implementations never race with each other even on the real
@@ -106,8 +108,9 @@ func Run[D, P any](clk clock.Clock, model Model[D, P], act Actuator[P], sched Sc
 
 // Start is Run on a zero Runtime the caller already holds — an agent
 // embeds its Runtime beside its Model and Actuator, so the three are
-// one heap object — and allocates only the prediction queue. r must
-// not be copied afterwards.
+// one heap object. It allocates nothing unless the prediction queue is
+// deeper than the default, and then only the queue's ring. r must not
+// be copied afterwards.
 func (r *Runtime[D, P]) Start(clk clock.Clock, model Model[D, P], act Actuator[P], sched Schedule, opts Options) error {
 	if err := sched.Validate(); err != nil {
 		return err
@@ -117,7 +120,7 @@ func (r *Runtime[D, P]) Start(clk clock.Clock, model Model[D, P], act Actuator[P
 	r.act = act
 	r.sched = sched
 	r.opts = opts
-	r.queue = newPredQueue[P](sched.queueCapacity())
+	r.queue.init(sched.queueCapacity())
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := clk.NowNS()

@@ -205,24 +205,25 @@ func (r *Report) String() string {
 // nodeResult is one node's snapshot — member statuses, lifecycle
 // outcome and fired events — collected for deterministic aggregation
 // in index order. Run takes it as each node finishes, the Coordinator
-// at its current barrier; both reduce through aggregate.
+// at its current barrier; both reduce through aggregate. The statuses
+// of a node with up to usualMembers members live in statusArr, so a
+// nodeResult is filled in place and must not be copied afterwards.
 type nodeResult struct {
-	statuses []MemberStatus
-	life     LifecycleState
-	restarts int
-	events   uint64
-	err      error
+	statuses  []MemberStatus
+	statusArr [usualMembers]MemberStatus
+	life      LifecycleState
+	restarts  int
+	events    uint64
+	err       error
 }
 
-// snapshot reads node n's outcome. Take it before StopAll so
+// snapshot reads node n's outcome into res. Take it before StopAll so
 // end-of-horizon safeguard state is observed, not post-cleanup state.
-func (n *simNode) snapshot() nodeResult {
-	return nodeResult{
-		statuses: n.sup.Status(),
-		life:     n.sup.Lifecycle(),
-		restarts: n.sup.Restarts(),
-		events:   n.clk.Fired(),
-	}
+func (n *simNode) snapshot(res *nodeResult) {
+	res.statuses = n.sup.statusInto(res.statusArr[:0])
+	res.life = n.sup.Lifecycle()
+	res.restarts = n.sup.Restarts()
+	res.events = n.clk.Fired()
 }
 
 // Run simulates the fleet to cfg.Duration as one free-running span of
@@ -258,7 +259,7 @@ func Run(cfg Config) (*Report, error) {
 			if abort.Load() {
 				return
 			}
-			results[idx] = life.runNode(cfg, idx, d)
+			life.runNode(cfg, idx, d, &results[idx])
 			if results[idx].err != nil {
 				abort.Store(true)
 			}
@@ -349,18 +350,18 @@ func aggregate(dur time.Duration, nodes []nodeResult) *Report {
 
 // runNode simulates node idx start to finish on the calling worker
 // and releases it: build, apply the plan's t=0 state, advance by d
-// through the lifecycle stepper, snapshot, stop.
-func (l *lifecycle) runNode(cfg Config, idx int, d time.Duration) nodeResult {
+// through the lifecycle stepper, snapshot into res, stop.
+func (l *lifecycle) runNode(cfg Config, idx int, d time.Duration, res *nodeResult) {
 	n, err := buildNode(cfg, idx)
 	if err != nil {
-		return nodeResult{err: err}
+		res.err = err
+		return
 	}
 	if l.plan != nil {
 		l.apply(&n, idx, 0)
 	}
 	l.advance(&n, idx, d)
-	res := n.snapshot()
+	n.snapshot(res)
 	res.err = n.lifeErr
 	n.sup.StopAll()
-	return res
 }

@@ -23,10 +23,14 @@ import (
 // instead of doubling at run time. Holding each agent's Model, Actuator
 // and runtime in one object, the learners in their models, and the
 // node's, supervisor's and clock's small tables inline makes it 47.1
-// objects / 41.27 KB, SmartOverclock's Δr log now sized here too. The
-// count is exact (testutil.Mallocs), so it skips under -short; the
-// bounds are 48 objects, which one more heap object per node breaks,
-// and the measured bytes plus 10%.
+// objects / 41.27 KB, SmartOverclock's Δr log now sized here too.
+// Holding the node's three VMs, each runtime's prediction ring and
+// TailBench's server and phases inline, and carving SmartHarvest's cost
+// vector and SmartMemory's audit list from slabs they already had,
+// makes it 38.1 objects / 41.47 KB. The count is exact
+// (testutil.Mallocs), so it skips under -short; the bounds are 39
+// objects, which one more heap object per node breaks, and 45.4 KB, the
+// 41.27 KB build plus 10%.
 func TestStandardNodeBuildAllocs(t *testing.T) {
 	const nodes = 64
 	cfg := Config{
@@ -53,8 +57,8 @@ func TestStandardNodeBuildAllocs(t *testing.T) {
 	objects := float64(mallocs) / nodes
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / nodes
 	t.Logf("standard node build: %.1f objects, %.2f KB per node", objects, kb)
-	if objects > 48 {
-		t.Errorf("standard node build allocates %.1f objects per node, want <= 48", objects)
+	if objects > 39 {
+		t.Errorf("standard node build allocates %.1f objects per node, want <= 39", objects)
 	}
 	if kb > 45.4 {
 		t.Errorf("standard node build allocates %.2f KB per node, want <= 45.4", kb)
@@ -64,12 +68,13 @@ func TestStandardNodeBuildAllocs(t *testing.T) {
 // TestStandardNodeWarmupAllocs bounds what a freshly built standard
 // node allocates in its first 5 s of simulated time, beyond its build.
 // The learners' epoch buffers — SmartOverclock's Δr log included — are
-// sized at build or on their first sample, so what is left is the
-// substrate's own growth (request queues and sojourn tables) plus a few
-// one-time buffers: 19 objects, where doubling sample and audit logs
-// cost ~100 and the Δr log 3 more. The count is exact
-// (testutil.Mallocs), so like TestStandardNodeLiveHeapFlat it skips
-// under -short.
+// sized at build or on their first sample, and the request FIFO is
+// made at build for the server's cores, so what is left is the
+// substrate's own growth (deeper request queues and sojourn tables)
+// plus a few one-time buffers: 15 objects (19 while the FIFO grew from
+// empty), where doubling sample and audit logs cost ~100 and the Δr log
+// 3 more. The count is exact (testutil.Mallocs), so like
+// TestStandardNodeLiveHeapFlat it skips under -short.
 func TestStandardNodeWarmupAllocs(t *testing.T) {
 	c, err := NewCoordinator(Config{
 		Nodes:    1,
@@ -83,8 +88,48 @@ func TestStandardNodeWarmupAllocs(t *testing.T) {
 	defer c.StopAll()
 	objects := testutil.Mallocs(t, func() { c.StepFor(5 * time.Second) })
 	t.Logf("standard node warm-up: %d objects per node in its first 5 s", objects)
-	if objects > 21 {
-		t.Errorf("standard node allocates %d objects in its first 5 s, want <= 21", objects)
+	if objects > 16 {
+		t.Errorf("standard node allocates %d objects in its first 5 s, want <= 16", objects)
+	}
+}
+
+// TestCoordinatorReportAllocs: Report snapshots each node's member
+// statuses into that node's own result, so it costs the same heap
+// objects at any fleet size, and a supervisor's StopAll stops every
+// member from its frozen table, copying nothing, so tearing down every
+// node allocates nothing. The counts are exact (testutil.Mallocs), so
+// it skips under -short.
+func TestCoordinatorReportAllocs(t *testing.T) {
+	var reports [2]uint64
+	for i, nodes := range []int{32, 128} {
+		c, err := NewCoordinator(Config{
+			Nodes:    nodes,
+			Duration: time.Second,
+			Workers:  1,
+			Setup:    StandardNode(StandardNodeConfig{Seed: 1}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.StepFor(100 * time.Millisecond)
+		var rep *Report
+		reports[i] = testutil.Mallocs(t, func() { rep = c.Report() })
+		if want := nodes * len(StandardKinds); rep.Agents != want {
+			t.Fatalf("%d-node report counts %d agents, want %d", nodes, rep.Agents, want)
+		}
+		stops := testutil.Mallocs(t, func() {
+			for idx := range nodes {
+				c.Supervisor(idx).StopAll()
+			}
+		})
+		c.StopAll()
+		t.Logf("coordinator report: %d objects at %d nodes, StopAll %d", reports[i], nodes, stops)
+		if stops != 0 {
+			t.Errorf("StopAll on %d supervisors allocates %d objects, want 0", nodes, stops)
+		}
+	}
+	if reports[0] != reports[1] {
+		t.Errorf("Report allocates %d objects at 32 nodes but %d at 128, want equal", reports[0], reports[1])
 	}
 }
 

@@ -317,7 +317,7 @@ func (c *Coordinator) Span(sp shard.Span) error {
 // reports a finished fleet; Duration is the time stepped so far.
 func (c *Coordinator) Report() *Report {
 	results := make([]nodeResult, len(c.nodes))
-	c.forEachNode(func(idx int) { results[idx] = c.nodes[idx].snapshot() })
+	c.forEachNode(func(idx int) { c.nodes[idx].snapshot(&results[idx]) })
 	rep := aggregate(c.Elapsed(), results)
 	rep.Profile = c.probe.Profile()
 	rep.Trace = c.probe.Trace()

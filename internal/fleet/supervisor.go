@@ -290,24 +290,29 @@ func (s *Supervisor) Members() []Member {
 }
 
 // Status snapshots every member, in attach order.
-func (s *Supervisor) Status() []MemberStatus {
-	// Snapshot the member list, then query handles outside the lock:
-	// handle methods take each runtime's own mutex, which agent
-	// callbacks hold while running.
-	members := s.Members()
-	out := make([]MemberStatus, len(members))
-	for i, m := range members {
+func (s *Supervisor) Status() []MemberStatus { return s.statusInto(nil) }
+
+// statusInto is Status appending into dst[:0], so a caller with room
+// for every member allocates nothing. Like HealthDetailInto it queries
+// the runtimes under the member-table lock: runtimes never call back
+// into their supervisor, so no lock cycle exists.
+func (s *Supervisor) statusInto(dst []MemberStatus) []MemberStatus {
+	dst = dst[:0]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.members {
+		m := &s.members[i]
 		h := m.Handle.Health()
-		out[i] = MemberStatus{
+		dst = append(dst, MemberStatus{
 			Kind:              m.Kind,
 			Name:              m.Name,
 			Stats:             m.Handle.Stats(),
 			Halted:            h.Halted,
 			ModelFailing:      h.ModelFailing,
 			MaxActuationDelay: m.MaxActuationDelay,
-		}
+		})
 	}
-	return out
+	return dst
 }
 
 // MemberHealth pairs one member's identity with its cheap runtime
@@ -362,8 +367,9 @@ func (s *Supervisor) Crash() {
 		return
 	}
 	s.life = LifecycleDown
-	members := make([]Member, len(s.members))
-	copy(members, s.members)
+	// Every writer of the member table holds replaceMu, as Crash does,
+	// so the table cannot move under the stops below.
+	members := s.members
 	s.mu.Unlock()
 	// Stop outside mu (agent code runs), reverse attach order so
 	// dependents stop before their substrates — same order as StopAll.
@@ -393,11 +399,13 @@ func (s *Supervisor) Restart() error {
 		return nil
 	}
 	s.life = LifecycleRestarting
-	members := make([]Member, len(s.members))
-	copy(members, s.members)
+	// Only this Restart writes the member table until it returns (every
+	// writer holds replaceMu), so it reads the table without mu and
+	// writes each relaunched handle under it, for Status's sake.
+	members := s.members
+	env := s.env
 	s.mu.Unlock()
 
-	env := s.Env()
 	for i := range members {
 		m := &members[i]
 		h, deadline, err := spec.Launch(m.Spec, env)
@@ -415,10 +423,9 @@ func (s *Supervisor) Restart() error {
 			h.Stop()
 			return fmt.Errorf("fleet: supervisor stopped during restart")
 		}
-		s.members[i].Handle = h
-		s.members[i].MaxActuationDelay = deadline
-		s.mu.Unlock()
 		m.Handle = h
+		m.MaxActuationDelay = deadline
+		s.mu.Unlock()
 	}
 
 	s.mu.Lock()
@@ -455,8 +462,9 @@ func (s *Supervisor) StopAll() {
 		return
 	}
 	s.stopped = true
-	members := make([]Member, len(s.members))
-	copy(members, s.members)
+	// Every writer of the member table refuses once stopped is set
+	// under mu, so the table is frozen: stop from it without a copy.
+	members := s.members
 	s.mu.Unlock()
 	for i := len(members) - 1; i >= 0; i-- {
 		members[i].Handle.Stop()

@@ -236,16 +236,23 @@ func (v *VM) CurrentUnmet() float64 { return v.lastUnmet }
 // unmet demand).
 func (v *VM) WaitSeconds() float64 { return v.waitSeconds }
 
-// Node is the simulated server. It must not be copied after New: vms
-// starts out as a window onto the node's own vmArr.
+// Node is the simulated server. Its first usualVMs VMs live inline in
+// the Node, and every *VM AddVM returns — the handle agents hold for
+// life — may point into it, so a Node must not be copied after New
+// (go vet's copylocks check reports a copy).
 type Node struct {
+	noCopy noCopy
+
 	cfg Config
 	clk clock.Clock
 	// vms holds the VMs in AddVM order. A node has a handful, so
-	// finding one by name is a scan, not a map lookup; the first
-	// usualVMs live in vmArr, and AddVM grows past it by append.
+	// finding one by name is a scan, not a map lookup. It starts as a
+	// window onto vmPtrs, and its first usualVMs entries point into
+	// vmArr; AddVM allocates a VM, and grows vms by append, only past
+	// that.
 	vms    []*VM
-	vmArr  [usualVMs]*VM
+	vmPtrs [usualVMs]*VM
+	vmArr  [usualVMs]VM
 	ticker clock.Timer
 	// ticks counts simulation steps, for tests.
 	ticks   uint64
@@ -260,6 +267,13 @@ type Node struct {
 // node's three VMs (batch, primary, elastic).
 const usualVMs = 3
 
+// noCopy makes go vet's copylocks check report a copied Node: the
+// check flags any value whose type has Lock and Unlock methods.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // New creates a node on clk. Call AddVM to populate it and Start to
 // begin ticking.
 func New(clk clock.Clock, cfg Config) (*Node, error) {
@@ -268,7 +282,7 @@ func New(clk clock.Clock, cfg Config) (*Node, error) {
 	}
 	n := &Node{cfg: cfg, clk: clk}
 	n.step = workload.Step{Clock: clk, Len: int64(cfg.TickInterval), Sec: cfg.TickInterval.Seconds()}
-	n.vms = n.vmArr[:0]
+	n.vms = n.vmPtrs[:0]
 	return n, nil
 }
 
@@ -293,7 +307,13 @@ func (n *Node) AddVM(name string, cores int, work workload.CPUWorkload) (*VM, er
 	if n.VM(name) != nil {
 		return nil, fmt.Errorf("node: duplicate VM %q", name)
 	}
-	vm := &VM{
+	var vm *VM
+	if i := len(n.vms); i < usualVMs {
+		vm = &n.vmArr[i]
+	} else {
+		vm = new(VM)
+	}
+	*vm = VM{
 		name:      name,
 		allocated: cores,
 		available: cores,

@@ -304,6 +304,42 @@ func TestMultipleVMsIndependent(t *testing.T) {
 	}
 }
 
+// TestVMsPastInlineTable adds VMs past the usualVMs a Node holds
+// inline: every handle must stay distinct and valid as the table grows
+// onto the heap, keep its name, and be ticked.
+func TestVMsPastInlineTable(t *testing.T) {
+	clk, n := newTestNode(t)
+	names := []string{"a", "b", "c", "d", "e"}
+	vms := make([]*VM, len(names))
+	for i, name := range names {
+		vm, err := n.AddVM(name, i+1, &constantLoad{util: 1, ipc: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vms[i] = vm
+	}
+	n.Start()
+	clk.RunFor(time.Second)
+	for i, vm := range vms {
+		for _, other := range vms[:i] {
+			if vm == other {
+				t.Fatalf("VM %q shares its handle with %q", vm.Name(), other.Name())
+			}
+		}
+		if vm.Name() != names[i] || n.VM(names[i]) != vm {
+			t.Fatalf("handle %d is %q (node resolves %q to %p, handle %p)", i, vm.Name(), names[i], n.VM(names[i]), vm)
+		}
+		// 100 ticks of 10 ms over i+1 cores at the nominal 1.5 GHz.
+		c := vm.Counters()
+		if want := float64(i+1) * 1.5; math.Abs(c.TotalCycles-want) > 1e-9 || !c.At.Equal(clk.Now()) {
+			t.Fatalf("VM %q: %v total cycles at %v, want %v at %v", vm.Name(), c.TotalCycles, c.At, want, clk.Now())
+		}
+	}
+	if n.Ticks() != 100 {
+		t.Fatalf("node ticked %d times, want 100", n.Ticks())
+	}
+}
+
 func TestMustNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Zipf draws integers in [0, n) with a Zipf(s) popularity skew:
 // P(k) ∝ 1/(k+1)^s. It is used to generate the highly skewed page
@@ -131,8 +134,13 @@ type PoissonSampler struct {
 	lambda, limit float64
 }
 
-// Draw returns one Poisson(lambda) sample from rng.
+// Draw returns one Poisson(lambda) sample from rng. It panics on a
+// non-finite lambda, which has no Poisson count: NaN would never end
+// Knuth's loop, and +Inf would overflow the normal approximation.
 func (s *PoissonSampler) Draw(rng *RNG, lambda float64) int {
+	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+		panic(fmt.Sprintf("stats: Poisson lambda %v is not finite", lambda))
+	}
 	if lambda <= 0 {
 		return 0
 	}

@@ -2,10 +2,13 @@ package stats
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRNGDeterministic(t *testing.T) {
@@ -580,6 +583,30 @@ func TestPoissonSamplerMatchesPoisson(t *testing.T) {
 	}
 	if ref.Uint64() != rng.Uint64() {
 		t.Fatal("sampler consumed different RNG draws than Poisson")
+	}
+}
+
+// TestPoissonNonFinitePanics: a NaN rate once spun Knuth's loop
+// forever and +Inf returned math.MinInt64; every non-finite rate must
+// panic naming itself. Each draw runs under a deadline, so a hang
+// fails the test instead of stalling the suite.
+func TestPoissonNonFinitePanics(t *testing.T) {
+	for _, lambda := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			var s PoissonSampler
+			s.Draw(NewRNG(1), lambda)
+		}()
+		select {
+		case r := <-done:
+			msg, _ := r.(string)
+			if want := fmt.Sprint(lambda); !strings.Contains(msg, want) {
+				t.Errorf("Draw(%v) panicked with %v, want a message naming %s", lambda, r, want)
+			}
+		case <-time.After(time.Second): //sollint:allow walltime a hang must fail the test, so the deadline is real time
+			t.Fatalf("Draw(%v) still running after 1 s", lambda)
+		}
 	}
 }
 

@@ -6,8 +6,11 @@ import "sol/internal/stats"
 // at high load: CPU-bound request serving where latency improves
 // directly with core frequency, so overclocking always helps.
 // Performance is P99 request latency.
+//
+// An ObjectStore holds its request server inline and must not be
+// copied.
 type ObjectStore struct {
-	q *queueServer
+	q queueServer
 	// rate is the Poisson arrival rate in requests/second.
 	rate float64
 }
@@ -17,7 +20,7 @@ type ObjectStore struct {
 func NewObjectStore(rng *stats.RNG, cores int, nominalGHz, targetUtil float64) *ObjectStore {
 	const meanDemand = 0.03 // core·GHz·s per request (~20 ms at 1.5 GHz)
 	rate := targetUtil * float64(cores) * nominalGHz / meanDemand
-	return &ObjectStore{q: newQueueServer(rng, meanDemand), rate: rate}
+	return &ObjectStore{q: newQueueServer(rng, meanDemand, cores), rate: rate}
 }
 
 // Name implements CPUWorkload.

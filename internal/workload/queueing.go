@@ -60,8 +60,11 @@ type latBin struct {
 	n  int
 }
 
-func newQueueServer(rng *stats.RNG, meanDemand float64) *queueServer {
-	return &queueServer{rng: rng, meanDemand: meanDemand}
+// newQueueServer returns a server whose FIFO is made for cores
+// requests in service, so a queue no deeper than the server's cores
+// never regrows it. Its owner holds it by value.
+func newQueueServer(rng *stats.RNG, meanDemand float64, cores int) queueServer {
+	return queueServer{rng: rng, meanDemand: meanDemand, queue: make([]request, 0, cores)}
 }
 
 // step injects Poisson(rate·dt) arrivals, serves the queue with the

@@ -179,7 +179,8 @@ func TestQueueServerMatchesWholeQueueCompaction(t *testing.T) {
 		phases = append(phases, queuePhase{ticks: 40, dt: time.Millisecond, rate: 0, res: Resources{Cores: 4096, FreqGHz: 1e6}})
 		phases = append(phases, randomQueuePhases(sched, 4)...)
 
-		q := newQueueServer(stats.NewRNG(seed), 0.03)
+		qs := newQueueServer(stats.NewRNG(seed), 0.03, 8)
+		q := &qs
 		ref := &refQueueServer{rng: stats.NewRNG(seed), meanDemand: 0.03}
 		now := epoch.Add(time.Duration(seed) * 1234567 * time.Nanosecond)
 		maxDepth, drained := 0, false
@@ -266,7 +267,8 @@ func TestQueueServerLatencyEdgeCases(t *testing.T) {
 		cases = append(cases, sc)
 	}
 	for ci, sc := range cases {
-		q := newQueueServer(nil, 0)
+		qs := newQueueServer(nil, 0, 0)
+		q := &qs
 		q.lastNS = int64(time.Minute)
 		var log []float64
 		for _, ns := range sc.done {
@@ -295,7 +297,7 @@ func TestQueueServerLatencyEdgeCases(t *testing.T) {
 // neither allocates nor regrows the backing array — spent head slots
 // are reclaimed in place.
 func TestQueueServerOverloadedStepAllocs(t *testing.T) {
-	q := newQueueServer(stats.NewRNG(1), 0.03)
+	q := newQueueServer(stats.NewRNG(1), 0.03, 8)
 	res := Resources{Cores: 8, FreqGHz: 1.5}
 	now := epoch
 	// 315 requests/s is what the grant retires at 10 ms ticks (a core

@@ -12,16 +12,20 @@ import (
 // intensity. The phase structure is what makes core harvesting both
 // attractive (low phases leave cores idle) and risky (demand surges
 // need the cores back within milliseconds).
+//
+// A TailBench holds its request server, whose FIFO is sized at build,
+// and its two phases inline. It must not be copied: a copy would share
+// the server's FIFO and sojourn table.
 type TailBench struct {
 	name  string
-	q     *queueServer
+	q     queueServer
 	rng   *stats.RNG
 	cores int
 	nomF  float64
 	ipc   float64
 	stall float64
 
-	phases   []Phase
+	phases   [2]Phase
 	cur      int
 	phaseEnd int64 // ns on the node clock's timebase
 	started  bool
@@ -44,8 +48,8 @@ func NewImageDNN(rng *stats.RNG, cores int, nominalGHz float64) *TailBench {
 	return &TailBench{
 		name: "image-dnn", rng: rng, cores: cores, nomF: nominalGHz,
 		ipc: 1.4, stall: 0.25,
-		q: newQueueServer(rng, 0.020), // ~13 ms of single-core work at 1.5 GHz
-		phases: []Phase{
+		q: newQueueServer(rng, 0.020, cores), // ~13 ms of single-core work at 1.5 GHz
+		phases: [2]Phase{
 			{Util: 0.20, MeanDuration: 700 * time.Millisecond},
 			{Util: 0.85, MeanDuration: 400 * time.Millisecond},
 		},
@@ -58,8 +62,8 @@ func NewMoses(rng *stats.RNG, cores int, nominalGHz float64) *TailBench {
 	return &TailBench{
 		name: "moses", rng: rng, cores: cores, nomF: nominalGHz,
 		ipc: 1.2, stall: 0.30,
-		q: newQueueServer(rng, 0.008), // ~5 ms of single-core work at 1.5 GHz
-		phases: []Phase{
+		q: newQueueServer(rng, 0.008, cores), // ~5 ms of single-core work at 1.5 GHz
+		phases: [2]Phase{
 			{Util: 0.15, MeanDuration: 400 * time.Millisecond},
 			{Util: 0.80, MeanDuration: 250 * time.Millisecond},
 		},
