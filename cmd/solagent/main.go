@@ -38,7 +38,7 @@ func main() {
 	)
 	flag.Parse()
 
-	clk := clock.NewVirtualSingle(time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC))
+	clk := clock.NewVirtual(time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC))
 	var err error
 	switch *agent {
 	case "overclock":

@@ -25,8 +25,8 @@ func samplePath(m *Model) error {
 func steadyModel(t *testing.T, sched core.Schedule) (*Model, *node.Node) {
 	t.Helper()
 	clk, n, _ := harvestNode(t, &steppedLoad{low: 2, high: 2, phase: time.Hour})
-	m, err := NewModel(n, DefaultConfig("primary", "elastic"), sched)
-	if err != nil {
+	m := new(Model)
+	if err := m.init(n, DefaultConfig("primary", "elastic"), sched); err != nil {
 		t.Fatal(err)
 	}
 	clk.RunFor(time.Millisecond)

@@ -179,15 +179,6 @@ type Model struct {
 	broken    bool
 }
 
-// NewModel builds the Model on n, sized for sched's epochs.
-func NewModel(n *node.Node, cfg Config, sched core.Schedule) (*Model, error) {
-	m := new(Model)
-	if err := m.init(n, cfg, sched); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // init builds the Model in place, in a zero m.
 func (m *Model) init(n *node.Node, cfg Config, sched core.Schedule) error {
 	vm := n.VM(cfg.PrimaryVM)
@@ -383,15 +374,6 @@ type Actuator struct {
 	tail []float64
 	// granted is the most recent grant, for inspection.
 	granted int
-}
-
-// NewActuator builds the Actuator on n.
-func NewActuator(n *node.Node, cfg Config) (*Actuator, error) {
-	a := new(Actuator)
-	if err := a.init(n, cfg); err != nil {
-		return nil, err
-	}
-	return a, nil
 }
 
 // init builds the Actuator in place, in a zero a.

@@ -76,10 +76,10 @@ func TestConstructorsRejectUnknownVMs(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	n := node.MustNew(clk, node.DefaultConfig())
 	n.AddVM("primary", 4, &steppedLoad{})
-	if _, err := NewModel(n, DefaultConfig("ghost", ""), Schedule()); err == nil {
+	if err := new(Model).init(n, DefaultConfig("ghost", ""), Schedule()); err == nil {
 		t.Fatal("unknown primary accepted")
 	}
-	if _, err := NewActuator(n, DefaultConfig("primary", "ghost")); err == nil {
+	if err := new(Actuator).init(n, DefaultConfig("primary", "ghost")); err == nil {
 		t.Fatal("unknown elastic accepted")
 	}
 }
@@ -125,8 +125,8 @@ func meanUnmet(clk *clock.Virtual, n *node.Node, d time.Duration) float64 {
 
 func TestValidateDataFullUtilizationDiscard(t *testing.T) {
 	clk, n, _ := harvestNode(t, &steppedLoad{low: 2, high: 2, phase: time.Hour})
-	m, err := NewModel(n, DefaultConfig("primary", "elastic"), Schedule())
-	if err != nil {
+	m := new(Model)
+	if err := m.init(n, DefaultConfig("primary", "elastic"), Schedule()); err != nil {
 		t.Fatal(err)
 	}
 	_ = clk
@@ -205,8 +205,8 @@ func TestBrokenModelDetectedByAssessment(t *testing.T) {
 
 func TestActuatorNilPredictionReturnsAllCores(t *testing.T) {
 	clk, n, _ := harvestNode(t, &steppedLoad{low: 1, high: 1, phase: time.Hour})
-	a, err := NewActuator(n, DefaultConfig("primary", "elastic"))
-	if err != nil {
+	a := new(Actuator)
+	if err := a.init(n, DefaultConfig("primary", "elastic")); err != nil {
 		t.Fatal(err)
 	}
 	_ = clk
@@ -225,7 +225,10 @@ func TestActuatorNilPredictionReturnsAllCores(t *testing.T) {
 
 func TestActuatorGrantBounds(t *testing.T) {
 	_, n, _ := harvestNode(t, &steppedLoad{})
-	a, _ := NewActuator(n, DefaultConfig("primary", "elastic"))
+	a := new(Actuator)
+	if err := a.init(n, DefaultConfig("primary", "elastic")); err != nil {
+		t.Fatal(err)
+	}
 	a.TakeAction(&core.Prediction[int]{Value: -5})
 	if a.Granted() < 1 {
 		t.Fatal("grant below 1")
@@ -257,7 +260,10 @@ func TestActuatorSafeguardOnSustainedWait(t *testing.T) {
 
 func TestCleanUpRestoresAllCores(t *testing.T) {
 	_, n, _ := harvestNode(t, &steppedLoad{})
-	a, _ := NewActuator(n, DefaultConfig("primary", "elastic"))
+	a := new(Actuator)
+	if err := a.init(n, DefaultConfig("primary", "elastic")); err != nil {
+		t.Fatal(err)
+	}
 	a.apply(2)
 	a.CleanUp()
 	a.CleanUp()
@@ -268,7 +274,10 @@ func TestCleanUpRestoresAllCores(t *testing.T) {
 
 func TestFeatureVector(t *testing.T) {
 	_, n, _ := harvestNode(t, &steppedLoad{})
-	m, _ := NewModel(n, DefaultConfig("primary", "elastic"), Schedule())
+	m := new(Model)
+	if err := m.init(n, DefaultConfig("primary", "elastic"), Schedule()); err != nil {
+		t.Fatal(err)
+	}
 	utils := make([]float64, 500)
 	for i := range utils {
 		utils[i] = 4 // constant

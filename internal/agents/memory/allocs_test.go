@@ -30,8 +30,8 @@ func samplePath(clk *clock.Virtual, m *Model) error {
 func newTestModel(t *testing.T) (*clock.Virtual, *memsim.Memory, *Model) {
 	t.Helper()
 	clk, mem := memRig(t, defaultTrace())
-	m, err := NewModel(mem, DefaultConfig())
-	if err != nil {
+	m := new(Model)
+	if err := m.init(mem, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	return clk, mem, m

@@ -278,15 +278,6 @@ type Model struct {
 	broken bool
 }
 
-// NewModel builds the Model over mem.
-func NewModel(mem *memsim.Memory, cfg Config) (*Model, error) {
-	m := new(Model)
-	if err := m.init(mem, cfg); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // init builds the Model in place, in a zero m.
 func (m *Model) init(mem *memsim.Memory, cfg Config) error {
 	if cfg.CoverageTarget <= 0 || cfg.CoverageTarget > 1 {
@@ -688,13 +679,6 @@ type Actuator struct {
 	// Mitigate can rank second-tier regions by observed remote traffic
 	// — the most direct "hottest batches in the second tier" signal.
 	prevRemote []float64
-}
-
-// NewActuator builds the Actuator over mem.
-func NewActuator(mem *memsim.Memory, cfg Config) *Actuator {
-	a := new(Actuator)
-	a.init(mem, cfg)
-	return a
 }
 
 // init builds the Actuator in place, in a zero a.

@@ -67,7 +67,7 @@ func TestConfigValidation(t *testing.T) {
 	mem := memsim.MustNew(clk, memsim.DefaultConfig(4), &skewTrace{regions: 4})
 	cfg := DefaultConfig()
 	cfg.CoverageTarget = 0
-	if _, err := NewModel(mem, cfg); err == nil {
+	if err := new(Model).init(mem, cfg); err == nil {
 		t.Fatal("invalid coverage accepted")
 	}
 }
@@ -115,8 +115,8 @@ func TestPerTickFracInversion(t *testing.T) {
 func TestWellSampledCriteria(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	mem := memsim.MustNew(clk, memsim.DefaultConfig(4), &skewTrace{regions: 4})
-	m, err := NewModel(mem, DefaultConfig())
-	if err != nil {
+	m := new(Model)
+	if err := m.init(mem, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	// Hot region (g≈0.95): only the fastest arm is right.
@@ -256,7 +256,8 @@ func TestDefaultPredictionConservative(t *testing.T) {
 func TestActuatorAppliesPlacement(t *testing.T) {
 	tr := defaultTrace()
 	_, mem := memRig(t, tr)
-	a := NewActuator(mem, DefaultConfig())
+	a := new(Actuator)
+	a.init(mem, DefaultConfig())
 	rates := make([]float64, 64)
 	a.TakeAction(&core.Prediction[Placement]{Value: Placement{Tier2: []int{1, 3, 5}, Rates: rates}})
 	for _, r := range []int{1, 3, 5} {
@@ -279,7 +280,8 @@ func TestActuatorPromotionRespectsCapacity(t *testing.T) {
 	cfg := memsim.DefaultConfig(8)
 	cfg.Tier1Capacity = 4
 	mem := memsim.MustNew(clk, cfg, &skewTrace{regions: 8})
-	a := NewActuator(mem, DefaultConfig())
+	a := new(Actuator)
+	a.init(mem, DefaultConfig())
 	// Demote everything, then ask for everything back: only 4 fit.
 	rates := []float64{8, 7, 6, 5, 4, 3, 2, 1}
 	a.TakeAction(&core.Prediction[Placement]{Value: Placement{
@@ -300,7 +302,8 @@ func TestActuatorPromotionRespectsCapacity(t *testing.T) {
 func TestActuatorSafeguardMigratesHotBack(t *testing.T) {
 	tr := defaultTrace()
 	clk, mem := memRig(t, tr)
-	a := NewActuator(mem, DefaultConfig())
+	a := new(Actuator)
+	a.init(mem, DefaultConfig())
 	// Pathological placement: all hot regions remote.
 	rates := make([]float64, 64)
 	for i := 0; i < 12; i++ {
@@ -329,7 +332,8 @@ func TestActuatorSafeguardMigratesHotBack(t *testing.T) {
 func TestCleanUpRestoresTier1(t *testing.T) {
 	tr := defaultTrace()
 	_, mem := memRig(t, tr)
-	a := NewActuator(mem, DefaultConfig())
+	a := new(Actuator)
+	a.init(mem, DefaultConfig())
 	var all []int
 	for i := 0; i < 64; i++ {
 		all = append(all, i)

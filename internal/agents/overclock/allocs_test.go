@@ -26,8 +26,8 @@ func samplePath(m *Model) error {
 func busyModel(t *testing.T) (*Model, *clock.Virtual, *node.Node) {
 	t.Helper()
 	clk, n := newRig(t, busyWork{})
-	m, err := NewModel(n, DefaultConfig("vm"), Schedule())
-	if err != nil {
+	m := new(Model)
+	if err := m.init(n, DefaultConfig("vm"), Schedule()); err != nil {
 		t.Fatal(err)
 	}
 	clk.RunFor(100 * time.Millisecond)

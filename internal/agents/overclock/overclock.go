@@ -174,16 +174,6 @@ type Model struct {
 	maxIPS float64
 }
 
-// NewModel builds the Model for the VM named in cfg on n, with its Δr
-// log sized for sched's epochs.
-func NewModel(n *node.Node, cfg Config, sched core.Schedule) (*Model, error) {
-	m := new(Model)
-	if err := m.init(n, cfg, sched); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // init builds the Model in place, in a zero m.
 func (m *Model) init(n *node.Node, cfg Config, sched core.Schedule) error {
 	vm := n.VM(cfg.VM)
@@ -422,15 +412,6 @@ type Actuator struct {
 	// minSamples gates the safeguard until the α window has enough
 	// history to be meaningful.
 	minSamples int
-}
-
-// NewActuator builds the Actuator for the VM named in cfg on n.
-func NewActuator(n *node.Node, cfg Config) (*Actuator, error) {
-	a := new(Actuator)
-	if err := a.init(n, cfg); err != nil {
-		return nil, err
-	}
-	return a, nil
 }
 
 // init builds the Actuator in place, in a zero a.

@@ -54,11 +54,11 @@ func (idleWork) Tick(_ workload.Step, res workload.Resources) workload.Usage {
 func TestConstructorsRejectUnknownVM(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	n := node.MustNew(clk, node.DefaultConfig())
-	if _, err := NewModel(n, DefaultConfig("ghost"), Schedule()); err == nil {
-		t.Fatal("NewModel accepted unknown VM")
+	if err := new(Model).init(n, DefaultConfig("ghost"), Schedule()); err == nil {
+		t.Fatal("Model.init accepted unknown VM")
 	}
-	if _, err := NewActuator(n, DefaultConfig("ghost")); err == nil {
-		t.Fatal("NewActuator accepted unknown VM")
+	if err := new(Actuator).init(n, DefaultConfig("ghost")); err == nil {
+		t.Fatal("Actuator.init accepted unknown VM")
 	}
 	if _, err := start(clk, n, DefaultConfig("ghost"), Schedule(), core.Options{}); err == nil {
 		t.Fatal("Launch accepted unknown VM")
@@ -107,8 +107,8 @@ func TestStaysNominalOnDiskBound(t *testing.T) {
 
 func TestValidateDataRangeChecks(t *testing.T) {
 	clk, n := newRig(t, busyWork{})
-	m, err := NewModel(n, DefaultConfig("vm"), Schedule())
-	if err != nil {
+	m := new(Model)
+	if err := m.init(n, DefaultConfig("vm"), Schedule()); err != nil {
 		t.Fatal(err)
 	}
 	_ = clk
@@ -150,7 +150,10 @@ func TestCorruptedDataRejectedByRuntime(t *testing.T) {
 
 func TestBrokenModelAlwaysPicksMax(t *testing.T) {
 	clk, n := newRig(t, busyWork{})
-	m, _ := NewModel(n, DefaultConfig("vm"), Schedule())
+	m := new(Model)
+	if err := m.init(n, DefaultConfig("vm"), Schedule()); err != nil {
+		t.Fatal(err)
+	}
 	m.Break(true)
 	p, err := m.Predict()
 	if err != nil {
@@ -196,8 +199,8 @@ func TestModelSafeguardAllowsGoodOverclocking(t *testing.T) {
 
 func TestActuatorNilPredictionGoesNominal(t *testing.T) {
 	clk, n := newRig(t, busyWork{})
-	a, err := NewActuator(n, DefaultConfig("vm"))
-	if err != nil {
+	a := new(Actuator)
+	if err := a.init(n, DefaultConfig("vm")); err != nil {
 		t.Fatal(err)
 	}
 	n.SetFrequencyLevel("vm", 2)
@@ -210,7 +213,10 @@ func TestActuatorNilPredictionGoesNominal(t *testing.T) {
 
 func TestActuatorClampsInsanePrediction(t *testing.T) {
 	_, n := newRig(t, busyWork{})
-	a, _ := NewActuator(n, DefaultConfig("vm"))
+	a := new(Actuator)
+	if err := a.init(n, DefaultConfig("vm")); err != nil {
+		t.Fatal(err)
+	}
 	a.TakeAction(&core.Prediction[int]{Value: 99})
 	if n.FrequencyLevel("vm") != 0 {
 		t.Fatal("out-of-range prediction not clamped to nominal")
@@ -243,7 +249,10 @@ func TestActuatorSafeguardStaysQuietWhenBusy(t *testing.T) {
 
 func TestCleanUpRestoresNominalAndIsIdempotent(t *testing.T) {
 	_, n := newRig(t, busyWork{})
-	a, _ := NewActuator(n, DefaultConfig("vm"))
+	a := new(Actuator)
+	if err := a.init(n, DefaultConfig("vm")); err != nil {
+		t.Fatal(err)
+	}
 	n.SetFrequencyLevel("vm", 2)
 	a.CleanUp()
 	a.CleanUp()
@@ -268,7 +277,10 @@ func TestStopRunsCleanUp(t *testing.T) {
 
 func TestRewardShape(t *testing.T) {
 	_, n := newRig(t, busyWork{})
-	m, _ := NewModel(n, DefaultConfig("vm"), Schedule())
+	m := new(Model)
+	if err := m.init(n, DefaultConfig("vm"), Schedule()); err != nil {
+		t.Fatal(err)
+	}
 	// Full-tilt IPS at 2.3 GHz beats nominal reward; idle at 2.3 loses.
 	busyNom := m.reward(4*1.5*0.9*1.5, 0)
 	busyOC := m.reward(4*2.3*0.9*1.5, 2)
@@ -284,7 +296,10 @@ func TestRewardShape(t *testing.T) {
 
 func TestPowerPenaltyMonotone(t *testing.T) {
 	_, n := newRig(t, busyWork{})
-	m, _ := NewModel(n, DefaultConfig("vm"), Schedule())
+	m := new(Model)
+	if err := m.init(n, DefaultConfig("vm"), Schedule()); err != nil {
+		t.Fatal(err)
+	}
 	if m.powerPenalty(0) != 0 {
 		t.Fatalf("nominal penalty = %v, want 0", m.powerPenalty(0))
 	}
@@ -295,7 +310,10 @@ func TestPowerPenaltyMonotone(t *testing.T) {
 
 func TestStateBuckets(t *testing.T) {
 	_, n := newRig(t, busyWork{})
-	m, _ := NewModel(n, DefaultConfig("vm"), Schedule())
+	m := new(Model)
+	if err := m.init(n, DefaultConfig("vm"), Schedule()); err != nil {
+		t.Fatal(err)
+	}
 	if s := m.stateOf(0, 0); s != 0 {
 		t.Fatalf("idle state = %d, want 0", s)
 	}
@@ -329,7 +347,10 @@ func TestScheduleViolationReporting(t *testing.T) {
 
 func TestValidateErrorMessagesNamePackage(t *testing.T) {
 	_, n := newRig(t, busyWork{})
-	m, _ := NewModel(n, DefaultConfig("vm"), Schedule())
+	m := new(Model)
+	if err := m.init(n, DefaultConfig("vm"), Schedule()); err != nil {
+		t.Fatal(err)
+	}
 	err := m.ValidateData(Sample{IPS: -1})
 	if err == nil || !strings.HasPrefix(err.Error(), "overclock:") {
 		t.Fatalf("error %q should identify its origin", err)

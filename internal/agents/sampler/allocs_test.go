@@ -16,8 +16,8 @@ func newTestModel(t *testing.T) (*clock.Virtual, *Model) {
 	clk := clock.NewVirtual(epoch)
 	src := telemetry.MustNew(clk, telemetry.DefaultConfig())
 	src.Start()
-	m, err := NewModel(src, DefaultConfig())
-	if err != nil {
+	m := new(Model)
+	if err := m.init(src, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	return clk, m

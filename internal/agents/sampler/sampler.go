@@ -124,15 +124,6 @@ type Model struct {
 	draws  drawOrder
 }
 
-// NewModel builds the Model over src.
-func NewModel(src *telemetry.Source, cfg Config) (*Model, error) {
-	m := new(Model)
-	if err := m.init(src, cfg); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // init builds the Model in place, in a zero m.
 func (m *Model) init(src *telemetry.Source, cfg Config) error {
 	if cfg.EpochIntervals <= 0 {
@@ -343,13 +334,6 @@ type Actuator struct {
 	havePrev   bool
 	defaultRR  int
 	actuations uint64
-}
-
-// NewActuator builds the Actuator over src.
-func NewActuator(src *telemetry.Source) *Actuator {
-	a := new(Actuator)
-	a.init(src)
-	return a
 }
 
 // init builds the Actuator in place, in a zero a.

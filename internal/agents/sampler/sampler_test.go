@@ -27,11 +27,11 @@ func rig(t *testing.T, opts core.Options) (*clock.Virtual, *telemetry.Source, *A
 func TestModelValidation(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	src := telemetry.MustNew(clk, telemetry.DefaultConfig())
-	if _, err := NewModel(src, Config{}); err == nil {
+	if err := new(Model).init(src, Config{}); err == nil {
 		t.Fatal("zero config accepted")
 	}
-	m, err := NewModel(src, DefaultConfig())
-	if err != nil {
+	m := new(Model)
+	if err := m.init(src, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.ValidateData(Obs{Counts: []ChannelCount{{Channel: 0, Count: -1}}}); err == nil {
@@ -130,8 +130,8 @@ func TestBrokenModelCaughtByAudit(t *testing.T) {
 func TestDefaultPredictIsRoundRobin(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	src := telemetry.MustNew(clk, telemetry.DefaultConfig())
-	m, err := NewModel(src, DefaultConfig())
-	if err != nil {
+	m := new(Model)
+	if err := m.init(src, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	d := m.DefaultPredict()
@@ -143,7 +143,8 @@ func TestDefaultPredictIsRoundRobin(t *testing.T) {
 func TestActuatorNilPredictionSweeps(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	src := telemetry.MustNew(clk, telemetry.DefaultConfig())
-	a := NewActuator(src)
+	a := new(Actuator)
+	a.init(src)
 	a.TakeAction(nil)
 	first := append([]int(nil), a.Allocation()...)
 	a.TakeAction(nil)
@@ -162,7 +163,8 @@ func TestActuatorNilPredictionSweeps(t *testing.T) {
 func TestCleanUpIdempotent(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	src := telemetry.MustNew(clk, telemetry.DefaultConfig())
-	a := NewActuator(src)
+	a := new(Actuator)
+	a.init(src)
 	a.CleanUp()
 	a.CleanUp()
 	if len(a.Allocation()) != src.Config().Budget {

@@ -4,8 +4,10 @@
 // Two implementations are provided. Virtual is a deterministic
 // discrete-event clock: armed timers fire in timestamp order when the
 // owner calls Run or Step, and time advances instantaneously between
-// events. Real delegates to the wall clock and the time package. The
-// SOL runtime is written against the Clock interface only, so the exact
+// events. One goroutine drives a Virtual and makes every call on it,
+// so it holds no lock. Real delegates to the wall clock and the time
+// package, and is the clock to share across goroutines. The SOL
+// runtime is written against the Clock interface only, so the exact
 // same agent code runs deterministically in simulation and in real
 // time on a node.
 //

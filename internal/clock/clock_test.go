@@ -281,7 +281,7 @@ func TestRealNowNSMonotonic(t *testing.T) {
 // TestVirtualNowNS: Virtual's nanosecond read is its internal time,
 // and At turns it back into exactly Now().
 func TestVirtualNowNS(t *testing.T) {
-	v := NewVirtualSingle(epoch)
+	v := NewVirtual(epoch)
 	check := func(want time.Duration) {
 		t.Helper()
 		if got := v.NowNS(); got != int64(want) {

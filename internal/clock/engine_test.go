@@ -1,10 +1,9 @@
 package clock
 
-// Tests for the zero-allocation event engine: Arm, Timer.Reset, Tick,
-// and the lock-elided single-driver mode. The engine's contract is that
-// Reset/Tick are pure optimizations — they must reproduce, event for
-// event, the (time, insertion-order) execution of the equivalent
-// AfterFunc-only program.
+// Tests for the zero-allocation event engine: Arm, Timer.Reset and
+// Tick. The engine's contract is that Reset/Tick are pure
+// optimizations — they must reproduce, event for event, the (time,
+// insertion-order) execution of the equivalent AfterFunc-only program.
 
 import (
 	"fmt"
@@ -215,10 +214,9 @@ func TestEngineMatchesAfterFuncReference(t *testing.T) {
 		return trace
 	}()
 
-	// Engine: the same workload on Tick + Reset, on a single-driver
-	// clock to cover the lock-elided path as well.
+	// Engine: the same workload on Tick + Reset.
 	engine := func() []firing {
-		v := NewVirtualSingle(epoch)
+		v := NewVirtual(epoch)
 		var trace []firing
 		rec := func(label string) func() {
 			return func() { trace = append(trace, firing{v.Now().Sub(epoch), label}) }
@@ -249,57 +247,28 @@ func TestEngineMatchesAfterFuncReference(t *testing.T) {
 	}
 }
 
-// TestSingleDriverMatchesLocked runs the existing ordering semantics on
-// the lock-elided clock: same API, same trace.
-func TestSingleDriverMatchesLocked(t *testing.T) {
-	run := func(v *Virtual) []int {
-		var got []int
-		v.AfterFunc(30*time.Millisecond, func() { got = append(got, 3) })
-		v.AfterFunc(10*time.Millisecond, func() { got = append(got, 1) })
-		v.AfterFunc(20*time.Millisecond, func() { got = append(got, 2) })
-		for i := 0; i < 5; i++ {
-			i := i
-			v.AfterFunc(40*time.Millisecond, func() { got = append(got, 10+i) })
-		}
-		v.RunFor(time.Second)
-		return got
-	}
-	locked := run(NewVirtual(epoch))
-	single := run(NewVirtualSingle(epoch))
-	if fmt.Sprint(locked) != fmt.Sprint(single) {
-		t.Fatalf("single-driver trace %v != locked trace %v", single, locked)
-	}
-}
-
 // TestTickerAllocs is the zero-allocation regression test for the
 // engine's steady-state hot path: driving tickers, Reset loops and a
 // re-armed one-shot, by window (RunFor) or one event at a time (Step),
-// must not allocate, on either the single-driver or the locked clock.
+// must not allocate. The subtest is named for the single-driver engine,
+// the clock's one mode.
 func TestTickerAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func() *Virtual
-	}{
-		{"single", func() *Virtual { return NewVirtualSingle(epoch) }},
-		{"locked", func() *Virtual { return NewVirtual(epoch) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			v := tc.mk()
-			v.Tick(time.Millisecond, func() {})
-			v.Tick(7*time.Millisecond, func() {})
-			var tm *Timer
-			tm = v.AfterFunc(3*time.Millisecond, func() { tm.Reset(3 * time.Millisecond) })
-			once := v.AfterFunc(time.Millisecond, func() {})
-			v.RunFor(100 * time.Millisecond) // warm up heap capacity
-			if avg := testing.AllocsPerRun(100, func() {
-				v.RunFor(10 * time.Millisecond)
-				v.Step()
-				once.Reset(time.Millisecond) // fired and dequeued: re-armed
-			}); avg != 0 {
-				t.Fatalf("steady-state ticker loop allocates %.1f allocs per 10ms window, want 0", avg)
-			}
-		})
-	}
+	t.Run("single", func(t *testing.T) {
+		v := NewVirtual(epoch)
+		v.Tick(time.Millisecond, func() {})
+		v.Tick(7*time.Millisecond, func() {})
+		var tm *Timer
+		tm = v.AfterFunc(3*time.Millisecond, func() { tm.Reset(3 * time.Millisecond) })
+		once := v.AfterFunc(time.Millisecond, func() {})
+		v.RunFor(100 * time.Millisecond) // warm up heap capacity
+		if avg := testing.AllocsPerRun(100, func() {
+			v.RunFor(10 * time.Millisecond)
+			v.Step()
+			once.Reset(time.Millisecond) // fired and dequeued: re-armed
+		}); avg != 0 {
+			t.Fatalf("steady-state ticker loop allocates %.1f allocs per 10ms window, want 0", avg)
+		}
+	})
 }
 
 func TestRealTick(t *testing.T) {
@@ -342,22 +311,17 @@ func TestTickerResetInsideCallback(t *testing.T) {
 		handoff <- tk
 		return tk, out
 	}
-	for _, tc := range []struct {
-		name string
-		mk   func(time.Time) *Virtual
-	}{{"locked", NewVirtual}, {"single", NewVirtualSingle}} {
-		v := tc.mk(epoch)
-		tk, out := fires(v)
-		v.RunFor(period + 2*d)
-		tk.Stop()
-		close(out)
-		var got []time.Duration
-		for ns := range out {
-			got = append(got, time.Duration(ns))
-		}
-		if want := fmt.Sprint([]time.Duration{period, period + d, period + 2*d}); fmt.Sprint(got) != want {
-			t.Fatalf("%s: ticker reset inside its callback fired at %v, want %s", tc.name, got, want)
-		}
+	v := NewVirtual(epoch)
+	vtk, vout := fires(v)
+	v.RunFor(period + 2*d)
+	vtk.Stop()
+	close(vout)
+	var fired []time.Duration
+	for ns := range vout {
+		fired = append(fired, time.Duration(ns))
+	}
+	if want := fmt.Sprint([]time.Duration{period, period + d, period + 2*d}); fmt.Sprint(fired) != want {
+		t.Fatalf("virtual: ticker reset inside its callback fired at %v, want %s", fired, want)
 	}
 
 	tk, out := fires(NewReal())
@@ -389,7 +353,7 @@ func (o *armOwner) Fire(now int64) { o.fired, o.at = o.fired+1, now }
 // pending, Reset, firing, Stop, Stop and Reset while unarmed — makes no
 // allocation, and firing hands the handler the clock's own reading.
 func TestArmAllocs(t *testing.T) {
-	v := NewVirtualSingle(epoch)
+	v := NewVirtual(epoch)
 	o := new(armOwner)
 	if o.tm.Stop() || o.tm.Reset(time.Millisecond) || v.Len() != 0 {
 		t.Fatal("Stop or Reset of a zero Timer reported a pending timer or queued it")

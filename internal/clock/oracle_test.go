@@ -289,10 +289,10 @@ func randomSchedule(seed int64, c oracleClock) []string {
 // and Stop issued from inside callbacks, on the firing timer itself
 // among others; Arm of a pending timer; Stop and Reset of a zero one;
 // same-instant FIFO; ticker period changes through Reset and Arm;
-// pending counts read inside callbacks — the engine, locked and
-// single-driver, must produce the naive sorted-list clock's trace
-// exactly: firing order, timestamps and the instants handlers are
-// handed, pending counts and every Stop and Reset result.
+// pending counts read inside callbacks — the engine must produce the
+// naive sorted-list clock's trace exactly: firing order, timestamps and
+// the instants handlers are handed, pending counts and every Stop and
+// Reset result.
 func TestEngineMatchesSortedListClock(t *testing.T) {
 	seeds := 300
 	if testing.Short() {
@@ -303,18 +303,16 @@ func TestEngineMatchesSortedListClock(t *testing.T) {
 		if len(want) < 50 {
 			t.Fatalf("seed %d: trace of %d lines is too short to test anything", seed, len(want))
 		}
-		for _, mk := range []func(time.Time) *Virtual{NewVirtual, NewVirtualSingle} {
-			got := randomSchedule(seed, &engineClock{v: mk(epoch)})
-			for i := range want {
-				if i >= len(got) || got[i] != want[i] {
-					lo := max(0, i-5)
-					t.Fatalf("seed %d: engine diverges from the sorted-list clock at line %d\nreference:\n  %s\nengine:\n  %s",
-						seed, i, strings.Join(want[lo:i+1], "\n  "), strings.Join(got[lo:min(i+1, len(got))], "\n  "))
-				}
+		got := randomSchedule(seed, &engineClock{v: NewVirtual(epoch)})
+		for i := range want {
+			if i >= len(got) || got[i] != want[i] {
+				lo := max(0, i-5)
+				t.Fatalf("seed %d: engine diverges from the sorted-list clock at line %d\nreference:\n  %s\nengine:\n  %s",
+					seed, i, strings.Join(want[lo:i+1], "\n  "), strings.Join(got[lo:min(i+1, len(got))], "\n  "))
 			}
-			if len(got) != len(want) {
-				t.Fatalf("seed %d: engine trace has %d lines, reference %d", seed, len(got), len(want))
-			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: engine trace has %d lines, reference %d", seed, len(got), len(want))
 		}
 	}
 }
@@ -332,26 +330,24 @@ func TestNestedDrivePanics(t *testing.T) {
 		{"RunFor", func(v *Virtual) { v.RunFor(time.Second) }},
 		{"RunUntilIdle", func(v *Virtual) { v.RunUntilIdle(10) }},
 	} {
-		for _, mk := range []func(time.Time) *Virtual{NewVirtual, NewVirtualSingle} {
-			v := mk(epoch)
-			panicked, count := 0, 0
-			v.Tick(time.Millisecond, func() {
-				count++
-				defer func() {
-					if recover() != nil {
-						panicked++
-					}
-				}()
-				tc.drive(v)
-			})
-			v.AfterFunc(time.Millisecond, func() {})
-			v.RunFor(3 * time.Millisecond)
-			if panicked != 3 || count != 3 {
-				t.Fatalf("%s: %d of %d nested drives panicked, want 3 of 3", tc.name, panicked, count)
-			}
-			if n := v.Len(); n != 1 {
-				t.Fatalf("%s: %d events pending after the run, want the ticker alone", tc.name, n)
-			}
+		v := NewVirtual(epoch)
+		panicked, count := 0, 0
+		v.Tick(time.Millisecond, func() {
+			count++
+			defer func() {
+				if recover() != nil {
+					panicked++
+				}
+			}()
+			tc.drive(v)
+		})
+		v.AfterFunc(time.Millisecond, func() {})
+		v.RunFor(3 * time.Millisecond)
+		if panicked != 3 || count != 3 {
+			t.Fatalf("%s: %d of %d nested drives panicked, want 3 of 3", tc.name, panicked, count)
+		}
+		if n := v.Len(); n != 1 {
+			t.Fatalf("%s: %d events pending after the run, want the ticker alone", tc.name, n)
 		}
 	}
 }
@@ -360,7 +356,7 @@ func TestNestedDrivePanics(t *testing.T) {
 // not pending — Len and String leave it out, whether it is a one-shot
 // or a ticker — until the callback re-arms it.
 func TestFiringEventNotPending(t *testing.T) {
-	v := NewVirtualSingle(epoch)
+	v := NewVirtual(epoch)
 	var lens []int
 	var strs []string
 	var one *Timer

@@ -2,7 +2,6 @@ package clock
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -18,17 +17,15 @@ import (
 // keeps the per-event hot path free of 24-byte time.Time comparisons,
 // monotonic-clock handling, and container/heap interface calls.
 //
-// A clock from NewVirtual is safe for concurrent use, but
-// deterministic execution is only guaranteed when a single goroutine
-// drives it, which is how every experiment in this repository runs.
-// NewVirtualSingle returns a clock that exploits that: it elides the
-// mutex entirely and must only be touched from the driving goroutine.
+// A Virtual has one driver: every method — scheduling, driving, and
+// Timer Stop/Reset — must be called from the goroutine that drives it,
+// which is how every node, experiment and CLI in this repository runs.
+// It holds no lock, so a second goroutine touching it is a data race.
+// A clock shared across goroutines is Real.
 type Virtual struct {
-	mu     sync.Mutex
-	single bool      // lock-elided single-driver mode; see NewVirtualSingle
-	start  time.Time // the epoch anchor; everything else is int64 ns since it
-	now    int64     // ns since start
-	seq    uint64
+	start time.Time // the epoch anchor; everything else is int64 ns since it
+	now   int64     // ns since start
+	seq   uint64
 	// heap starts as a window onto heapArr, so the clock and its first
 	// heapCap events are one object; Arm grows it past that by append.
 	heap    []*event
@@ -64,39 +61,17 @@ type event struct {
 // growing by append would take five allocations.
 const heapCap = 16
 
-// NewVirtual returns a Virtual clock whose current time is start. It is
-// safe for concurrent use (callbacks still run only on the driving
-// goroutine).
+// NewVirtual returns a Virtual clock whose current time is start, to
+// be driven from one goroutine.
 func NewVirtual(start time.Time) *Virtual {
 	v := &Virtual{start: start}
 	v.heap = v.heapArr[:0]
 	return v
 }
 
-// NewVirtualSingle returns a Virtual clock in single-driver mode: the
-// internal mutex is elided, so every method — scheduling, driving, and
-// Timer Stop/Reset — must be called from one goroutine. This is the
-// mode the fleet simulator and the experiments use (each node owns a
-// private clock driven by one worker); the locked NewVirtual remains
-// for callers that share a clock across goroutines, e.g. real-clock
-// -race tests of code paths that also run in simulation.
-func NewVirtualSingle(start time.Time) *Virtual {
-	v := NewVirtual(start)
-	v.single = true
-	return v
-}
-
-func (v *Virtual) lock() {
-	if !v.single {
-		v.mu.Lock()
-	}
-}
-
-func (v *Virtual) unlock() {
-	if !v.single {
-		v.mu.Unlock()
-	}
-}
+// NewVirtualSingle is NewVirtual under its former name, kept only for
+// the benchmark's layer probes (bench/layers.go), which still call it.
+func NewVirtualSingle(start time.Time) *Virtual { return NewVirtual(start) }
 
 // toNS converts an absolute time to the clock's internal timebase.
 func (v *Virtual) toNS(t time.Time) int64 { return t.Sub(v.start).Nanoseconds() }
@@ -111,12 +86,7 @@ func (v *Virtual) Now() time.Time { return v.At(v.NowNS()) }
 
 // NowNS returns the clock's current virtual time as nanoseconds since
 // its start instant: the internal reading itself, no conversion.
-func (v *Virtual) NowNS() int64 {
-	v.lock()
-	ns := v.now
-	v.unlock()
-	return ns
-}
+func (v *Virtual) NowNS() int64 { return v.now }
 
 // Arm implements Clock.Arm. The timer's event is its heap entry, so
 // arming allocates nothing once the heap has room. A periodic timer is
@@ -134,12 +104,10 @@ func (v *Virtual) Arm(t *Timer, h Handler, d, period time.Duration) {
 		t.v = v
 		t.e.index = -1
 	}
-	v.lock()
 	e := &t.e
 	e.h = h
 	e.period = max(int64(period), 0)
 	v.rearm(e, max(int64(d), 0))
-	v.unlock()
 }
 
 // AfterFunc schedules f at Now()+d on a fresh Timer. Negative d is
@@ -170,7 +138,6 @@ func (v *Virtual) Tick(d time.Duration, f func()) *Timer {
 // number and reports whether it was pending. A queued event — pending,
 // or firing right now — is sifted from its heap slot to its new
 // position, so it is never queued twice; an idle one is pushed.
-// Callers hold the lock.
 func (v *Virtual) rearm(e *event, d int64) bool {
 	pending := v.claim(e)
 	e.when = v.now + d
@@ -187,7 +154,7 @@ func (v *Virtual) rearm(e *event, d int64) bool {
 // claim reports whether e is pending: queued and not the event whose
 // callback is running. A firing event is released to the caller, who
 // stops or re-arms it, so the engine leaves it alone after the
-// callback. Callers hold the lock.
+// callback.
 func (v *Virtual) claim(e *event) bool {
 	if v.firing && e.index == 0 {
 		v.firing = false
@@ -198,13 +165,11 @@ func (v *Virtual) claim(e *event) bool {
 
 // stopTimer implements Timer.Stop for virtual timers.
 func (v *Virtual) stopTimer(t *Timer) bool {
-	v.lock()
 	e := &t.e
 	pending := v.claim(e)
 	if e.index >= 0 {
 		v.removeAt(e.index)
 	}
-	v.unlock()
 	return pending
 }
 
@@ -212,28 +177,16 @@ func (v *Virtual) stopTimer(t *Timer) bool {
 // event in place with a fresh sequence number, so a Reset orders
 // exactly like a brand-new Arm at the same instant.
 func (v *Virtual) resetTimer(t *Timer, d time.Duration) bool {
-	v.lock()
 	e := &t.e
 	if e.period > 0 && d > 0 {
 		e.period = int64(d)
 	}
-	pending := v.rearm(e, max(int64(d), 0))
-	v.unlock()
-	return pending
+	return v.rearm(e, max(int64(d), 0))
 }
 
 // Len returns the number of pending events; a callback's own event is
 // not pending while it runs.
 func (v *Virtual) Len() int {
-	v.lock()
-	n := v.pending()
-	v.unlock()
-	return n
-}
-
-// pending counts the queued events that are not firing. Callers hold
-// the lock.
-func (v *Virtual) pending() int {
 	if v.firing {
 		return len(v.heap) - 1
 	}
@@ -241,12 +194,7 @@ func (v *Virtual) pending() int {
 }
 
 // Fired returns the number of callbacks executed so far.
-func (v *Virtual) Fired() uint64 {
-	v.lock()
-	n := v.fired
-	v.unlock()
-	return n
-}
+func (v *Virtual) Fired() uint64 { return v.fired }
 
 // Step executes the single earliest pending event, advancing the clock
 // to its timestamp. It reports whether an event was executed.
@@ -255,14 +203,11 @@ func (v *Virtual) Fired() uint64 {
 // Step) panics: its event still holds the root of the heap, and the
 // (time, insertion-order) contract has no answer for a nested drive.
 func (v *Virtual) Step() bool {
-	v.lock()
 	v.enter()
 	if len(v.heap) == 0 {
-		v.unlock()
 		return false
 	}
 	v.fire()
-	v.unlock()
 	return true
 }
 
@@ -271,7 +216,6 @@ func (v *Virtual) Step() bool {
 // set to deadline when Run returns. It returns the number of events
 // executed. Like Step, it panics when called from a callback.
 func (v *Virtual) Run(deadline time.Time) int {
-	v.lock()
 	v.enter()
 	dl := v.toNS(deadline)
 	n := 0
@@ -282,15 +226,12 @@ func (v *Virtual) Run(deadline time.Time) int {
 	if dl > v.now {
 		v.now = dl
 	}
-	v.unlock()
 	return n
 }
 
-// enter refuses to drive the clock from inside a callback. Callers hold
-// the lock.
+// enter refuses to drive the clock from inside a callback.
 func (v *Virtual) enter() {
 	if v.running {
-		v.unlock()
 		panic("clock: Run or Step called from a callback")
 	}
 }
@@ -300,7 +241,6 @@ func (v *Virtual) enter() {
 // handler did not stop or re-arm moves one period on with a fresh
 // sequence number, as if it had re-scheduled itself as its last action
 // — one sift down from the root; an untouched one-shot is removed.
-// Callers hold the lock, which is released while the handler runs.
 func (v *Virtual) fire() {
 	e := v.heap[0]
 	if e.when > v.now {
@@ -309,9 +249,7 @@ func (v *Virtual) fire() {
 	now, h := v.now, e.h
 	v.fired++
 	v.running, v.firing = true, true
-	v.unlock()
 	h.Fire(now)
-	v.lock()
 	v.running = false
 	if !v.firing {
 		return // the callback stopped or reset its own event
@@ -345,11 +283,8 @@ func (v *Virtual) RunUntilIdle(maxEvents int) int {
 
 // String describes the clock state, for debugging.
 func (v *Virtual) String() string {
-	v.lock()
-	now, pending, fired := v.now, v.pending(), v.fired
-	v.unlock()
 	return fmt.Sprintf("virtual clock at %s, %d pending, %d fired",
-		v.At(now).Format(time.RFC3339Nano), pending, fired)
+		v.Now().Format(time.RFC3339Nano), v.Len(), v.fired)
 }
 
 // --- event heap: a plain binary min-heap on (when, seq) ---

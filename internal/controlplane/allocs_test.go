@@ -6,6 +6,7 @@ import (
 
 	"sol/internal/faults"
 	"sol/internal/fleet"
+	"sol/internal/testutil"
 )
 
 // TestCampaignSoakAllocs pins the campaign's per-epoch soak path at
@@ -22,9 +23,11 @@ func TestCampaignSoakAllocs(t *testing.T) {
 		plan faults.NodePlan
 	}{
 		{"no lifecycle", nil},
-		{"lifecycle", faults.Plan{
-			faults.Crash{At: 0, Frac: 0.3, Seed: 1},
-			faults.Blackout{From: 0, Until: time.Hour, Frac: 0.3, Seed: 2},
+		{"lifecycle", testutil.Lifecycle{
+			2:  {testutil.Down(0)},
+			8:  {testutil.Dark(0), testutil.Up(time.Hour)},
+			9:  {testutil.Dark(0), testutil.Up(time.Hour)},
+			10: {testutil.Down(0), testutil.Down(time.Hour)},
 		}},
 	} {
 		cfg, err := NewScenario(ScenarioSpec{

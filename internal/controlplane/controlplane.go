@@ -67,7 +67,7 @@ type Campaign struct {
 	Seed uint64 `json:"seed,omitempty"`
 
 	// Robustness policy (manifest schema version 2): how the campaign
-	// behaves when nodes crash, flap, or go dark under it. The zero
+	// behaves when nodes crash, restart, or go dark under it. The zero
 	// values reproduce the version-1 behavior exactly — judge on full
 	// attendance, never retry, halt on the first down cohort node.
 

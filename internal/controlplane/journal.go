@@ -146,9 +146,7 @@ func parseJournal(data []byte) (JournalHeader, []WaveEvent, int64, error) {
 	if len(lines) == 0 {
 		return hdr, nil, 0, fmt.Errorf("controlplane: journal is empty")
 	}
-	dec := json.NewDecoder(bytes.NewReader(lines[0].data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&hdr); err != nil {
+	if err := decodeStrict(lines[0].data, &hdr); err != nil {
 		return hdr, nil, 0, fmt.Errorf("controlplane: journal header: %w", err)
 	}
 	if hdr.Journal != journalMagic {

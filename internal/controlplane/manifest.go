@@ -3,8 +3,10 @@ package controlplane
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"slices"
 	"time"
@@ -111,18 +113,32 @@ type DelayFault struct {
 // draws of the same seed.
 const crashStormSeed = 0xbadc0de
 
-// ParseManifest decodes a manifest, rejecting unknown fields.
+// ParseManifest decodes a manifest, rejecting unknown fields and any
+// data after it.
 func ParseManifest(data []byte) (*Manifest, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var m Manifest
-	if err := dec.Decode(&m); err != nil {
+	if err := decodeStrict(data, &m); err != nil {
 		return nil, fmt.Errorf("controlplane: bad manifest: %w", err)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return &m, nil
+}
+
+// decodeStrict decodes data, which must hold exactly one JSON value,
+// into v: an unknown field is an error, and so is anything after the
+// value but whitespace.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.Decode(new(json.RawMessage)) != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
 }
 
 // LoadManifest reads and parses the manifest at path.

@@ -127,7 +127,8 @@ func TestManifestCampaignDeterminism(t *testing.T) {
 }
 
 // TestManifestValidation covers the load-time error paths: structural
-// problems and typos must fail at parse, not at the canary.
+// problems and typos must fail at parse, not at the canary. A manifest
+// is one JSON value: data after it fails too, whitespace aside.
 func TestManifestValidation(t *testing.T) {
 	t.Parallel()
 	if _, err := LoadManifest("no-such-file.json"); err == nil {
@@ -137,11 +138,13 @@ func TestManifestValidation(t *testing.T) {
 		return `{"nodes": 4, "duration": "10s", "kinds": ["harvest"],
 			"campaign": {"name": "x", "targets": [{"candidate": {"kind": "harvest"}}]}}`
 	}
-	if _, err := ParseManifest([]byte(base())); err != nil {
+	if _, err := ParseManifest([]byte(base() + " \n\t\r\n")); err != nil {
 		t.Fatalf("valid manifest rejected: %v", err)
 	}
 	for name, bad := range map[string]string{
 		"not json":          `{`,
+		"trailing garbage":  base() + " garbage",
+		"second manifest":   base() + ` {"nodes": 999999}`,
 		"zero nodes":        `{"nodes": 0, "duration": "10s"}`,
 		"missing duration":  `{"nodes": 4}`,
 		"negative duration": `{"nodes": 4, "duration": "-10s"}`,

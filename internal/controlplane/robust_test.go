@@ -359,6 +359,8 @@ func TestJournalCorruption(t *testing.T) {
 		{"empty", "", "empty"},
 		{"bad magic", `{"journal":"nope","version":1,"campaign":"c"}` + "\n", "not a campaign journal"},
 		{"bad version", `{"journal":"sol-campaign","version":9,"campaign":"c"}` + "\n", "version 9"},
+		{"header trailing bytes", `{"journal":"sol-campaign","version":1,"campaign":"c"}garbage{` + "\n", "data after"},
+		{"header then a second value", `{"journal":"sol-campaign","version":1,"campaign":"c"} {}` + "\n", "data after"},
 		{"mid corruption", hdr + "garbage\n" + `{"seq":1,"event":{"epoch":2,"at":0,"wave":1,"action":"pass","converted":1,"health":{"agents":0}}}` + "\n", "corrupt"},
 		{"seq gap", hdr + `{"seq":1,"event":{"epoch":0,"at":0,"wave":1,"action":"convert","converted":1,"health":{"agents":0}}}` + "\n", "seq"},
 	} {
@@ -367,6 +369,30 @@ func TestJournalCorruption(t *testing.T) {
 			t.Fatalf("%s: error %v, want %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// FuzzParseJournal: parseJournal never panics, the offset it returns
+// is 0 or sits just past a newline, and the prefix it declares valid
+// parses back to the same header, events and offset — the fixpoint
+// resumeJournal's truncate relies on.
+func FuzzParseJournal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hdr, events, off, err := parseJournal(data)
+		if off < 0 || off > int64(len(data)) || (off > 0 && data[off-1] != '\n') {
+			t.Fatalf("offset %d of %d bytes is not 0 or just past a newline", off, len(data))
+		}
+		if err != nil {
+			return
+		}
+		hdr2, events2, off2, err := parseJournal(data[:off])
+		if err != nil {
+			t.Fatalf("the valid prefix [:%d] does not parse: %v", off, err)
+		}
+		if hdr2 != hdr || off2 != off || !reflect.DeepEqual(events2, events) {
+			t.Fatalf("re-parsing the valid prefix [:%d] gives header %+v, %d events, offset %d; want %+v, %d, %d",
+				off, hdr2, len(events2), off2, hdr, len(events), off)
+		}
+	})
 }
 
 // TestResumeMatchesUninterrupted is the resume contract: a campaign

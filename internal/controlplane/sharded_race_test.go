@@ -6,9 +6,25 @@ import (
 	"time"
 
 	"sol/internal/clock"
-	"sol/internal/faults"
 	"sol/internal/fleet"
+	"sol/internal/testutil"
 )
+
+// stormLifecycle scripts the traced crash-storm case on its 12 nodes:
+// the scenario's crash (22.5 s, nodes 9 and 10), a dark window
+// (12.5–27.5 s) and two down windows (7.5–12.5 s and 17.5–22.5 s), as
+// instants and states, edges that change nothing included.
+var stormLifecycle = testutil.Lifecycle{
+	0:  {testutil.Dark(12500 * time.Millisecond), testutil.Up(27500 * time.Millisecond)},
+	3:  {testutil.Down(7500 * time.Millisecond), testutil.Up(12500 * time.Millisecond), testutil.Down(17500 * time.Millisecond), testutil.Up(22500 * time.Millisecond)},
+	4:  {testutil.Dark(12500 * time.Millisecond), testutil.Up(27500 * time.Millisecond)},
+	5:  {testutil.Dark(12500 * time.Millisecond), testutil.Up(27500 * time.Millisecond)},
+	6:  {testutil.Dark(12500 * time.Millisecond), testutil.Up(27500 * time.Millisecond)},
+	7:  {testutil.Down(7500 * time.Millisecond), testutil.Up(12500 * time.Millisecond), testutil.Down(17500 * time.Millisecond), testutil.Up(22500 * time.Millisecond)},
+	8:  {testutil.Down(7500 * time.Millisecond), testutil.Up(12500 * time.Millisecond), testutil.Down(17500 * time.Millisecond), testutil.Up(22500 * time.Millisecond)},
+	9:  {testutil.Down(22500 * time.Millisecond)},
+	10: {testutil.Dark(12500 * time.Millisecond), testutil.Down(22500 * time.Millisecond), testutil.Down(27500 * time.Millisecond)},
+}
 
 // TestShardedGateAlignmentRealClockRace mirrors the conductor's
 // real-clock race smoke one level up, at the campaign engine. Each
@@ -24,11 +40,10 @@ import (
 // The traced and profiled crash-storm case is the -race evidence for
 // the state each shard owns during a span: the probe's per-shard slots
 // (rings and accumulators) and per-cell lifecycle stages, each node's
-// dark flag and restart error (beside the
-// crash, a blackout darkens and a flap restarts part of the fleet
-// mid-span, on the shards' workers), and the campaign's per-shard
-// stepped lists, filtered against the span bounds the driver writes
-// between spans.
+// dark flag and restart error (stormLifecycle crashes, darkens and
+// restarts part of the fleet mid-span, on the shards' workers), and
+// the campaign's per-shard stepped lists, filtered against the span
+// bounds the driver writes between spans.
 func TestShardedGateAlignmentRealClockRace(t *testing.T) {
 	t.Parallel()
 	pace := func(cfg Config) Config {
@@ -64,9 +79,7 @@ func TestShardedGateAlignmentRealClockRace(t *testing.T) {
 			cfg.Fleet.Duration = tc.horizon
 			if tc.observed {
 				cfg.Fleet.Trace, cfg.Fleet.Profile = true, true
-				cfg.Fleet.Lifecycle = faults.Plan{cfg.Fleet.Lifecycle,
-					faults.Blackout{From: 12500 * time.Millisecond, Until: 27500 * time.Millisecond, Frac: 0.3, Seed: 5},
-					faults.Flap{Start: 7500 * time.Millisecond, Down: 5 * time.Second, Period: 10 * time.Second, Cycles: 2, Frac: 0.3, Seed: 6}}
+				cfg.Fleet.Lifecycle = stormLifecycle
 			}
 			return cfg
 		}

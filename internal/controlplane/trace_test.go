@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"sol/internal/faults"
 	"sol/internal/obs"
+	"sol/internal/testutil"
 )
 
 // tracedCrashConfig builds the traced campaign fixture: a crash-storm
@@ -178,23 +178,22 @@ func TestResumeTraceIdentity(t *testing.T) {
 // down across a conversion barrier, the conductor track carries a
 // deploy defer event at the barrier and a retry event when the
 // recovered node gets its deploy, with the node identified. (The
-// crash-storm lifecycle is swapped for a t=0 flap: permanent crashes
-// defer but never recover, so only a flap exercises the retry arc —
-// and the canary converts at epoch 0, before any quorum gate can
-// stall the wave plan waiting for the flapped nodes to return.)
+// crash-storm lifecycle is swapped for a script that downs every node
+// at t=0 and restarts it at 3 s: permanent crashes defer but never
+// recover, so only a restart exercises the retry arc — and the canary
+// converts at epoch 0, before any quorum gate can stall the wave plan
+// waiting for the downed nodes to return.)
 func TestDeployRetryTraced(t *testing.T) {
 	t.Parallel()
 	for _, shards := range []int{0, 2} {
 		cfg := tracedCrashConfig(t, ScenarioCrashStorm, shards, 2)
 		// The whole fleet is down across the canary conversion at
 		// epoch 0 and back up before the retry due at epoch 1 (5 s).
-		cfg.Fleet.Lifecycle = faults.Flap{
-			Down:   3 * time.Second,
-			Period: time.Minute,
-			Cycles: 1,
-			Frac:   1,
-			Seed:   1 ^ crashStormSeed,
+		down := make(testutil.Lifecycle, cfg.Fleet.Nodes)
+		for i := range down {
+			down[i] = []testutil.Transition{testutil.Down(0), testutil.Up(3 * time.Second)}
 		}
+		cfg.Fleet.Lifecycle = down
 		rep, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)

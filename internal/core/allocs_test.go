@@ -45,7 +45,7 @@ var allocSchedule = Schedule{
 }
 
 func TestRuntimeEpochAllocs(t *testing.T) {
-	clk := clock.NewVirtualSingle(epoch)
+	clk := clock.NewVirtual(epoch)
 	rt, err := Run[int, int](clk, &allocModel{clk: clk}, allocActuator{}, allocSchedule, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestRuntimeEpochAllocs(t *testing.T) {
 // the way every agent embeds one, allocates nothing; a ring deeper than
 // the default is its one heap object.
 func TestRunAllocs(t *testing.T) {
-	clk := clock.NewVirtualSingle(epoch)
+	clk := clock.NewVirtual(epoch)
 	model := &allocModel{clk: clk}
 	armed := func(rt *Runtime[int, int]) {
 		if clk.Len() != 3 {

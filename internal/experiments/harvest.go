@@ -32,7 +32,7 @@ type hvRig struct {
 // actuator safeguard (the cross-cutting last line of defense) is
 // disabled via cfgMut/opts where the paper isolates a different one.
 func newHVRig(wl string, seed uint64, withAgent bool, cfgMut func(*harvest.Config), opts core.Options) (*hvRig, error) {
-	clk := clock.NewVirtualSingle(epoch)
+	clk := clock.NewVirtual(epoch)
 	ncfg := node.DefaultConfig()
 	ncfg.TickInterval = 50 * time.Microsecond
 	n, err := node.New(clk, ncfg)

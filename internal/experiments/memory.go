@@ -125,7 +125,7 @@ func runFig7(s Scale) (*Result, error) {
 		var maxResets float64
 		var maxScans float64
 		for _, pol := range memPolicies() {
-			clk := clock.NewVirtualSingle(epoch)
+			clk := clock.NewVirtual(epoch)
 			mem, err := memsim.New(clk, memsim.DefaultConfig(memRegions), tr.make())
 			if err != nil {
 				return nil, err
@@ -176,7 +176,7 @@ func runFig8(s Scale) (*Result, error) {
 		{"all-safeguards", core.Options{}},
 	}
 	for _, cfg := range configs {
-		clk := clock.NewVirtualSingle(epoch)
+		clk := clock.NewVirtual(epoch)
 		tr := workload.NewOscillatingTrace(memRegions, 150*time.Second, 80*time.Second, 7)
 		mem, err := memsim.New(clk, memsim.DefaultConfig(memRegions), tr)
 		if err != nil {

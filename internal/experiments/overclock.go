@@ -80,7 +80,7 @@ type ocRun struct {
 // newOCRun builds the node and workload; staticLevel < 0 launches the
 // agent with cfgMut applied to its default configuration and opts.
 func newOCRun(w ocWorkload, seed uint64, staticLevel int, cfgMut func(*overclock.Config), opts core.Options) (*ocRun, error) {
-	clk := clock.NewVirtualSingle(epoch)
+	clk := clock.NewVirtual(epoch)
 	n, err := node.New(clk, node.DefaultConfig())
 	if err != nil {
 		return nil, err
@@ -311,7 +311,7 @@ func runFig5(s Scale) (*Result, error) {
 	r := &Result{}
 	// 10-minute period, 3 minutes of processing: long transient idle.
 	build := func(disableSafeguard bool) (*ocRun, *workload.Synthetic, error) {
-		clk := clock.NewVirtualSingle(epoch)
+		clk := clock.NewVirtual(epoch)
 		n, err := node.New(clk, node.DefaultConfig())
 		if err != nil {
 			return nil, nil, err

@@ -28,7 +28,7 @@ func runExtSampler(s Scale) (*Result, error) {
 
 	agentRun := func(breakModel bool) func() (float64, uint64, error) {
 		return func() (float64, uint64, error) {
-			clk := clock.NewVirtualSingle(epoch)
+			clk := clock.NewVirtual(epoch)
 			src := telemetry.MustNew(clk, telemetry.DefaultConfig())
 			src.Start()
 			h, err := launch(sampler.Kind, spec.NodeEnv{Clock: clk, Telemetry: src}, sampler.DefaultVariant())
@@ -49,7 +49,7 @@ func runExtSampler(s Scale) (*Result, error) {
 
 	staticRun := func(rotate bool) func() (float64, uint64, error) {
 		return func() (float64, uint64, error) {
-			clk := clock.NewVirtualSingle(epoch)
+			clk := clock.NewVirtual(epoch)
 			src := telemetry.MustNew(clk, telemetry.DefaultConfig())
 			src.Start()
 			off := 0

@@ -4,6 +4,11 @@
 // sample corruptor hook on an agent's Model, the ModelDelay option on
 // the SOL runtime — so experiments inject precisely the condition under
 // study while every other code path stays production-identical.
+//
+// Node-lifecycle faults — a node that crashes, restarts or goes dark —
+// are scheduled by a NodePlan over a fleet's virtual timeline; Crash,
+// the permanent crash of a deterministic fraction of nodes, is the one
+// stock plan.
 package faults
 
 import (

@@ -4,9 +4,9 @@ import "time"
 
 // Node-lifecycle fault injection.
 //
-// The §3.2 taxonomy injectors above corrupt what an agent sees; the
-// injectors here kill the agent stack itself. A production fleet's
-// dominant failure mode is nodes that crash, restart, flap, or go
+// The §3.2 taxonomy injectors in faults.go corrupt what an agent sees;
+// a node-lifecycle fault kills the agent stack itself. A production
+// fleet's dominant failure mode is nodes that crash, restart, or go
 // dark mid-campaign, and a rollout control plane has to distinguish
 // "the candidate is bad" from "the node under it died". A NodePlan
 // schedules those faults on the fleet's virtual timeline so every
@@ -14,8 +14,7 @@ import "time"
 // gates — sees the same transitions at the same simulated instants.
 
 // NodeState is a node's availability at one simulated instant.
-// Severity increases with the value: Plan merges overlapping
-// injectors by taking the maximum.
+// Severity increases with the value.
 type NodeState uint8
 
 const (
@@ -90,9 +89,8 @@ func pickNode(node, lo, hi int, frac float64, seed uint64) bool {
 
 // Crash kills a deterministic fraction of nodes at one simulated
 // instant: every member of a selected node stops, and the node stays
-// down for the rest of the horizon (unless a Flap or another injector
-// in a Plan brings it back). This is the crash-storm primitive: 20%
-// of the fleet dying mid-soak is Crash{At: t, Frac: 0.2}.
+// down for the rest of the horizon. This is the crash-storm primitive:
+// 20% of the fleet dying mid-soak is Crash{At: t, Frac: 0.2}.
 type Crash struct {
 	// At is the elapsed virtual time of the crash.
 	At time.Duration
@@ -120,131 +118,4 @@ func (c Crash) Next(node int, after time.Duration) (time.Duration, bool) {
 		return c.At, true
 	}
 	return 0, false
-}
-
-// Flap crash/restart-cycles a deterministic fraction of nodes:
-// starting at Start, each selected node repeats [down for Down, up
-// for Period-Down) for Cycles cycles (0 means until the horizon).
-// Flapping is the adversarial case for deploy retries — a node that
-// is down at the conversion barrier but up again two epochs later.
-type Flap struct {
-	// Start is when the first down window opens.
-	Start time.Duration
-	// Down is the down window per cycle; Period is the full cycle
-	// length. Both must be positive with Down < Period.
-	Down, Period time.Duration
-	// Cycles bounds the number of cycles; 0 means unbounded.
-	Cycles int
-	// Frac, Seed, Lo, Hi select nodes exactly as in Crash.
-	Frac   float64
-	Seed   uint64
-	Lo, Hi int
-}
-
-// State implements NodePlan.
-func (f Flap) State(node int, at time.Duration) NodeState {
-	if f.Period <= 0 || f.Down <= 0 || at < f.Start ||
-		!pickNode(node, f.Lo, f.Hi, f.Frac, f.Seed) {
-		return NodeUp
-	}
-	e := at - f.Start
-	cyc := int(e / f.Period)
-	if f.Cycles > 0 && cyc >= f.Cycles {
-		return NodeUp
-	}
-	if e-time.Duration(cyc)*f.Period < f.Down {
-		return NodeDown
-	}
-	return NodeUp
-}
-
-// Next implements NodePlan.
-func (f Flap) Next(node int, after time.Duration) (time.Duration, bool) {
-	if f.Period <= 0 || f.Down <= 0 || !pickNode(node, f.Lo, f.Hi, f.Frac, f.Seed) {
-		return 0, false
-	}
-	// Transitions are at Start + k*Period (down) and Start + k*Period
-	// + Down (back up), k in [0, Cycles). Starting from the cycle
-	// containing `after`, the answer is found within two iterations.
-	k := 0
-	if after > f.Start {
-		k = int((after - f.Start) / f.Period)
-	}
-	for ; f.Cycles == 0 || k < f.Cycles; k++ {
-		base := f.Start + time.Duration(k)*f.Period
-		if base > after {
-			return base, true
-		}
-		if up := base + f.Down; up > after {
-			return up, true
-		}
-	}
-	return 0, false
-}
-
-// Blackout makes a deterministic fraction of nodes dark — health
-// reports unavailable — for the window [From, Until). The agents keep
-// running; only observability is lost. This is what exercises a
-// quorum gate without any real degradation underneath.
-type Blackout struct {
-	// From and Until bound the dark window; From must be < Until.
-	From, Until time.Duration
-	// Frac, Seed, Lo, Hi select nodes exactly as in Crash.
-	Frac   float64
-	Seed   uint64
-	Lo, Hi int
-}
-
-// State implements NodePlan.
-func (b Blackout) State(node int, at time.Duration) NodeState {
-	if at >= b.From && at < b.Until && pickNode(node, b.Lo, b.Hi, b.Frac, b.Seed) {
-		return NodeDark
-	}
-	return NodeUp
-}
-
-// Next implements NodePlan.
-func (b Blackout) Next(node int, after time.Duration) (time.Duration, bool) {
-	if b.From >= b.Until || !pickNode(node, b.Lo, b.Hi, b.Frac, b.Seed) {
-		return 0, false
-	}
-	switch {
-	case after < b.From:
-		return b.From, true
-	case after < b.Until:
-		return b.Until, true
-	}
-	return 0, false
-}
-
-// Plan merges several lifecycle injectors into one fleet fault plan.
-// A node's state is the most severe any member reports (Down > Dark >
-// Up), and the next transition is the earliest any member schedules.
-// The merged Next may name instants where the merged State does not
-// actually change (a crash landing on an already-down node); drivers
-// treat transitions as idempotent state applications, so the extra
-// pause is harmless and determinism is unaffected.
-type Plan []NodePlan
-
-// State implements NodePlan.
-func (p Plan) State(node int, at time.Duration) NodeState {
-	st := NodeUp
-	for _, q := range p {
-		if s := q.State(node, at); s > st {
-			st = s
-		}
-	}
-	return st
-}
-
-// Next implements NodePlan.
-func (p Plan) Next(node int, after time.Duration) (time.Duration, bool) {
-	var best time.Duration
-	found := false
-	for _, q := range p {
-		if t, ok := q.Next(node, after); ok && (!found || t < best) {
-			best, found = t, true
-		}
-	}
-	return best, found
 }

@@ -87,102 +87,6 @@ func TestCrashFractionAndWindow(t *testing.T) {
 	}
 }
 
-func TestFlapPlan(t *testing.T) {
-	f := Flap{Start: 10 * time.Second, Down: 3 * time.Second, Period: 10 * time.Second, Cycles: 2, Frac: 1}
-	type probe struct {
-		at   time.Duration
-		want NodeState
-	}
-	for _, p := range []probe{
-		{0, NodeUp},
-		{10 * time.Second, NodeDown}, // cycle 0 down window opens
-		{12 * time.Second, NodeDown}, // still inside [10, 13)
-		{13 * time.Second, NodeUp},   // back up
-		{20 * time.Second, NodeDown}, // cycle 1
-		{23 * time.Second, NodeUp},   //
-		{30 * time.Second, NodeUp},   // Cycles = 2: no third window
-		{5 * time.Minute, NodeUp},    //
-	} {
-		if got := f.State(0, p.at); got != p.want {
-			t.Fatalf("flap state at %v = %s, want %s", p.at, got, p.want)
-		}
-	}
-	tr := walkPlan(t, f, 0, time.Minute)
-	want := []time.Duration{10 * time.Second, 13 * time.Second, 20 * time.Second, 23 * time.Second}
-	if len(tr) != len(want) {
-		t.Fatalf("transitions = %v, want %v", tr, want)
-	}
-	for i := range want {
-		if tr[i] != want[i] {
-			t.Fatalf("transitions = %v, want %v", tr, want)
-		}
-	}
-}
-
-func TestFlapUnboundedCycles(t *testing.T) {
-	f := Flap{Start: 0, Down: time.Second, Period: 2 * time.Second, Frac: 1}
-	// Deep into the schedule Next must still answer (and fast): the
-	// implementation computes the containing cycle directly rather
-	// than iterating from zero.
-	next, ok := f.Next(0, time.Hour)
-	if !ok || next != time.Hour+time.Second {
-		t.Fatalf("Next(1h) = %v, %v; want 1h1s (up transition of the containing cycle)", next, ok)
-	}
-	if f.State(0, time.Hour) != NodeDown {
-		t.Fatal("cycle start should be down")
-	}
-}
-
-func TestBlackoutPlan(t *testing.T) {
-	b := Blackout{From: 5 * time.Second, Until: 15 * time.Second, Frac: 1}
-	if b.State(0, 4*time.Second) != NodeUp {
-		t.Fatal("dark before window")
-	}
-	if b.State(0, 5*time.Second) != NodeDark {
-		t.Fatal("window start should be inclusive")
-	}
-	if b.State(0, 15*time.Second) != NodeUp {
-		t.Fatal("window end should be exclusive")
-	}
-	tr := walkPlan(t, b, 0, time.Minute)
-	if len(tr) != 2 || tr[0] != 5*time.Second || tr[1] != 15*time.Second {
-		t.Fatalf("transitions = %v, want [5s 15s]", tr)
-	}
-}
-
-// TestMergedPlan checks the Plan combinator: severity is the max of
-// the members (a blackout underneath a crash is still down) and Next
-// is the earliest any member schedules.
-func TestMergedPlan(t *testing.T) {
-	p := Plan{
-		Blackout{From: 5 * time.Second, Until: 30 * time.Second, Frac: 1},
-		Crash{At: 10 * time.Second, Frac: 1},
-	}
-	for _, tc := range []struct {
-		at   time.Duration
-		want NodeState
-	}{
-		{0, NodeUp},
-		{5 * time.Second, NodeDark},
-		{10 * time.Second, NodeDown}, // down beats dark
-		{40 * time.Second, NodeDown}, // crash outlives the blackout
-	} {
-		if got := p.State(0, tc.at); got != tc.want {
-			t.Fatalf("merged state at %v = %s, want %s", tc.at, got, tc.want)
-		}
-	}
-	next, ok := p.Next(0, 0)
-	if !ok || next != 5*time.Second {
-		t.Fatalf("merged Next(0) = %v, %v; want the blackout's 5s", next, ok)
-	}
-	// The blackout's 30s up-edge is scheduled even though the merged
-	// state stays down — drivers apply transitions idempotently.
-	next, ok = p.Next(0, 10*time.Second)
-	if !ok || next != 30*time.Second {
-		t.Fatalf("merged Next(10s) = %v, %v; want 30s", next, ok)
-	}
-}
-
 // TestPlanDeterministicSelection: selection is a pure function of
 // (seed, node), independent of query order or time.
 func TestPlanDeterministicSelection(t *testing.T) {

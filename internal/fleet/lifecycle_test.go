@@ -9,6 +9,7 @@ import (
 	"sol/internal/clock"
 	"sol/internal/faults"
 	"sol/internal/spec"
+	"sol/internal/testutil"
 )
 
 // TestSupervisorCrashRestart walks one node through the full lifecycle
@@ -144,23 +145,19 @@ func TestSupervisorRestartFailureStopsRelaunched(t *testing.T) {
 }
 
 // TestLifecycleBatchMatchesStepped is the fault-run determinism
-// contract: a fleet under a merged crash/flap/blackout plan produces
-// byte-identical reports from the batch driver and the lockstep
-// coordinator, across epoch lengths, worker widths, and shard counts
-// — including transitions that land mid-epoch and exactly on epoch
-// boundaries.
+// contract: a fleet under testutil.FleetLifecycle's crashes, restarts
+// and dark window produces byte-identical reports from the batch driver
+// and the lockstep coordinator, across epoch lengths, worker widths,
+// and shard counts — including transitions that land mid-epoch and
+// exactly on epoch boundaries.
 func TestLifecycleBatchMatchesStepped(t *testing.T) {
 	t.Parallel()
 	cfg := Config{
-		Nodes:    8,
-		Duration: 30 * time.Second,
-		Workers:  2,
-		Setup:    StandardNode(StandardNodeConfig{Seed: 11, Kinds: []string{"harvest", "overclock"}}),
-		Lifecycle: faults.Plan{
-			faults.Crash{At: 13500 * time.Millisecond, Frac: 0.4, Seed: 31},
-			faults.Flap{Start: 5 * time.Second, Down: 4 * time.Second, Period: 10 * time.Second, Cycles: 2, Frac: 0.5, Seed: 32},
-			faults.Blackout{From: 10 * time.Second, Until: 20 * time.Second, Frac: 0.3, Seed: 33},
-		},
+		Nodes:     8,
+		Duration:  30 * time.Second,
+		Workers:   2,
+		Setup:     StandardNode(StandardNodeConfig{Seed: 11, Kinds: []string{"harvest", "overclock"}}),
+		Lifecycle: testutil.FleetLifecycle,
 	}
 	batch, err := Run(cfg)
 	if err != nil {
@@ -198,13 +195,13 @@ func TestLifecycleBatchMatchesStepped(t *testing.T) {
 
 // TestLifecycleCoordinatorQueries checks the coordinator's node-state
 // views (NodeDown, NodeDark, NodeTransitions) against the plan, and
-// that a flapped node's members come back spec-faithful after the
+// that a restarted node's members come back spec-faithful after the
 // coordinator restarts them mid-drive.
 func TestLifecycleCoordinatorQueries(t *testing.T) {
 	t.Parallel()
-	plan := faults.Plan{
-		faults.Flap{Start: 4 * time.Second, Down: 4 * time.Second, Period: 20 * time.Second, Cycles: 1, Frac: 1, Lo: 1, Hi: 2},
-		faults.Blackout{From: 2 * time.Second, Until: 6 * time.Second, Frac: 1, Lo: 2, Hi: 3},
+	plan := testutil.Lifecycle{
+		1: {testutil.Down(4 * time.Second), testutil.Up(8 * time.Second)},
+		2: {testutil.Dark(2 * time.Second), testutil.Up(6 * time.Second)},
 	}
 	cfg := Config{
 		Nodes:     3,

@@ -288,7 +288,7 @@ func TestSpecHandleDrivesLiveModel(t *testing.T) {
 			var sups [2]*Supervisor
 			var clks [2]*clock.Virtual
 			for i := range sups {
-				clks[i] = clock.NewVirtualSingle(testEpoch)
+				clks[i] = clock.NewVirtual(testEpoch)
 				sup, err := StandardNode(StandardNodeConfig{Seed: 1, MemRegions: 32})(0, clks[i])
 				if err != nil {
 					t.Fatal(err)

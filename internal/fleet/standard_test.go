@@ -135,7 +135,7 @@ func TestCoordinatorReportAllocs(t *testing.T) {
 
 func TestStandardNodeRejectsNegativeMemRegions(t *testing.T) {
 	std := StandardNode(StandardNodeConfig{MemRegions: -4})
-	if _, err := std(0, clock.NewVirtualSingle(time.Unix(0, 0))); err == nil {
+	if _, err := std(0, clock.NewVirtual(time.Unix(0, 0))); err == nil {
 		t.Fatal("MemRegions = -4 built a node")
 	}
 }

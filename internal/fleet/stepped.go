@@ -119,13 +119,12 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 }
 
 // buildNode builds node idx on a fresh clock at the virtual start
-// instant, without advancing time. The clock is single-driver
-// (lock-elided): the node's whole simulation — substrate ticks, agent
-// loops, supervision — only ever runs on the one worker goroutine that
-// is advancing it, which is exactly the contract NewVirtualSingle
-// requires.
+// instant, without advancing time. The node's whole simulation —
+// substrate ticks, agent loops, supervision — only ever runs on the one
+// worker goroutine that is advancing it, which is the one-driver
+// contract a Virtual clock requires.
 func buildNode(cfg Config, idx int) (simNode, error) {
-	clk := clock.NewVirtualSingle(DefaultStart)
+	clk := clock.NewVirtual(DefaultStart)
 	sup, err := cfg.Setup(idx, clk)
 	if err == nil && sup == nil {
 		err = fmt.Errorf("setup returned no supervisor")

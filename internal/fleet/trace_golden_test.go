@@ -10,10 +10,10 @@ import (
 	"time"
 
 	"sol/internal/controlplane"
-	"sol/internal/faults"
 	"sol/internal/fleet"
 	"sol/internal/obs"
 	"sol/internal/shard"
+	"sol/internal/testutil"
 )
 
 // updateTraceGolden rewrites testdata/trace.golden.json from the tree —
@@ -81,18 +81,14 @@ func runTraceGoldenCases(t *testing.T) map[string]traceGoldenCase {
 	// The lifecycle trace fixture (traceTestConfig in the package's
 	// own tests), on four shards with both views on.
 	cfg := fleet.Config{
-		Nodes:    8,
-		Duration: 30 * time.Second,
-		Workers:  2,
-		Shards:   4,
-		Profile:  true,
-		Trace:    true,
-		Setup:    fleet.StandardNode(fleet.StandardNodeConfig{Seed: 11, Kinds: []string{"harvest", "overclock"}}),
-		Lifecycle: faults.Plan{
-			faults.Crash{At: 13500 * time.Millisecond, Frac: 0.4, Seed: 31},
-			faults.Flap{Start: 5 * time.Second, Down: 4 * time.Second, Period: 10 * time.Second, Cycles: 2, Frac: 0.5, Seed: 32},
-			faults.Blackout{From: 10 * time.Second, Until: 20 * time.Second, Frac: 0.3, Seed: 33},
-		},
+		Nodes:     8,
+		Duration:  30 * time.Second,
+		Workers:   2,
+		Shards:    4,
+		Profile:   true,
+		Trace:     true,
+		Setup:     fleet.StandardNode(fleet.StandardNodeConfig{Seed: 11, Kinds: []string{"harvest", "overclock"}}),
+		Lifecycle: testutil.FleetLifecycle,
 	}
 	co, err := fleet.NewCoordinator(cfg)
 	if err != nil {

@@ -7,25 +7,21 @@ import (
 	"testing"
 	"time"
 
-	"sol/internal/faults"
 	"sol/internal/obs"
+	"sol/internal/testutil"
 )
 
-// traceTestConfig is the shared traced fixture: a small fleet under a
-// merged crash/flap/blackout plan, so the trace carries every
-// lifecycle event kind alongside spans and epochs.
+// traceTestConfig is the shared traced fixture: a small fleet under
+// testutil.FleetLifecycle, so the trace carries every lifecycle event kind
+// alongside spans and epochs.
 func traceTestConfig() Config {
 	return Config{
-		Nodes:    8,
-		Duration: 30 * time.Second,
-		Workers:  2,
-		Trace:    true,
-		Setup:    StandardNode(StandardNodeConfig{Seed: 11, Kinds: []string{"harvest", "overclock"}}),
-		Lifecycle: faults.Plan{
-			faults.Crash{At: 13500 * time.Millisecond, Frac: 0.4, Seed: 31},
-			faults.Flap{Start: 5 * time.Second, Down: 4 * time.Second, Period: 10 * time.Second, Cycles: 2, Frac: 0.5, Seed: 32},
-			faults.Blackout{From: 10 * time.Second, Until: 20 * time.Second, Frac: 0.3, Seed: 33},
-		},
+		Nodes:     8,
+		Duration:  30 * time.Second,
+		Workers:   2,
+		Trace:     true,
+		Setup:     StandardNode(StandardNodeConfig{Seed: 11, Kinds: []string{"harvest", "overclock"}}),
+		Lifecycle: testutil.FleetLifecycle,
 	}
 }
 

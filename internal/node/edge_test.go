@@ -82,7 +82,7 @@ func (a *edgeActuator) CleanUp()                {}
 // value rebuilt as time.Unix(0, ns) would be Equal at best, never ==.
 func TestEdgeTimesAreTheClocks(t *testing.T) {
 	anchor := zonedNow(t)
-	clk := clock.NewVirtualSingle(anchor)
+	clk := clock.NewVirtual(anchor)
 	if clk.Now() != anchor {
 		t.Fatalf("clock starts at %v, want its anchor %v", clk.Now(), anchor)
 	}

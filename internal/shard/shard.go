@@ -36,8 +36,8 @@ import (
 
 // ForEach runs fn(idx) for every idx in [0, n) on a pool of workers
 // goroutines and waits for all to finish. The channel handoff and
-// WaitGroup supply the happens-before edges that let lock-elided
-// single-driver simulation state (virtual clocks, node substrates)
+// WaitGroup supply the happens-before edges that let unlocked,
+// one-driver simulation state (virtual clocks, node substrates)
 // migrate between worker goroutines across calls. workers <= 1 runs
 // inline. This is the one scheduling primitive the fleet layers share:
 // batch runs, shard builds, and within-shard pools all go through it.
@@ -84,8 +84,8 @@ type Config struct {
 	Workers int
 	// Advance advances one cell's simulation by d. It is called from
 	// shard worker goroutines with exclusive ownership of the cell and
-	// happens-before edges across calls, so cells built on lock-elided
-	// single-driver clocks are safe. Must be non-nil.
+	// happens-before edges across calls, so cells built on virtual
+	// clocks, which hold no lock, are safe. Must be non-nil.
 	Advance func(cell int, d time.Duration)
 	// Profile turns on the profile view of the conductor's probe
 	// (internal/obs): per-shard wall time attributed into stepping,

@@ -1,5 +1,6 @@
-// Package testutil holds measurement helpers shared by the module's
-// tests.
+// Package testutil holds measurement helpers and fixtures shared by
+// the module's tests: exact allocation counts, and scripted node
+// lifecycles for fleet and campaign tests.
 package testutil
 
 import (

@@ -70,7 +70,8 @@ type (
 	Stats = core.Stats
 	// Clock abstracts time for deterministic simulation and real nodes.
 	Clock = clock.Clock
-	// VirtualClock is a deterministic discrete-event clock.
+	// VirtualClock is a deterministic discrete-event clock, driven
+	// from one goroutine.
 	VirtualClock = clock.Virtual
 	// Timer is a scheduled callback, one-shot or periodic. Embed it
 	// in its owner and arm it with Clock.Arm; Reset and Stop re-arm
@@ -96,7 +97,10 @@ func Run[D, P any](clk Clock, m Model[D, P], a Actuator[P], s Schedule, o Option
 }
 
 // NewVirtualClock returns a deterministic discrete-event clock starting
-// at start. Drive it with RunFor/Run/Step.
+// at start. One goroutine drives it with RunFor/Run/Step and makes every
+// other call on it too, arming agents and timers included, as
+// examples/quickstart does; it holds no lock. Share NewRealClock across
+// goroutines instead.
 func NewVirtualClock(start time.Time) *VirtualClock { return clock.NewVirtual(start) }
 
 // NewRealClock returns the wall clock, for agents deployed on real
