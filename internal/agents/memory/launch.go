@@ -73,6 +73,11 @@ func init() {
 // region at one fixed interval, classifies regions by the same
 // hottest-set rule SmartMemory uses, and applies the placement each
 // epoch. It has no safeguards of any kind.
+//
+// It owns its scan sums and place's ranking scratch: fracs, scans and
+// the per-region rates are sized at construction, and the ranked list,
+// order.idx, at the first epoch's re-rank, so later ticks and re-ranks
+// allocate nothing.
 type StaticPolicy struct {
 	mem      *memsim.Memory
 	clk      clock.Clock
@@ -83,9 +88,8 @@ type StaticPolicy struct {
 	ticks  int
 	fracs  []float64
 	scans  []int
-	rates  []float64 // place's per-epoch scratch, with order
-	order  []int
-	rng    *stats.RNG
+	order  rateOrder // order.rates is the per-region rates place ranks by
+	rng    stats.RNG
 	ticker clock.Timer
 }
 
@@ -101,8 +105,8 @@ func NewStaticPolicy(clk clock.Clock, mem *memsim.Memory, everyTicks int, covera
 		epoch:    epochTicks,
 		fracs:    make([]float64, mem.Regions()),
 		scans:    make([]int, mem.Regions()),
-		rates:    make([]float64, mem.Regions()),
-		rng:      stats.NewRNG(uint64(everyTicks) * 7919),
+		order:    rateOrder{rates: make([]float64, mem.Regions())},
+		rng:      *stats.NewRNG(uint64(everyTicks) * 7919),
 	}
 }
 
@@ -122,17 +126,16 @@ func (t *staticTicker) Fire(int64) { (*StaticPolicy)(t).tick() }
 func (s *StaticPolicy) Stop() { s.ticker.Stop() }
 
 func (s *StaticPolicy) tick() {
-	pages := float64(s.mem.PagesPerRegion())
-	for r := 0; r < s.mem.Regions(); r++ {
-		if s.ticks%s.interval != 0 {
-			continue
+	if s.ticks%s.interval == 0 {
+		pages := float64(s.mem.PagesPerRegion())
+		for r := 0; r < s.mem.Regions(); r++ {
+			res, err := s.mem.Scan(r)
+			if err != nil {
+				continue
+			}
+			s.fracs[r] += float64(res.SetPages) / pages
+			s.scans[r]++
 		}
-		res, err := s.mem.Scan(r)
-		if err != nil {
-			continue
-		}
-		s.fracs[r] += float64(res.SetPages) / pages
-		s.scans[r]++
 	}
 	s.ticks++
 	if s.ticks%s.epoch == 0 {
@@ -145,7 +148,7 @@ func (s *StaticPolicy) tick() {
 // min-frequency baseline fail) and applies the placement.
 func (s *StaticPolicy) place() {
 	n := s.mem.Regions()
-	rates := s.rates
+	rates := s.order.rates
 	total := 0.0
 	for r := 0; r < n; r++ {
 		rates[r] = 0
@@ -159,12 +162,11 @@ func (s *StaticPolicy) place() {
 	// Rank by observed hit counts. Ties — which is what saturation
 	// produces — carry no ranking information, so they break randomly:
 	// the policy genuinely cannot tell saturated regions apart.
-	s.order = s.rng.PermInto(s.order, n)
-	idx := s.order
-	sort.SliceStable(idx, func(a, b int) bool { return rates[idx[a]] > rates[idx[b]] })
+	s.order.idx = s.rng.PermInto(s.order.idx, n)
+	sort.Stable(&s.order)
 	cum := 0.0
 	covered := false
-	for _, r := range idx {
+	for _, r := range s.order.idx {
 		if covered || total == 0 {
 			_ = s.mem.SetTier(r, false)
 			continue

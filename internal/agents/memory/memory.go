@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -251,10 +252,13 @@ type Model struct {
 	audit     []auditAcc
 	// scans, perm and order are scratch for CollectData, pickAudit and
 	// classify; perm is sized at build, scans once, to the region
-	// count, on the first tick.
+	// count, on the first tick, and order.idx on the first ranking.
+	// DefaultPredict ranks in order too, by down, which it sizes the
+	// same way on its first call.
 	scans []memsim.ScanResult
 	perm  []int
 	order rateOrder
+	down  []float64
 
 	rates     []float64 // latest per-region access-rate estimates
 	haveRates bool
@@ -278,10 +282,29 @@ type Model struct {
 	broken bool
 }
 
+// validate rejects the knobs the agent slices, sizes or decays by when
+// they are out of range, where each would otherwise panic in launch or
+// at its first use. NaN fails every check.
+func (c Config) validate() error {
+	switch {
+	case !(c.CoverageTarget > 0 && c.CoverageTarget <= 1):
+		return fmt.Errorf("memory: CoverageTarget %v out of (0,1]", c.CoverageTarget)
+	case !(c.AuditFrac >= 0 && c.AuditFrac <= 1):
+		return fmt.Errorf("memory: AuditFrac %v out of [0,1]", c.AuditFrac)
+	case !(c.DefaultOffloadFrac >= 0 && c.DefaultOffloadFrac <= 1):
+		return fmt.Errorf("memory: DefaultOffloadFrac %v out of [0,1]", c.DefaultOffloadFrac)
+	case !(c.BanditDecay > 0 && c.BanditDecay <= 1):
+		return fmt.Errorf("memory: BanditDecay %v out of (0,1]", c.BanditDecay)
+	case c.MitigateBatches < 0:
+		return fmt.Errorf("memory: MitigateBatches %d is negative", c.MitigateBatches)
+	}
+	return nil
+}
+
 // init builds the Model in place, in a zero m.
 func (m *Model) init(mem *memsim.Memory, cfg Config) error {
-	if cfg.CoverageTarget <= 0 || cfg.CoverageTarget > 1 {
-		return fmt.Errorf("memory: CoverageTarget %v out of (0,1]", cfg.CoverageTarget)
+	if err := cfg.validate(); err != nil {
+		return err
 	}
 	m.mem = mem
 	m.cfg = cfg
@@ -566,28 +589,29 @@ func (m *Model) Predict() (core.Prediction[Placement], error) {
 // scanned at different frequencies compare fairly.
 func (m *Model) DefaultPredict() core.Prediction[Placement] {
 	n := len(m.regions)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	idx := slices.Grow(m.order.idx[:0], n)
+	for i := 0; i < n; i++ {
+		idx = append(idx, i)
 	}
-	down := m.downsampledRates()
-	sort.Slice(idx, func(a, b int) bool { return down[idx[a]] < down[idx[b]] })
+	m.down = m.downsampledRates(slices.Grow(m.down[:0], n))
+	m.order = rateOrder{idx: idx, rates: m.down}
+	sort.Sort((*coldOrder)(&m.order))
 	k := int(float64(n) * m.cfg.DefaultOffloadFrac)
 	tier2 := make([]int, k)
 	copy(tier2, idx[:k])
 	return core.Prediction[Placement]{Value: Placement{Tier2: tier2, Rates: m.ratesCopy()}}
 }
 
-// downsampledRates recomputes comparable hit counts as if every region
-// had been scanned at the slowest frequency (maximum saturation).
-func (m *Model) downsampledRates() []float64 {
+// downsampledRates appends to out comparable hit counts, as if every
+// region had been scanned at the slowest frequency (maximum
+// saturation), and returns it.
+func (m *Model) downsampledRates(out []float64) []float64 {
 	pages := float64(m.mem.PagesPerRegion())
 	tickSec := m.mem.Config().BaseTick.Seconds()
-	out := make([]float64, len(m.rates))
-	for r, rate := range m.rates {
+	for _, rate := range m.rates {
 		g := rate * tickSec / pages
 		n := float64(uint(1) << uint(NumArms-1))
-		out[r] = (1 - math.Pow(1-stats.Clamp(g, 0, 0.95), n)) * pages
+		out = append(out, (1-math.Pow(1-stats.Clamp(g, 0, 0.95), n))*pages)
 	}
 	return out
 }
@@ -610,7 +634,7 @@ func (m *Model) classify(coverage float64) Placement {
 	tickSec := m.mem.Config().BaseTick.Seconds()
 	satRate := 0.90 * pages / tickSec
 
-	idx := m.order.idx[:0]
+	idx := slices.Grow(m.order.idx[:0], n)
 	total := 0.0
 	for i := 0; i < n; i++ {
 		if m.rates[i] >= satRate {
@@ -641,9 +665,13 @@ func (m *Model) classify(coverage float64) Placement {
 	return Placement{Tier2: tier2, Rates: m.ratesCopy()}
 }
 
-// rateOrder sorts region indices hottest-first by rate. It is
-// sort.Slice's comparison as a sort.Interface over model-owned storage,
-// so ranking an epoch's regions does not allocate.
+// rateOrder sorts region indices hottest-first by rates[region]. It is
+// sort.Slice's comparison as a sort.Interface over agent-owned storage,
+// so a ranking allocates nothing: sort.Sort runs the same pdqsort as
+// sort.Slice, and sort.Stable the same merge as sort.SliceStable, so
+// each makes the same comparisons and swaps and leaves the same order,
+// ties and NaNs included. classify, TakeAction, Mitigate and
+// StaticPolicy.place rank with it.
 type rateOrder struct {
 	idx   []int
 	rates []float64
@@ -652,6 +680,14 @@ type rateOrder struct {
 func (o *rateOrder) Len() int           { return len(o.idx) }
 func (o *rateOrder) Less(a, b int) bool { return o.rates[o.idx[a]] > o.rates[o.idx[b]] }
 func (o *rateOrder) Swap(a, b int)      { o.idx[a], o.idx[b] = o.idx[b], o.idx[a] }
+
+// coldOrder is a rateOrder ranked coldest-first: DefaultPredict's
+// ranking, over the Model's own rateOrder by pointer conversion.
+type coldOrder rateOrder
+
+func (o *coldOrder) Len() int           { return len(o.idx) }
+func (o *coldOrder) Less(a, b int) bool { return o.rates[o.idx[a]] < o.rates[o.idx[b]] }
+func (o *coldOrder) Swap(a, b int)      { o.idx[a], o.idx[b] = o.idx[b], o.idx[a] }
 
 // AssessModel implements core.Model: failing while the audit says the
 // recommended rates miss more than MissedThreshold of accesses. A
@@ -667,7 +703,13 @@ func (m *Model) AssessModel() bool {
 	return !m.failing
 }
 
-// Actuator is the control half of SmartMemory.
+// Actuator is the control half of SmartMemory. It owns prevRemote,
+// sized at build, and the ranking scratch behind scr: TakeAction's
+// tier-2 set and promotion list, and Mitigate's heat and migration
+// list, all sized to the region count and made together at the first
+// TakeAction or Mitigate, so later calls allocate nothing. The scratch
+// sits behind one pointer to keep the Agent below its 2,048-byte
+// allocation size class (TestAgentSizeClass).
 type Actuator struct {
 	mem *memsim.Memory
 	cfg Config
@@ -679,6 +721,27 @@ type Actuator struct {
 	// Mitigate can rank second-tier regions by observed remote traffic
 	// — the most direct "hottest batches in the second tier" signal.
 	prevRemote []float64
+	scr        *actuatorScratch
+}
+
+// actuatorScratch is the Actuator's per-region ranking storage.
+type actuatorScratch struct {
+	order   rateOrder // the promotion or migration list, and its key
+	inTier2 []bool    // TakeAction: the placement's tier-2 set
+	heat    []float64 // Mitigate: each tier-2 region's heat
+}
+
+// scratch returns the ranking scratch, making it on first use.
+func (a *Actuator) scratch() *actuatorScratch {
+	if a.scr == nil {
+		n := a.mem.Regions()
+		a.scr = &actuatorScratch{
+			order:   rateOrder{idx: make([]int, 0, n)},
+			inTier2: make([]bool, n),
+			heat:    make([]float64, n),
+		}
+	}
+	return a.scr
 }
 
 // init builds the Actuator in place, in a zero a.
@@ -697,23 +760,26 @@ func (a *Actuator) TakeAction(pred *core.Prediction[Placement]) {
 	}
 	p := pred.Value
 	a.lastRates = p.Rates
-	inTier2 := make(map[int]bool, len(p.Tier2))
-	for _, r := range p.Tier2 {
-		inTier2[r] = true
-	}
+	sc := a.scratch()
+	inTier2 := sc.inTier2
+	clear(inTier2)
 	// Demotions first to free tier-1 capacity, then promotions,
-	// hottest first, as capacity allows.
+	// hottest first, as capacity allows. A demotion fails only for a
+	// region out of range, which is then in no tier-2 set.
 	for _, r := range p.Tier2 {
-		_ = a.mem.SetTier(r, false)
+		if a.mem.SetTier(r, false) == nil {
+			inTier2[r] = true
+		}
 	}
-	var promote []int
+	promote := sc.order.idx[:0]
 	for r := 0; r < a.mem.Regions(); r++ {
 		if !inTier2[r] && !a.mem.InTier1(r) {
 			promote = append(promote, r)
 		}
 	}
+	sc.order = rateOrder{idx: promote, rates: p.Rates}
 	if p.Rates != nil {
-		sort.Slice(promote, func(x, y int) bool { return p.Rates[promote[x]] > p.Rates[promote[y]] })
+		sort.Sort(&sc.order)
 	}
 	for _, r := range promote {
 		if err := a.mem.SetTier(r, true); err != nil {
@@ -746,8 +812,9 @@ func (a *Actuator) AssessPerformance() bool {
 // access counters the far-memory driver exposes — the live signal —
 // with the model's rate estimates as tie-breaker.
 func (a *Actuator) Mitigate() {
-	var tier2 []int
-	heat := make(map[int]float64)
+	sc := a.scratch()
+	heat := sc.heat
+	tier2 := sc.order.idx[:0]
 	for r := 0; r < a.mem.Regions(); r++ {
 		if !a.mem.InTier1(r) {
 			tier2 = append(tier2, r)
@@ -757,7 +824,8 @@ func (a *Actuator) Mitigate() {
 			}
 		}
 	}
-	sort.Slice(tier2, func(x, y int) bool { return heat[tier2[x]] > heat[tier2[y]] })
+	sc.order = rateOrder{idx: tier2, rates: heat}
+	sort.Sort(&sc.order)
 	if len(tier2) > a.cfg.MitigateBatches {
 		tier2 = tier2[:a.cfg.MitigateBatches]
 	}

@@ -1,14 +1,18 @@
 package memory
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"sol/internal/clock"
 	"sol/internal/core"
 	"sol/internal/memsim"
+	"sol/internal/spec"
 	"sol/internal/stats"
 	"sol/internal/workload"
 )
@@ -62,13 +66,40 @@ func defaultTrace() *skewTrace {
 	return &skewTrace{regions: 64, hot: 12, warm: 12, hotRate: 8000, warmRate: 120}
 }
 
+// TestConfigValidation: every knob the agent slices, sizes or decays by
+// is range-checked at launch. Each params overlay here passes
+// spec.Agent.Validate, the check a campaign candidate gets. Unchecked,
+// every one but CoverageTarget panics: AuditFrac in launch,
+// DefaultOffloadFrac at the first default prediction, BanditDecay at
+// the first UpdateModel and MitigateBatches at the first mitigation.
 func TestConfigValidation(t *testing.T) {
-	clk := clock.NewVirtual(epoch)
-	mem := memsim.MustNew(clk, memsim.DefaultConfig(4), &skewTrace{regions: 4})
-	cfg := DefaultConfig()
-	cfg.CoverageTarget = 0
-	if err := new(Model).init(mem, cfg); err == nil {
-		t.Fatal("invalid coverage accepted")
+	for _, tc := range []struct {
+		field string
+		value string
+	}{
+		{"CoverageTarget", "0"},
+		{"AuditFrac", "1.5"},
+		{"AuditFrac", "-0.1"},
+		{"DefaultOffloadFrac", "2"},
+		{"BanditDecay", "0"},
+		{"MitigateBatches", "-1"},
+	} {
+		t.Run(tc.field+"="+tc.value, func(t *testing.T) {
+			params := fmt.Sprintf(`{"Config":{%q:%s}}`, tc.field, tc.value)
+			a := spec.Agent{Kind: Kind, Params: json.RawMessage(params)}
+			if err := a.Validate(); err != nil {
+				t.Fatalf("spec validation: %v", err)
+			}
+			clk, mem := memRig(t, defaultTrace())
+			h, _, err := spec.Launch(a, spec.NodeEnv{Clock: clk, Mem: mem})
+			if err == nil {
+				h.Stop()
+				t.Fatalf("%s launched", params)
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("%s: err = %v, want it to name %s", params, err, tc.field)
+			}
+		})
 	}
 }
 
